@@ -1,9 +1,8 @@
-//! Shared harness for the figure/table generators and criterion benches.
+//! Shared harness for the figure/table generators and `dmfb bench`.
 //!
-//! Every experiment in the paper's evaluation section has (a) a binary in
+//! Every experiment in the paper's evaluation section has a binary in
 //! `src/bin/` that regenerates the corresponding table or figure as text,
-//! printing paper-expected values next to measured ones, and (b) a
-//! criterion bench timing the underlying computation. This library holds
+//! printing paper-expected values next to measured ones. This library holds
 //! the pieces they share: experiment parameter sets, plain-text table
 //! rendering, and the machine-readable [`BenchReport`] JSON format
 //! (`BENCH_*.json`) that `dmfb bench --json` emits and CI archives.

@@ -47,6 +47,10 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
+    if rest.iter().any(|arg| arg == "--help" || arg == "-h") {
+        outln!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
     let opts = match Options::parse(rest) {
         Ok(o) => o,
         Err(e) => {

@@ -19,6 +19,27 @@ fn help_prints_usage_and_succeeds() {
 }
 
 #[test]
+fn command_help_prints_usage_and_succeeds() {
+    for args in [["yield", "--help"], ["sweep", "-h"]] {
+        let out = dmfb(&args);
+        assert!(out.status.success(), "{args:?} exited nonzero");
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert!(text.contains("USAGE"), "{args:?}: usage missing:\n{text}");
+    }
+}
+
+#[test]
+fn unknown_design_lists_choices_and_fails() {
+    let out = dmfb(&["yield", "--design", "dtmb99"]);
+    assert!(!out.status.success());
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        err.contains("unknown design 'dtmb99'") && err.contains("dtmb26b"),
+        "stderr must list valid designs:\n{err}"
+    );
+}
+
+#[test]
 fn unknown_command_fails_with_error() {
     let out = dmfb(&["frobnicate"]);
     assert!(!out.status.success());

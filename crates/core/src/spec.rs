@@ -334,7 +334,9 @@ pub fn parse_design_token(token: Option<&str>) -> Result<Option<DtmbKind>, Strin
         Some("dtmb26b") => Ok(Some(DtmbKind::Dtmb26B)),
         Some("dtmb36") => Ok(Some(DtmbKind::Dtmb36)),
         Some("dtmb44") => Ok(Some(DtmbKind::Dtmb44)),
-        Some(other) => Err(format!("unknown design '{other}'")),
+        Some(other) => Err(format!(
+            "unknown design '{other}' (valid: none, dtmb16, dtmb26, dtmb26b, dtmb36, dtmb44)"
+        )),
     }
 }
 

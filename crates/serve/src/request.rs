@@ -627,6 +627,14 @@ mod tests {
     }
 
     #[test]
+    fn unknown_design_lists_the_valid_designs() {
+        assert_eq!(
+            parse(r#"{"design": "dtmb99"}"#).unwrap_err().message,
+            "unknown design 'dtmb99' (valid: none, dtmb16, dtmb26, dtmb26b, dtmb36, dtmb44)"
+        );
+    }
+
+    #[test]
     fn unknown_and_duplicate_fields_are_rejected() {
         assert!(parse(r#"{"triaals": 10}"#)
             .unwrap_err()
