@@ -11,11 +11,9 @@ use dmfb_core::prelude::*;
 
 fn main() {
     println!("Ablation: i.i.d. vs clustered spot defects, DTMB(2,6), n = 120\n");
-    let est = MonteCarloYield::new(
-        DtmbKind::Dtmb26A.with_primary_count(120),
-        ReconfigPolicy::AllPrimaries,
-    );
-    let total_cells = est.array().total_cells() as f64;
+    let array = DtmbKind::Dtmb26A.with_primary_count(120);
+    let total_cells = array.total_cells() as f64;
+    let est = SchemeYield::new(array.clone(), ReconfigPolicy::AllPrimaries);
 
     let mut table = TextTable::new(vec![
         "E[failures]".into(),
@@ -30,11 +28,15 @@ fn main() {
         // Match the i.i.d. model to the tight cluster's expectation.
         let q = expected / total_cells;
         let iid = est.estimate_survival(1.0 - q, 10_000, seed).point();
-        let y_tight = est.estimate_with(&tight, 10_000, seed ^ 0x1).point();
+        let y_tight = est
+            .estimate_with_defects(10_000, seed ^ 0x1, |rng| tight.inject(array.region(), rng))
+            .point();
         // A wider, shallower cluster with the same expectation.
         let peak2 = expected / (mean_clusters * footprint_weight(2));
         let wide = ClusteredSpot::new(mean_clusters, 2, peak2.min(1.0));
-        let y_wide = est.estimate_with(&wide, 10_000, seed ^ 0x2).point();
+        let y_wide = est
+            .estimate_with_defects(10_000, seed ^ 0x2, |rng| wide.inject(array.region(), rng))
+            .point();
         table.row(vec![
             format!("{expected:.1}"),
             format!("{iid:.4}"),

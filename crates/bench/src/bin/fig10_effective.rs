@@ -10,12 +10,12 @@ const N: usize = 100;
 
 fn main() {
     println!("Figure 10: Effective yield for different redundancy levels (n = {N})\n");
-    let estimators: Vec<(DtmbKind, MonteCarloYield)> = DtmbKind::TABLE1
+    let estimators: Vec<(DtmbKind, SchemeYield)> = DtmbKind::TABLE1
         .iter()
         .map(|&k| {
             (
                 k,
-                MonteCarloYield::new(k.with_primary_count(N), ReconfigPolicy::AllPrimaries),
+                SchemeYield::new(k.with_primary_count(N), ReconfigPolicy::AllPrimaries),
             )
         })
         .collect();
@@ -28,14 +28,15 @@ fn main() {
     let mut all_points: Vec<Vec<YieldPoint>> = vec![Vec::new(); estimators.len()];
     for (i, &p) in FIG10_SURVIVAL_GRID.iter().enumerate() {
         let mut row = vec![format!("{p:.2}")];
-        for (d, (_, est)) in estimators.iter().enumerate() {
+        for (d, (kind, est)) in estimators.iter().enumerate() {
             let seed = FIGURE_SEED
                 .wrapping_add(i as u64)
                 .wrapping_mul(37)
                 .wrapping_add(d as u64);
             let y = est.estimate_survival(p, PAPER_TRIALS, seed);
-            let n = est.array().primary_count() as f64;
-            let total = est.array().total_cells() as f64;
+            let array = kind.with_primary_count(N);
+            let n = array.primary_count() as f64;
+            let total = array.total_cells() as f64;
             let ey = y.point() * n / total;
             row.push(format!("{ey:.4}"));
             all_points[d].push(YieldPoint {

@@ -16,9 +16,9 @@ fn main() {
         header.extend(DESIGNS.iter().map(|k| k.to_string()));
         let mut table = TextTable::new(header);
 
-        let estimators: Vec<MonteCarloYield> = DESIGNS
+        let estimators: Vec<SchemeYield> = DESIGNS
             .iter()
-            .map(|k| MonteCarloYield::new(k.with_primary_count(n), ReconfigPolicy::AllPrimaries))
+            .map(|k| SchemeYield::new(k.with_primary_count(n), ReconfigPolicy::AllPrimaries))
             .collect();
         for (i, &p) in FIG7_9_SURVIVAL_GRID.iter().enumerate() {
             let mut row = vec![

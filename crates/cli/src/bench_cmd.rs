@@ -2,8 +2,7 @@
 //! `bench-smoke` job.
 //!
 //! Runs the Monte-Carlo yield workload through each engine generation —
-//! the per-trial graph-rebuild path (hex only), the incremental bitset
-//! evaluator (scalar), the word-parallel block pipeline (64 trials per
+//! the incremental bitset evaluator (scalar), the word-parallel block pipeline (64 trials per
 //! machine word), and the batched whole-curve sweep — for the selected
 //! redundancy scheme (`--scheme hex-dtmb | square-dtmb | spare-rows`),
 //! and reports wall time plus effective trial throughput. Every scheme
@@ -531,14 +530,14 @@ fn run_rare_event(report: &mut BenchReport, quick: bool, threads: usize) {
     // trial budget.
     let (primaries, naive_trials) = if quick { (240, 40_000) } else { (240, 400_000) };
     let strat_budget = naive_trials / 10;
-    let mc = MonteCarloYield::new(
+    let mc = SchemeYield::new(
         DtmbKind::Dtmb26A.with_primary_count(primaries),
         ReconfigPolicy::AllPrimaries,
     )
     .with_threads(threads);
 
     let t0 = Instant::now();
-    let naive = mc.estimate_survival_fast(RARE_P, naive_trials, BENCH_SEED);
+    let naive = mc.estimate_survival(RARE_P, naive_trials, BENCH_SEED);
     let mut naive_entry = entry(
         "dtmb26/rare-naive".to_string(),
         "hex-dtmb",
@@ -594,15 +593,15 @@ fn run_rare_event(report: &mut BenchReport, quick: bool, threads: usize) {
 /// lanes without the matcher.
 const PAIR_P: f64 = 0.99;
 
-/// The hexagonal suite keeps the historic engine comparison — per-trial
-/// rebuild, the incremental evaluator (pinned to the scalar engine for
+/// The hexagonal suite keeps the historic engine comparison — the
+/// incremental evaluator (pinned to the scalar engine for
 /// baseline continuity), the word-parallel block pipeline on the same
 /// workload, and the batched sweep (block engine) — plus the
 /// `dtmb26/p99-scalar`/`dtmb26/p99-block` acceptance pair whose
 /// committed throughput ratio documents the block-engine speed-up.
 fn run_hex(report: &mut BenchReport, quick: bool, threads: usize, block_trials: Option<usize>) {
     for (kind, primaries, trials) in hex_cases(quick) {
-        let mc = MonteCarloYield::new(
+        let mc = SchemeYield::new(
             kind.with_primary_count(primaries),
             ReconfigPolicy::AllPrimaries,
         )
@@ -611,22 +610,7 @@ fn run_hex(report: &mut BenchReport, quick: bool, threads: usize, block_trials: 
         let block = mc.clone().with_block_trials(block_trials);
 
         let t0 = Instant::now();
-        let rebuild = mc.estimate_survival(BENCH_P, trials, BENCH_SEED);
-        let mut e = entry(
-            format!("{}/rebuild", tag(kind)),
-            "hex-dtmb",
-            kind.to_string(),
-            primaries,
-            trials,
-            1,
-            t0.elapsed().as_secs_f64() * 1_000.0,
-            rebuild.point(),
-        );
-        e.spec = hex_spec(kind, primaries);
-        report.push(e);
-
-        let t0 = Instant::now();
-        let fast = scalar.estimate_survival_fast(BENCH_P, trials, BENCH_SEED);
+        let fast = scalar.estimate_survival(BENCH_P, trials, BENCH_SEED);
         let mut e = entry(
             format!("{}/incremental", tag(kind)),
             "hex-dtmb",
@@ -642,7 +626,7 @@ fn run_hex(report: &mut BenchReport, quick: bool, threads: usize, block_trials: 
         report.push(e);
 
         let t0 = Instant::now();
-        let batch = block.estimate_survival_fast(BENCH_P, trials, BENCH_SEED);
+        let batch = block.estimate_survival(BENCH_P, trials, BENCH_SEED);
         debug_assert_eq!(batch, fast, "engines must be byte-identical");
         let mut e = entry(
             format!("{}/block", tag(kind)),
@@ -683,7 +667,7 @@ fn run_hex(report: &mut BenchReport, quick: bool, threads: usize, block_trials: 
     // The acceptance pair: one workload, both engines, p = 0.99 on the
     // DTMB(2,6) case study — the regime the classifier tiers target.
     let (primaries, trials) = if quick { (120, 20_000) } else { (240, 100_000) };
-    let mc = MonteCarloYield::new(
+    let mc = SchemeYield::new(
         DtmbKind::Dtmb26A.with_primary_count(primaries),
         ReconfigPolicy::AllPrimaries,
     )
@@ -691,7 +675,7 @@ fn run_hex(report: &mut BenchReport, quick: bool, threads: usize, block_trials: 
     for (engine_tag, block_sel) in [("scalar", Some(0)), ("block", block_trials)] {
         let engine = mc.clone().with_block_trials(block_sel);
         let t0 = Instant::now();
-        let est = engine.estimate_survival_fast(PAIR_P, trials, BENCH_SEED);
+        let est = engine.estimate_survival(PAIR_P, trials, BENCH_SEED);
         let mut e = entry(
             format!("dtmb26/p99-{engine_tag}"),
             "hex-dtmb",

@@ -160,8 +160,8 @@ ENGINES (yield, sweep, bench): --block-trials N picks the trial engine
   absent = auto (word-parallel block pipeline, 256 trials per batch);
   0 = force the scalar one-trial-at-a-time engine; N >= 1 = block engine
   with N-trial batches. Both engines are byte-identical at any width and
-  thread count. Per-trial-only paths (clustered defects, hex naive
-  reports, assay stratified) reject the flag rather than ignore it.
+  thread count. Per-trial-only paths (clustered defects, assay
+  stratified) reject the flag rather than ignore it.
 DEFECT MODELS (yield): --defect-model bernoulli (default) | clustered
   clustered = negative-binomial cluster seeds spreading over the lattice;
               sub-parameters: --cluster-mean F (default 1.0)
@@ -687,8 +687,7 @@ fn cmd_yield(opts: &Options) -> Result<(), String> {
     }
     let chip = opts.biochip()?;
     if let DefectModelChoice::Clustered(cluster) = &model {
-        let mc = MonteCarloYield::new(chip.array().clone(), chip.policy().clone())
-            .with_threads(opts.get("threads", 0)?);
+        let mc = chip.engine();
         print_design_header(&chip, None);
         outln!(
             "defect model      : clustered (mean {:.2} clusters, dispersion {}, \
@@ -710,24 +709,22 @@ fn cmd_yield(opts: &Options) -> Result<(), String> {
         return Ok(());
     }
     if matches!(estimator, EstimatorChoice::Stratified) {
-        let mc = MonteCarloYield::new(chip.array().clone(), chip.policy().clone())
-            .with_threads(opts.get("threads", 0)?)
-            .with_block_trials(block_trials);
+        let mc = chip.engine().with_block_trials(block_trials);
         print_design_header(&chip, None);
         outln!("survival p        : {p:.4}");
         let e = mc.estimate_survival_stratified(p, trials, seed, &opts.stratified_config()?);
         print_stratified("reconfigured yield", &e);
         return Ok(());
     }
-    reject_block_trials(
-        opts,
-        "the hex yield report cross-checks the per-trial rebuild engine; \
-         use --estimator stratified or sweep --batched for the block engine",
-    )?;
-    let r = chip.yield_report(p, trials, seed);
+    let engine = chip.engine().with_block_trials(block_trials);
+    let r = chip.yield_report_on(&engine, p, trials, seed);
     print_design_header(&chip, Some(r.redundancy_ratio));
     outln!("survival p        : {:.4}", r.survival_p);
-    outln!("raw yield         : {}", r.raw_yield);
+    outln!(
+        "raw yield         : {:.4}  (exact: p^n over n = {} in-scope primaries)",
+        r.raw_yield,
+        engine.evaluator().primary_count()
+    );
     outln!("reconfigured yield: {}", r.reconfigured_yield);
     outln!("effective yield   : {:.4}", r.effective_yield);
     if let Some(a) = r.analytical {
@@ -880,10 +877,7 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
     }
     let chip = opts.biochip()?;
     if matches!(estimator, EstimatorChoice::Stratified) {
-        let threads: usize = opts.get("threads", 0)?;
-        let mc = MonteCarloYield::new(chip.array().clone(), chip.policy().clone())
-            .with_threads(threads)
-            .with_block_trials(block_trials);
+        let mc = chip.engine().with_block_trials(block_trials);
         let pts = mc.sweep_survival_stratified(&ps, trials, seed, &opts.stratified_config()?);
         let array = chip.array();
         let ey = |y: f64| effective::effective_yield_of(array, y);
@@ -901,28 +895,17 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
             outln!("{p:.4},{y:.4},{lo:.4},{hi:.4}");
         }
     };
-    if opts.flag("batched") {
-        // Batched engine: one Monte-Carlo pass serves the whole curve
-        // (common random numbers across the grid; single master seed).
-        let threads: usize = opts.get("threads", 0)?;
-        let mc = MonteCarloYield::new(chip.array().clone(), chip.policy().clone())
-            .with_threads(threads)
-            .with_block_trials(block_trials);
-        for pt in mc.sweep_survival_batched(&ps, trials, seed) {
-            let ey = effective::effective_yield_of(chip.array(), pt.y);
-            emit(pt.x, pt.y, pt.ci95.0, pt.ci95.1, ey);
-        }
-        return Ok(());
-    }
-    reject_block_trials(
-        opts,
-        "the non-batched hex sweep rebuilds a full yield report per grid point; \
-         use --batched (or --estimator stratified) for the block engine",
-    )?;
-    for (i, &p) in ps.iter().enumerate() {
-        let r = chip.yield_report(p, trials, seed.wrapping_add(i as u64));
-        let (lo, hi) = r.reconfigured_yield.wilson95();
-        emit(p, r.reconfigured_yield.point(), lo, hi, r.effective_yield);
+    // Batched: one Monte-Carlo pass serves the whole curve (common random
+    // numbers across the grid); otherwise one experiment per grid point.
+    let mc = chip.engine().with_block_trials(block_trials);
+    let pts = if opts.flag("batched") {
+        mc.sweep_survival_batched(&ps, trials, seed)
+    } else {
+        mc.sweep_survival(&ps, trials, seed)
+    };
+    for pt in pts {
+        let ey = effective::effective_yield_of(chip.array(), pt.y);
+        emit(pt.x, pt.y, pt.ci95.0, pt.ci95.1, ey);
     }
     Ok(())
 }

@@ -21,7 +21,7 @@
 //! // Estimate manufacturing yield at 95% per-cell survival probability,
 //! // with and without local reconfiguration.
 //! let report = chip.yield_report(0.95, 2_000, 42);
-//! assert!(report.reconfigured_yield.point() > report.raw_yield.point());
+//! assert!(report.reconfigured_yield.point() > report.raw_yield);
 //! ```
 //!
 //! ## Layered API

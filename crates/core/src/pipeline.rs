@@ -1,6 +1,6 @@
 //! The end-to-end pipeline: design → inject → test → reconfigure → report.
 
-use dmfb_defects::injection::{Bernoulli, InjectionModel};
+use dmfb_defects::injection::{Bernoulli, ExactCount, InjectionModel};
 use dmfb_defects::testing::{self, MeasurementModel};
 use dmfb_defects::DefectMap;
 use dmfb_grid::Region;
@@ -9,7 +9,7 @@ use dmfb_reconfig::{
     attempt_reconfiguration, DefectTolerantArray, ReconfigFailure, ReconfigPlan, ReconfigPolicy,
 };
 use dmfb_sim::BernoulliEstimate;
-use dmfb_yield::{analytical, effective, MonteCarloYield};
+use dmfb_yield::{analytical, effective, SchemeYield};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -23,7 +23,7 @@ use rand::SeedableRng;
 ///
 /// let chip = Biochip::dtmb(DtmbKind::Dtmb36, 120);
 /// let report = chip.yield_report(0.95, 1_000, 7);
-/// assert!(report.reconfigured_yield.point() >= report.raw_yield.point());
+/// assert!(report.reconfigured_yield.point() >= report.raw_yield);
 /// assert!(report.effective_yield <= report.reconfigured_yield.point());
 /// ```
 #[derive(Clone, Debug)]
@@ -111,28 +111,35 @@ impl Biochip {
         &self.policy
     }
 
+    /// The chip's yield engine: the compiled [`SchemeYield`] for this
+    /// array and policy, on the chip's thread count.
+    #[must_use]
+    pub fn engine(&self) -> SchemeYield {
+        SchemeYield::new(self.array.clone(), self.policy.clone()).with_threads(self.threads)
+    }
+
     /// Estimates yield at survival probability `p` with and without local
     /// reconfiguration, plus the effective-yield and analytical references.
     #[must_use]
     pub fn yield_report(&self, p: f64, trials: u32, seed: u64) -> YieldReport {
-        let mc = MonteCarloYield::new(self.array.clone(), self.policy.clone())
-            .with_threads(self.threads);
-        let reconfigured = mc.estimate_survival(p, trials, seed);
+        self.yield_report_on(&self.engine(), p, trials, seed)
+    }
 
-        // Raw yield: the chip is good only when no in-scope primary fails.
-        let model = Bernoulli::from_survival(p);
-        let raw_mc = dmfb_sim::MonteCarlo::new(trials, seed ^ 0x5A5A_5A5A);
-        let region = self.array.region().clone();
-        let array = &self.array;
-        let policy = &self.policy;
-        let raw = raw_mc.run(|rng| {
-            let defects = model.inject(&region, rng);
-            let any_relevant = defects
-                .faulty_cells()
-                .any(|c| array.is_primary(c) && policy.requires(c));
-            !any_relevant
-        });
-
+    /// [`Biochip::yield_report`] on an engine built from this chip by
+    /// [`Biochip::engine`], so the caller picks its trial engine. Raw yield
+    /// is the closed form `pⁿ` over the `n` in-scope primaries: under
+    /// i.i.d. faults the chip survives without reconfiguration iff every
+    /// one of them does.
+    #[must_use]
+    pub fn yield_report_on(
+        &self,
+        engine: &SchemeYield,
+        p: f64,
+        trials: u32,
+        seed: u64,
+    ) -> YieldReport {
+        let reconfigured = engine.estimate_survival(p, trials, seed);
+        let raw_yield = analytical::no_redundancy_yield(p, engine.evaluator().primary_count());
         let analytical = match self.array.kind() {
             Some(DtmbKind::Dtmb16) => Some(analytical::dtmb16_yield(p, self.array.primary_count())),
             None => Some(analytical::no_redundancy_yield(
@@ -144,7 +151,7 @@ impl Biochip {
 
         YieldReport {
             survival_p: p,
-            raw_yield: raw,
+            raw_yield,
             reconfigured_yield: reconfigured,
             effective_yield: effective::effective_yield_of(&self.array, reconfigured.point()),
             redundancy_ratio: self.array.redundancy_ratio(),
@@ -153,12 +160,14 @@ impl Biochip {
     }
 
     /// Estimates yield with exactly `m` random cell failures per chip — the
-    /// Figure 13 protocol.
+    /// Figure 13 protocol. The faults land anywhere on the array, so under
+    /// a used-cells policy a fault on an unused cell is harmless.
     #[must_use]
     pub fn exact_fault_yield(&self, m: usize, trials: u32, seed: u64) -> BernoulliEstimate {
-        MonteCarloYield::new(self.array.clone(), self.policy.clone())
-            .with_threads(self.threads)
-            .estimate_exact_faults(m, trials, seed)
+        let model = ExactCount::new(m);
+        let region = self.array.region();
+        self.engine()
+            .estimate_with_defects(trials, seed, |rng| model.inject(region, rng))
     }
 
     /// Simulates one fabricated chip instance end to end: inject defects at
@@ -187,8 +196,9 @@ impl Biochip {
 pub struct YieldReport {
     /// The survival probability evaluated.
     pub survival_p: f64,
-    /// Yield without reconfiguration (all in-scope primaries fault-free).
-    pub raw_yield: BernoulliEstimate,
+    /// Yield without reconfiguration: the closed form `pⁿ` over the `n`
+    /// in-scope primaries, all of which must survive.
+    pub raw_yield: f64,
     /// Yield with local reconfiguration.
     pub reconfigured_yield: BernoulliEstimate,
     /// Effective yield `EY = Y · n / N` of the reconfigured estimate.
@@ -231,7 +241,7 @@ mod tests {
     fn report_orders_yields_correctly() {
         let chip = Biochip::dtmb(DtmbKind::Dtmb26A, 80);
         let r = chip.yield_report(0.95, 1_500, 3);
-        assert!(r.reconfigured_yield.point() > r.raw_yield.point());
+        assert!(r.reconfigured_yield.point() > r.raw_yield);
         assert!(r.effective_yield <= r.reconfigured_yield.point());
         assert!((r.redundancy_ratio - 1.0 / 3.0).abs() < 0.15);
         assert!(r.analytical.is_none());
@@ -247,7 +257,7 @@ mod tests {
         assert!((analytic - 0.3375).abs() < 1e-3);
         assert!((r.reconfigured_yield.point() - analytic).abs() < 0.03);
         // Raw == reconfigured when there are no spares.
-        assert!((r.raw_yield.point() - r.reconfigured_yield.point()).abs() < 0.03);
+        assert!((r.raw_yield - r.reconfigured_yield.point()).abs() < 0.03);
     }
 
     #[test]
@@ -298,6 +308,64 @@ mod tests {
             a.reconfigured_yield.successes(),
             b.reconfigured_yield.successes()
         );
+    }
+
+    #[test]
+    fn report_matches_the_engine_at_any_thread_count() {
+        let chip = Biochip::dtmb(DtmbKind::Dtmb26A, 80);
+        let direct = dmfb_yield::MonteCarloYield::new(chip.array().clone(), chip.policy().clone())
+            .estimate_survival(0.95, 1_500, 3);
+        for threads in [1, 4] {
+            let report = chip
+                .clone()
+                .with_threads(threads)
+                .yield_report(0.95, 1_500, 3);
+            assert_eq!(report.reconfigured_yield, direct, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn raw_yield_is_the_closed_form_over_in_scope_primaries() {
+        let all = Biochip::dtmb(DtmbKind::Dtmb26A, 80);
+        assert_eq!(all.yield_report(0.97, 10, 1).raw_yield, 0.97f64.powi(80));
+        let ivd = dmfb_bioassay::layout::ivd_dtmb26_chip();
+        let cells = i32::try_from(ivd.assay_cells.len()).unwrap();
+        let used = Biochip::from_array(ivd.array.clone())
+            .with_policy(dmfb_bioassay::layout::used_cells_policy(&ivd));
+        assert_eq!(
+            used.yield_report(0.99, 10, 1).raw_yield,
+            0.99f64.powi(cells)
+        );
+    }
+
+    #[test]
+    fn exact_fault_yield_matches_the_rebuild_oracle_per_map() {
+        use dmfb_reconfig::local::is_reconfigurable;
+        use dmfb_sim::SeedSequence;
+        let ivd = dmfb_bioassay::layout::ivd_dtmb26_chip();
+        let used = Biochip::from_array(ivd.array.clone())
+            .with_policy(dmfb_bioassay::layout::used_cells_policy(&ivd));
+        for chip in [Biochip::dtmb(DtmbKind::Dtmb26A, 100), used] {
+            let engine = chip.engine();
+            let mut scratch = engine.evaluator().scratch();
+            for m in [0usize, 5, 20] {
+                let model = ExactCount::new(m);
+                let mut oracle = 0u64;
+                for i in 0..200u64 {
+                    let mut rng = StdRng::seed_from_u64(SeedSequence::nth_seed(7, i));
+                    let defects = model.inject(chip.array().region(), &mut rng);
+                    let verdict = is_reconfigurable(chip.array(), &defects, chip.policy());
+                    let fast = engine.evaluator().evaluate_defects(&defects, &mut scratch);
+                    assert_eq!(fast, verdict, "m={m} map {i}");
+                    oracle += u64::from(verdict);
+                }
+                assert_eq!(
+                    chip.exact_fault_yield(m, 200, 7).successes(),
+                    oracle,
+                    "m={m}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -330,8 +330,7 @@ fn score_evaluator<C: Copy + Ord + Send + Sync + std::fmt::Debug>(
     if config.tier == Tier::Raw {
         // Raw yield has a closed form: every in-scope primary cell must
         // survive. No sampling, no pruning.
-        let n = i32::try_from(primary_cells).expect("cell count fits i32");
-        let y = config.p.powi(n);
+        let y = dmfb_yield::analytical::no_redundancy_yield(config.p, primary_cells);
         row.yield_point = Some(y);
         row.ci_lo = y;
         row.ci_hi = y;

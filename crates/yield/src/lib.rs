@@ -5,16 +5,13 @@
 //! * [`analytical`] — closed forms: the no-redundancy baseline `Y = pⁿ`,
 //!   the DTMB(1,6) cluster model `Y = (p⁷ + 7p⁶(1−p))^(n/6)` (paper
 //!   Figure 7), and binomial helpers.
-//! * [`monte_carlo`] — the matching-based Monte-Carlo estimator used for
-//!   DTMB(2,6), DTMB(3,6) and DTMB(4,4) (Figure 9), in both the
-//!   survival-probability mode and the exact-`m`-failures mode used by the
-//!   Figure 13 case study.
 //! * [`effective`] — the paper's *effective yield* metric
 //!   `EY = Y·n/N = Y/(1+RR)` that trades yield against array area
 //!   (Figure 10), with crossover detection between designs.
-//! * [`scheme_yield`] — [`SchemeYield`]: the same fast Monte-Carlo engine
-//!   generic over the redundancy scheme (hex DTMB, square DTMB,
-//!   spare-row), so the paper's cross-scheme comparisons are one sweep.
+//! * [`scheme_yield`] — [`SchemeYield`]: the matching-based Monte-Carlo
+//!   estimator behind Figures 9 and 13, generic over the redundancy scheme
+//!   (hex DTMB, square DTMB, spare-row), so the paper's cross-scheme
+//!   comparisons are one sweep.
 //! * [`operational`] — [`OperationalYield`]: the Section 7 case study's
 //!   third tier. Per trial, the defect map and the reconfiguration
 //!   assignment are pushed through the bioassay router/scheduler to ask
@@ -24,8 +21,8 @@
 //!
 //! Two orthogonal extensions ride on every engine above: the
 //! **defect-count-stratified rare-event estimator**
-//! (`estimate_survival_stratified` on [`SchemeYield`],
-//! [`MonteCarloYield`] and [`OperationalYield`]), which conditions on the
+//! (`estimate_survival_stratified` on [`SchemeYield`] and
+//! [`OperationalYield`]), which conditions on the
 //! binomial defect count so the high-survival regime no longer wastes
 //! trials on defect-free chips, and **arbitrary defect samplers**
 //! (`estimate_with_defects` / `estimate_with`), which let the clustered
@@ -48,7 +45,6 @@
 pub mod analytical;
 pub mod campaign;
 pub mod effective;
-pub mod monte_carlo;
 pub mod operational;
 pub mod profile;
 pub mod scheme_yield;
@@ -58,10 +54,18 @@ pub use campaign::{
     named_campaign, CampaignReport, CampaignRunner, NamedCampaign, StepVerdict, NAMED_CAMPAIGNS,
 };
 pub use effective::effective_yield;
-pub use monte_carlo::{MonteCarloYield, YieldPoint};
 pub use operational::{
     AssayPanel, OperationalEstimate, OperationalYield, StratifiedOperationalEstimate, TrialVerdict,
 };
 pub use profile::{tolerance_profile, ToleranceProfile};
-pub use scheme_yield::{SchemeYield, StratifiedPoint, DEFAULT_BLOCK_TRIALS};
+pub use scheme_yield::{
+    MonteCarloYield, SchemeYield, StratifiedPoint, YieldPoint, DEFAULT_BLOCK_TRIALS,
+};
 pub use sweep::YieldCurve;
+
+/// Tests of the hexagonal engine ([`MonteCarloYield`]), kept under the
+/// module path they have always had.
+#[cfg(test)]
+mod monte_carlo {
+    mod tests;
+}

@@ -38,7 +38,7 @@
 //! assert!(e.raw.point() <= e.reconfigured.point());
 //! ```
 
-use crate::monte_carlo::YieldPoint;
+use crate::scheme_yield::YieldPoint;
 use crate::scheme_yield::DEFAULT_BLOCK_TRIALS;
 use dmfb_bioassay::feasibility::{FeasibilityChecker, TimingBudget};
 use dmfb_bioassay::layout::{ivd_dtmb26_chip, used_cells_policy};

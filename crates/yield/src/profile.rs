@@ -143,13 +143,17 @@ mod tests {
     #[test]
     fn profile_consistent_with_exact_fault_yield() {
         // P(T >= m) from the profile must track the Figure 13 estimator.
-        use crate::monte_carlo::MonteCarloYield;
+        use crate::SchemeYield;
+        use dmfb_defects::injection::{ExactCount, InjectionModel};
         let array = DtmbKind::Dtmb26A.with_primary_count(60);
         let policy = ReconfigPolicy::AllPrimaries;
         let profile = tolerance_profile(&array, &policy, 2_000, 11);
-        let mc = MonteCarloYield::new(array, policy);
+        let mc = SchemeYield::new(array.clone(), policy);
         for m in [2usize, 5, 10] {
-            let direct = mc.estimate_exact_faults(m, 2_000, 13).point();
+            let model = ExactCount::new(m);
+            let direct = mc
+                .estimate_with_defects(2_000, 13, |rng| model.inject(array.region(), rng))
+                .point();
             let via_profile = profile.survival(m);
             assert!(
                 (direct - via_profile).abs() < 0.06,

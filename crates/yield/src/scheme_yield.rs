@@ -9,20 +9,62 @@
 //! common random numbers across the whole survival grid so each curve is
 //! monotone trial-by-trial.
 //!
-//! The hexagonal [`MonteCarloYield`](crate::MonteCarloYield) front-end
-//! delegates its `estimate_survival_fast` / `sweep_survival_batched`
-//! methods here; non-hex schemes use this type directly (as the CLI
-//! `--scheme` flag does).
+//! Hexagonal DTMB arrays build it from an `(array, policy)` pair with
+//! [`SchemeYield::new`]; every other scheme compiles through
+//! [`SchemeYield::from_scheme`].
 
-use crate::monte_carlo::YieldPoint;
 use dmfb_defects::DefectMap;
 use dmfb_grid::{HexCoord, Topology};
-use dmfb_reconfig::{RedundancyScheme, TrialEvaluator};
+use dmfb_reconfig::{DefectTolerantArray, ReconfigPolicy, RedundancyScheme, TrialEvaluator};
 use dmfb_sim::{
     parallel_map, BernoulliEstimate, MonteCarlo, StratifiedConfig, StratifiedEstimate,
     StratifiedMonteCarlo,
 };
 use rand::rngs::StdRng;
+use serde::{Deserialize, Serialize};
+
+/// One `(parameter, yield)` sample of a yield curve, with its Monte-Carlo
+/// confidence bounds.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+pub struct YieldPoint {
+    /// The swept parameter: survival probability `p` (Figure 9) or fault
+    /// count `m` (Figure 13).
+    pub x: f64,
+    /// Estimated yield at `x`.
+    pub y: f64,
+    /// 95% Wilson interval around `y`.
+    pub ci95: (f64, f64),
+    /// Trials behind the estimate.
+    pub trials: u64,
+}
+
+impl YieldPoint {
+    /// Builds a point from a Bernoulli estimate at swept parameter `x`.
+    #[must_use]
+    pub fn from_estimate(x: f64, est: &BernoulliEstimate) -> Self {
+        YieldPoint {
+            x,
+            y: est.point(),
+            ci95: est.wilson95(),
+            trials: est.trials(),
+        }
+    }
+}
+
+/// Splits a worker budget between sweep grid points (outer) and trials
+/// within a point (inner) so no cores idle when the grid is shorter than
+/// the thread count (`0` = one worker per available core). Results are
+/// never affected: every estimate is thread-count-invariant.
+fn sweep_thread_split(threads: usize, points: usize) -> (usize, usize) {
+    let total = if threads == 0 {
+        dmfb_sim::auto_threads()
+    } else {
+        threads
+    };
+    let outer = total.min(points.max(1));
+    let inner = (total / outer.max(1)).max(1);
+    (outer, inner)
+}
 
 /// One `(parameter, stratified estimate)` sample of a yield curve — the
 /// rare-event counterpart of [`YieldPoint`], carrying the variance,
@@ -56,6 +98,24 @@ impl StratifiedPoint {
 /// starving the thread scheduler of blocks.
 pub const DEFAULT_BLOCK_TRIALS: usize = 256;
 
+/// The hexagonal engine under its historic name. The benchmark harness in
+/// `perfbench/tracer` is frozen against the library's public names and
+/// calls `MonteCarloYield::new(array, policy)`, so the name stays.
+///
+/// # Example
+///
+/// ```
+/// use dmfb_reconfig::dtmb::DtmbKind;
+/// use dmfb_reconfig::ReconfigPolicy;
+/// use dmfb_yield::MonteCarloYield;
+///
+/// let array = DtmbKind::Dtmb44.with_primary_count(50);
+/// let est = MonteCarloYield::new(array, ReconfigPolicy::AllPrimaries)
+///     .estimate_survival(0.95, 2_000, 7);
+/// assert!(est.point() > 0.5);
+/// ```
+pub type MonteCarloYield = SchemeYield;
+
 /// Monte-Carlo yield estimator generic over the redundancy scheme.
 ///
 /// # Example
@@ -80,6 +140,19 @@ pub struct SchemeYield<C: Copy + Ord = HexCoord> {
     block_trials: Option<usize>,
 }
 
+impl SchemeYield {
+    /// Compiles a hexagonal DTMB `array` under `policy`: units are the
+    /// in-scope primaries, resources the spares bordering them (see
+    /// [`TrialEvaluator::new`]). Defaults to single-threaded execution.
+    #[must_use]
+    pub fn new(array: DefectTolerantArray, policy: ReconfigPolicy) -> Self {
+        let label = array
+            .kind()
+            .map_or("no-redundancy".to_string(), |k| k.to_string());
+        SchemeYield::from_evaluator(label, TrialEvaluator::new(&array, &policy))
+    }
+}
+
 impl<C: Copy + Ord + Send + Sync> SchemeYield<C> {
     /// Compiles `scheme` over `topo` into the fast evaluator. Defaults to
     /// single-threaded execution; see [`SchemeYield::with_threads`].
@@ -96,8 +169,7 @@ impl<C: Copy + Ord + Send + Sync> SchemeYield<C> {
         }
     }
 
-    /// Wraps an already-built evaluator (the hex front-end's path, where
-    /// the evaluator carries a reconfiguration policy).
+    /// Wraps an already-built evaluator.
     #[must_use]
     pub fn from_evaluator(label: impl Into<String>, evaluator: TrialEvaluator<C>) -> Self {
         SchemeYield {
@@ -266,7 +338,7 @@ impl<C: Copy + Ord + Send + Sync> SchemeYield<C> {
         seed: u64,
         config: &StratifiedConfig,
     ) -> Vec<StratifiedPoint> {
-        let (outer, inner) = crate::monte_carlo::sweep_thread_split(self.threads, ps.len());
+        let (outer, inner) = sweep_thread_split(self.threads, ps.len());
         let point = self.clone().with_threads(inner);
         parallel_map(outer, ps, |i, &p| StratifiedPoint {
             x: p,
@@ -344,11 +416,10 @@ impl<C: Copy + Ord + Send + Sync> SchemeYield<C> {
     /// Sweeps survival probabilities with an **independent** experiment
     /// per grid point (each point seeded by its index), parallelised over
     /// points with leftover workers running inside each point's trial
-    /// loop (the same `sweep_thread_split` policy as the hex front-end).
-    /// Per-point results are identical to a sequential sweep.
+    /// loop. Per-point results are identical to a sequential sweep.
     #[must_use]
     pub fn sweep_survival(&self, ps: &[f64], trials: u32, seed: u64) -> Vec<YieldPoint> {
-        let (outer, inner) = crate::monte_carlo::sweep_thread_split(self.threads, ps.len());
+        let (outer, inner) = sweep_thread_split(self.threads, ps.len());
         let point = self.clone().with_threads(inner);
         parallel_map(outer, ps, |i, &p| {
             let est = point.estimate_survival(p, trials, seed.wrapping_add(i as u64));

@@ -6,7 +6,7 @@
 //! as DTMB(1,6) or DTMB(2,6), should be used when p is relatively high."
 //! [`YieldCurve::crossover_with`] locates those switch-over points.
 
-use crate::monte_carlo::YieldPoint;
+use crate::scheme_yield::YieldPoint;
 use serde::{Deserialize, Serialize};
 
 /// A named yield (or effective-yield) curve over a swept parameter.

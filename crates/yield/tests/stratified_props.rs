@@ -7,7 +7,7 @@ use dmfb_reconfig::dtmb::DtmbKind;
 use dmfb_reconfig::{ReconfigPolicy, SquarePattern};
 use dmfb_sim::stratified::plan_strata;
 use dmfb_sim::StratifiedConfig;
-use dmfb_yield::{analytical, MonteCarloYield, SchemeYield};
+use dmfb_yield::{analytical, SchemeYield};
 use proptest::prelude::*;
 
 fn arb_pattern() -> impl Strategy<Value = SquarePattern> {
@@ -125,7 +125,7 @@ proptest! {
         kind in prop::sample::select(DtmbKind::ALL.to_vec()),
         seed in 0u64..40,
     ) {
-        let mc = MonteCarloYield::new(kind.with_primary_count(40), ReconfigPolicy::AllPrimaries);
+        let mc = SchemeYield::new(kind.with_primary_count(40), ReconfigPolicy::AllPrimaries);
         let config = StratifiedConfig::default();
         let a = mc.estimate_survival_stratified(0.995, 1_000, seed, &config);
         let b = mc.estimate_survival_stratified(0.995, 1_000, seed, &config);
@@ -144,7 +144,7 @@ proptest! {
     /// magnitude (the deterministic defect-free stratum carries the mass).
     #[test]
     fn rare_event_speedup_is_at_least_10x(seed in 0u64..20) {
-        let mc = MonteCarloYield::new(
+        let mc = SchemeYield::new(
             DtmbKind::Dtmb26A.with_primary_count(60),
             ReconfigPolicy::AllPrimaries,
         );

@@ -1,8 +1,9 @@
 //! Property-based tests for the yield models.
 
+use dmfb_defects::injection::{ExactCount, InjectionModel};
 use dmfb_reconfig::dtmb::DtmbKind;
 use dmfb_reconfig::ReconfigPolicy;
-use dmfb_yield::{analytical, effective_yield, tolerance_profile, MonteCarloYield};
+use dmfb_yield::{analytical, effective_yield, tolerance_profile, SchemeYield};
 use proptest::prelude::*;
 
 fn arb_kind() -> impl Strategy<Value = DtmbKind> {
@@ -54,15 +55,16 @@ proptest! {
     fn mc_estimates_well_behaved(kind in arb_kind(), seed in 0u64..100) {
         let n = 40;
         let p = 0.92;
-        let est = MonteCarloYield::new(kind.with_primary_count(n), ReconfigPolicy::AllPrimaries);
+        let array = kind.with_primary_count(n);
+        let est = SchemeYield::new(array.clone(), ReconfigPolicy::AllPrimaries);
         let a = est.estimate_survival(p, 400, seed);
         let b = est.estimate_survival(p, 400, seed);
         prop_assert_eq!(a, b);
         prop_assert!((0.0..=1.0).contains(&a.point()));
         let bound = analytical::spare_count_upper_bound(
             p,
-            est.array().primary_count(),
-            est.array().spare_count(),
+            array.primary_count(),
+            array.spare_count(),
         );
         prop_assert!(a.point() <= bound + 0.05, "{kind}: {} vs bound {bound}", a.point());
     }
@@ -77,8 +79,9 @@ proptest! {
         for m in 0..10 {
             prop_assert!(profile.survival(m) + 1e-12 >= profile.survival(m + 1));
         }
-        let direct = MonteCarloYield::new(array, policy)
-            .estimate_exact_faults(1, 400, seed ^ 0xF00D)
+        let model = ExactCount::new(1);
+        let direct = SchemeYield::new(array.clone(), policy)
+            .estimate_with_defects(400, seed ^ 0xF00D, |rng| model.inject(array.region(), rng))
             .point();
         prop_assert!((profile.survival(1) - direct).abs() < 0.12);
     }

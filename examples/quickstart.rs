@@ -22,7 +22,7 @@ fn main() {
     //    trials, with and without local reconfiguration.
     let report = chip.yield_report(0.95, 10_000, 42);
     println!("survival p = {:.2}", report.survival_p);
-    println!("  raw yield (no reconfiguration): {}", report.raw_yield);
+    println!("  raw yield (no reconfiguration): {:.4}", report.raw_yield);
     println!(
         "  with local reconfiguration:     {}",
         report.reconfigured_yield

@@ -20,12 +20,12 @@ fn main() {
 
     println!("effective-yield explorer: n = {primaries} primaries, {trials} trials/point\n");
 
-    let designs: Vec<(DtmbKind, MonteCarloYield)> = DtmbKind::TABLE1
+    let designs: Vec<(DtmbKind, SchemeYield)> = DtmbKind::TABLE1
         .iter()
         .map(|&k| {
             (
                 k,
-                MonteCarloYield::new(
+                SchemeYield::new(
                     k.with_primary_count(primaries),
                     ReconfigPolicy::AllPrimaries,
                 ),
@@ -42,7 +42,8 @@ fn main() {
             let y = est
                 .estimate_survival(p, trials, 0xEE + (step * 7 + i) as u64)
                 .point();
-            let ey = y * est.array().primary_count() as f64 / est.array().total_cells() as f64;
+            let array = kind.with_primary_count(primaries);
+            let ey = y * array.primary_count() as f64 / array.total_cells() as f64;
             cells.push(format!("{ey:.3}"));
             if best.is_none_or(|(_, b)| ey > b) {
                 best = Some((*kind, ey));

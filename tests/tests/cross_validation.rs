@@ -36,9 +36,9 @@ fn raw_yield_matches_power_law() {
         let report = chip.yield_report(p, 8_000, TEST_SEEDS[1]);
         let expected = no_redundancy_yield(p, chip.array().primary_count());
         assert!(
-            (report.raw_yield.point() - expected).abs() < 0.03,
+            (report.raw_yield - expected).abs() < 0.03,
             "{kind}: raw {} vs p^n {expected}",
-            report.raw_yield.point()
+            report.raw_yield
         );
     }
 }

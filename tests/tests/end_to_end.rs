@@ -105,16 +105,18 @@ fn pipeline_is_deterministic() {
 /// ablation DESIGN.md promises.
 #[test]
 fn clustered_defects_are_worse_than_iid() {
-    let est = MonteCarloYield::new(
-        DtmbKind::Dtmb26A.with_primary_count(120),
-        ReconfigPolicy::AllPrimaries,
-    );
-    let total_cells = est.array().total_cells() as f64;
+    let array = DtmbKind::Dtmb26A.with_primary_count(120);
+    let total_cells = array.total_cells() as f64;
+    let est = SchemeYield::new(array.clone(), ReconfigPolicy::AllPrimaries);
     let clustered = ClusteredSpot::new(2.0, 1, 0.6);
     let expected_failures = clustered.expected_failures();
     let q = expected_failures / total_cells;
     let iid = est.estimate_survival(1.0 - q, 4_000, TEST_SEEDS[0]).point();
-    let spot = est.estimate_with(&clustered, 4_000, TEST_SEEDS[0]).point();
+    let spot = est
+        .estimate_with_defects(4_000, TEST_SEEDS[0], |rng| {
+            clustered.inject(array.region(), rng)
+        })
+        .point();
     assert!(
         spot < iid + 0.02,
         "clustered {spot} should not beat iid {iid}"
