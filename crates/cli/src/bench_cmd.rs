@@ -14,6 +14,8 @@
 use crate::SchemeChoice;
 use dmfb_bench::{BenchEntry, BenchReport, TextTable, FIG7_9_SURVIVAL_GRID};
 use dmfb_core::prelude::*;
+use dmfb_core::spec::{EngineParams, EngineSpec};
+use dmfb_core::Engine;
 use std::time::Instant;
 
 /// Runs the configured suite, then diffs it against the committed
@@ -166,92 +168,95 @@ fn entry(
     }
 }
 
-/// Canonical [`SchemeChoice`] descriptor string for a hex workload — the
-/// same string the serve engine cache and `dmfb search` key on.
-fn hex_spec(kind: DtmbKind, primaries: usize) -> Option<String> {
-    Some(
-        SchemeChoice::HexDtmb {
-            design: Some(kind),
-            primaries,
-        }
-        .canonical(),
-    )
+/// Builds a scheme engine for a bench workload through the one
+/// construction path every front end shares.
+fn build(spec: SchemeChoice, threads: usize, block_trials: Option<usize>) -> Engine {
+    let params = EngineParams {
+        spec: EngineSpec::Scheme(spec),
+        block_trials,
+    };
+    Engine::build(&params, threads)
 }
 
 /// Runs `incremental` (scalar engine, pinned for baseline continuity),
 /// `block` (the word-parallel batch pipeline on the same workload) and
-/// `batched-sweep` (block engine) workloads for one scheme-generic
-/// engine and appends the entries. `primaries` is the primary-*cell*
-/// count of the array (for the spare-row scheme that is cells, not the
-/// coarser module-row units the matcher works on — `BenchEntry.primaries`
-/// is documented as a cell count).
-#[allow(clippy::too_many_arguments)]
-fn run_generic_engine(
+/// `batched-sweep` (block engine) workloads for the scheme `spec` and
+/// appends the entries. The `primaries` column is the array's
+/// primary-*cell* count (for the spare-row scheme that is cells, not the
+/// coarser module-row units the matcher works on).
+fn run_scheme(
     report: &mut BenchReport,
-    est: &SchemeYield<SquareCoord>,
-    scheme: &str,
-    name_stem: &str,
-    spec: &str,
-    primaries: usize,
+    spec: SchemeChoice,
+    stem: &str,
     trials: u32,
+    threads: usize,
     block_trials: Option<usize>,
 ) {
-    let scalar = est.clone().with_block_trials(Some(0));
-    let block = est.clone().with_block_trials(block_trials);
+    let engine = build(spec, threads, block_trials);
+    let primaries = engine.cell_counts().0;
+    match &engine {
+        Engine::Hex { engine, .. } => run_engine(report, engine, spec, stem, primaries, trials),
+        Engine::Square { engine, .. } => run_engine(report, engine, spec, stem, primaries, trials),
+        Engine::Assay(_) => unreachable!("scheme specs build scheme engines"),
+    }
+}
+
+/// [`run_scheme`]'s three workloads on one compiled engine, `block`
+/// being its configured trial engine.
+fn run_engine<C: Copy + Ord + Send + Sync>(
+    report: &mut BenchReport,
+    block: &SchemeYield<C>,
+    spec: SchemeChoice,
+    stem: &str,
+    primaries: usize,
+    trials: u32,
+) {
+    let scalar = block.clone().with_block_trials(Some(0));
+    let mut push = |workload: &str, engine: &str, grid_points, wall_ms, yield_estimate| {
+        let mut e = entry(
+            format!("{stem}/{workload}"),
+            spec.scheme_name(),
+            block.label().to_string(),
+            primaries,
+            trials,
+            grid_points,
+            wall_ms,
+            yield_estimate,
+        );
+        e.engine = Some(engine.to_string());
+        e.spec = Some(spec.canonical());
+        report.push(e);
+    };
 
     let t0 = Instant::now();
     let fast = scalar.estimate_survival(BENCH_P, trials, BENCH_SEED);
-    let mut e = entry(
-        format!("{name_stem}/incremental"),
-        scheme,
-        est.label().to_string(),
-        primaries,
-        trials,
-        1,
-        t0.elapsed().as_secs_f64() * 1_000.0,
-        fast.point(),
-    );
-    e.engine = Some("scalar".to_string());
-    e.spec = Some(spec.to_string());
-    report.push(e);
+    push("incremental", "scalar", 1, elapsed_ms(t0), fast.point());
 
     let t0 = Instant::now();
     let batch = block.estimate_survival(BENCH_P, trials, BENCH_SEED);
     debug_assert_eq!(batch, fast, "engines must be byte-identical");
-    let mut e = entry(
-        format!("{name_stem}/block"),
-        scheme,
-        est.label().to_string(),
-        primaries,
-        trials,
-        1,
-        t0.elapsed().as_secs_f64() * 1_000.0,
-        batch.point(),
-    );
-    e.engine = Some("block".to_string());
-    e.spec = Some(spec.to_string());
-    report.push(e);
+    push("block", "block", 1, elapsed_ms(t0), batch.point());
 
     let grid = FIG7_9_SURVIVAL_GRID;
     let t0 = Instant::now();
     let curve = block.sweep_survival_batched(&grid, trials, BENCH_SEED);
-    let at_bench_p = curve
+    let at_bench_p = grid
         .iter()
-        .find(|pt| (pt.x - BENCH_P).abs() < 1e-9)
-        .map_or(f64::NAN, |pt| pt.y);
-    let mut e = entry(
-        format!("{name_stem}/batched-sweep"),
-        scheme,
-        est.label().to_string(),
-        primaries,
-        trials,
+        .zip(&curve)
+        .find(|(p, _)| (*p - BENCH_P).abs() < 1e-9)
+        .map_or(f64::NAN, |(_, est)| est.point());
+    push(
+        "batched-sweep",
+        "block",
         grid.len(),
-        t0.elapsed().as_secs_f64() * 1_000.0,
+        elapsed_ms(t0),
         at_bench_p,
     );
-    e.engine = Some("block".to_string());
-    e.spec = Some(spec.to_string());
-    report.push(e);
+}
+
+/// Wall time since `t0`, in milliseconds.
+fn elapsed_ms(t0: Instant) -> f64 {
+    t0.elapsed().as_secs_f64() * 1_000.0
 }
 
 /// Runs the suite and returns the filled report.
@@ -277,64 +282,43 @@ pub fn run(config: &BenchConfig) -> BenchReport {
         );
         return report;
     }
+    let block_trials = config.block_trials;
     match &config.scheme {
         SchemeChoice::HexDtmb { .. } => {
-            run_hex(&mut report, config.quick, threads, config.block_trials);
+            for (kind, primaries, trials) in hex_cases(config.quick) {
+                let spec = SchemeChoice::HexDtmb {
+                    design: Some(kind),
+                    primaries,
+                };
+                run_scheme(&mut report, spec, tag(kind), trials, threads, block_trials);
+            }
+            run_p99_pair(&mut report, config.quick, threads, block_trials);
             run_rare_event(&mut report, config.quick, threads);
         }
         SchemeChoice::SquareDtmb { .. } => {
             for (pattern, side, trials) in square_cases(config.quick) {
-                let est = SchemeYield::from_scheme(&SquareRegion::rect(side, side), &pattern)
-                    .with_threads(threads);
                 let spec = SchemeChoice::SquareDtmb {
                     pattern,
                     width: side,
                     height: side,
-                }
-                .canonical();
-                run_generic_engine(
-                    &mut report,
-                    &est,
-                    "square-dtmb",
-                    &format!("square-{}", pattern_tag(pattern)),
-                    &spec,
-                    est.evaluator().unit_count(),
-                    trials,
-                    config.block_trials,
-                );
+                };
+                let stem = format!("square-{}", pattern_tag(pattern));
+                run_scheme(&mut report, spec, &stem, trials, threads, block_trials);
             }
         }
         SchemeChoice::SpareRows { .. } => {
-            let (width, rows, spares, trials) = if config.quick {
+            let (width, module_rows, spare_rows, trials) = if config.quick {
                 (12u32, 10u32, 2u32, 2_000u32)
             } else {
                 (24, 20, 3, 10_000)
             };
-            let array = SpareRowArray::new(
-                width,
-                vec![ModuleBand {
-                    name: "Module 1".into(),
-                    rows,
-                }],
-                spares,
-            );
-            let est = SchemeYield::from_scheme(&array.region(), &array).with_threads(threads);
             let spec = SchemeChoice::SpareRows {
                 width,
-                module_rows: rows,
-                spare_rows: spares,
-            }
-            .canonical();
-            run_generic_engine(
-                &mut report,
-                &est,
-                "spare-rows",
-                &format!("spare-rows-{width}x{rows}+{spares}"),
-                &spec,
-                (width * rows) as usize,
-                trials,
-                config.block_trials,
-            );
+                module_rows,
+                spare_rows,
+            };
+            let stem = format!("spare-rows-{width}x{module_rows}+{spare_rows}");
+            run_scheme(&mut report, spec, &stem, trials, threads, block_trials);
         }
     }
     report
@@ -354,9 +338,13 @@ fn run_assay(
     block_trials: Option<usize>,
 ) {
     let trials: u32 = if quick { 300 } else { 2_000 };
-    let engine = OperationalYield::ivd(panel)
-        .with_threads(threads)
-        .with_block_trials(block_trials);
+    let params = EngineParams {
+        spec: EngineSpec::Assay(panel),
+        block_trials,
+    };
+    let Engine::Assay(engine) = Engine::build(&params, threads) else {
+        unreachable!("assay specs build the assay stack")
+    };
     let primaries = engine.chip().array.primary_count();
     let stem = panel.label();
 
@@ -530,11 +518,7 @@ fn run_rare_event(report: &mut BenchReport, quick: bool, threads: usize) {
     // trial budget.
     let (primaries, naive_trials) = if quick { (240, 40_000) } else { (240, 400_000) };
     let strat_budget = naive_trials / 10;
-    let mc = SchemeYield::new(
-        DtmbKind::Dtmb26A.with_primary_count(primaries),
-        ReconfigPolicy::AllPrimaries,
-    )
-    .with_threads(threads);
+    let (spec, mc) = dtmb26(primaries, threads);
 
     let t0 = Instant::now();
     let naive = mc.estimate_survival(RARE_P, naive_trials, BENCH_SEED);
@@ -555,7 +539,7 @@ fn run_rare_event(report: &mut BenchReport, quick: bool, threads: usize) {
     naive_entry.variance = Some(s * (1.0 - s) / f64::from(naive_trials));
     naive_entry.effective_samples = Some(f64::from(naive_trials));
     naive_entry.engine = Some("block".to_string());
-    naive_entry.spec = hex_spec(DtmbKind::Dtmb26A, primaries);
+    naive_entry.spec = Some(spec.canonical());
     report.push(naive_entry);
 
     let t0 = Instant::now();
@@ -584,7 +568,7 @@ fn run_rare_event(report: &mut BenchReport, quick: bool, threads: usize) {
     // JSON and is reported as the absent column.
     strat_entry.effective_samples = effective.is_finite().then_some(effective);
     strat_entry.engine = Some("block".to_string());
-    strat_entry.spec = hex_spec(DtmbKind::Dtmb26A, primaries);
+    strat_entry.spec = Some(spec.canonical());
     report.push(strat_entry);
 }
 
@@ -593,85 +577,30 @@ fn run_rare_event(report: &mut BenchReport, quick: bool, threads: usize) {
 /// lanes without the matcher.
 const PAIR_P: f64 = 0.99;
 
-/// The hexagonal suite keeps the historic engine comparison — the
-/// incremental evaluator (pinned to the scalar engine for
-/// baseline continuity), the word-parallel block pipeline on the same
-/// workload, and the batched sweep (block engine) — plus the
-/// `dtmb26/p99-scalar`/`dtmb26/p99-block` acceptance pair whose
-/// committed throughput ratio documents the block-engine speed-up.
-fn run_hex(report: &mut BenchReport, quick: bool, threads: usize, block_trials: Option<usize>) {
-    for (kind, primaries, trials) in hex_cases(quick) {
-        let mc = SchemeYield::new(
-            kind.with_primary_count(primaries),
-            ReconfigPolicy::AllPrimaries,
-        )
-        .with_threads(threads);
-        let scalar = mc.clone().with_block_trials(Some(0));
-        let block = mc.clone().with_block_trials(block_trials);
+/// The DTMB(2,6) case-study spec at `primaries` cells and its engine.
+fn dtmb26(primaries: usize, threads: usize) -> (SchemeChoice, SchemeYield) {
+    let spec = SchemeChoice::HexDtmb {
+        design: Some(DtmbKind::Dtmb26A),
+        primaries,
+    };
+    let Engine::Hex { engine, .. } = build(spec, threads, None) else {
+        unreachable!("hex specs build hex engines")
+    };
+    (spec, engine)
+}
 
-        let t0 = Instant::now();
-        let fast = scalar.estimate_survival(BENCH_P, trials, BENCH_SEED);
-        let mut e = entry(
-            format!("{}/incremental", tag(kind)),
-            "hex-dtmb",
-            kind.to_string(),
-            primaries,
-            trials,
-            1,
-            t0.elapsed().as_secs_f64() * 1_000.0,
-            fast.point(),
-        );
-        e.engine = Some("scalar".to_string());
-        e.spec = hex_spec(kind, primaries);
-        report.push(e);
-
-        let t0 = Instant::now();
-        let batch = block.estimate_survival(BENCH_P, trials, BENCH_SEED);
-        debug_assert_eq!(batch, fast, "engines must be byte-identical");
-        let mut e = entry(
-            format!("{}/block", tag(kind)),
-            "hex-dtmb",
-            kind.to_string(),
-            primaries,
-            trials,
-            1,
-            t0.elapsed().as_secs_f64() * 1_000.0,
-            batch.point(),
-        );
-        e.engine = Some("block".to_string());
-        e.spec = hex_spec(kind, primaries);
-        report.push(e);
-
-        let grid = FIG7_9_SURVIVAL_GRID;
-        let t0 = Instant::now();
-        let curve = block.sweep_survival_batched(&grid, trials, BENCH_SEED);
-        let at_bench_p = curve
-            .iter()
-            .find(|pt| (pt.x - BENCH_P).abs() < 1e-9)
-            .map_or(f64::NAN, |pt| pt.y);
-        let mut e = entry(
-            format!("{}/batched-sweep", tag(kind)),
-            "hex-dtmb",
-            kind.to_string(),
-            primaries,
-            trials,
-            grid.len(),
-            t0.elapsed().as_secs_f64() * 1_000.0,
-            at_bench_p,
-        );
-        e.engine = Some("block".to_string());
-        e.spec = hex_spec(kind, primaries);
-        report.push(e);
-    }
-
-    // The acceptance pair: one workload, both engines, p = 0.99 on the
-    // DTMB(2,6) case study — the regime the classifier tiers target.
+/// The `dtmb26/p99-scalar`/`dtmb26/p99-block` acceptance pair: one
+/// workload, both engines, p = 0.99 on the DTMB(2,6) case study — the
+/// regime the classifier tiers target — whose committed throughput ratio
+/// documents the block-engine speed-up.
+fn run_p99_pair(
+    report: &mut BenchReport,
+    quick: bool,
+    threads: usize,
+    block_trials: Option<usize>,
+) {
     let (primaries, trials) = if quick { (120, 20_000) } else { (240, 100_000) };
-    let mc = SchemeYield::new(
-        DtmbKind::Dtmb26A.with_primary_count(primaries),
-        ReconfigPolicy::AllPrimaries,
-    )
-    .with_threads(threads);
+    let (spec, mc) = dtmb26(primaries, threads);
     for (engine_tag, block_sel) in [("scalar", Some(0)), ("block", block_trials)] {
         let engine = mc.clone().with_block_trials(block_sel);
         let t0 = Instant::now();
@@ -683,11 +612,11 @@ fn run_hex(report: &mut BenchReport, quick: bool, threads: usize, block_trials: 
             primaries,
             trials,
             1,
-            t0.elapsed().as_secs_f64() * 1_000.0,
+            elapsed_ms(t0),
             est.point(),
         );
         e.engine = Some(engine_tag.to_string());
-        e.spec = hex_spec(DtmbKind::Dtmb26A, primaries);
+        e.spec = Some(spec.canonical());
         report.push(e);
     }
 }

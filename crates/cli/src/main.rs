@@ -13,8 +13,11 @@ mod campaign_cmd;
 mod serve_cmd;
 
 use dmfb_core::prelude::*;
-use dmfb_core::spec::{self, DefectModelKind, ParamStyle, SchemeKind};
+use dmfb_core::spec::{
+    self, DefectModelKind, EngineParams, EngineSpec, EstimatorKind, ParamStyle, SchemeKind,
+};
 use dmfb_core::{grid::render, yield_model::effective};
+use dmfb_core::{DefectModel, Engine, Estimate, Estimator, Query};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -180,8 +183,8 @@ THREADS: --threads 0 (default) = one worker per available core";
 
 /// Which redundancy scheme a command drives: the shared descriptor from
 /// [`dmfb_core::spec`], fully resolved (family plus sub-parameters).
-/// Hexagonal DTMB keeps the historic report formats; the other schemes
-/// run through the generic [`SchemeYield`] engine.
+/// Every scheme is built by [`Engine::build`]; hexagonal DTMB keeps the
+/// historic report format.
 pub(crate) use dmfb_core::spec::SchemeSpec as SchemeChoice;
 
 /// Parsed `--key value` options (flags store "true").
@@ -243,22 +246,33 @@ impl Options {
         spec::parse_design_token(self.map.get("design").map(String::as_str))
     }
 
+    /// The `--scheme` shape, range-checked by the rule serve applies.
     fn scheme(&self) -> Result<SchemeChoice, String> {
-        match spec::parse_scheme_token(self.map.get("scheme").map(String::as_str))? {
-            SchemeKind::HexDtmb => Ok(SchemeChoice::HexDtmb {
+        let choice = match spec::parse_scheme_token(self.map.get("scheme").map(String::as_str))? {
+            SchemeKind::HexDtmb => SchemeChoice::HexDtmb {
                 design: self.design()?,
                 primaries: self.get("primaries", 100)?,
-            }),
-            SchemeKind::SquareDtmb => Ok(SchemeChoice::SquareDtmb {
+            },
+            SchemeKind::SquareDtmb => SchemeChoice::SquareDtmb {
                 pattern: spec::parse_pattern_token(self.map.get("pattern").map(String::as_str))?,
                 width: self.get("width", 16)?,
                 height: self.get("height", 16)?,
-            }),
-            SchemeKind::SpareRows => Ok(SchemeChoice::SpareRows {
+            },
+            SchemeKind::SpareRows => SchemeChoice::SpareRows {
                 width: self.get("width", 8)?,
                 module_rows: self.get("module-rows", 6)?,
                 spare_rows: self.get("spare-rows", 1)?,
-            }),
+            },
+        };
+        choice.validate(ParamStyle::Cli)?;
+        Ok(choice)
+    }
+
+    /// `--trials`, which must be at least 1.
+    fn trials(&self, default: u32) -> Result<u32, String> {
+        match self.get("trials", default)? {
+            0 => Err("--trials must be at least 1".into()),
+            n => Ok(n),
         }
     }
 
@@ -269,51 +283,33 @@ impl Options {
         }
     }
 
-    fn estimator(&self) -> Result<EstimatorChoice, String> {
-        spec::parse_estimator_token(self.map.get("estimator").map(String::as_str))
+    fn estimator(&self) -> Result<Estimator, String> {
+        match spec::parse_estimator_token(self.map.get("estimator").map(String::as_str))? {
+            EstimatorKind::Naive => Ok(Estimator::Naive),
+            EstimatorKind::Stratified => Ok(Estimator::Stratified(self.stratified_config()?)),
+        }
     }
 
     /// Tuning for the stratified estimator (`--tolerance`, `--pilot`).
     fn stratified_config(&self) -> Result<StratifiedConfig, String> {
-        let tolerance: f64 = self.get("tolerance", 1e-6)?;
-        let pilot: u32 = self.get("pilot", 64)?;
-        if !(0.0..1.0).contains(&tolerance) {
-            return Err("need 0 <= --tolerance < 1".into());
-        }
-        if pilot == 0 {
-            return Err("--pilot must be at least 1".into());
-        }
-        Ok(StratifiedConfig {
-            tolerance,
-            pilot,
-            ..StratifiedConfig::default()
-        })
+        spec::stratified_config(
+            ParamStyle::Cli,
+            self.get("tolerance", 1e-6)?,
+            self.get("pilot", 64)?,
+        )
     }
 
-    fn defect_model(&self) -> Result<DefectModelChoice, String> {
+    fn defect_model(&self) -> Result<DefectModel, String> {
         match spec::parse_defect_model_token(self.map.get("defect-model").map(String::as_str))? {
-            DefectModelKind::Bernoulli => Ok(DefectModelChoice::Bernoulli),
-            DefectModelKind::Clustered => {
-                let mean: f64 = self.get("cluster-mean", 1.0)?;
-                let dispersion: u32 = self.get("cluster-dispersion", 1)?;
-                let radius: u32 = self.get("cluster-radius", 2)?;
-                let peak: f64 = self.get("cluster-peak", 0.8)?;
-                if !(mean >= 0.0 && mean.is_finite()) {
-                    return Err("--cluster-mean must be non-negative and finite".into());
-                }
-                if dispersion == 0 {
-                    return Err("--cluster-dispersion must be at least 1".into());
-                }
-                if radius > 64 {
-                    return Err("need --cluster-radius <= 64".into());
-                }
-                if !(0.0..=1.0).contains(&peak) {
-                    return Err("need 0 <= --cluster-peak <= 1".into());
-                }
-                Ok(DefectModelChoice::Clustered(ClusteredDefects::new(
-                    mean, dispersion, radius, peak,
-                )))
-            }
+            DefectModelKind::Bernoulli => Ok(DefectModel::Bernoulli),
+            DefectModelKind::Clustered => spec::clustered_defects(
+                ParamStyle::Cli,
+                self.get("cluster-mean", 1.0)?,
+                self.get("cluster-dispersion", 1)?,
+                self.get("cluster-radius", 2)?,
+                self.get("cluster-peak", 0.8)?,
+            )
+            .map(DefectModel::Clustered),
         }
     }
 
@@ -348,21 +344,9 @@ impl Options {
         let chip = self
             .scheme()?
             .biochip()
-            .ok_or("hex-dtmb runs through the --design path, not the generic engine")?;
+            .ok_or("this command models hexagonal arrays only")?;
         Ok(chip.with_threads(threads))
     }
-}
-
-/// Which yield estimator a command runs (the shared token from
-/// [`dmfb_core::spec`]).
-pub(crate) use dmfb_core::spec::EstimatorKind as EstimatorChoice;
-
-/// Which defect model drives the random chips.
-pub(crate) enum DefectModelChoice {
-    /// The paper's i.i.d. cell-failure assumption (the default).
-    Bernoulli,
-    /// Negative-binomial clustered wafer defects.
-    Clustered(ClusteredDefects),
 }
 
 /// Renders a canonical (underscore) parameter name as its CLI flag
@@ -371,19 +355,44 @@ fn dash(key: &str) -> String {
     key.replace('_', "-")
 }
 
-/// Rejects estimator/defect-model sub-parameters that the selected
-/// estimator or model would silently ignore, and the one combination that
-/// is statistically incoherent (stratified + clustered). The rules live
-/// in [`dmfb_core::spec`], shared with the serve validator.
-fn reject_foreign_estimator_params(opts: &Options) -> Result<(), String> {
-    let estimator = opts.estimator()?;
-    let model = match opts.defect_model()? {
-        DefectModelChoice::Bernoulli => DefectModelKind::Bernoulli,
-        DefectModelChoice::Clustered(_) => DefectModelKind::Clustered,
+/// Parses `--estimator` and `--defect-model`, rejecting sub-parameters
+/// that the selected estimator or model would silently ignore, and the
+/// one combination that is statistically incoherent (stratified +
+/// clustered). The rules live in [`dmfb_core::spec`], shared with the
+/// serve validator.
+fn estimator_and_model(opts: &Options) -> Result<(Estimator, DefectModel), String> {
+    let (estimator, model) = (opts.estimator()?, opts.defect_model()?);
+    spec::reject_foreign_estimator_params(
+        ParamStyle::Cli,
+        estimator.kind(),
+        model.kind(),
+        |key| opts.has_param(key),
+    )?;
+    Ok((estimator, model))
+}
+
+/// What `yield`/`sweep` build: the IVD case-study chip under `--assay`,
+/// otherwise the `--scheme` shape — rejecting the sub-parameters, and the
+/// `--block-trials` choice, the selection would silently ignore.
+fn engine_spec(
+    opts: &Options,
+    choice: SchemeChoice,
+    estimator: &Estimator,
+) -> Result<EngineSpec, String> {
+    let Some(panel) = opts.assay()? else {
+        reject_foreign_subparams(opts, &choice)?;
+        return Ok(EngineSpec::Scheme(choice));
     };
-    spec::reject_foreign_estimator_params(ParamStyle::Cli, estimator, model, |key| {
-        opts.has_param(key)
-    })
+    check_assay_subparams(opts, &choice)?;
+    if matches!(estimator, Estimator::Stratified(_)) {
+        reject_block_trials(
+            opts,
+            "the operational stratified estimator conditions each stratum on its \
+             defect count, already skipping the defect-free bulk the block engine \
+             short-circuits; it runs the scalar engine",
+        )?;
+    }
+    Ok(EngineSpec::Assay(panel))
 }
 
 /// Rejects scheme sub-parameters that the selected scheme would silently
@@ -416,11 +425,25 @@ fn require_hex_scheme(opts: &Options) -> Result<(), String> {
     if opts.flag("assay") {
         return Err("--assay is supported by yield, sweep and bench only".into());
     }
-    if opts.flag("estimator") || opts.flag("defect-model") {
-        return Err("--estimator/--defect-model are supported by yield and sweep only".into());
-    }
+    reject_query_params(opts)?;
     if opts.flag("block-trials") {
         return Err("--block-trials is supported by yield, sweep and bench only".into());
+    }
+    let choice = opts.scheme()?;
+    if matches!(choice, SchemeChoice::HexDtmb { .. }) {
+        reject_foreign_subparams(opts, &choice)
+    } else {
+        Err("this command models hexagonal arrays only; \
+             --scheme square-dtmb/spare-rows is supported by yield, sweep and bench"
+            .into())
+    }
+}
+
+/// Rejects the estimator and defect-model parameters on commands that
+/// run no yield query of their own.
+fn reject_query_params(opts: &Options) -> Result<(), String> {
+    if opts.flag("estimator") || opts.flag("defect-model") {
+        return Err("--estimator/--defect-model are supported by yield and sweep only".into());
     }
     for key in spec::ESTIMATOR_SUBPARAMS
         .iter()
@@ -434,14 +457,7 @@ fn require_hex_scheme(opts: &Options) -> Result<(), String> {
             ));
         }
     }
-    let choice = opts.scheme()?;
-    if matches!(choice, SchemeChoice::HexDtmb { .. }) {
-        reject_foreign_subparams(opts, &choice)
-    } else {
-        Err("this command models hexagonal arrays only; \
-             --scheme square-dtmb/spare-rows is supported by yield, sweep and bench"
-            .into())
-    }
+    Ok(())
 }
 
 /// Rejects `--block-trials` on a path that can only run one trial at a
@@ -453,58 +469,6 @@ fn reject_block_trials(opts: &Options, why: &str) -> Result<(), String> {
         return Err(format!("--block-trials does not apply here: {why}"));
     }
     Ok(())
-}
-
-/// Builds the generic fast engine for a square-lattice (square-dtmb or
-/// spare-rows) scheme choice, returning the engine together with the
-/// lattice region it was compiled over (the defect-sampler hook needs
-/// the topology).
-fn generic_engine(
-    choice: &SchemeChoice,
-    threads: usize,
-) -> Result<(SchemeYield<SquareCoord>, SquareRegion), String> {
-    let check_dim = |name: &str, value: u32, min: u32| -> Result<(), String> {
-        if value < min || value > spec::MAX_DIM {
-            Err(spec::dim_range_error(ParamStyle::Cli, name, min, value))
-        } else {
-            Ok(())
-        }
-    };
-    let (est, region) = match choice {
-        SchemeChoice::HexDtmb { .. } => {
-            return Err("hex-dtmb runs through the --design path, not the generic engine".into())
-        }
-        SchemeChoice::SquareDtmb {
-            pattern,
-            width,
-            height,
-        } => {
-            check_dim("width", *width, 1)?;
-            check_dim("height", *height, 1)?;
-            let region = SquareRegion::rect(*width, *height);
-            (SchemeYield::from_scheme(&region, pattern), region)
-        }
-        SchemeChoice::SpareRows {
-            width,
-            module_rows,
-            spare_rows,
-        } => {
-            check_dim("width", *width, 1)?;
-            check_dim("module-rows", *module_rows, 1)?;
-            check_dim("spare-rows", *spare_rows, 0)?;
-            let array = SpareRowArray::new(
-                *width,
-                vec![ModuleBand {
-                    name: "Module 1".into(),
-                    rows: *module_rows,
-                }],
-                *spare_rows,
-            );
-            let region = array.region();
-            (SchemeYield::from_scheme(&region, &array), region)
-        }
-    };
-    Ok((est.with_threads(threads), region))
 }
 
 /// Prints the hex design header line shared by every `dmfb yield`
@@ -523,30 +487,62 @@ fn print_design_header(chip: &Biochip, rr: Option<f64>) {
     }
 }
 
-/// Prints one stratified estimate line plus its rare-event bookkeeping.
-fn print_stratified(name: &str, est: &StratifiedEstimate) {
-    let (lo, hi) = est.ci95();
-    outln!(
-        "{name}: {:.6}  (95% CI [{lo:.6}, {hi:.6}], {} trials over {} strata)",
-        est.point,
-        est.trials,
-        est.strata.len()
-    );
+/// A stratified estimate's effective-sample count, `inf` when exact.
+fn eff_samples(est: &StratifiedEstimate) -> String {
     let eff = est.effective_trials();
-    outln!(
-        "  std error {:.3e} | truncated mass {:.1e} | effective samples {} ({}x speed-up)",
-        est.std_error(),
-        est.truncated_mass,
-        if eff.is_finite() {
-            format!("{eff:.0}")
-        } else {
-            "inf".to_string()
-        },
-        if eff.is_finite() {
-            format!("{:.1}", eff / est.trials.max(1) as f64)
-        } else {
-            "inf".to_string()
+    if eff.is_finite() {
+        format!("{eff:.0}")
+    } else {
+        "inf".to_string()
+    }
+}
+
+/// Prints one tier's estimate line; stratified estimates add their
+/// rare-event bookkeeping.
+fn print_estimate(name: &str, estimate: &Estimate) {
+    match estimate {
+        Estimate::Naive(e) => {
+            let (lo, hi) = e.wilson95();
+            outln!(
+                "{name}: {:.4}  (95% CI [{lo:.4}, {hi:.4}], {} trials)",
+                e.point(),
+                e.trials()
+            );
         }
+        Estimate::Stratified(e) => {
+            let (lo, hi) = e.ci95();
+            outln!(
+                "{name}: {:.6}  (95% CI [{lo:.6}, {hi:.6}], {} trials over {} strata)",
+                e.point,
+                e.trials,
+                e.strata.len()
+            );
+            let eff = e.effective_trials();
+            outln!(
+                "  std error {:.3e} | truncated mass {:.1e} | effective samples {} ({}x speed-up)",
+                e.std_error(),
+                e.truncated_mass,
+                eff_samples(e),
+                if eff.is_finite() {
+                    format!("{:.1}", eff / e.trials.max(1) as f64)
+                } else {
+                    "inf".to_string()
+                }
+            );
+        }
+    }
+}
+
+/// Prints the clustered defect model line with its full parameter set.
+fn print_cluster(cluster: &ClusteredDefects, region: &Region) {
+    outln!(
+        "defect model      : clustered (mean {:.2} clusters, dispersion {}, \
+         radius {}, peak {:.2}; ~{:.2} expected failures/chip)",
+        cluster.mean_clusters(),
+        cluster.dispersion(),
+        cluster.spread_radius(),
+        cluster.peak_probability(),
+        cluster.expected_failures_in(region)
     );
 }
 
@@ -555,180 +551,93 @@ fn cmd_yield(opts: &Options) -> Result<(), String> {
     if !(0.0..=1.0).contains(&p) {
         return Err("need 0 <= p <= 1".into());
     }
-    let trials: u32 = opts.get("trials", 10_000)?;
+    let trials = opts.trials(10_000)?;
     let seed: u64 = opts.get("seed", 1)?;
     let choice = opts.scheme()?;
-    reject_foreign_estimator_params(opts)?;
-    let estimator = opts.estimator()?;
-    let model = opts.defect_model()?;
+    let (estimator, defect_model) = estimator_and_model(opts)?;
     let block_trials = opts.block_trials()?;
-    if matches!(model, DefectModelChoice::Clustered(_)) {
-        reject_block_trials(
-            opts,
-            "the clustered defect sampler draws a variable-length stream per trial \
-             that cannot be transposed into lanes; it always runs the scalar engine",
-        )?;
-    }
-    if matches!(model, DefectModelChoice::Clustered(_)) && opts.flag("p") {
-        return Err("--p does not apply with --defect-model clustered \
-             (the cluster parameters set the defect intensity)"
-            .into());
-    }
-    if let Some(panel) = opts.assay()? {
-        check_assay_subparams(opts, &choice)?;
-        let engine = OperationalYield::ivd(panel)
-            .with_threads(opts.get("threads", 0)?)
-            .with_block_trials(block_trials);
-        let chip = engine.chip();
-        outln!(
-            "assay: {} ({} measurements) | chip: DTMB(2,6) IVD case study | \
-             {} primaries + {} spares | {} assay cells",
-            panel.label(),
-            panel.batch().requests.len(),
-            chip.array.primary_count(),
-            chip.array.spare_count(),
-            chip.assay_cells.len()
-        );
-        outln!(
-            "timing budget     : {:.1}s protocol makespan",
-            engine.budget().max_makespan_s
-        );
-        if let DefectModelChoice::Clustered(cluster) = &model {
-            let region = engine.chip().array.region().clone();
-            outln!(
-                "defect model      : clustered (mean {:.2} clusters, dispersion {}, \
-                 radius {}, peak {:.2}; ~{:.2} expected failures/chip)",
-                cluster.mean_clusters(),
-                cluster.dispersion(),
-                cluster.spread_radius(),
-                cluster.peak_probability(),
-                cluster.expected_failures_in(&region)
-            );
-            let e = engine.estimate_with(trials, seed, |rng| cluster.inject_in(&region, rng));
-            let line = |name: &str, est: &BernoulliEstimate| {
-                let (lo, hi) = est.wilson95();
-                outln!(
-                    "{name}: {:.4}  (95% CI [{lo:.4}, {hi:.4}], {} trials)",
-                    est.point(),
-                    est.trials()
-                );
-            };
-            line("raw yield         ", &e.raw);
-            line("reconfigured yield", &e.reconfigured);
-            line("operational yield ", &e.operational);
-            return Ok(());
+    if matches!(defect_model, DefectModel::Clustered(_)) {
+        reject_block_trials(opts, spec::CLUSTERED_BLOCK_REASON)?;
+        if opts.flag("p") {
+            return Err(spec::clustered_p_error(ParamStyle::Cli));
         }
-        outln!("survival p        : {p:.4}");
-        if matches!(estimator, EstimatorChoice::Stratified) {
-            reject_block_trials(
-                opts,
-                "the operational stratified estimator conditions each stratum on its \
-                 defect count, already skipping the defect-free bulk the block engine \
-                 short-circuits; it runs the scalar engine",
-            )?;
-            let e = engine.estimate_stratified(p, trials, seed, &opts.stratified_config()?);
-            print_stratified("raw yield         ", &e.raw);
-            print_stratified("reconfigured yield", &e.reconfigured);
-            print_stratified("operational yield ", &e.operational);
-            return Ok(());
-        }
-        let e = engine.estimate(p, trials, seed);
-        let line = |name: &str, est: &BernoulliEstimate| {
-            let (lo, hi) = est.wilson95();
-            outln!(
-                "{name}: {:.4}  (95% CI [{lo:.4}, {hi:.4}], {} trials)",
-                est.point(),
-                est.trials()
-            );
-        };
-        line("raw yield         ", &e.raw);
-        line("reconfigured yield", &e.reconfigured);
-        line("operational yield ", &e.operational);
-        return Ok(());
     }
-    reject_foreign_subparams(opts, &choice)?;
-    if !matches!(choice, SchemeChoice::HexDtmb { .. }) {
-        let (est, region) = generic_engine(&choice, opts.get("threads", 0)?)?;
-        let est = est.with_block_trials(block_trials);
-        outln!(
+    let spec = engine_spec(opts, choice, &estimator)?;
+    let params = EngineParams { spec, block_trials };
+    let engine = Engine::build(&params, opts.get("threads", 0)?);
+    let query = Query {
+        estimator,
+        defect_model,
+        p,
+        trials,
+        seed,
+    };
+    let tiers = engine.estimate(&query);
+    // The paper's default question gets the full hex report.
+    let full_report = estimator == Estimator::Naive && defect_model == DefectModel::Bernoulli;
+
+    match (&engine, spec) {
+        (Engine::Assay(op), EngineSpec::Assay(panel)) => {
+            let chip = op.chip();
+            outln!(
+                "assay: {} ({} measurements) | chip: DTMB(2,6) IVD case study | \
+                 {} primaries + {} spares | {} assay cells",
+                panel.label(),
+                panel.batch().requests.len(),
+                chip.array.primary_count(),
+                chip.array.spare_count(),
+                chip.assay_cells.len()
+            );
+            outln!(
+                "timing budget     : {:.1}s protocol makespan",
+                op.budget().max_makespan_s
+            );
+        }
+        (Engine::Hex { chip, .. }, _) => {
+            print_design_header(chip, full_report.then(|| chip.array().redundancy_ratio()));
+        }
+        (Engine::Square { engine, .. }, _) => outln!(
             "scheme: {} | units {} | spare resources {}",
-            est.label(),
-            est.evaluator().unit_count(),
-            est.evaluator().resource_count()
-        );
-        if let DefectModelChoice::Clustered(cluster) = &model {
-            outln!(
-                "defect model      : clustered (~{:.2} expected failures/chip)",
-                cluster.expected_failures_in(&region)
-            );
-            let e = est.estimate_with_defects(trials, seed, |rng| cluster.inject_in(&region, rng));
-            let (lo, hi) = e.wilson95();
-            outln!(
-                "reconfigured yield: {:.4}  (95% CI [{lo:.4}, {hi:.4}], {} trials)",
-                e.point(),
-                e.trials()
-            );
-            return Ok(());
+            engine.label(),
+            engine.evaluator().unit_count(),
+            engine.evaluator().resource_count()
+        ),
+        (Engine::Assay(_), EngineSpec::Scheme(_)) => unreachable!("assay engines have assay specs"),
+    }
+    match (defect_model, &engine) {
+        (DefectModel::Bernoulli, _) => outln!("survival p        : {p:.4}"),
+        (DefectModel::Clustered(cluster), Engine::Square { region, .. }) => outln!(
+            "defect model      : clustered (~{:.2} expected failures/chip)",
+            cluster.expected_failures_in(region)
+        ),
+        (DefectModel::Clustered(cluster), Engine::Hex { chip, .. }) => {
+            print_cluster(&cluster, chip.array().region());
         }
-        outln!("survival p        : {p:.4}");
-        if matches!(estimator, EstimatorChoice::Stratified) {
-            let e = est.estimate_survival_stratified(p, trials, seed, &opts.stratified_config()?);
-            print_stratified("reconfigured yield", &e);
-            return Ok(());
+        (DefectModel::Clustered(cluster), Engine::Assay(op)) => {
+            print_cluster(&cluster, op.chip().array.region());
         }
-        let e = est.estimate_survival(p, trials, seed);
-        let (lo, hi) = e.wilson95();
+    }
+    if let (Engine::Hex { chip, engine }, [(_, Estimate::Naive(reconfigured))], true) =
+        (&engine, tiers.as_slice(), full_report)
+    {
+        let r = chip.yield_report_from(engine, p, *reconfigured);
         outln!(
-            "reconfigured yield: {:.4}  (95% CI [{lo:.4}, {hi:.4}], {} trials)",
-            e.point(),
-            e.trials()
+            "raw yield         : {:.4}  (exact: p^n over n = {} in-scope primaries)",
+            r.raw_yield,
+            engine.evaluator().primary_count()
         );
+        outln!("reconfigured yield: {}", r.reconfigured_yield);
+        outln!("effective yield   : {:.4}", r.effective_yield);
+        if let Some(a) = r.analytical {
+            outln!("analytical        : {a:.4}");
+        }
         return Ok(());
     }
-    let chip = opts.biochip()?;
-    if let DefectModelChoice::Clustered(cluster) = &model {
-        let mc = chip.engine();
-        print_design_header(&chip, None);
-        outln!(
-            "defect model      : clustered (mean {:.2} clusters, dispersion {}, \
-             radius {}, peak {:.2}; ~{:.2} expected failures/chip)",
-            cluster.mean_clusters(),
-            cluster.dispersion(),
-            cluster.spread_radius(),
-            cluster.peak_probability(),
-            cluster.expected_failures_in(chip.array().region())
+    for (tier, estimate) in &tiers {
+        print_estimate(
+            &format!("{:<18}", format!("{} yield", tier.label())),
+            estimate,
         );
-        let region = chip.array().region().clone();
-        let e = mc.estimate_with_defects(trials, seed, |rng| cluster.inject_in(&region, rng));
-        let (lo, hi) = e.wilson95();
-        outln!(
-            "reconfigured yield: {:.4}  (95% CI [{lo:.4}, {hi:.4}], {} trials)",
-            e.point(),
-            e.trials()
-        );
-        return Ok(());
-    }
-    if matches!(estimator, EstimatorChoice::Stratified) {
-        let mc = chip.engine().with_block_trials(block_trials);
-        print_design_header(&chip, None);
-        outln!("survival p        : {p:.4}");
-        let e = mc.estimate_survival_stratified(p, trials, seed, &opts.stratified_config()?);
-        print_stratified("reconfigured yield", &e);
-        return Ok(());
-    }
-    let engine = chip.engine().with_block_trials(block_trials);
-    let r = chip.yield_report_on(&engine, p, trials, seed);
-    print_design_header(&chip, Some(r.redundancy_ratio));
-    outln!("survival p        : {:.4}", r.survival_p);
-    outln!(
-        "raw yield         : {:.4}  (exact: p^n over n = {} in-scope primaries)",
-        r.raw_yield,
-        engine.evaluator().primary_count()
-    );
-    outln!("reconfigured yield: {}", r.reconfigured_yield);
-    outln!("effective yield   : {:.4}", r.effective_yield);
-    if let Some(a) = r.analytical {
-        outln!("analytical        : {a:.4}");
     }
     Ok(())
 }
@@ -737,175 +646,112 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
     let from: f64 = opts.get("from", 0.90)?;
     let to: f64 = opts.get("to", 1.00)?;
     let steps: usize = opts.get("steps", 11)?;
-    let trials: u32 = opts.get("trials", 10_000)?;
+    let trials = opts.trials(10_000)?;
     let seed: u64 = opts.get("seed", 1)?;
     if steps < 2 || !(0.0..=1.0).contains(&from) || !(0.0..=1.0).contains(&to) || from >= to {
         return Err("need 0 <= from < to <= 1 and steps >= 2".into());
     }
     let effective = opts.flag("effective");
+    let batched = opts.flag("batched");
     let ps: Vec<f64> = (0..steps)
         .map(|i| from + (to - from) * i as f64 / (steps - 1) as f64)
         .collect();
     let choice = opts.scheme()?;
-    reject_foreign_estimator_params(opts)?;
-    let estimator = opts.estimator()?;
+    let (estimator, defect_model) = estimator_and_model(opts)?;
     let block_trials = opts.block_trials()?;
-    if matches!(opts.defect_model()?, DefectModelChoice::Clustered(_)) {
+    if matches!(defect_model, DefectModel::Clustered(_)) {
         return Err(
             "--defect-model clustered has no survival probability to sweep; \
              use dmfb yield --defect-model clustered for a point estimate"
                 .into(),
         );
     }
-    if matches!(estimator, EstimatorChoice::Stratified) && opts.flag("batched") {
+    let stratified = matches!(estimator, Estimator::Stratified(_));
+    if stratified && batched {
         return Err(
             "--batched does not apply with --estimator stratified: the stratified \
              estimator allocates its trial budget per grid point"
                 .into(),
         );
     }
-    let stratified_csv = |pts: &[StratifiedPoint], ey: Option<&dyn Fn(f64) -> f64>| {
-        outln!(
-            "p,yield,ci_lo,ci_hi,std_err,eff_samples{}",
-            if ey.is_some() { ",effective_yield" } else { "" }
-        );
-        for pt in pts {
-            let (lo, hi) = pt.estimate.ci95();
-            let eff = pt.estimate.effective_trials();
-            let eff = if eff.is_finite() {
-                format!("{eff:.0}")
-            } else {
-                "inf".to_string()
-            };
-            match ey {
-                Some(f) => outln!(
-                    "{:.4},{:.6},{lo:.6},{hi:.6},{:.3e},{eff},{:.4}",
-                    pt.x,
-                    pt.estimate.point,
-                    pt.estimate.std_error(),
-                    f(pt.estimate.point)
-                ),
-                None => outln!(
-                    "{:.4},{:.6},{lo:.6},{hi:.6},{:.3e},{eff}",
-                    pt.x,
-                    pt.estimate.point,
-                    pt.estimate.std_error()
-                ),
+    let spec = engine_spec(opts, choice, &estimator)?;
+    match spec {
+        EngineSpec::Assay(_) => {
+            if effective {
+                return Err("--effective does not apply with --assay".into());
             }
-        }
-    };
-    if let Some(panel) = opts.assay()? {
-        check_assay_subparams(opts, &choice)?;
-        if effective {
-            return Err("--effective does not apply with --assay".into());
-        }
-        if opts.flag("batched") {
-            return Err(
-                "--batched does not apply with --assay: the operational sweep always \
-                 shares each trial's random chip across the whole grid"
-                    .into(),
-            );
-        }
-        let engine = OperationalYield::ivd(panel)
-            .with_threads(opts.get("threads", 0)?)
-            .with_block_trials(block_trials);
-        if matches!(estimator, EstimatorChoice::Stratified) {
-            reject_block_trials(
-                opts,
-                "the operational stratified estimator conditions each stratum on its \
-                 defect count, already skipping the defect-free bulk the block engine \
-                 short-circuits; it runs the scalar engine",
-            )?;
-            let config = opts.stratified_config()?;
-            outln!("p,raw,reconfigured,operational,op_std_err,op_eff_samples");
-            for (j, &p) in ps.iter().enumerate() {
-                let e = engine.estimate_stratified(p, trials, seed.wrapping_add(j as u64), &config);
-                let eff = e.operational.effective_trials();
-                let eff = if eff.is_finite() {
-                    format!("{eff:.0}")
-                } else {
-                    "inf".to_string()
-                };
-                outln!(
-                    "{:.4},{:.6},{:.6},{:.6},{:.3e},{eff}",
-                    p,
-                    e.raw.point,
-                    e.reconfigured.point,
-                    e.operational.point,
-                    e.operational.std_error()
+            if batched {
+                return Err(
+                    "--batched does not apply with --assay: the operational sweep always \
+                     shares each trial's random chip across the whole grid"
+                        .into(),
                 );
             }
-            return Ok(());
         }
-        outln!("p,raw,reconfigured,operational,op_ci_lo,op_ci_hi");
-        for row in engine.sweep(&ps, trials, seed) {
-            let (lo, hi) = row.operational.wilson95();
-            outln!(
-                "{:.4},{:.4},{:.4},{:.4},{lo:.4},{hi:.4}",
-                row.p,
-                row.raw.point(),
-                row.reconfigured.point(),
-                row.operational.point()
-            );
-        }
-        return Ok(());
-    }
-    reject_foreign_subparams(opts, &choice)?;
-    if !matches!(choice, SchemeChoice::HexDtmb { .. }) {
-        // Non-hex schemes always ride the generic fast engine; the
-        // effective-yield column is a hex-array metric.
-        if effective {
+        // The effective-yield column is a hex-array metric.
+        EngineSpec::Scheme(SchemeChoice::HexDtmb { .. }) => {}
+        EngineSpec::Scheme(_) if effective => {
             return Err("--effective requires --scheme hex-dtmb".into());
         }
-        let (est, _) = generic_engine(&choice, opts.get("threads", 0)?)?;
-        let est = est.with_block_trials(block_trials);
-        if matches!(estimator, EstimatorChoice::Stratified) {
-            let pts = est.sweep_survival_stratified(&ps, trials, seed, &opts.stratified_config()?);
-            stratified_csv(&pts, None);
-            return Ok(());
-        }
-        let pts = if opts.flag("batched") {
-            est.sweep_survival_batched(&ps, trials, seed)
-        } else {
-            est.sweep_survival(&ps, trials, seed)
-        };
-        outln!("p,yield,ci_lo,ci_hi");
-        for pt in pts {
-            outln!("{:.4},{:.4},{:.4},{:.4}", pt.x, pt.y, pt.ci95.0, pt.ci95.1);
-        }
-        return Ok(());
+        EngineSpec::Scheme(_) => {}
     }
-    let chip = opts.biochip()?;
-    if matches!(estimator, EstimatorChoice::Stratified) {
-        let mc = chip.engine().with_block_trials(block_trials);
-        let pts = mc.sweep_survival_stratified(&ps, trials, seed, &opts.stratified_config()?);
-        let array = chip.array();
-        let ey = |y: f64| effective::effective_yield_of(array, y);
-        stratified_csv(&pts, if effective { Some(&ey) } else { None });
-        return Ok(());
-    }
-    outln!(
-        "p,yield,ci_lo,ci_hi{}",
-        if effective { ",effective_yield" } else { "" }
-    );
-    let emit = |p: f64, y: f64, lo: f64, hi: f64, ey: f64| {
-        if effective {
-            outln!("{p:.4},{y:.4},{lo:.4},{hi:.4},{ey:.4}");
-        } else {
-            outln!("{p:.4},{y:.4},{lo:.4},{hi:.4}");
+    let params = EngineParams { spec, block_trials };
+    let engine = Engine::build(&params, opts.get("threads", 0)?);
+    let rows = engine.sweep(&estimator, &ps, trials, seed, batched);
+
+    let ey = |y: f64| match &engine {
+        Engine::Hex { chip, .. } if effective => {
+            format!(",{:.4}", effective::effective_yield_of(chip.array(), y))
         }
+        _ => String::new(),
     };
-    // Batched: one Monte-Carlo pass serves the whole curve (common random
-    // numbers across the grid); otherwise one experiment per grid point.
-    let mc = chip.engine().with_block_trials(block_trials);
-    let pts = if opts.flag("batched") {
-        mc.sweep_survival_batched(&ps, trials, seed)
-    } else {
-        mc.sweep_survival(&ps, trials, seed)
-    };
-    for pt in pts {
-        let ey = effective::effective_yield_of(chip.array(), pt.y);
-        emit(pt.x, pt.y, pt.ci95.0, pt.ci95.1, ey);
+    let ey_head = if effective { ",effective_yield" } else { "" };
+    match (&engine, stratified) {
+        (Engine::Assay(_), false) => outln!("p,raw,reconfigured,operational,op_ci_lo,op_ci_hi"),
+        (Engine::Assay(_), true) => {
+            outln!("p,raw,reconfigured,operational,op_std_err,op_eff_samples")
+        }
+        (_, false) => outln!("p,yield,ci_lo,ci_hi{ey_head}"),
+        (_, true) => outln!("p,yield,ci_lo,ci_hi,std_err,eff_samples{ey_head}"),
+    }
+    for (p, tiers) in &rows {
+        match tiers.as_slice() {
+            [(_, Estimate::Naive(y))] => {
+                let (lo, hi) = y.wilson95();
+                outln!("{p:.4},{:.4},{lo:.4},{hi:.4}{}", y.point(), ey(y.point()));
+            }
+            [(_, Estimate::Stratified(y))] => {
+                let (lo, hi) = y.ci95();
+                outln!(
+                    "{p:.4},{:.6},{lo:.6},{hi:.6},{:.3e},{}{}",
+                    y.point,
+                    y.std_error(),
+                    eff_samples(y),
+                    ey(y.point)
+                );
+            }
+            [(_, Estimate::Naive(raw)), (_, Estimate::Naive(rec)), (_, Estimate::Naive(op))] => {
+                let (lo, hi) = op.wilson95();
+                outln!(
+                    "{p:.4},{:.4},{:.4},{:.4},{lo:.4},{hi:.4}",
+                    raw.point(),
+                    rec.point(),
+                    op.point()
+                );
+            }
+            [(_, Estimate::Stratified(raw)), (_, Estimate::Stratified(rec)), (_, Estimate::Stratified(op))] =>
+            {
+                outln!(
+                    "{p:.4},{:.6},{:.6},{:.6},{:.3e},{}",
+                    raw.point,
+                    rec.point,
+                    op.point,
+                    op.std_error(),
+                    eff_samples(op)
+                );
+            }
+            _ => unreachable!("engines answer one tier, or three for the assay stack"),
+        }
     }
     Ok(())
 }
@@ -1010,10 +856,7 @@ fn cmd_search(opts: &Options) -> Result<(), String> {
     if !(0.0..=1.0).contains(&p) {
         return Err("need 0 <= p <= 1".into());
     }
-    let trials: u32 = opts.get("trials", 4_000)?;
-    if trials == 0 {
-        return Err("--trials must be at least 1".into());
-    }
+    let trials = opts.trials(4_000)?;
     let max_primaries: usize = opts.get("max-primaries", 100)?;
     if max_primaries == 0 || max_primaries > spec::MAX_PRIMARIES {
         return Err(format!(
@@ -1311,21 +1154,7 @@ fn check_campaign_subparams(opts: &Options) -> Result<(), String> {
             ));
         }
     }
-    if opts.flag("estimator") || opts.flag("defect-model") {
-        return Err("--estimator/--defect-model are supported by yield and sweep only".into());
-    }
-    for key in spec::ESTIMATOR_SUBPARAMS
-        .iter()
-        .chain(&spec::CLUSTER_SUBPARAMS)
-    {
-        if opts.has_param(key) {
-            return Err(format!(
-                "--{} is an estimator/defect-model sub-parameter; \
-                 it is supported by yield and sweep only",
-                dash(key)
-            ));
-        }
-    }
+    reject_query_params(opts)?;
     reject_block_trials(
         opts,
         "campaign steps ride the scalar arbitrary-sampler path \
@@ -1365,10 +1194,7 @@ fn cmd_campaign(opts: &Options) -> Result<(), String> {
     if !(0.0..=1.0).contains(&p) {
         return Err("need 0 <= p <= 1".into());
     }
-    let trials: u32 = opts.get("trials", 2_000)?;
-    if trials == 0 {
-        return Err("--trials must be at least 1".into());
-    }
+    let trials = opts.trials(2_000)?;
     let config = campaign_cmd::CampaignConfig {
         panel: opts.assay()?.unwrap_or(AssayPanel::StandardIvd),
         p,

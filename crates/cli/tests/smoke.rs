@@ -39,6 +39,68 @@ fn unknown_design_lists_choices_and_fails() {
     );
 }
 
+/// Replays every `$ dmfb …` case in the committed yield/sweep golden and
+/// checks the binary still prints the recorded bytes. The cases cover
+/// each scheme family under every estimator and defect model, each sweep
+/// mode, and the assay tiers.
+#[test]
+fn yield_and_sweep_match_the_matrix_golden() {
+    let path = format!(
+        "{}/tests/golden/yield_sweep_matrix.txt",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let golden = std::fs::read_to_string(&path).unwrap();
+    let mut replay = String::new();
+    for line in golden.lines() {
+        let Some(case) = line.strip_prefix("$ dmfb ") else {
+            continue;
+        };
+        let mut args: Vec<&str> = case.split_whitespace().collect();
+        args.extend(["--threads", "1"]);
+        let out = dmfb(&args);
+        assert!(
+            out.status.success(),
+            "{case}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        replay.push_str(line);
+        replay.push('\n');
+        replay.push_str(&String::from_utf8(out.stdout).unwrap());
+    }
+    assert_eq!(replay, golden, "yield/sweep output drifted from {path}");
+}
+
+#[test]
+fn out_of_range_primaries_fail_cleanly_on_every_hex_command() {
+    for command in ["yield", "sweep", "render", "faults", "profile"] {
+        for (design, primaries, needle) in [
+            ("dtmb26", "0", "--primaries must be at least 1"),
+            ("none", "0", "--primaries must be at least 1"),
+            ("dtmb16", "65537", "need --primaries <= 65536, got 65537"),
+        ] {
+            let args = [command, "--design", design, "--primaries", primaries];
+            let out = dmfb(&args);
+            assert_eq!(out.status.code(), Some(1), "{args:?} must fail, not panic");
+            let err = String::from_utf8(out.stderr).unwrap();
+            assert!(err.contains(needle), "{args:?}: {err}");
+        }
+    }
+}
+
+#[test]
+fn zero_trials_are_rejected_by_yield_and_sweep() {
+    for command in ["yield", "sweep"] {
+        let out = dmfb(&[command, "--design", "dtmb26", "--trials", "0"]);
+        assert_eq!(out.status.code(), Some(1), "{command} accepted --trials 0");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            err.contains("--trials must be at least 1"),
+            "{command}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{command} printed a report");
+    }
+}
+
 #[test]
 fn unknown_command_fails_with_error() {
     let out = dmfb(&["frobnicate"]);

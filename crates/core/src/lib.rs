@@ -34,11 +34,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod engine;
 mod pipeline;
 pub mod prelude;
 pub mod search;
 pub mod spec;
 
+pub use engine::{DefectModel, Engine, Estimate, Estimator, Query};
 pub use pipeline::{Biochip, PipelineOutcome, YieldReport};
 pub use search::{CandidateScore, SearchConfig, SearchReport, SearchSpace};
 pub use spec::{EngineParams, EngineSpec, SchemeSpec, Tier};

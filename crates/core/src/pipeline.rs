@@ -115,30 +115,30 @@ impl Biochip {
     /// array and policy, on the chip's thread count.
     #[must_use]
     pub fn engine(&self) -> SchemeYield {
-        SchemeYield::new(self.array.clone(), self.policy.clone()).with_threads(self.threads)
+        SchemeYield::new(&self.array, &self.policy).with_threads(self.threads)
     }
 
     /// Estimates yield at survival probability `p` with and without local
     /// reconfiguration, plus the effective-yield and analytical references.
     #[must_use]
     pub fn yield_report(&self, p: f64, trials: u32, seed: u64) -> YieldReport {
-        self.yield_report_on(&self.engine(), p, trials, seed)
+        let engine = self.engine();
+        self.yield_report_from(&engine, p, engine.estimate_survival(p, trials, seed))
     }
 
-    /// [`Biochip::yield_report`] on an engine built from this chip by
-    /// [`Biochip::engine`], so the caller picks its trial engine. Raw yield
-    /// is the closed form `pⁿ` over the `n` in-scope primaries: under
-    /// i.i.d. faults the chip survives without reconfiguration iff every
-    /// one of them does.
+    /// [`Biochip::yield_report`] around the `reconfigured` estimate that
+    /// `engine`, built from this chip by [`Biochip::engine`], gave at
+    /// survival `p` — so the caller picks how it is run. Raw yield is the
+    /// closed form `pⁿ` over the `n` in-scope primaries: under i.i.d.
+    /// faults the chip survives without reconfiguration iff every one of
+    /// them does.
     #[must_use]
-    pub fn yield_report_on(
+    pub fn yield_report_from(
         &self,
         engine: &SchemeYield,
         p: f64,
-        trials: u32,
-        seed: u64,
+        reconfigured: BernoulliEstimate,
     ) -> YieldReport {
-        let reconfigured = engine.estimate_survival(p, trials, seed);
         let raw_yield = analytical::no_redundancy_yield(p, engine.evaluator().primary_count());
         let analytical = match self.array.kind() {
             Some(DtmbKind::Dtmb16) => Some(analytical::dtmb16_yield(p, self.array.primary_count())),

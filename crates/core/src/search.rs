@@ -28,16 +28,15 @@
 //! [`parallel_map`] with single-threaded engines inside, so the report
 //! is byte-identical at any `--threads` setting.
 
-use crate::spec::{SchemeSpec, Tier};
+use crate::engine::{DefectModel, Engine, Estimate, Estimator, Query};
+use crate::spec::{EngineParams, EngineSpec, SchemeSpec, Tier};
 use dmfb_bioassay::layout::{fabricated_ivd_chip, ivd_dtmb26_chip};
 use dmfb_bioassay::TimingBudget;
-use dmfb_grid::SquareRegion;
 use dmfb_reconfig::dtmb::DtmbKind;
-use dmfb_reconfig::shifted::{ModuleBand, SpareRowArray};
-use dmfb_reconfig::{SquarePattern, TrialEvaluator};
+use dmfb_reconfig::SquarePattern;
 use dmfb_sim::{parallel_map, SeedSequence, StratifiedConfig, StratifiedEstimate};
 use dmfb_yield::operational::DEFAULT_SLACK;
-use dmfb_yield::{AssayPanel, OperationalYield, SchemeYield};
+use dmfb_yield::{AssayPanel, OperationalYield};
 
 /// Trials a naive (non-stratified, non-pruned) scorer would spend per
 /// candidate to reach comparable confidence at rare-failure targets; the
@@ -247,90 +246,40 @@ impl SearchReport {
     }
 }
 
-/// Scores one scheme-shaped candidate on the reconfigured tier.
-fn score_scheme(spec: &SchemeSpec, config: &SearchConfig, seed: u64) -> CandidateScore {
-    match spec {
-        SchemeSpec::HexDtmb { .. } => {
-            let chip = spec.biochip().expect("hex spec builds a biochip");
-            let evaluator = TrialEvaluator::new(chip.array(), chip.policy());
-            let cells = (chip.array().primary_count(), chip.array().spare_count());
-            score_evaluator(spec, evaluator, cells, config, seed)
-        }
-        SchemeSpec::SquareDtmb {
-            pattern,
-            width,
-            height,
-        } => {
-            let region = SquareRegion::rect(*width, *height);
-            let evaluator = TrialEvaluator::for_scheme(&region, pattern);
-            // Interstitial schemes: units are primary cells, resources are
-            // single-cell spares, so the evaluator's member counts *are*
-            // the physical cell counts.
-            let cells = (
-                evaluator.unit_cell_counts().sum(),
-                evaluator.resource_cell_counts().sum(),
-            );
-            score_evaluator(spec, evaluator, cells, config, seed)
-        }
-        SchemeSpec::SpareRows {
-            width,
-            module_rows,
-            spare_rows,
-        } => {
-            let array = SpareRowArray::new(
-                *width,
-                vec![ModuleBand {
-                    name: "Module 1".into(),
-                    rows: *module_rows,
-                }],
-                *spare_rows,
-            );
-            let region = array.region();
-            let evaluator = TrialEvaluator::for_scheme(&region, &array);
-            // Spare-row resources are indestructible in the compiled
-            // scheme (no member cells), but their silicon area is real:
-            // count it from the geometry, not the evaluator.
-            let cells = (
-                (*width as usize) * (*module_rows as usize),
-                (*width as usize) * (*spare_rows as usize),
-            );
-            score_evaluator(spec, evaluator, cells, config, seed)
-        }
-    }
-}
-
-/// The shared scoring path: exact bounds, prune-or-sample, one row out.
-fn score_evaluator<C: Copy + Ord + Send + Sync + std::fmt::Debug>(
-    spec: &SchemeSpec,
-    evaluator: TrialEvaluator<C>,
-    (primary_cells, spare_cells): (usize, usize),
-    config: &SearchConfig,
-    seed: u64,
-) -> CandidateScore {
-    let overhead = if primary_cells == 0 {
-        0.0
-    } else {
-        spare_cells as f64 / primary_cells as f64
-    };
-    let bound_hi = evaluator.survival_upper_bound(config.p);
-    let bound_lo = evaluator.survival_lower_bound(config.p);
-    let mut row = CandidateScore {
-        spec: spec.canonical(),
+/// A candidate row before scoring: cell counts and overhead, no estimate.
+fn unscored_row(spec: String, (primary_cells, spare_cells): (usize, usize)) -> CandidateScore {
+    CandidateScore {
+        spec,
         primary_cells,
         spare_cells,
-        overhead,
-        bound_hi,
-        bound_lo,
+        overhead: if primary_cells == 0 {
+            0.0
+        } else {
+            spare_cells as f64 / primary_cells as f64
+        },
+        bound_hi: 1.0,
+        bound_lo: 0.0,
         pruned: false,
         yield_point: None,
         ci_lo: 0.0,
         ci_hi: 0.0,
         trials_used: 0,
+    }
+}
+
+/// Scores one scheme-shaped candidate: exact bounds, prune-or-sample,
+/// one row out.
+fn score_scheme(spec: &SchemeSpec, config: &SearchConfig, seed: u64) -> CandidateScore {
+    let params = EngineParams {
+        spec: EngineSpec::Scheme(*spec),
+        block_trials: None,
     };
+    let engine = Engine::build(&params, 1);
+    let mut row = unscored_row(spec.canonical(), engine.cell_counts());
     if config.tier == Tier::Raw {
         // Raw yield has a closed form: every in-scope primary cell must
         // survive. No sampling, no pruning.
-        let y = dmfb_yield::analytical::no_redundancy_yield(config.p, primary_cells);
+        let y = dmfb_yield::analytical::no_redundancy_yield(config.p, row.primary_cells);
         row.yield_point = Some(y);
         row.ci_lo = y;
         row.ci_hi = y;
@@ -338,23 +287,30 @@ fn score_evaluator<C: Copy + Ord + Send + Sync + std::fmt::Debug>(
         row.bound_lo = y;
         return row;
     }
-    if bound_hi < config.target_yield {
+    (row.bound_lo, row.bound_hi) = engine.survival_bounds(config.p);
+    if row.bound_hi < config.target_yield {
         row.pruned = true;
         return row;
     }
-    let engine = SchemeYield::from_evaluator(spec.canonical(), evaluator).with_threads(1);
-    let estimate =
-        engine.estimate_survival_stratified(config.p, config.trials, seed, &config.stratified);
-    fill_estimate(&mut row, &estimate);
+    let query = Query {
+        estimator: Estimator::Stratified(config.stratified),
+        defect_model: DefectModel::Bernoulli,
+        p: config.p,
+        trials: config.trials,
+        seed,
+    };
+    let tiers = engine.estimate(&query);
+    let [(_, Estimate::Stratified(estimate))] = tiers.as_slice() else {
+        unreachable!("scheme engines answer the reconfigured tier only")
+    };
+    fill_estimate(&mut row, estimate);
     row
 }
 
 /// Copies a stratified estimate into a candidate row.
 fn fill_estimate(row: &mut CandidateScore, estimate: &StratifiedEstimate) {
-    let (lo, hi) = estimate.ci95();
+    (row.ci_lo, row.ci_hi) = estimate.ci95();
     row.yield_point = Some(estimate.point);
-    row.ci_lo = lo;
-    row.ci_hi = hi;
     row.trials_used = estimate.trials;
 }
 
@@ -383,34 +339,18 @@ fn score_operational(
     config: &SearchConfig,
     seed: u64,
 ) -> CandidateScore {
-    let primary_cells = chip.array.primary_count();
-    let spare_cells = chip.array.spare_count();
-    let overhead = if primary_cells == 0 {
-        0.0
-    } else {
-        spare_cells as f64 / primary_cells as f64
-    };
-    let mut row = CandidateScore {
-        spec: label.to_string(),
-        primary_cells,
-        spare_cells,
-        overhead,
-        bound_hi: 1.0,
-        bound_lo: 0.0,
-        pruned: false,
-        yield_point: None,
-        ci_lo: 0.0,
-        ci_hi: 0.0,
-        trials_used: 0,
-    };
+    let mut row = unscored_row(
+        label.to_string(),
+        (chip.array.primary_count(), chip.array.spare_count()),
+    );
     let batch = panel.batch();
     let budget = TimingBudget::with_slack(chip, &batch, DEFAULT_SLACK)
         .expect("the case-study chips run their own panels");
     let engine = OperationalYield::new(chip.clone(), batch, budget).with_threads(1);
     let estimate = engine.estimate_stratified(config.p, config.trials, seed, &config.stratified);
-    fill_estimate(&mut row, &estimate.operational);
     // The stratified operational estimate reports the shared trial spend
     // once; raw/reconfigured ride the same draws.
+    fill_estimate(&mut row, &estimate.operational);
     row
 }
 

@@ -17,17 +17,20 @@
 //! - Token parsers ([`parse_scheme_token`] and friends) producing the
 //!   shared `unknown … (valid: …)` diagnostics.
 //! - Coherence guards ([`reject_foreign_subparams`],
-//!   [`reject_foreign_estimator_params`], [`check_assay_subparams`])
-//!   parameterised by a [`ParamStyle`] dialect, so the CLI keeps its
-//!   `--flag` phrasing and the service its JSON-field phrasing while both
-//!   run the *same* rules.
+//!   [`reject_foreign_estimator_params`], [`check_assay_subparams`]) and
+//!   range checks ([`SchemeSpec::validate`], [`stratified_config`],
+//!   [`clustered_defects`]) parameterised by a [`ParamStyle`] dialect, so
+//!   the CLI keeps its `--flag` phrasing and the service its JSON-field
+//!   phrasing while both run the *same* rules.
 //!
 //! Parameter names are stored canonically with underscores (the JSON
 //! field spelling); [`ParamStyle::Cli`] renders them as `--dash-flags`.
 
 use crate::Biochip;
+use dmfb_defects::ClusteredDefects;
 use dmfb_reconfig::dtmb::DtmbKind;
 use dmfb_reconfig::SquarePattern;
+use dmfb_sim::StratifiedConfig;
 use dmfb_yield::AssayPanel;
 
 /// Upper bound on user-supplied array dimensions. Beyond this the region
@@ -233,6 +236,46 @@ impl SchemeSpec {
         }
     }
 
+    /// Checks the shape ranges every front end enforces before building:
+    /// `1..=`[`MAX_PRIMARIES`] primaries, and each array dimension in
+    /// `min..=`[`MAX_DIM`] (spare rows may be 0, every other dimension
+    /// needs at least 1). Out-of-range shapes would otherwise panic in
+    /// the array constructors or allocate unboundedly.
+    pub fn validate(&self, style: ParamStyle) -> Result<(), String> {
+        let dims = match *self {
+            SchemeSpec::HexDtmb { primaries: 0, .. } => {
+                return Err(format!("{} must be at least 1", style.param("primaries")))
+            }
+            SchemeSpec::HexDtmb { primaries, .. } if primaries > MAX_PRIMARIES => {
+                let name = style.param("primaries");
+                return Err(format!("need {name} <= {MAX_PRIMARIES}, got {primaries}"));
+            }
+            SchemeSpec::HexDtmb { .. } => vec![],
+            SchemeSpec::SquareDtmb { width, height, .. } => {
+                vec![("width", width, 1), ("height", height, 1)]
+            }
+            SchemeSpec::SpareRows {
+                width,
+                module_rows,
+                spare_rows,
+            } => vec![
+                ("width", width, 1),
+                ("module_rows", module_rows, 1),
+                ("spare_rows", spare_rows, 0),
+            ],
+        };
+        match dims
+            .into_iter()
+            .find(|&(_, value, min)| value < min || value > MAX_DIM)
+        {
+            Some((key, value, min)) => Err(format!(
+                "need {min} <= {} <= {MAX_DIM}, got {value}",
+                style.param(key)
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// Builds the hex chip this spec describes, or `None` for the
     /// square-lattice families (which run the generic engine instead).
     #[must_use]
@@ -354,15 +397,25 @@ pub fn parse_pattern_token(token: Option<&str>) -> Result<SquarePattern, String>
     }
 }
 
-/// Which yield estimator was selected (the stratified variant's tuning
-/// parses separately — the CLI and the service carry different config
-/// payloads).
+/// Which yield estimator was selected, before its tuning is parsed into
+/// an [`Estimator`](crate::Estimator).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EstimatorKind {
     /// Plain Monte-Carlo (the default).
     Naive,
     /// Defect-count-stratified rare-event estimator.
     Stratified,
+}
+
+impl EstimatorKind {
+    /// The wire/CLI token.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            EstimatorKind::Naive => "naive",
+            EstimatorKind::Stratified => "stratified",
+        }
+    }
 }
 
 /// Parses an estimator token; `None` defaults to naive.
@@ -376,13 +429,25 @@ pub fn parse_estimator_token(token: Option<&str>) -> Result<EstimatorKind, Strin
     }
 }
 
-/// Which defect model was selected (cluster tuning parses separately).
+/// Which defect model was selected, before its cluster tuning is parsed
+/// into a [`DefectModel`](crate::DefectModel).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DefectModelKind {
     /// The paper's i.i.d. cell-failure assumption (the default).
     Bernoulli,
     /// Negative-binomial clustered wafer defects.
     Clustered,
+}
+
+impl DefectModelKind {
+    /// The wire/CLI token.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            DefectModelKind::Bernoulli => "bernoulli",
+            DefectModelKind::Clustered => "clustered",
+        }
+    }
 }
 
 /// Parses a defect-model token; `None` defaults to Bernoulli.
@@ -540,13 +605,56 @@ pub fn block_trials_cap_error(style: ParamStyle, n: usize) -> String {
     )
 }
 
-/// The diagnostic for an array dimension outside `min..=`[`MAX_DIM`].
-#[must_use]
-pub fn dim_range_error(style: ParamStyle, key: &str, min: u32, value: u32) -> String {
-    format!(
-        "need {min} <= {} <= {MAX_DIM}, got {value}",
-        style.param(key)
-    )
+/// The stratified estimator's tuning, range-checked: a truncated mass
+/// `0 <= tolerance < 1` and at least one pilot trial per stratum.
+pub fn stratified_config(
+    style: ParamStyle,
+    tolerance: f64,
+    pilot: u32,
+) -> Result<StratifiedConfig, String> {
+    if !(0.0..1.0).contains(&tolerance) {
+        return Err(format!("need 0 <= {} < 1", style.param("tolerance")));
+    }
+    if pilot == 0 {
+        return Err(format!("{} must be at least 1", style.param("pilot")));
+    }
+    Ok(StratifiedConfig {
+        tolerance,
+        pilot,
+        ..StratifiedConfig::default()
+    })
+}
+
+/// The clustered defect model, range-checked: a finite, non-negative
+/// mean cluster count, dispersion at least 1, spread radius at most 64
+/// and peak failure probability in `[0, 1]`.
+pub fn clustered_defects(
+    style: ParamStyle,
+    mean: f64,
+    dispersion: u32,
+    radius: u32,
+    peak: f64,
+) -> Result<ClusteredDefects, String> {
+    let param = |key| style.param(key);
+    if !mean.is_finite() {
+        return Err(format!("{} must be finite", param("cluster_mean")));
+    }
+    if mean < 0.0 {
+        return Err(format!("{} must be non-negative", param("cluster_mean")));
+    }
+    if dispersion == 0 {
+        return Err(format!(
+            "{} must be at least 1",
+            param("cluster_dispersion")
+        ));
+    }
+    if radius > 64 {
+        return Err(format!("need {} <= 64", param("cluster_radius")));
+    }
+    if !(0.0..=1.0).contains(&peak) {
+        return Err(format!("need 0 <= {} <= 1", param("cluster_peak")));
+    }
+    Ok(ClusteredDefects::new(mean, dispersion, radius, peak))
 }
 
 #[cfg(test)]

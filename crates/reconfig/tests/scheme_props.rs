@@ -31,7 +31,7 @@ proptest! {
     /// through the generic engine and the legacy matching oracle,
     /// including with scratch reuse across cases.
     #[test]
-    fn generic_engine_matches_square_oracle(
+    fn evaluator_matches_square_oracle(
         pattern in arb_pattern(),
         width in 3u32..14,
         height in 3u32..14,
@@ -62,7 +62,7 @@ proptest! {
     /// counts and fault sets (including out-of-array and spare-row faults,
     /// which both sides must ignore).
     #[test]
-    fn generic_engine_matches_shifted_oracle(
+    fn evaluator_matches_shifted_oracle(
         width in 1u32..10,
         band_rows in prop::collection::vec(1u32..4, 1..4),
         spare_rows in 0u32..4,

@@ -1,12 +1,10 @@
 //! Cached evaluator engines and deterministic reply rendering.
 //!
 //! A [`CachedEngine`] is everything expensive about a request: the
-//! precomputed [`TrialEvaluator`](dmfb_core::reconfig::TrialEvaluator)
-//! behind a [`SchemeYield`], or the full assay stack behind an
-//! [`OperationalYield`]. Engines are keyed by
-//! [`YieldRequest::engine_key`] and shared across workers by `Arc` —
-//! every estimate entry point takes `&self`, so serving a warm request
-//! never clones or rebuilds anything.
+//! [`Engine`] its [`YieldRequest::engine_key`] describes, built once by
+//! [`Engine::build`] and shared across workers by `Arc` — every estimate
+//! entry point takes `&self`, so serving a warm request never clones or
+//! rebuilds anything.
 //!
 //! Reply bodies are rendered with the same hand-rolled JSON writers the
 //! bench reports use and carry **no** timing or cache information (that
@@ -17,38 +15,17 @@
 //! is seeded from the request's master seed through a
 //! [`SeedSequence`].
 
-use crate::request::{DefectModelChoice, EstimatorChoice, SchemeChoice, Tier, YieldRequest};
+use crate::request::{Tier, YieldRequest};
 use dmfb_bench::json::json_number;
 use dmfb_core::prelude::{
-    Bernoulli, BernoulliEstimate, Biochip, InjectionModel, ModuleBand, MonteCarlo,
-    OperationalYield, SchemeYield, SpareRowArray, SquareCoord, SquareRegion, StratifiedEstimate,
+    Bernoulli, BernoulliEstimate, Biochip, InjectionModel, MonteCarlo, StratifiedEstimate,
 };
 use dmfb_core::sim::SeedSequence;
+use dmfb_core::{DefectModel, Engine, Estimate, Query};
 
 /// One precomputed engine, ready to serve any request that maps to its
 /// [`YieldRequest::engine_key`].
-pub enum CachedEngine {
-    /// A hexagonal DTMB (or no-redundancy) chip: the chip description for
-    /// the raw tier plus the fast matching engine for the reconfigured
-    /// tier.
-    Hex {
-        /// The chip (array + policy), used by the raw tier and the
-        /// clustered-defect closure.
-        chip: Biochip,
-        /// The precomputed fast engine.
-        engine: SchemeYield,
-    },
-    /// A square-lattice scheme (interstitial DTMB or spare rows).
-    Square {
-        /// The precomputed fast engine.
-        engine: SchemeYield<SquareCoord>,
-        /// The lattice it was compiled over (the defect-sampler hook
-        /// needs the topology).
-        region: SquareRegion,
-    },
-    /// The Section 7 assay stack over the fixed IVD case-study chip.
-    Assay(OperationalYield),
-}
+pub struct CachedEngine(Engine);
 
 impl CachedEngine {
     /// Builds the engine a request's key describes. This is the expensive
@@ -57,58 +34,7 @@ impl CachedEngine {
     /// stack.
     #[must_use]
     pub fn build(request: &YieldRequest, threads: usize) -> Self {
-        if let Some(panel) = request.assay {
-            return CachedEngine::Assay(
-                OperationalYield::ivd(panel)
-                    .with_threads(threads)
-                    .with_block_trials(request.block_trials),
-            );
-        }
-        match request.scheme {
-            SchemeChoice::HexDtmb { .. } => {
-                let chip = request.biochip();
-                let label = chip
-                    .array()
-                    .kind()
-                    .map_or("no-redundancy".to_string(), |k| k.to_string());
-                let evaluator =
-                    dmfb_core::reconfig::TrialEvaluator::new(chip.array(), chip.policy());
-                let engine = SchemeYield::from_evaluator(label, evaluator)
-                    .with_threads(threads)
-                    .with_block_trials(request.block_trials);
-                CachedEngine::Hex { chip, engine }
-            }
-            SchemeChoice::SquareDtmb {
-                pattern,
-                width,
-                height,
-            } => {
-                let region = SquareRegion::rect(width, height);
-                let engine = SchemeYield::from_scheme(&region, &pattern)
-                    .with_threads(threads)
-                    .with_block_trials(request.block_trials);
-                CachedEngine::Square { engine, region }
-            }
-            SchemeChoice::SpareRows {
-                width,
-                module_rows,
-                spare_rows,
-            } => {
-                let array = SpareRowArray::new(
-                    width,
-                    vec![ModuleBand {
-                        name: "Module 1".into(),
-                        rows: module_rows,
-                    }],
-                    spare_rows,
-                );
-                let region = array.region();
-                let engine = SchemeYield::from_scheme(&region, &array)
-                    .with_threads(threads)
-                    .with_block_trials(request.block_trials);
-                CachedEngine::Square { engine, region }
-            }
-        }
+        CachedEngine(Engine::build(&request.engine_params(), threads))
     }
 
     /// Runs `request` on this engine and renders the reply body. The
@@ -118,68 +44,37 @@ impl CachedEngine {
     /// stay reproducible.
     #[must_use]
     pub fn run(&self, request: &YieldRequest, threads: usize) -> String {
-        let estimate_seed = SeedSequence::nth_seed(request.seed, 0);
-        let raw_seed = SeedSequence::nth_seed(request.seed, 1);
-        let results = match (self, request.tier) {
-            (CachedEngine::Hex { chip, .. }, Tier::Raw) => {
-                let raw = raw_yield(chip, request.p, request.trials, raw_seed, threads);
+        let q = request.query;
+        let results = match (&self.0, request.tier) {
+            (Engine::Hex { chip, .. }, Tier::Raw) => {
+                let raw = raw_yield(chip, &q, threads);
                 format!("\"raw\": {}", bernoulli_json(&raw))
             }
-            (CachedEngine::Hex { chip, engine }, Tier::Reconfigured) => {
-                let body = reconfigured_json(engine, chip.array().region(), request, estimate_seed);
-                format!("\"reconfigured\": {body}")
+            // The request validator admits the raw tier on hex schemes only.
+            (_, Tier::Raw) => unreachable!("request validation admitted a non-hex raw tier"),
+            (engine, _) => {
+                let query = Query {
+                    seed: SeedSequence::nth_seed(q.seed, 0),
+                    ..q
+                };
+                let tiers: Vec<String> = engine
+                    .estimate(&query)
+                    .iter()
+                    .map(|(tier, estimate)| {
+                        let body = match estimate {
+                            Estimate::Naive(e) => bernoulli_json(e),
+                            Estimate::Stratified(e) => stratified_json(e),
+                        };
+                        format!("\"{}\": {body}", tier.label())
+                    })
+                    .collect();
+                tiers.join(", ")
             }
-            (CachedEngine::Square { engine, region }, Tier::Reconfigured) => {
-                let body = reconfigured_json(engine, region, request, estimate_seed);
-                format!("\"reconfigured\": {body}")
-            }
-            (CachedEngine::Assay(engine), Tier::Operational) => match &request.defect_model {
-                DefectModelChoice::Clustered(cluster) => {
-                    let region = engine.chip().array.region().clone();
-                    let e = engine.estimate_with(request.trials, estimate_seed, |rng| {
-                        cluster.inject_in(&region, rng)
-                    });
-                    format!(
-                        "\"raw\": {}, \"reconfigured\": {}, \"operational\": {}",
-                        bernoulli_json(&e.raw),
-                        bernoulli_json(&e.reconfigured),
-                        bernoulli_json(&e.operational)
-                    )
-                }
-                DefectModelChoice::Bernoulli => match &request.estimator {
-                    EstimatorChoice::Stratified(config) => {
-                        let e = engine.estimate_stratified(
-                            request.p,
-                            request.trials,
-                            estimate_seed,
-                            config,
-                        );
-                        format!(
-                            "\"raw\": {}, \"reconfigured\": {}, \"operational\": {}",
-                            stratified_json(&e.raw),
-                            stratified_json(&e.reconfigured),
-                            stratified_json(&e.operational)
-                        )
-                    }
-                    EstimatorChoice::Naive => {
-                        let e = engine.estimate(request.p, request.trials, estimate_seed);
-                        format!(
-                            "\"raw\": {}, \"reconfigured\": {}, \"operational\": {}",
-                            bernoulli_json(&e.raw),
-                            bernoulli_json(&e.reconfigured),
-                            bernoulli_json(&e.operational)
-                        )
-                    }
-                },
-            },
-            // The request validator guarantees tier/engine coherence;
-            // reaching any other combination is a routing bug.
-            _ => unreachable!("request validation admitted a tier its engine cannot serve"),
         };
-        let p_field = match request.defect_model {
+        let p_field = match q.defect_model {
             // No single p parameterises the clustered sampler.
-            DefectModelChoice::Clustered(_) => String::new(),
-            DefectModelChoice::Bernoulli => format!("\"p\": {}, ", json_number(request.p)),
+            DefectModel::Clustered(_) => String::new(),
+            DefectModel::Bernoulli => format!("\"p\": {}, ", json_number(q.p)),
         };
         format!(
             "{{\"schema\": \"dmfb-serve/1\", \"tier\": \"{}\", \"engine\": \"{}\", \
@@ -187,56 +82,20 @@ impl CachedEngine {
              \"seed\": {}, \"results\": {{{results}}}}}\n",
             request.tier.label(),
             request.engine_key(),
-            match request.estimator {
-                EstimatorChoice::Naive => "naive",
-                EstimatorChoice::Stratified(_) => "stratified",
-            },
-            match request.defect_model {
-                DefectModelChoice::Bernoulli => "bernoulli",
-                DefectModelChoice::Clustered(_) => "clustered",
-            },
-            request.trials,
-            request.seed,
+            q.estimator.kind().label(),
+            q.defect_model.kind().label(),
+            q.trials,
+            q.seed,
         )
     }
 }
 
-/// The reconfigured-tier estimate on a generic fast engine, as JSON.
-fn reconfigured_json<
-    C: Copy + Ord + Send + Sync,
-    T: dmfb_core::prelude::Topology<Coord = C> + Sync,
->(
-    engine: &SchemeYield<C>,
-    topo: &T,
-    request: &YieldRequest,
-    seed: u64,
-) -> String {
-    match &request.defect_model {
-        DefectModelChoice::Clustered(cluster) => {
-            let e = engine
-                .estimate_with_defects(request.trials, seed, |rng| cluster.inject_in(topo, rng));
-            bernoulli_json(&e)
-        }
-        DefectModelChoice::Bernoulli => match &request.estimator {
-            EstimatorChoice::Stratified(config) => {
-                let e =
-                    engine.estimate_survival_stratified(request.p, request.trials, seed, config);
-                stratified_json(&e)
-            }
-            EstimatorChoice::Naive => {
-                let e = engine.estimate_survival(request.p, request.trials, seed);
-                bernoulli_json(&e)
-            }
-        },
-    }
-}
-
-/// Raw yield (no reconfiguration): the chip is good only when no
-/// in-scope primary fails — the same per-trial protocol as
-/// [`Biochip::yield_report`], seeded independently of the reconfigured
-/// estimate.
-fn raw_yield(chip: &Biochip, p: f64, trials: u32, seed: u64, threads: usize) -> BernoulliEstimate {
-    let model = Bernoulli::from_survival(p);
+/// Raw yield (no reconfiguration) for `query`: the chip is good only
+/// when no in-scope primary fails, sampled per trial and seeded
+/// independently of the reconfigured estimate.
+fn raw_yield(chip: &Biochip, query: &Query, threads: usize) -> BernoulliEstimate {
+    let model = Bernoulli::from_survival(query.p);
+    let (trials, seed) = (query.trials, SeedSequence::nth_seed(query.seed, 1));
     let region = chip.array().region().clone();
     let array = chip.array();
     let policy = chip.policy();

@@ -10,16 +10,17 @@
 //!
 //! The vocabulary itself — token tables, sub-parameter ownership, and the
 //! coherence rules — lives in [`dmfb_core::spec`] and is shared with the
-//! CLI and the search enumerator; this module only adds the JSON framing
-//! (field-presence tracking, duplicate/unknown-field rejection) and
-//! untrusted-input ceilings ([`MAX_PRIMARIES`], [`MAX_TRIALS`]): a CLI
-//! user who asks for a billion-cell array only hurts themselves; a
-//! network client must not be able to park a worker (or the allocator)
-//! with one request.
+//! CLI and the search enumerator, as are the shape ranges
+//! ([`MAX_PRIMARIES`], [`MAX_DIM`]); this module only adds the JSON
+//! framing (field-presence tracking, duplicate/unknown-field rejection)
+//! and the untrusted-input trial ceiling ([`MAX_TRIALS`]): a CLI user
+//! who asks for a billion trials only hurts themselves; a network client
+//! must not be able to park a worker with one request.
 
 use dmfb_bench::json::JsonValue;
-use dmfb_core::prelude::{AssayPanel, Biochip, ClusteredDefects, StratifiedConfig};
+use dmfb_core::prelude::AssayPanel;
 use dmfb_core::spec::{self, DefectModelKind, EstimatorKind, ParamStyle, SchemeKind};
+pub use dmfb_core::{DefectModel, Estimator, Query};
 
 /// The shared scheme descriptor (see [`dmfb_core::spec::SchemeSpec`]),
 /// under the name this crate has always exported.
@@ -55,42 +56,6 @@ impl std::fmt::Display for RequestError {
     }
 }
 
-/// Estimator selection.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum EstimatorChoice {
-    /// Plain Monte-Carlo (the default).
-    Naive,
-    /// Defect-count-stratified rare-event estimator with its tuning.
-    Stratified(StratifiedConfig),
-}
-
-impl EstimatorChoice {
-    fn kind(&self) -> EstimatorKind {
-        match self {
-            EstimatorChoice::Naive => EstimatorKind::Naive,
-            EstimatorChoice::Stratified(_) => EstimatorKind::Stratified,
-        }
-    }
-}
-
-/// Defect-model selection.
-#[derive(Clone, Debug)]
-pub enum DefectModelChoice {
-    /// The paper's i.i.d. cell-failure assumption (the default).
-    Bernoulli,
-    /// Negative-binomial clustered wafer defects.
-    Clustered(ClusteredDefects),
-}
-
-impl DefectModelChoice {
-    fn kind(&self) -> DefectModelKind {
-        match self {
-            DefectModelChoice::Bernoulli => DefectModelKind::Bernoulli,
-            DefectModelChoice::Clustered(_) => DefectModelKind::Clustered,
-        }
-    }
-}
-
 /// Cache directive for this request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CacheMode {
@@ -111,22 +76,15 @@ pub struct YieldRequest {
     pub scheme: SchemeChoice,
     /// Assay panel (`Some` exactly when `tier` is operational).
     pub assay: Option<AssayPanel>,
-    /// Estimator selection.
-    pub estimator: EstimatorChoice,
-    /// Defect-model selection.
-    pub defect_model: DefectModelChoice,
     /// Trial-engine selection: `None` = auto block engine, `Some(0)` =
     /// scalar, `Some(n)` = `n`-trial batches.
     pub block_trials: Option<usize>,
-    /// Cell-survival probability (unused by the clustered model).
-    pub p: f64,
-    /// Monte-Carlo trials (the total budget under the stratified
-    /// estimator).
-    pub trials: u32,
-    /// Master seed. The engine seeds each estimate through
-    /// [`dmfb_core::sim::SeedSequence`], so replies are byte-identical
-    /// for identical requests regardless of worker or thread count.
-    pub seed: u64,
+    /// The yield question. Its seed is the request's master seed: the
+    /// engine seeds each estimate through
+    /// [`dmfb_core::sim::SeedSequence`] over it, so replies are
+    /// byte-identical for identical requests regardless of worker or
+    /// thread count.
+    pub query: Query,
     /// Cache directive.
     pub cache: CacheMode,
 }
@@ -206,21 +164,15 @@ impl<'a> Fields<'a> {
         }
     }
 
-    fn dim_field(&self, key: &str, default: u32, min: u32) -> Result<u32, RequestError> {
-        let value = match self.uint_field(key)? {
-            None => return Ok(default),
-            Some(v) => u32::try_from(v)
-                .map_err(|_| RequestError::bad(format!("'{key}' is out of range")))?,
-        };
-        if value < min || value > MAX_DIM {
-            return Err(RequestError::bad(spec::dim_range_error(
-                ParamStyle::Json,
-                key,
-                min,
-                value,
-            )));
+    /// A `u32` field; the shared validators check its range once every
+    /// parameter it interacts with is known.
+    fn u32_field(&self, key: &str, default: u32) -> Result<u32, RequestError> {
+        match self.uint_field(key)? {
+            None => Ok(default),
+            Some(v) => {
+                u32::try_from(v).map_err(|_| RequestError::bad(format!("'{key}' is out of range")))
+            }
         }
-        Ok(value)
     }
 }
 
@@ -275,7 +227,7 @@ pub fn parse_yield_request(body: &[u8]) -> Result<YieldRequest, RequestError> {
         }
     };
 
-    if matches!(defect_model, DefectModelChoice::Clustered(_)) {
+    if matches!(defect_model, DefectModel::Clustered(_)) {
         if fields.has("p") {
             return Err(RequestError::bad(spec::clustered_p_error(ParamStyle::Json)));
         }
@@ -326,107 +278,82 @@ pub fn parse_yield_request(body: &[u8]) -> Result<YieldRequest, RequestError> {
         }
     };
 
+    let query = Query {
+        estimator,
+        defect_model,
+        p,
+        trials,
+        seed,
+    };
     Ok(YieldRequest {
         tier,
         scheme,
         assay,
-        estimator,
-        defect_model,
         block_trials,
-        p,
-        trials,
-        seed,
+        query,
         cache,
     })
 }
 
 fn parse_scheme(fields: &Fields<'_>) -> Result<SchemeChoice, RequestError> {
     let kind = spec::parse_scheme_token(fields.str_field("scheme")?).map_err(RequestError::bad)?;
-    match kind {
-        SchemeKind::HexDtmb => {
-            let design =
-                spec::parse_design_token(fields.str_field("design")?).map_err(RequestError::bad)?;
-            let primaries = match fields.uint_field("primaries")?.unwrap_or(100) {
-                0 => return Err(RequestError::bad("'primaries' must be at least 1")),
-                n if n > MAX_PRIMARIES as u64 => {
-                    return Err(RequestError::bad(format!(
-                        "need 'primaries' <= {MAX_PRIMARIES}, got {n}"
-                    )))
-                }
-                n => n as usize,
-            };
-            Ok(SchemeChoice::HexDtmb { design, primaries })
-        }
-        SchemeKind::SquareDtmb => {
-            let pattern = spec::parse_pattern_token(fields.str_field("pattern")?)
-                .map_err(RequestError::bad)?;
-            Ok(SchemeChoice::SquareDtmb {
-                pattern,
-                width: fields.dim_field("width", 16, 1)?,
-                height: fields.dim_field("height", 16, 1)?,
-            })
-        }
-        SchemeKind::SpareRows => Ok(SchemeChoice::SpareRows {
-            width: fields.dim_field("width", 8, 1)?,
-            module_rows: fields.dim_field("module_rows", 6, 1)?,
-            spare_rows: fields.dim_field("spare_rows", 1, 0)?,
-        }),
-    }
+    let scheme = match kind {
+        SchemeKind::HexDtmb => SchemeChoice::HexDtmb {
+            design: spec::parse_design_token(fields.str_field("design")?)
+                .map_err(RequestError::bad)?,
+            primaries: fields
+                .uint_field("primaries")?
+                .map_or(100, |n| usize::try_from(n).unwrap_or(usize::MAX)),
+        },
+        SchemeKind::SquareDtmb => SchemeChoice::SquareDtmb {
+            pattern: spec::parse_pattern_token(fields.str_field("pattern")?)
+                .map_err(RequestError::bad)?,
+            width: fields.u32_field("width", 16)?,
+            height: fields.u32_field("height", 16)?,
+        },
+        SchemeKind::SpareRows => SchemeChoice::SpareRows {
+            width: fields.u32_field("width", 8)?,
+            module_rows: fields.u32_field("module_rows", 6)?,
+            spare_rows: fields.u32_field("spare_rows", 1)?,
+        },
+    };
+    scheme
+        .validate(ParamStyle::Json)
+        .map_err(RequestError::bad)?;
+    Ok(scheme)
 }
 
-fn parse_estimator(fields: &Fields<'_>) -> Result<EstimatorChoice, RequestError> {
+fn parse_estimator(fields: &Fields<'_>) -> Result<Estimator, RequestError> {
     match spec::parse_estimator_token(fields.str_field("estimator")?).map_err(RequestError::bad)? {
-        EstimatorKind::Naive => Ok(EstimatorChoice::Naive),
+        EstimatorKind::Naive => Ok(Estimator::Naive),
         EstimatorKind::Stratified => {
             let tolerance = fields.f64_field("tolerance")?.unwrap_or(1e-6);
-            if !(0.0..1.0).contains(&tolerance) {
-                return Err(RequestError::bad("need 0 <= 'tolerance' < 1"));
-            }
-            let pilot = match fields.uint_field("pilot")?.unwrap_or(64) {
-                0 => return Err(RequestError::bad("'pilot' must be at least 1")),
-                n if n > u64::from(u32::MAX) => {
-                    return Err(RequestError::bad("'pilot' is out of range"))
-                }
-                n => n as u32,
-            };
-            Ok(EstimatorChoice::Stratified(StratifiedConfig {
-                tolerance,
-                pilot,
-                ..StratifiedConfig::default()
-            }))
+            let pilot = fields.u32_field("pilot", 64)?;
+            spec::stratified_config(ParamStyle::Json, tolerance, pilot)
+                .map(Estimator::Stratified)
+                .map_err(RequestError::bad)
         }
     }
 }
 
-fn parse_defect_model(fields: &Fields<'_>) -> Result<DefectModelChoice, RequestError> {
+fn parse_defect_model(fields: &Fields<'_>) -> Result<DefectModel, RequestError> {
     match spec::parse_defect_model_token(fields.str_field("defect_model")?)
         .map_err(RequestError::bad)?
     {
-        DefectModelKind::Bernoulli => Ok(DefectModelChoice::Bernoulli),
-        DefectModelKind::Clustered => {
-            let mean = fields.f64_field("cluster_mean")?.unwrap_or(1.0);
-            if mean < 0.0 {
-                return Err(RequestError::bad("'cluster_mean' must be non-negative"));
-            }
-            let dispersion = match fields.uint_field("cluster_dispersion")?.unwrap_or(1) {
-                0 => return Err(RequestError::bad("'cluster_dispersion' must be at least 1")),
-                n if n > u64::from(u32::MAX) => {
-                    return Err(RequestError::bad("'cluster_dispersion' is out of range"))
-                }
-                n => n as u32,
-            };
-            let radius = match fields.uint_field("cluster_radius")?.unwrap_or(2) {
-                n if n > 64 => return Err(RequestError::bad("need 'cluster_radius' <= 64")),
-                n => n as u32,
-            };
-            let peak = fields.f64_field("cluster_peak")?.unwrap_or(0.8);
-            if !(0.0..=1.0).contains(&peak) {
-                return Err(RequestError::bad("need 0 <= 'cluster_peak' <= 1"));
-            }
-            Ok(DefectModelChoice::Clustered(ClusteredDefects::new(
-                mean, dispersion, radius, peak,
-            )))
-        }
+        DefectModelKind::Bernoulli => Ok(DefectModel::Bernoulli),
+        DefectModelKind::Clustered => spec::clustered_defects(
+            ParamStyle::Json,
+            fields.f64_field("cluster_mean")?.unwrap_or(1.0),
+            fields.u32_field("cluster_dispersion", 1)?,
+            // Any radius past u32 is past the cap too; saturate so the
+            // cap's message names it.
+            fields
+                .uint_field("cluster_radius")?
+                .map_or(2, |n| u32::try_from(n).unwrap_or(u32::MAX)),
+            fields.f64_field("cluster_peak")?.unwrap_or(0.8),
+        )
+        .map(DefectModel::Clustered)
+        .map_err(RequestError::bad),
     }
 }
 
@@ -436,8 +363,8 @@ fn check_tier(
     tier: Tier,
     scheme: &SchemeChoice,
     has_assay: bool,
-    estimator: &EstimatorChoice,
-    model: &DefectModelChoice,
+    estimator: &Estimator,
+    model: &DefectModel,
 ) -> Result<(), RequestError> {
     match tier {
         Tier::Raw => {
@@ -452,13 +379,13 @@ fn check_tier(
                     "'assay' implies tier 'operational', not 'raw'",
                 ));
             }
-            if matches!(estimator, EstimatorChoice::Stratified(_)) {
+            if matches!(estimator, Estimator::Stratified(_)) {
                 return Err(RequestError::bad(
                     "tier 'raw' supports the naive estimator only \
                      (use tier 'operational' for stratified raw yield)",
                 ));
             }
-            if matches!(model, DefectModelChoice::Clustered(_)) {
+            if matches!(model, DefectModel::Clustered(_)) {
                 return Err(RequestError::bad(
                     "tier 'raw' supports the Bernoulli defect model only \
                      (use tier 'operational' for clustered raw yield)",
@@ -495,7 +422,7 @@ fn check_tier(
                 |key| fields.has(key),
             )
             .map_err(RequestError::bad)?;
-            if matches!(estimator, EstimatorChoice::Stratified(_)) && fields.has("block_trials") {
+            if matches!(estimator, Estimator::Stratified(_)) && fields.has("block_trials") {
                 return Err(RequestError::bad(
                     "'block_trials' does not apply to the operational stratified \
                      estimator: it conditions each stratum on its defect count, already \
@@ -533,14 +460,6 @@ impl YieldRequest {
     pub fn engine_key(&self) -> String {
         self.engine_params().engine_key()
     }
-
-    /// Builds the hex biochip this request describes (hex schemes only).
-    #[must_use]
-    pub fn biochip(&self) -> Biochip {
-        self.scheme
-            .biochip()
-            .expect("biochip() is only called on hex schemes")
-    }
 }
 
 #[cfg(test)]
@@ -562,9 +481,12 @@ mod tests {
                 primaries: 100
             }
         );
-        assert!(matches!(r.estimator, EstimatorChoice::Naive));
-        assert!(matches!(r.defect_model, DefectModelChoice::Bernoulli));
-        assert_eq!((r.p, r.trials, r.seed), (0.95, 10_000, 1));
+        let q = r.query;
+        assert_eq!(
+            (q.estimator, q.defect_model),
+            (Estimator::Naive, DefectModel::Bernoulli)
+        );
+        assert_eq!((q.p, q.trials, q.seed), (0.95, 10_000, 1));
         assert_eq!(r.cache, CacheMode::Default);
     }
 
@@ -648,7 +570,19 @@ mod tests {
 
     #[test]
     fn service_ceilings_apply() {
-        assert!(parse(r#"{"primaries": 1000000}"#).is_err());
+        for (body, message) in [
+            (r#"{"primaries": 0}"#, "'primaries' must be at least 1"),
+            (
+                r#"{"primaries": 65537}"#,
+                "need 'primaries' <= 65536, got 65537",
+            ),
+            (
+                r#"{"scheme": "spare-rows", "module_rows": 0}"#,
+                "need 1 <= 'module_rows' <= 4096, got 0",
+            ),
+        ] {
+            assert_eq!(parse(body).unwrap_err().message, message);
+        }
         assert!(parse(r#"{"trials": 100000000}"#).is_err());
         assert!(parse(r#"{"block_trials": 100000}"#).is_err());
         assert!(parse(r#"{"scheme": "square-dtmb", "width": 5000}"#).is_err());

@@ -122,21 +122,20 @@ fn batched_sweep_matches_per_point_sweep() {
     let per_point = mc.sweep_survival(&ps, 4_000, 31);
     let batched = mc.sweep_survival_batched(&ps, 4_000, 31);
     assert_eq!(batched.len(), ps.len());
-    for (a, b) in per_point.iter().zip(&batched) {
-        assert_eq!(a.x, b.x);
+    for ((a, b), p) in per_point.iter().zip(&batched).zip(ps) {
         assert!(
-            (a.y - b.y).abs() < 0.04,
-            "x={}: per-point {} vs batched {}",
-            a.x,
-            a.y,
-            b.y
+            (a.point() - b.point()).abs() < 0.04,
+            "p={p}: per-point {a} vs batched {b}"
         );
     }
     // Common random numbers make the batched curve monotone in p.
     for w in batched.windows(2) {
-        assert!(w[1].y >= w[0].y, "batched curve must be monotone");
+        assert!(
+            w[1].point() >= w[0].point(),
+            "batched curve must be monotone"
+        );
     }
-    assert_eq!(batched.last().unwrap().y, 1.0, "p=1 never fails");
+    assert_eq!(batched.last().unwrap().point(), 1.0, "p=1 never fails");
 }
 
 #[test]
@@ -159,7 +158,8 @@ fn sweep_points_carry_ci() {
     let pts = mc.sweep_survival(&[0.9, 0.95], 500, 23);
     assert_eq!(pts.len(), 2);
     for pt in pts {
-        assert!(pt.ci95.0 <= pt.y && pt.y <= pt.ci95.1);
-        assert_eq!(pt.trials, 500);
+        let (lo, hi) = pt.wilson95();
+        assert!(lo <= pt.point() && pt.point() <= hi);
+        assert_eq!(pt.trials(), 500);
     }
 }

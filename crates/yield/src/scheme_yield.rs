@@ -22,6 +22,7 @@ use dmfb_sim::{
 };
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// One `(parameter, yield)` sample of a yield curve, with its Monte-Carlo
 /// confidence bounds.
@@ -143,13 +144,18 @@ pub struct SchemeYield<C: Copy + Ord = HexCoord> {
 impl SchemeYield {
     /// Compiles a hexagonal DTMB `array` under `policy`: units are the
     /// in-scope primaries, resources the spares bordering them (see
-    /// [`TrialEvaluator::new`]). Defaults to single-threaded execution.
+    /// [`TrialEvaluator::new`]). Takes the pair by value or by reference;
+    /// neither is kept. Defaults to single-threaded execution.
     #[must_use]
-    pub fn new(array: DefectTolerantArray, policy: ReconfigPolicy) -> Self {
+    pub fn new(
+        array: impl Borrow<DefectTolerantArray>,
+        policy: impl Borrow<ReconfigPolicy>,
+    ) -> Self {
+        let array = array.borrow();
         let label = array
             .kind()
             .map_or("no-redundancy".to_string(), |k| k.to_string());
-        SchemeYield::from_evaluator(label, TrialEvaluator::new(&array, &policy))
+        SchemeYield::from_evaluator(label, TrialEvaluator::new(array, policy.borrow()))
     }
 }
 
@@ -388,9 +394,14 @@ impl<C: Copy + Ord + Send + Sync> SchemeYield<C> {
     ///
     /// Panics if `ps` is not sorted ascending.
     #[must_use]
-    pub fn sweep_survival_batched(&self, ps: &[f64], trials: u32, seed: u64) -> Vec<YieldPoint> {
+    pub fn sweep_survival_batched(
+        &self,
+        ps: &[f64],
+        trials: u32,
+        seed: u64,
+    ) -> Vec<BernoulliEstimate> {
         let mc = MonteCarlo::new(trials, seed);
-        let estimates = match self.block_width() {
+        match self.block_width() {
             Some(width) => mc.tally_blocks_with(
                 self.threads,
                 width,
@@ -406,11 +417,7 @@ impl<C: Copy + Ord + Send + Sync> SchemeYield<C> {
                 || self.evaluator.scratch(),
                 |rng, scratch, out| self.evaluator.survival_trial_grid(ps, rng, scratch, out),
             ),
-        };
-        ps.iter()
-            .zip(estimates)
-            .map(|(&p, est)| YieldPoint::from_estimate(p, &est))
-            .collect()
+        }
     }
 
     /// Sweeps survival probabilities with an **independent** experiment
@@ -418,12 +425,11 @@ impl<C: Copy + Ord + Send + Sync> SchemeYield<C> {
     /// points with leftover workers running inside each point's trial
     /// loop. Per-point results are identical to a sequential sweep.
     #[must_use]
-    pub fn sweep_survival(&self, ps: &[f64], trials: u32, seed: u64) -> Vec<YieldPoint> {
+    pub fn sweep_survival(&self, ps: &[f64], trials: u32, seed: u64) -> Vec<BernoulliEstimate> {
         let (outer, inner) = sweep_thread_split(self.threads, ps.len());
         let point = self.clone().with_threads(inner);
         parallel_map(outer, ps, |i, &p| {
-            let est = point.estimate_survival(p, trials, seed.wrapping_add(i as u64));
-            YieldPoint::from_estimate(p, &est)
+            point.estimate_survival(p, trials, seed.wrapping_add(i as u64))
         })
     }
 }
@@ -495,9 +501,12 @@ mod tests {
         for est in [square(SquarePattern::Stripes), spare_rows()] {
             let seq = est.sweep_survival_batched(&ps, 1_000, 47);
             for w in seq.windows(2) {
-                assert!(w[1].y >= w[0].y, "batched curve must be monotone");
+                assert!(
+                    w[1].point() >= w[0].point(),
+                    "batched curve must be monotone"
+                );
             }
-            assert_eq!(seq.last().unwrap().y, 1.0, "p = 1 never fails");
+            assert_eq!(seq.last().unwrap().point(), 1.0, "p = 1 never fails");
             for threads in [0, 2, 5] {
                 let par = est
                     .clone()
@@ -557,8 +566,7 @@ mod tests {
         let a = est.sweep_survival(&ps, 4_000, 9);
         let b = est.sweep_survival_batched(&ps, 4_000, 9);
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.x, y.x);
-            assert!((x.y - y.y).abs() < 0.04, "{} vs {}", x.y, y.y);
+            assert!((x.point() - y.point()).abs() < 0.04, "{x} vs {y}");
         }
     }
 
