@@ -89,6 +89,11 @@ pub struct TrialEvaluator<C = HexCoord> {
     pub(crate) adj_offsets: Vec<u32>,
     /// Concatenated candidate-resource indices per unit.
     pub(crate) adj_res: Vec<u32>,
+    /// CSR offsets into `rev_units`, length `resource_count + 1`.
+    pub(crate) rev_offsets: Vec<u32>,
+    /// Concatenated distinct unit indices per resource: the reverse of
+    /// the `adj_res` adjacency, ascending within each resource.
+    pub(crate) rev_units: Vec<u32>,
 }
 
 /// Reusable per-trial buffers for a [`TrialEvaluator`]. Create one per
@@ -184,6 +189,49 @@ impl TrialEvaluator<HexCoord> {
     }
 }
 
+/// Inverts the unit→resource CSR into resource→unit CSR by a counting
+/// sort: each resource lists its distinct units in ascending order.
+fn reverse_adjacency(
+    adj_offsets: &[u32],
+    adj_res: &[u32],
+    resources: usize,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut offsets = vec![0u32; resources + 1];
+    for &r in adj_res {
+        offsets[r as usize + 1] += 1;
+    }
+    for j in 0..resources {
+        offsets[j + 1] += offsets[j];
+    }
+    let mut fill = offsets.clone();
+    let mut units = vec![0u32; adj_res.len()];
+    for (i, bounds) in adj_offsets.windows(2).enumerate() {
+        for &r in &adj_res[bounds[0] as usize..bounds[1] as usize] {
+            units[fill[r as usize] as usize] = i as u32;
+            fill[r as usize] += 1;
+        }
+    }
+    // Units arrive in ascending order, so a repeated `connect` is an
+    // adjacent duplicate; squeeze those out in place.
+    let mut kept = 0usize;
+    let mut start = 0usize;
+    for j in 0..resources {
+        let end = offsets[j + 1] as usize;
+        offsets[j] = kept as u32;
+        for k in start..end {
+            let unit = units[k];
+            if k == start || unit != units[kept - 1] {
+                units[kept] = unit;
+                kept += 1;
+            }
+        }
+        start = end;
+    }
+    offsets[resources] = kept as u32;
+    units.truncate(kept);
+    (offsets, units)
+}
+
 impl<C: Copy + Ord> TrialEvaluator<C> {
     /// Builds the evaluator for any scheme over any topology — the one
     /// fast engine behind hex DTMB, square DTMB and spare-row sweeps.
@@ -230,6 +278,8 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
             adj_res.extend_from_slice(structure.adjacent_resources(i));
             adj_offsets.push(adj_res.len() as u32);
         }
+        let (rev_offsets, rev_units) =
+            reverse_adjacency(&adj_offsets, &adj_res, structure.resource_count());
         TrialEvaluator {
             cells,
             unit_offsets,
@@ -238,6 +288,8 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
             res_cells,
             adj_offsets,
             adj_res,
+            rev_offsets,
+            rev_units,
         }
     }
 
@@ -285,14 +337,15 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
     /// many cells can always be reconfigured.
     ///
     /// The bound is Hall-theoretic. Let `d_min` be the minimum number of
-    /// candidate resources over all units. For any fault set `F` with
-    /// `|F| ≤ d_min` (unit and resource member cells being disjoint), the
-    /// faulty units `A` and dead resources `R` satisfy `|A| + |R| ≤ d_min`,
-    /// and every subset `B ⊆ A` has `|N(B) \ R| ≥ d_min − |R| ≥ |B|` — so
-    /// Hall's condition holds and a full matching exists. Degenerate
-    /// cases: no units at all means *every* fault set is tolerable (the
-    /// cell count is returned); a unit sharing a member cell with a
-    /// resource voids the disjointness argument and the bound collapses
+    /// distinct candidate resources over all units. For any fault set `F`
+    /// with `|F| ≤ d_min` (every cell belonging to at most one unit or
+    /// resource), the faulty units `A` and dead resources `R` satisfy
+    /// `|A| + |R| ≤ d_min`, and every subset `B ⊆ A` has
+    /// `|N(B) \ R| ≥ d_min − |R| ≥ |B|` — so Hall's condition holds and a
+    /// full matching exists. Degenerate cases: no units at all means
+    /// *every* fault set is tolerable (the cell count is returned); a cell
+    /// shared between two member lists (unit or resource) lets one fault
+    /// fail both, voiding the counting argument, and the bound collapses
     /// to 0 (none of the shipped schemes do this).
     ///
     /// The defect-count-stratified estimator uses this to resolve
@@ -302,17 +355,19 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
         if self.unit_count() == 0 {
             return self.cells.len();
         }
-        let mut in_unit = vec![false; self.cells.len()];
-        for &c in &self.unit_cells {
-            in_unit[c as usize] = true;
+        let mut seen = vec![false; self.cells.len()];
+        for &c in self.unit_cells.iter().chain(&self.res_cells) {
+            if std::mem::replace(&mut seen[c as usize], true) {
+                return 0;
+            }
         }
-        if self.res_cells.iter().any(|&c| in_unit[c as usize]) {
-            return 0;
+        // The reverse adjacency lists each unit once per distinct
+        // candidate, so repeated edges count once here.
+        let mut degree = vec![0usize; self.unit_count()];
+        for &i in &self.rev_units {
+            degree[i as usize] += 1;
         }
-        (0..self.unit_count())
-            .map(|i| self.adjacent(i).len())
-            .min()
-            .unwrap_or(0)
+        degree.into_iter().min().unwrap_or(0)
     }
 
     /// Allocates a scratch sized for this evaluator. One per worker
@@ -350,6 +405,11 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
     /// Candidate resource indices of unit `i`.
     pub(crate) fn adjacent(&self, i: usize) -> &[u32] {
         &self.adj_res[self.adj_offsets[i] as usize..self.adj_offsets[i + 1] as usize]
+    }
+
+    /// Distinct units that list resource `j` as a candidate.
+    pub(crate) fn res_units(&self, j: usize) -> &[u32] {
+        &self.rev_units[self.rev_offsets[j] as usize..self.rev_offsets[j + 1] as usize]
     }
 
     /// Folds the per-cell uniforms in `scratch.u_cell` into per-unit and

@@ -8,10 +8,10 @@
 use dmfb_grid::SquareRegion;
 use dmfb_reconfig::dtmb::DtmbKind;
 use dmfb_reconfig::shifted::{ModuleBand, SpareRowArray};
-use dmfb_reconfig::{ReconfigPolicy, SquarePattern, TrialEvaluator};
+use dmfb_reconfig::{ReconfigPolicy, SchemeStructure, SquarePattern, TrialEvaluator};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn seeds(base: u64, n: usize) -> Vec<u64> {
     (0..n as u64)
@@ -42,6 +42,78 @@ fn check_survival<C: Copy + Ord>(eval: &TrialEvaluator<C>, p: f64, s: &[u64], ch
     prop_assert_eq!(split, scalar_total, "chunk width {chunk} changed the total");
     let stats = block.stats();
     prop_assert_eq!(stats.classified + stats.matched, stats.lanes);
+    prop_assert_eq!(
+        stats.classified,
+        stats.no_fault + stats.hall + stats.dead_spare + stats.private_spare
+    );
+}
+
+/// A random structure built to hit every corner the block tiers reason
+/// about: multi-cell units, resources shared by many units or bordering
+/// just one, memberless (indestructible) resources, units with no
+/// candidate at all, repeated edges and — when `shared_cells` — member
+/// cells shared between units and resources.
+fn random_structure(seed: u64) -> SchemeStructure<u32> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let units = rng.gen_range(1..=24usize);
+    let resources = rng.gen_range(1..=16usize);
+    let shared_cells = rng.gen_range(0..3u32) == 0;
+    let mut fresh = 0u32;
+    let mut cells = |rng: &mut StdRng, count: usize| -> Vec<u32> {
+        (0..count)
+            .map(|_| {
+                if shared_cells && fresh > 0 && rng.gen_range(0..4u32) == 0 {
+                    rng.gen_range(0..fresh)
+                } else {
+                    fresh += 1;
+                    fresh - 1
+                }
+            })
+            .collect()
+    };
+    let mut s = SchemeStructure::new();
+    for _ in 0..resources {
+        let size = if rng.gen_range(0..5u32) == 0 {
+            0
+        } else {
+            rng.gen_range(1..=2usize)
+        };
+        let members = cells(&mut rng, size);
+        s.add_resource(members);
+    }
+    for _ in 0..units {
+        let size = rng.gen_range(1..=3usize);
+        let members = cells(&mut rng, size);
+        let unit = s.add_unit(members);
+        for _ in 0..rng.gen_range(0..=4usize) {
+            s.connect(unit, rng.gen_range(0..resources));
+        }
+    }
+    s
+}
+
+/// Grid and exact-fault block trials against their scalar counterparts,
+/// seed by seed.
+fn check_grid_and_exact<C: Copy + Ord>(eval: &TrialEvaluator<C>, ps: &[f64], s: &[u64]) {
+    let mut block = eval.block_scratch();
+    let mut scratch = eval.scratch();
+    let mut out = vec![false; ps.len()];
+    let faults = s[0] as usize % (eval.cell_count() + 1);
+    for &seed in s {
+        let mut counts = vec![0u64; ps.len()];
+        eval.survival_grid_block(ps, &[seed], &mut block, &mut counts);
+        let mut rng = StdRng::seed_from_u64(seed);
+        eval.survival_trial_grid(ps, &mut rng, &mut scratch, &mut out);
+        let expected: Vec<u64> = out.iter().map(|&o| u64::from(o)).collect();
+        prop_assert_eq!(counts, expected, "grid verdicts differ for seed {seed}");
+        let mut rng = StdRng::seed_from_u64(seed);
+        let scalar = eval.exact_fault_trial(faults, &mut rng, &mut scratch);
+        prop_assert_eq!(
+            eval.exact_fault_block(faults, &[seed], &mut block),
+            u32::from(scalar),
+            "{faults}-fault verdict differs for seed {seed}"
+        );
+    }
 }
 
 proptest! {
@@ -149,6 +221,27 @@ proptest! {
                 u32::from(scalar)
             );
         }
+    }
+
+    /// Adversarial structures: every block method agrees with the scalar
+    /// trial verdict for verdict, at low survival (where most lanes fail
+    /// and the matcher's early exit decides) and across all of `[0, 1]`.
+    #[test]
+    fn adversarial_structures_are_byte_identical(
+        structure_seed in 0u64..u64::MAX,
+        p_low in 0.0f64..=0.6,
+        p_any in 0.0f64..=1.0,
+        base in 0u64..u64::MAX,
+        n in 1usize..100,
+        chunk in 1usize..130,
+    ) {
+        let eval = TrialEvaluator::from_structure(&random_structure(structure_seed));
+        let s = seeds(base, n);
+        check_survival(&eval, p_low, &s, chunk);
+        check_survival(&eval, p_any, &s, chunk);
+        let mut ps = [p_low, p_any, 0.9, 0.97];
+        ps.sort_by(f64::total_cmp);
+        check_grid_and_exact(&eval, &ps, &s[..n.min(24)]);
     }
 
     /// A shared scratch carries no state between calls: interleaving
