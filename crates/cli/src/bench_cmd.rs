@@ -1,9 +1,10 @@
 //! `dmfb bench` — the performance-reporting suite behind the CI
 //! `bench-smoke` job.
 //!
-//! Runs the Monte-Carlo yield workload through each engine generation —
-//! the incremental bitset evaluator (scalar), the word-parallel block pipeline (64 trials per
-//! machine word), and the batched whole-curve sweep — for the selected
+//! Runs the Monte-Carlo yield workload through the scalar per-trial
+//! oracle (the incremental bitset evaluator, one trial at a time), the
+//! word-parallel block engine (64 trials per machine word), and the
+//! batched whole-curve sweep — for the selected
 //! redundancy scheme (`--scheme hex-dtmb | square-dtmb | spare-rows`),
 //! and reports wall time plus effective trial throughput. Every scheme
 //! rides the same generic engine, so the per-scheme `BENCH_*.json`
@@ -14,7 +15,7 @@
 use crate::SchemeChoice;
 use dmfb_bench::{BenchEntry, BenchReport, TextTable, FIG7_9_SURVIVAL_GRID};
 use dmfb_core::prelude::*;
-use dmfb_core::spec::{EngineParams, EngineSpec};
+use dmfb_core::spec::EngineSpec;
 use dmfb_core::Engine;
 use std::time::Instant;
 
@@ -68,10 +69,6 @@ pub struct BenchConfig {
     /// When set, run the operational-yield assay suite on the IVD
     /// case-study chip instead of the matching-only scheme suite.
     pub assay: Option<AssayPanel>,
-    /// Batch width for the block-engine workloads (`None` = the library
-    /// default). `Some(0)` is rejected upstream: the suite pins the
-    /// scalar and block engines per workload.
-    pub block_trials: Option<usize>,
     /// When set, run the design-space-search suite (the `dmfb search`
     /// scorer on a capped candidate space) instead of a scheme suite.
     pub search: bool,
@@ -170,17 +167,30 @@ fn entry(
 
 /// Builds a scheme engine for a bench workload through the one
 /// construction path every front end shares.
-fn build(spec: SchemeChoice, threads: usize, block_trials: Option<usize>) -> Engine {
-    let params = EngineParams {
-        spec: EngineSpec::Scheme(spec),
-        block_trials,
-    };
-    Engine::build(&params, threads)
+fn build(spec: SchemeChoice, threads: usize) -> Engine {
+    Engine::build(&EngineSpec::Scheme(spec), threads)
 }
 
-/// Runs `incremental` (scalar engine, pinned for baseline continuity),
-/// `block` (the word-parallel batch pipeline on the same workload) and
-/// `batched-sweep` (block engine) workloads for the scheme `spec` and
+/// The scalar oracle's estimate: `trials` per-trial verdicts from
+/// [`TrialEvaluator::survival_trial`] at survival `p`. The block engine
+/// reproduces it byte for byte; the bench times both.
+fn scalar_survival<C: Copy + Ord + Send + Sync>(
+    engine: &SchemeYield<C>,
+    p: f64,
+    trials: u32,
+    threads: usize,
+) -> BernoulliEstimate {
+    let evaluator = engine.evaluator();
+    MonteCarlo::new(trials, BENCH_SEED).run_parallel_with(
+        threads,
+        || evaluator.scratch(),
+        |rng, scratch| evaluator.survival_trial(p, rng, scratch),
+    )
+}
+
+/// Runs `incremental` (the scalar oracle, pinned for baseline
+/// continuity), `block` (the word-parallel engine on the same workload)
+/// and `batched-sweep` (block engine) workloads for the scheme `spec` and
 /// appends the entries. The `primaries` column is the array's
 /// primary-*cell* count (for the spare-row scheme that is cells, not the
 /// coarser module-row units the matcher works on).
@@ -190,19 +200,21 @@ fn run_scheme(
     stem: &str,
     trials: u32,
     threads: usize,
-    block_trials: Option<usize>,
 ) {
-    let engine = build(spec, threads, block_trials);
+    let engine = build(spec, threads);
     let primaries = engine.cell_counts().0;
     match &engine {
-        Engine::Hex { engine, .. } => run_engine(report, engine, spec, stem, primaries, trials),
-        Engine::Square { engine, .. } => run_engine(report, engine, spec, stem, primaries, trials),
+        Engine::Hex { engine, .. } => {
+            run_engine(report, engine, spec, stem, primaries, trials, threads);
+        }
+        Engine::Square { engine, .. } => {
+            run_engine(report, engine, spec, stem, primaries, trials, threads);
+        }
         Engine::Assay(_) => unreachable!("scheme specs build scheme engines"),
     }
 }
 
-/// [`run_scheme`]'s three workloads on one compiled engine, `block`
-/// being its configured trial engine.
+/// [`run_scheme`]'s three workloads on one compiled engine, `block`.
 fn run_engine<C: Copy + Ord + Send + Sync>(
     report: &mut BenchReport,
     block: &SchemeYield<C>,
@@ -210,8 +222,8 @@ fn run_engine<C: Copy + Ord + Send + Sync>(
     stem: &str,
     primaries: usize,
     trials: u32,
+    threads: usize,
 ) {
-    let scalar = block.clone().with_block_trials(Some(0));
     let mut push = |workload: &str, engine: &str, grid_points, wall_ms, yield_estimate| {
         let mut e = entry(
             format!("{stem}/{workload}"),
@@ -229,7 +241,7 @@ fn run_engine<C: Copy + Ord + Send + Sync>(
     };
 
     let t0 = Instant::now();
-    let fast = scalar.estimate_survival(BENCH_P, trials, BENCH_SEED);
+    let fast = scalar_survival(block, BENCH_P, trials, threads);
     push("incremental", "scalar", 1, elapsed_ms(t0), fast.point());
 
     let t0 = Instant::now();
@@ -273,16 +285,9 @@ pub fn run(config: &BenchConfig) -> BenchReport {
         return report;
     }
     if let Some(panel) = config.assay {
-        run_assay(
-            &mut report,
-            panel,
-            config.quick,
-            threads,
-            config.block_trials,
-        );
+        run_assay(&mut report, panel, config.quick, threads);
         return report;
     }
-    let block_trials = config.block_trials;
     match &config.scheme {
         SchemeChoice::HexDtmb { .. } => {
             for (kind, primaries, trials) in hex_cases(config.quick) {
@@ -290,9 +295,9 @@ pub fn run(config: &BenchConfig) -> BenchReport {
                     design: Some(kind),
                     primaries,
                 };
-                run_scheme(&mut report, spec, tag(kind), trials, threads, block_trials);
+                run_scheme(&mut report, spec, tag(kind), trials, threads);
             }
-            run_p99_pair(&mut report, config.quick, threads, block_trials);
+            run_p99_pair(&mut report, config.quick, threads);
             run_rare_event(&mut report, config.quick, threads);
         }
         SchemeChoice::SquareDtmb { .. } => {
@@ -303,7 +308,7 @@ pub fn run(config: &BenchConfig) -> BenchReport {
                     height: side,
                 };
                 let stem = format!("square-{}", pattern_tag(pattern));
-                run_scheme(&mut report, spec, &stem, trials, threads, block_trials);
+                run_scheme(&mut report, spec, &stem, trials, threads);
             }
         }
         SchemeChoice::SpareRows { .. } => {
@@ -318,7 +323,7 @@ pub fn run(config: &BenchConfig) -> BenchReport {
                 spare_rows,
             };
             let stem = format!("spare-rows-{width}x{module_rows}+{spare_rows}");
-            run_scheme(&mut report, spec, &stem, trials, threads, block_trials);
+            run_scheme(&mut report, spec, &stem, trials, threads);
         }
     }
     report
@@ -330,19 +335,9 @@ pub fn run(config: &BenchConfig) -> BenchReport {
 /// grid. Entries carry the assay label and the operational-yield column;
 /// `yield_estimate` stays the reconfigured (second-tier) yield so the
 /// entries remain comparable with the matching-only suites.
-fn run_assay(
-    report: &mut BenchReport,
-    panel: AssayPanel,
-    quick: bool,
-    threads: usize,
-    block_trials: Option<usize>,
-) {
+fn run_assay(report: &mut BenchReport, panel: AssayPanel, quick: bool, threads: usize) {
     let trials: u32 = if quick { 300 } else { 2_000 };
-    let params = EngineParams {
-        spec: EngineSpec::Assay(panel),
-        block_trials,
-    };
-    let Engine::Assay(engine) = Engine::build(&params, threads) else {
+    let Engine::Assay(engine) = Engine::build(&EngineSpec::Assay(panel), threads) else {
         unreachable!("assay specs build the assay stack")
     };
     let primaries = engine.chip().array.primary_count();
@@ -433,7 +428,7 @@ fn run_campaigns(
 
 /// Canonical engine descriptor string for assay workloads.
 fn assay_spec(panel: AssayPanel) -> String {
-    dmfb_core::spec::EngineSpec::Assay(panel).canonical()
+    EngineSpec::Assay(panel).canonical()
 }
 
 /// The design-space-search suite: one full `dmfb search` scoring pass
@@ -583,7 +578,7 @@ fn dtmb26(primaries: usize, threads: usize) -> (SchemeChoice, SchemeYield) {
         design: Some(DtmbKind::Dtmb26A),
         primaries,
     };
-    let Engine::Hex { engine, .. } = build(spec, threads, None) else {
+    let Engine::Hex { engine, .. } = build(spec, threads) else {
         unreachable!("hex specs build hex engines")
     };
     (spec, engine)
@@ -593,18 +588,16 @@ fn dtmb26(primaries: usize, threads: usize) -> (SchemeChoice, SchemeYield) {
 /// workload, both engines, p = 0.99 on the DTMB(2,6) case study — the
 /// regime the classifier tiers target — whose committed throughput ratio
 /// documents the block-engine speed-up.
-fn run_p99_pair(
-    report: &mut BenchReport,
-    quick: bool,
-    threads: usize,
-    block_trials: Option<usize>,
-) {
+fn run_p99_pair(report: &mut BenchReport, quick: bool, threads: usize) {
     let (primaries, trials) = if quick { (120, 20_000) } else { (240, 100_000) };
-    let (spec, mc) = dtmb26(primaries, threads);
-    for (engine_tag, block_sel) in [("scalar", Some(0)), ("block", block_trials)] {
-        let engine = mc.clone().with_block_trials(block_sel);
+    let (spec, engine) = dtmb26(primaries, threads);
+    for engine_tag in ["scalar", "block"] {
         let t0 = Instant::now();
-        let est = engine.estimate_survival(PAIR_P, trials, BENCH_SEED);
+        let est = if engine_tag == "scalar" {
+            scalar_survival(&engine, PAIR_P, trials, threads)
+        } else {
+            engine.estimate_survival(PAIR_P, trials, BENCH_SEED)
+        };
         let mut e = entry(
             format!("dtmb26/p99-{engine_tag}"),
             "hex-dtmb",

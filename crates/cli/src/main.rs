@@ -13,9 +13,7 @@ mod campaign_cmd;
 mod serve_cmd;
 
 use dmfb_core::prelude::*;
-use dmfb_core::spec::{
-    self, DefectModelKind, EngineParams, EngineSpec, EstimatorKind, ParamStyle, SchemeKind,
-};
+use dmfb_core::spec::{self, DefectModelKind, EngineSpec, EstimatorKind, ParamStyle, SchemeKind};
 use dmfb_core::{grid::render, yield_model::effective};
 use dmfb_core::{DefectModel, Engine, Estimate, Estimator, Query};
 use rand::rngs::StdRng;
@@ -93,13 +91,12 @@ dmfb — yield enhancement for digital microfluidic biochips (DATE 2005)
 
 USAGE:
   dmfb yield  [--scheme SCHEME] --design <D> --primaries <N> --p <P> [--trials T] [--seed S]
-              [--threads K] [--estimator E] [--defect-model M] [--block-trials N]
+              [--threads K] [--estimator E] [--defect-model M]
   dmfb yield  --scheme hex-dtmb --assay ivd-panel|metabolic-panel --p <P> [--trials T]
-              [--seed S] [--threads K] [--estimator E] [--defect-model M] [--block-trials N]
+              [--seed S] [--threads K] [--estimator E] [--defect-model M]
               (raw vs reconfigured vs operational yield)
   dmfb sweep  [--scheme SCHEME] --design <D> --primaries <N> [--from P] [--to P] [--steps K]
               [--effective] [--batched] [--trials T] [--seed S] [--threads K] [--estimator E]
-              [--block-trials N]
   dmfb sweep  --scheme hex-dtmb --assay PANEL [--from P] [--to P] [--steps K] [--trials T]
               [--seed S] [--threads K] [--estimator E]
               (three-tier CSV on the IVD case-study chip)
@@ -118,7 +115,7 @@ USAGE:
   dmfb assay  [--faults M] [--seed S]
   dmfb profile (--casestudy | --design <D> --primaries <N>) [--trials T]
   dmfb bench  [--scheme SCHEME | --assay PANEL | --search] [--quick] [--json] [--out DIR]
-              [--label L] [--threads K] [--block-trials N] [--compare BASELINE.json]
+              [--label L] [--threads K] [--compare BASELINE.json]
               (fixed workload suite per scheme; scheme sub-parameters are rejected;
                --compare diffs against a committed dmfb-bench/1 report, lists every
                workload past the >25% normalised regression gate, then exits non-zero)
@@ -159,12 +156,6 @@ ESTIMATORS (yield and sweep): --estimator naive (default) | stratified
                with 10x+ fewer trials; sub-parameters:
                --tolerance T (truncated binomial mass, default 1e-6)
                --pilot N     (pilot trials per stratum, default 64)
-ENGINES (yield, sweep, bench): --block-trials N picks the trial engine
-  absent = auto (word-parallel block pipeline, 256 trials per batch);
-  0 = force the scalar one-trial-at-a-time engine; N >= 1 = block engine
-  with N-trial batches. Both engines are byte-identical at any width and
-  thread count. Per-trial-only paths (clustered defects, assay
-  stratified) reject the flag rather than ignore it.
 DEFECT MODELS (yield): --defect-model bernoulli (default) | clustered
   clustered = negative-binomial cluster seeds spreading over the lattice;
               sub-parameters: --cluster-mean F (default 1.0)
@@ -187,6 +178,65 @@ THREADS: --threads 0 (default) = one worker per available core";
 /// historic report format.
 pub(crate) use dmfb_core::spec::SchemeSpec as SchemeChoice;
 
+/// Every option any command reads, and whether it takes a value. An
+/// option outside this table is an error, never silently ignored; which
+/// of them a given command accepts is checked per command after parsing.
+const OPTIONS: &[(&str, bool)] = &[
+    ("addr", true),
+    ("all-primaries", false),
+    ("assay", true),
+    ("batched", false),
+    ("cache-capacity", true),
+    ("casestudy", false),
+    ("cluster-dispersion", true),
+    ("cluster-mean", true),
+    ("cluster-peak", true),
+    ("cluster-radius", true),
+    ("compare", true),
+    ("concurrency", true),
+    ("csv", false),
+    ("defect-model", true),
+    ("design", true),
+    ("effective", false),
+    ("estimator", true),
+    ("faults", true),
+    ("from", true),
+    ("height", true),
+    ("inject", true),
+    ("json", false),
+    ("label", true),
+    ("list", false),
+    ("max-dim", true),
+    ("max-m", true),
+    ("max-primaries", true),
+    ("module-rows", true),
+    ("name", true),
+    ("out", true),
+    ("p", true),
+    ("pattern", true),
+    ("pilot", true),
+    ("primaries", true),
+    ("quick", false),
+    ("rehearse", false),
+    ("requests", true),
+    ("require-speedup", true),
+    ("scheme", true),
+    ("script", true),
+    ("search", false),
+    ("seed", true),
+    ("shutdown", false),
+    ("spare-rows", true),
+    ("steps", true),
+    ("target-yield", true),
+    ("threads", true),
+    ("tier", true),
+    ("to", true),
+    ("tolerance", true),
+    ("trials", true),
+    ("width", true),
+    ("workers", true),
+];
+
 /// Parsed `--key value` options (flags store "true").
 struct Options {
     map: BTreeMap<String, String>,
@@ -201,29 +251,18 @@ impl Options {
             let Some(key) = arg.strip_prefix("--") else {
                 return Err(format!("expected --option, got '{arg}'"));
             };
-            let is_flag = matches!(
-                key,
-                "effective"
-                    | "casestudy"
-                    | "all-primaries"
-                    | "json"
-                    | "csv"
-                    | "quick"
-                    | "batched"
-                    | "shutdown"
-                    | "rehearse"
-                    | "list"
-                    | "search"
-            );
-            if is_flag {
-                map.insert(key.to_string(), "true".to_string());
-                i += 1;
-            } else {
+            let Some(&(_, takes_value)) = OPTIONS.iter().find(|(name, _)| *name == key) else {
+                return Err(format!("unknown option --{key}"));
+            };
+            if takes_value {
                 let value = args
                     .get(i + 1)
                     .ok_or_else(|| format!("--{key} requires a value"))?;
                 map.insert(key.to_string(), value.clone());
                 i += 2;
+            } else {
+                map.insert(key.to_string(), "true".to_string());
+                i += 1;
             }
         }
         Ok(Options { map })
@@ -313,24 +352,6 @@ impl Options {
         }
     }
 
-    /// Trial-engine selection (`--block-trials`): `None` = auto (block
-    /// engine at the default width), `Some(0)` = scalar, `Some(n)` =
-    /// block engine with `n`-trial batches.
-    fn block_trials(&self) -> Result<Option<usize>, String> {
-        match self.map.get("block-trials") {
-            None => Ok(None),
-            Some(v) => {
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("invalid value '{v}' for --block-trials"))?;
-                if n > spec::MAX_BLOCK_TRIALS {
-                    return Err(spec::block_trials_cap_error(ParamStyle::Cli, n));
-                }
-                Ok(Some(n))
-            }
-        }
-    }
-
     /// Presence check keyed by the canonical (underscore) parameter name
     /// the shared [`dmfb_core::spec`] guards use; CLI flags spell it with
     /// dashes.
@@ -372,26 +393,14 @@ fn estimator_and_model(opts: &Options) -> Result<(Estimator, DefectModel), Strin
 }
 
 /// What `yield`/`sweep` build: the IVD case-study chip under `--assay`,
-/// otherwise the `--scheme` shape — rejecting the sub-parameters, and the
-/// `--block-trials` choice, the selection would silently ignore.
-fn engine_spec(
-    opts: &Options,
-    choice: SchemeChoice,
-    estimator: &Estimator,
-) -> Result<EngineSpec, String> {
+/// otherwise the `--scheme` shape — rejecting the sub-parameters the
+/// selection would silently ignore.
+fn engine_spec(opts: &Options, choice: SchemeChoice) -> Result<EngineSpec, String> {
     let Some(panel) = opts.assay()? else {
         reject_foreign_subparams(opts, &choice)?;
         return Ok(EngineSpec::Scheme(choice));
     };
     check_assay_subparams(opts, &choice)?;
-    if matches!(estimator, Estimator::Stratified(_)) {
-        reject_block_trials(
-            opts,
-            "the operational stratified estimator conditions each stratum on its \
-             defect count, already skipping the defect-free bulk the block engine \
-             short-circuits; it runs the scalar engine",
-        )?;
-    }
     Ok(EngineSpec::Assay(panel))
 }
 
@@ -426,9 +435,6 @@ fn require_hex_scheme(opts: &Options) -> Result<(), String> {
         return Err("--assay is supported by yield, sweep and bench only".into());
     }
     reject_query_params(opts)?;
-    if opts.flag("block-trials") {
-        return Err("--block-trials is supported by yield, sweep and bench only".into());
-    }
     let choice = opts.scheme()?;
     if matches!(choice, SchemeChoice::HexDtmb { .. }) {
         reject_foreign_subparams(opts, &choice)
@@ -456,17 +462,6 @@ fn reject_query_params(opts: &Options) -> Result<(), String> {
                 dash(key)
             ));
         }
-    }
-    Ok(())
-}
-
-/// Rejects `--block-trials` on a path that can only run one trial at a
-/// time (`why` names the reason and, where one exists, the block-capable
-/// alternative). Silently ignoring the flag would mislabel what engine
-/// produced the numbers.
-fn reject_block_trials(opts: &Options, why: &str) -> Result<(), String> {
-    if opts.flag("block-trials") {
-        return Err(format!("--block-trials does not apply here: {why}"));
     }
     Ok(())
 }
@@ -555,16 +550,11 @@ fn cmd_yield(opts: &Options) -> Result<(), String> {
     let seed: u64 = opts.get("seed", 1)?;
     let choice = opts.scheme()?;
     let (estimator, defect_model) = estimator_and_model(opts)?;
-    let block_trials = opts.block_trials()?;
-    if matches!(defect_model, DefectModel::Clustered(_)) {
-        reject_block_trials(opts, spec::CLUSTERED_BLOCK_REASON)?;
-        if opts.flag("p") {
-            return Err(spec::clustered_p_error(ParamStyle::Cli));
-        }
+    if matches!(defect_model, DefectModel::Clustered(_)) && opts.flag("p") {
+        return Err(spec::clustered_p_error(ParamStyle::Cli));
     }
-    let spec = engine_spec(opts, choice, &estimator)?;
-    let params = EngineParams { spec, block_trials };
-    let engine = Engine::build(&params, opts.get("threads", 0)?);
+    let spec = engine_spec(opts, choice)?;
+    let engine = Engine::build(&spec, opts.get("threads", 0)?);
     let query = Query {
         estimator,
         defect_model,
@@ -658,7 +648,6 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
         .collect();
     let choice = opts.scheme()?;
     let (estimator, defect_model) = estimator_and_model(opts)?;
-    let block_trials = opts.block_trials()?;
     if matches!(defect_model, DefectModel::Clustered(_)) {
         return Err(
             "--defect-model clustered has no survival probability to sweep; \
@@ -674,7 +663,7 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
                 .into(),
         );
     }
-    let spec = engine_spec(opts, choice, &estimator)?;
+    let spec = engine_spec(opts, choice)?;
     match spec {
         EngineSpec::Assay(_) => {
             if effective {
@@ -695,8 +684,7 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
         }
         EngineSpec::Scheme(_) => {}
     }
-    let params = EngineParams { spec, block_trials };
-    let engine = Engine::build(&params, opts.get("threads", 0)?);
+    let engine = Engine::build(&spec, opts.get("threads", 0)?);
     let rows = engine.sweep(&estimator, &ps, trials, seed, batched);
 
     let ey = |y: f64| match &engine {
@@ -759,7 +747,7 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
 /// Rejects every parameter that `dmfb search` does not take: the search
 /// enumerates the scheme space itself, always scores with the stratified
 /// estimator under i.i.d. Bernoulli defects (the exact pruning bound
-/// requires it), and lets the scorer pick its own trial engine.
+/// requires it).
 fn check_search_params(opts: &Options) -> Result<(), String> {
     if opts.flag("scheme") {
         return Err("--scheme does not apply to search: the search enumerates \
@@ -793,10 +781,7 @@ fn check_search_params(opts: &Options) -> Result<(), String> {
             ));
         }
     }
-    reject_block_trials(
-        opts,
-        "the stratified scorer picks its own engine per candidate",
-    )
+    Ok(())
 }
 
 /// Writes one frontier row in the `dmfb-search/1` JSON shape.
@@ -1042,21 +1027,6 @@ fn cmd_bench(opts: &Options) -> Result<(), String> {
              --scheme or --assay (the search scorer covers both tiers itself)"
             .into());
     }
-    let block_trials = opts.block_trials()?;
-    if search && block_trials.is_some() {
-        return Err(
-            "--block-trials is not supported by the search suite: the stratified \
-             scorer picks its own engine per candidate"
-                .into(),
-        );
-    }
-    if block_trials == Some(0) {
-        return Err(
-            "--block-trials 0 is not supported by bench: the suite pins the scalar \
-             and block engines per workload so both columns stay populated"
-                .into(),
-        );
-    }
     let quick = opts.flag("quick");
     let default_label = if search {
         "search".to_string()
@@ -1071,7 +1041,6 @@ fn cmd_bench(opts: &Options) -> Result<(), String> {
         label: opts.get("label", default_label)?,
         scheme: opts.scheme()?,
         assay,
-        block_trials,
         search,
     };
     if let Some(baseline) = opts.map.get("compare") {
@@ -1110,17 +1079,10 @@ fn cmd_bench(opts: &Options) -> Result<(), String> {
 /// a fixed workload mix. Silently ignoring them would suggest the flag
 /// configured the daemon when it configured nothing.
 fn reject_per_request_params(opts: &Options, command: &str, hint: &str) -> Result<(), String> {
-    for key in [
-        "scheme",
-        "estimator",
-        "defect-model",
-        "block-trials",
-        "assay",
-        "p",
-    ]
-    .iter()
-    .chain(&spec::ESTIMATOR_SUBPARAMS)
-    .chain(&spec::CLUSTER_SUBPARAMS)
+    for key in ["scheme", "estimator", "defect-model", "assay", "p"]
+        .iter()
+        .chain(&spec::ESTIMATOR_SUBPARAMS)
+        .chain(&spec::CLUSTER_SUBPARAMS)
     {
         if opts.has_param(key) {
             return Err(format!(
@@ -1135,8 +1097,7 @@ fn reject_per_request_params(opts: &Options, command: &str, hint: &str) -> Resul
 /// Rejects every parameter `dmfb campaign` would otherwise silently
 /// ignore: the workload fixes the chip to the DTMB(2,6) IVD case-study
 /// layout (so scheme/array parameters do not apply), runs the plain
-/// Monte-Carlo tier only (no estimator/defect-model sub-parameters), and
-/// rides the scalar arbitrary-sampler path (no `--block-trials`).
+/// Monte-Carlo tier only (no estimator/defect-model sub-parameters).
 fn check_campaign_subparams(opts: &Options) -> Result<(), String> {
     if !matches!(opts.scheme()?, SchemeChoice::HexDtmb { .. }) {
         return Err(
@@ -1154,12 +1115,7 @@ fn check_campaign_subparams(opts: &Options) -> Result<(), String> {
             ));
         }
     }
-    reject_query_params(opts)?;
-    reject_block_trials(
-        opts,
-        "campaign steps ride the scalar arbitrary-sampler path \
-         (targeted damage merges into every trial's defect draw)",
-    )
+    reject_query_params(opts)
 }
 
 fn cmd_campaign(opts: &Options) -> Result<(), String> {
@@ -1493,7 +1449,6 @@ mod tests {
             (&["--estimator", "stratified"][..], "yield and sweep only"),
             (&["--tolerance", "1e-6"][..], "sub-parameter"),
             (&["--cluster-mean", "2"][..], "sub-parameter"),
-            (&["--block-trials", "64"][..], "scalar arbitrary-sampler"),
         ] {
             let err = check_campaign_subparams(&opts(args)).unwrap_err();
             assert!(err.contains(needle), "{args:?}: {err}");
@@ -1509,6 +1464,38 @@ mod tests {
         assert!(Options::parse(&args).is_err());
         let o = opts(&["--trials", "abc"]);
         assert!(o.get::<u32>("trials", 0).is_err());
+    }
+
+    #[test]
+    fn unknown_options_are_rejected() {
+        for args in [
+            &["--trails", "100"][..],
+            &["--bogus"],
+            &["--p", "0.9", "--Seed", "3"],
+        ] {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            let err = Options::parse(&args)
+                .err()
+                .expect("unknown option must fail");
+            assert!(err.starts_with("unknown option --"), "{err}");
+        }
+        // The table decides arity: a flag never swallows the next token.
+        let o = opts(&["--batched", "--seed", "4"]);
+        assert!(o.flag("batched"));
+        assert_eq!(o.get::<u64>("seed", 0).unwrap(), 4);
+        let names: Vec<&str> = OPTIONS.iter().map(|(name, _)| *name).collect();
+        assert!(
+            names.windows(2).all(|w| w[0] < w[1]),
+            "sorted, no duplicates"
+        );
+        // Every canonical sub-parameter of the shared tables is an option.
+        for key in spec::SCHEME_SUBPARAMS
+            .iter()
+            .chain(&spec::ESTIMATOR_SUBPARAMS)
+            .chain(&spec::CLUSTER_SUBPARAMS)
+        {
+            assert!(names.contains(&dash(key).as_str()), "{key}");
+        }
     }
 
     #[test]
@@ -1604,41 +1591,6 @@ mod tests {
             "2",
         ]);
         assert!(reject_foreign_subparams(&o, &o.scheme().unwrap()).is_ok());
-    }
-
-    #[test]
-    fn block_trials_parsing() {
-        // Absent = auto; explicit values parse; 0 (scalar) is a valid
-        // engine choice at the Options layer (bench rejects it itself).
-        assert_eq!(opts(&[]).block_trials().unwrap(), None);
-        assert_eq!(
-            opts(&["--block-trials", "0"]).block_trials().unwrap(),
-            Some(0)
-        );
-        assert_eq!(
-            opts(&["--block-trials", "512"]).block_trials().unwrap(),
-            Some(512)
-        );
-        assert_eq!(
-            opts(&["--block-trials", &spec::MAX_BLOCK_TRIALS.to_string()])
-                .block_trials()
-                .unwrap(),
-            Some(spec::MAX_BLOCK_TRIALS)
-        );
-        assert!(opts(&["--block-trials", "65537"]).block_trials().is_err());
-        assert!(opts(&["--block-trials", "-1"]).block_trials().is_err());
-        assert!(opts(&["--block-trials", "many"]).block_trials().is_err());
-    }
-
-    #[test]
-    fn block_trials_rejected_on_scalar_only_paths() {
-        let o = opts(&["--block-trials", "64"]);
-        assert!(reject_block_trials(&o, "per-trial path").is_err());
-        assert!(reject_block_trials(&opts(&[]), "per-trial path").is_ok());
-        // Commands without an engine axis refuse the flag outright.
-        assert!(require_hex_scheme(&o)
-            .unwrap_err()
-            .contains("yield, sweep and bench"));
     }
 
     #[test]

@@ -196,7 +196,6 @@ fn foreign_parameters_are_rejected_not_ignored() {
         (&["--defect-model", "clustered"][..], "yield and sweep only"),
         (&["--cluster-peak", "0.5"][..], "sub-parameter"),
         (&["--tolerance", "1e-6"][..], "sub-parameter"),
-        (&["--block-trials", "64"][..], "scalar arbitrary-sampler"),
     ] {
         let mut args = vec!["campaign", "--name", "edge-column-wipeout"];
         args.extend_from_slice(extra);

@@ -160,10 +160,6 @@ fn search_rejects_foreign_and_incoherent_parameters() {
             "--defect-model does not apply to search",
         ),
         (
-            &["search", "--target-yield", "0.99", "--block-trials", "64"],
-            "--block-trials does not apply",
-        ),
-        (
             &["search", "--target-yield", "0.99", "--tier", "operational"],
             "--tier operational requires --assay",
         ),

@@ -40,9 +40,13 @@ fn unknown_design_lists_choices_and_fails() {
 }
 
 /// Replays every `$ dmfb …` case in the committed yield/sweep golden and
-/// checks the binary still prints the recorded bytes. The cases cover
-/// each scheme family under every estimator and defect model, each sweep
-/// mode, and the assay tiers.
+/// checks the binary still prints the recorded bytes, single-threaded and
+/// on every core. The cases cover each scheme family under every
+/// estimator and defect model, each sweep mode, and the assay tiers. The
+/// cases after the small matrix (trials 2000, 600-primary arrays among
+/// them) were recorded from the scalar one-trial-at-a-time engine, so
+/// they also hold the block engine to the scalar oracle at case-study
+/// size.
 #[test]
 fn yield_and_sweep_match_the_matrix_golden() {
     let path = format!(
@@ -50,24 +54,53 @@ fn yield_and_sweep_match_the_matrix_golden() {
         env!("CARGO_MANIFEST_DIR")
     );
     let golden = std::fs::read_to_string(&path).unwrap();
-    let mut replay = String::new();
-    for line in golden.lines() {
-        let Some(case) = line.strip_prefix("$ dmfb ") else {
-            continue;
-        };
-        let mut args: Vec<&str> = case.split_whitespace().collect();
-        args.extend(["--threads", "1"]);
-        let out = dmfb(&args);
-        assert!(
-            out.status.success(),
-            "{case}: {}",
-            String::from_utf8_lossy(&out.stderr)
+    for threads in ["1", "0"] {
+        let mut replay = String::new();
+        for line in golden.lines() {
+            let Some(case) = line.strip_prefix("$ dmfb ") else {
+                continue;
+            };
+            let mut args: Vec<&str> = case.split_whitespace().collect();
+            args.extend(["--threads", threads]);
+            let out = dmfb(&args);
+            assert!(
+                out.status.success(),
+                "{case}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            replay.push_str(line);
+            replay.push('\n');
+            replay.push_str(&String::from_utf8(out.stdout).unwrap());
+        }
+        assert_eq!(
+            replay, golden,
+            "yield/sweep output drifted from {path} at --threads {threads}"
         );
-        replay.push_str(line);
-        replay.push('\n');
-        replay.push_str(&String::from_utf8(out.stdout).unwrap());
     }
-    assert_eq!(replay, golden, "yield/sweep output drifted from {path}");
+}
+
+/// Options outside the table every command shares are errors, never
+/// silently ignored: a typo must not run the defaults.
+#[test]
+fn unknown_options_are_rejected() {
+    for (args, option) in [
+        (&["yield", "--trails", "100"][..], "--trails"),
+        (&["yield", "--trials", "100", "--bogus", "3"], "--bogus"),
+        (&["yield", "--block-trials", "0"], "--block-trials"),
+        (&["sweep", "--block-trials", "64"], "--block-trials"),
+        (
+            &["bench", "--quick", "--block-trials", "64"],
+            "--block-trials",
+        ),
+    ] {
+        let out = dmfb(args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(
+            err.contains(&format!("unknown option {option}")),
+            "{args:?}: {err}"
+        );
+    }
 }
 
 #[test]

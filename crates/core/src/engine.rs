@@ -2,7 +2,7 @@
 //! estimate dispatch behind `dmfb yield`/`sweep`, `dmfb serve`,
 //! `dmfb search` and `dmfb bench`.
 //!
-//! [`Engine::build`] turns an [`EngineParams`] into the compiled
+//! [`Engine::build`] turns an [`EngineSpec`] into the compiled
 //! evaluator for its scheme or assay chip. [`Engine::estimate`] runs one
 //! [`Query`] (estimator × defect model × `p` × trials × seed) and returns
 //! one [`Estimate`] per yield tier the engine answers; [`Engine::sweep`]
@@ -10,7 +10,7 @@
 //! dialect into these types and render the result; none of them matches
 //! on estimator or defect model to pick an engine method.
 
-use crate::spec::{DefectModelKind, EngineParams, EngineSpec, EstimatorKind, SchemeSpec, Tier};
+use crate::spec::{DefectModelKind, EngineSpec, EstimatorKind, SchemeSpec, Tier};
 use crate::Biochip;
 use dmfb_defects::ClusteredDefects;
 use dmfb_grid::{SquareCoord, SquareRegion, Topology};
@@ -86,7 +86,7 @@ pub enum Estimate {
 /// The estimate for every tier an engine answers, in tier order.
 pub type TierEstimates = Vec<(Tier, Estimate)>;
 
-/// A built yield engine: the compiled evaluator for one [`EngineParams`].
+/// A built yield engine: the compiled evaluator for one [`EngineSpec`].
 /// Every estimate entry point takes `&self`, so one engine serves any
 /// number of queries (the serve cache shares it across workers).
 #[derive(Clone, Debug)]
@@ -114,7 +114,7 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// Builds the engine `params` describes, running its trials on
+    /// Builds the engine `spec` describes, running its trials on
     /// `threads` workers (`0` = one per core; estimates never depend on
     /// it). This is the expensive step the serve cache exists to skip.
     ///
@@ -123,30 +123,22 @@ impl Engine {
     /// Panics if the scheme shape is out of range; front ends reject such
     /// shapes first with [`SchemeSpec::validate`].
     #[must_use]
-    pub fn build(params: &EngineParams, threads: usize) -> Engine {
-        let block_trials = params.block_trials;
-        let spec = match params.spec {
+    pub fn build(spec: &EngineSpec, threads: usize) -> Engine {
+        let spec = match *spec {
             EngineSpec::Assay(panel) => {
-                return Engine::Assay(
-                    OperationalYield::ivd(panel)
-                        .with_threads(threads)
-                        .with_block_trials(block_trials),
-                )
+                return Engine::Assay(OperationalYield::ivd(panel).with_threads(threads))
             }
             EngineSpec::Scheme(spec) => spec,
         };
         let square = |engine: SchemeYield<SquareCoord>, region, spare_cells| Engine::Square {
-            engine: engine.with_threads(threads).with_block_trials(block_trials),
+            engine: engine.with_threads(threads),
             region,
             spare_cells,
         };
         match spec {
             SchemeSpec::HexDtmb { .. } => {
                 let chip = spec.biochip().expect("hex specs build a chip");
-                let engine = chip
-                    .engine()
-                    .with_threads(threads)
-                    .with_block_trials(block_trials);
+                let engine = chip.engine().with_threads(threads);
                 Engine::Hex { chip, engine }
             }
             SchemeSpec::SquareDtmb {
@@ -377,10 +369,9 @@ mod tests {
             width: 8,
             height: 8,
         };
-        let params = EngineParams {
-            spec: EngineSpec::Scheme(spec),
-            block_trials: None,
-        };
-        assert_eq!(Engine::build(&params, 1).cell_counts(), (32, 32));
+        assert_eq!(
+            Engine::build(&EngineSpec::Scheme(spec), 1).cell_counts(),
+            (32, 32)
+        );
     }
 }

@@ -43,7 +43,7 @@ pub mod spec;
 pub use engine::{DefectModel, Engine, Estimate, Estimator, Query};
 pub use pipeline::{Biochip, PipelineOutcome, YieldReport};
 pub use search::{CandidateScore, SearchConfig, SearchReport, SearchSpace};
-pub use spec::{EngineParams, EngineSpec, SchemeSpec, Tier};
+pub use spec::{EngineSpec, SchemeSpec, Tier};
 
 pub use dmfb_bioassay as bioassay;
 pub use dmfb_defects as defects;

@@ -29,7 +29,7 @@
 //! is byte-identical at any `--threads` setting.
 
 use crate::engine::{DefectModel, Engine, Estimate, Estimator, Query};
-use crate::spec::{EngineParams, EngineSpec, SchemeSpec, Tier};
+use crate::spec::{EngineSpec, SchemeSpec, Tier};
 use dmfb_bioassay::layout::{fabricated_ivd_chip, ivd_dtmb26_chip};
 use dmfb_bioassay::TimingBudget;
 use dmfb_reconfig::dtmb::DtmbKind;
@@ -270,11 +270,7 @@ fn unscored_row(spec: String, (primary_cells, spare_cells): (usize, usize)) -> C
 /// Scores one scheme-shaped candidate: exact bounds, prune-or-sample,
 /// one row out.
 fn score_scheme(spec: &SchemeSpec, config: &SearchConfig, seed: u64) -> CandidateScore {
-    let params = EngineParams {
-        spec: EngineSpec::Scheme(*spec),
-        block_trials: None,
-    };
-    let engine = Engine::build(&params, 1);
+    let engine = Engine::build(&EngineSpec::Scheme(*spec), 1);
     let mut row = unscored_row(spec.canonical(), engine.cell_counts());
     if config.tier == Tier::Raw {
         // Raw yield has a closed form: every in-scope primary cell must

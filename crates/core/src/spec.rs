@@ -11,9 +11,9 @@
 //!
 //! - [`SchemeSpec`] — a fully-resolved scheme selection (family plus its
 //!   sub-parameters), with a canonical string form ([`SchemeSpec::canonical`]).
-//! - [`EngineSpec`]/[`EngineParams`] — everything that shapes a cached
-//!   evaluator engine, with the deterministic cache key
-//!   ([`EngineParams::engine_key`]) the serve LRU and the reply bodies use.
+//! - [`EngineSpec`] — everything that shapes a cached evaluator engine,
+//!   with the deterministic cache key ([`EngineSpec::engine_key`]) the
+//!   serve LRU and the reply bodies use.
 //! - Token parsers ([`parse_scheme_token`] and friends) producing the
 //!   shared `unknown … (valid: …)` diagnostics.
 //! - Coherence guards ([`reject_foreign_subparams`],
@@ -41,11 +41,6 @@ pub const MAX_DIM: u32 = 4096;
 
 /// Upper bound on the hex primary-cell count a request may ask for.
 pub const MAX_PRIMARIES: usize = 65_536;
-
-/// Upper bound on `block_trials`. A batch is rounded up to whole 64-lane
-/// words, so widths beyond this only inflate per-worker scratch buffers
-/// without adding parallelism.
-pub const MAX_BLOCK_TRIALS: usize = 65_536;
 
 /// Upper bound on the Monte-Carlo trial count of one request.
 pub const MAX_TRIALS: u32 = 10_000_000;
@@ -76,12 +71,6 @@ pub const CLUSTER_SUBPARAMS: [&str; 4] = [
     "cluster_radius",
     "cluster_peak",
 ];
-
-/// Why `block_trials` cannot ride with the clustered defect model — the
-/// shared tail of the CLI's and the service's rejection messages.
-pub const CLUSTERED_BLOCK_REASON: &str =
-    "the clustered defect sampler draws a variable-length stream per trial \
-     that cannot be transposed into lanes; it always runs the scalar engine";
 
 /// Which front-end dialect a diagnostic is rendered in: `--dash-flag`
 /// phrasing for the CLI, `'json_field'` phrasing for the service. The
@@ -300,6 +289,13 @@ pub enum EngineSpec {
     Assay(AssayPanel),
 }
 
+/// The tail of every engine key. Keys once also named a selectable trial
+/// engine (`:block=scalar`, `:block=128`); only the automatic block
+/// engine remains, but the serve reply's `engine` field carries the key
+/// verbatim under the `dmfb-serve/1` schema and the serve cache is keyed
+/// by it, so the suffix stays byte-for-byte.
+const ENGINE_KEY_SUFFIX: &str = ":block=auto";
+
 impl EngineSpec {
     /// Canonical string form (see [`SchemeSpec::canonical`]).
     #[must_use]
@@ -309,39 +305,14 @@ impl EngineSpec {
             EngineSpec::Assay(panel) => format!("assay:{}", panel.label()),
         }
     }
-}
 
-/// The full engine descriptor: what to build ([`EngineSpec`]) plus the
-/// trial-engine width, which sizes per-worker scratch state and is
-/// therefore part of the engine identity.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EngineParams {
-    /// What the engine evaluates.
-    pub spec: EngineSpec,
-    /// Trial-engine selection: `None` = auto, `Some(0)` = scalar,
-    /// `Some(n)` = block engine with `n`-trial batches.
-    pub block_trials: Option<usize>,
-}
-
-impl EngineParams {
-    /// The block-engine segment of the key (`auto`, `scalar`, or the
-    /// batch width).
-    #[must_use]
-    pub fn block_label(&self) -> String {
-        match self.block_trials {
-            None => "auto".to_string(),
-            Some(0) => "scalar".to_string(),
-            Some(n) => n.to_string(),
-        }
-    }
-
-    /// The deterministic engine-cache key: the canonical spec form plus
-    /// the trial-engine width. Two parameter sets share a cached engine
-    /// iff their keys are equal; the serve reply embeds the key verbatim
-    /// in its `engine` field, so the format is wire-stable.
+    /// The deterministic engine-cache key: the canonical form plus
+    /// the fixed `:block=auto` suffix. Two specs share a cached engine iff their
+    /// keys are equal; the serve reply embeds the key verbatim in its
+    /// `engine` field, so the format is wire-stable.
     #[must_use]
     pub fn engine_key(&self) -> String {
-        format!("{}:block={}", self.spec.canonical(), self.block_label())
+        format!("{}{ENGINE_KEY_SUFFIX}", self.canonical())
     }
 }
 
@@ -595,16 +566,6 @@ pub fn clustered_p_error(style: ParamStyle) -> String {
     }
 }
 
-/// The diagnostic for a `block_trials` value above [`MAX_BLOCK_TRIALS`].
-#[must_use]
-pub fn block_trials_cap_error(style: ParamStyle, n: usize) -> String {
-    format!(
-        "need {} <= {MAX_BLOCK_TRIALS}, got {n} \
-         (wider batches only grow the per-worker scratch state)",
-        style.param("block_trials")
-    )
-}
-
 /// The stratified estimator's tuning, range-checked: a truncated mass
 /// `0 <= tolerance < 1` and at least one pilot trial per stratum.
 pub fn stratified_config(
@@ -695,30 +656,16 @@ mod tests {
 
     #[test]
     fn engine_keys_extend_the_canonical_form() {
-        let params = EngineParams {
-            spec: EngineSpec::Scheme(SchemeSpec::HexDtmb {
-                design: Some(DtmbKind::Dtmb26A),
-                primaries: 60,
-            }),
-            block_trials: None,
-        };
+        let hex = EngineSpec::Scheme(SchemeSpec::HexDtmb {
+            design: Some(DtmbKind::Dtmb26A),
+            primaries: 60,
+        });
         assert_eq!(
-            params.engine_key(),
+            hex.engine_key(),
             "hex-dtmb:design=DTMB(2,6):primaries=60:block=auto"
         );
-        let scalar = EngineParams {
-            block_trials: Some(0),
-            ..params
-        };
-        assert_eq!(
-            scalar.engine_key(),
-            "hex-dtmb:design=DTMB(2,6):primaries=60:block=scalar"
-        );
-        let assay = EngineParams {
-            spec: EngineSpec::Assay(AssayPanel::StandardIvd),
-            block_trials: Some(128),
-        };
-        assert_eq!(assay.engine_key(), "assay:ivd-panel:block=128");
+        let assay = EngineSpec::Assay(AssayPanel::StandardIvd);
+        assert_eq!(assay.engine_key(), "assay:ivd-panel:block=auto");
     }
 
     #[test]

@@ -14,12 +14,14 @@
 //!   `u64`-word bitset adjacency layout and an allocation-free
 //!   Hopcroft–Karp over it, with a Hall-violation early exit; this is the
 //!   Monte-Carlo hot path,
-//! * [`hopcroft_karp`] — `O(E √V)` maximum matching (the production path),
+//! * [`hopcroft_karp`] — `O(E √V)` maximum matching over the adjacency
+//!   lists, behind plan-producing reconfiguration and the Hall witness,
 //! * [`augmenting_path_matching`] — the simple Hungarian-style matcher used
 //!   as a cross-check oracle in tests and ablation benches,
 //! * [`hall_violation`] — a Hall-theorem deficiency witness explaining *why*
 //!   a defect pattern is untolerable,
-//! * [`UnionFind`] — used to model shorted-electrode clusters,
+//! * [`UnionFind`] — a disjoint-set forest (no caller in the workspace;
+//!   `DefectMap::close_shorts` does not use it),
 //! * [`Matching`] — a validated matching with coverage queries,
 //! * [`words`] — word-level SWAR kernels for the transposed
 //!   64-trials-per-word Monte-Carlo engine: lane-parallel xoshiro256++

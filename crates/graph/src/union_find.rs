@@ -1,8 +1,8 @@
 //! Disjoint-set forest (union-find).
 //!
-//! Used by the defect subsystem to model *shorts between adjacent
-//! electrodes*: shorted electrodes "effectively form one longer electrode",
-//! i.e. an equivalence class of cells that fails together.
+//! Nothing in the workspace calls it: the defect subsystem models shorts
+//! between adjacent electrodes with `DefectMap::close_shorts`, which marks
+//! both cells of a short directly.
 
 /// A disjoint-set forest over `0..len` with path compression and union by
 /// rank.

@@ -3,7 +3,8 @@
 //! must be **byte-identical** to its scalar counterpart — not just equal
 //! in aggregate, but verdict-for-verdict per seed — and invariant under
 //! how the seed slice is chunked into word groups. This is the contract
-//! `dmfb --block-trials` advertises, checked adversarially.
+//! that lets the block engine be the only production trial engine, with
+//! the scalar evaluator kept as its oracle, checked adversarially.
 
 use dmfb_grid::SquareRegion;
 use dmfb_reconfig::dtmb::DtmbKind;

@@ -34,7 +34,7 @@ impl CachedEngine {
     /// stack.
     #[must_use]
     pub fn build(request: &YieldRequest, threads: usize) -> Self {
-        CachedEngine(Engine::build(&request.engine_params(), threads))
+        CachedEngine(Engine::build(&request.engine_spec(), threads))
     }
 
     /// Runs `request` on this engine and renders the reply body. The

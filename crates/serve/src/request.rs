@@ -27,9 +27,7 @@ pub use dmfb_core::{DefectModel, Estimator, Query};
 pub use dmfb_core::spec::SchemeSpec as SchemeChoice;
 /// The shared tier selection (see [`dmfb_core::spec::Tier`]).
 pub use dmfb_core::spec::Tier;
-pub use dmfb_core::spec::{
-    EngineParams, EngineSpec, MAX_BLOCK_TRIALS, MAX_DIM, MAX_PRIMARIES, MAX_TRIALS,
-};
+pub use dmfb_core::spec::{EngineSpec, MAX_DIM, MAX_PRIMARIES, MAX_TRIALS};
 
 /// A validation failure, carrying the HTTP status it maps to (always
 /// `400` today, but the type keeps routing and phrasing in one place).
@@ -76,9 +74,6 @@ pub struct YieldRequest {
     pub scheme: SchemeChoice,
     /// Assay panel (`Some` exactly when `tier` is operational).
     pub assay: Option<AssayPanel>,
-    /// Trial-engine selection: `None` = auto block engine, `Some(0)` =
-    /// scalar, `Some(n)` = `n`-trial batches.
-    pub block_trials: Option<usize>,
     /// The yield question. Its seed is the request's master seed: the
     /// engine seeds each estimate through
     /// [`dmfb_core::sim::SeedSequence`] over it, so replies are
@@ -91,12 +86,11 @@ pub struct YieldRequest {
 
 /// The service-level fields `/v1/yield` adds on top of the shared
 /// scheme/estimator/model sub-parameter tables.
-const TOP_FIELDS: [&str; 10] = [
+const TOP_FIELDS: [&str; 9] = [
     "tier",
     "scheme",
     "estimator",
     "defect_model",
-    "block_trials",
     "assay",
     "p",
     "trials",
@@ -212,31 +206,8 @@ pub fn parse_yield_request(body: &[u8]) -> Result<YieldRequest, RequestError> {
     )
     .map_err(RequestError::bad)?;
 
-    let block_trials = match fields.uint_field("block_trials")? {
-        None => None,
-        Some(n) => {
-            let n = usize::try_from(n)
-                .map_err(|_| RequestError::bad("'block_trials' is out of range"))?;
-            if n > MAX_BLOCK_TRIALS {
-                return Err(RequestError::bad(spec::block_trials_cap_error(
-                    ParamStyle::Json,
-                    n,
-                )));
-            }
-            Some(n)
-        }
-    };
-
-    if matches!(defect_model, DefectModel::Clustered(_)) {
-        if fields.has("p") {
-            return Err(RequestError::bad(spec::clustered_p_error(ParamStyle::Json)));
-        }
-        if fields.has("block_trials") {
-            return Err(RequestError::bad(format!(
-                "'block_trials' does not apply with \"defect_model\": \"clustered\": {}",
-                spec::CLUSTERED_BLOCK_REASON
-            )));
-        }
+    if matches!(defect_model, DefectModel::Clustered(_)) && fields.has("p") {
+        return Err(RequestError::bad(spec::clustered_p_error(ParamStyle::Json)));
     }
 
     let assay = match fields.str_field("assay")? {
@@ -289,7 +260,6 @@ pub fn parse_yield_request(body: &[u8]) -> Result<YieldRequest, RequestError> {
         tier,
         scheme,
         assay,
-        block_trials,
         query,
         cache,
     })
@@ -391,12 +361,6 @@ fn check_tier(
                      (use tier 'operational' for clustered raw yield)",
                 ));
             }
-            if fields.has("block_trials") {
-                return Err(RequestError::bad(
-                    "'block_trials' does not apply to tier 'raw': raw yield runs the \
-                     per-trial defect-injection engine, not the matching block engine",
-                ));
-            }
         }
         Tier::Reconfigured => {
             if has_assay {
@@ -422,13 +386,6 @@ fn check_tier(
                 |key| fields.has(key),
             )
             .map_err(RequestError::bad)?;
-            if matches!(estimator, Estimator::Stratified(_)) && fields.has("block_trials") {
-                return Err(RequestError::bad(
-                    "'block_trials' does not apply to the operational stratified \
-                     estimator: it conditions each stratum on its defect count, already \
-                     skipping the defect-free bulk the block engine short-circuits",
-                ));
-            }
         }
     }
     Ok(())
@@ -436,29 +393,22 @@ fn check_tier(
 
 impl YieldRequest {
     /// The engine descriptor this request maps to: exactly the fields
-    /// that shape the cached evaluator (scheme/shape, assay chip,
-    /// trial-engine width) and none of the per-request ones (`p`,
-    /// `trials`, `seed`, estimator, defect model). Two requests with
-    /// equal descriptors run on the same cached engine.
+    /// that shape the cached evaluator (scheme/shape, assay chip) and none
+    /// of the per-request ones (`p`, `trials`, `seed`, estimator, defect
+    /// model). Two requests with equal descriptors run on the same cached
+    /// engine.
     #[must_use]
-    pub fn engine_params(&self) -> EngineParams {
-        let spec = match self.assay {
+    pub fn engine_spec(&self) -> EngineSpec {
+        match self.assay {
             Some(panel) => EngineSpec::Assay(panel),
             None => EngineSpec::Scheme(self.scheme),
-        };
-        EngineParams {
-            spec,
-            block_trials: self.block_trials,
         }
     }
 
-    /// The canonical engine-cache key: the [`SchemeSpec`] canonical form
-    /// plus the trial-engine width (see [`EngineParams::engine_key`]).
-    ///
-    /// [`SchemeSpec`]: dmfb_core::spec::SchemeSpec
+    /// The canonical engine-cache key (see [`EngineSpec::engine_key`]).
     #[must_use]
     pub fn engine_key(&self) -> String {
-        self.engine_params().engine_key()
+        self.engine_spec().engine_key()
     }
 }
 
@@ -519,9 +469,8 @@ mod tests {
     }
 
     #[test]
-    fn clustered_rejects_p_and_block_trials() {
+    fn clustered_rejects_p() {
         assert!(parse(r#"{"defect_model": "clustered", "p": 0.9}"#).is_err());
-        assert!(parse(r#"{"defect_model": "clustered", "block_trials": 64}"#).is_err());
         assert!(parse(r#"{"defect_model": "clustered"}"#).is_ok());
     }
 
@@ -529,7 +478,6 @@ mod tests {
     fn tier_rules_hold() {
         assert!(parse(r#"{"tier": "raw", "scheme": "square-dtmb"}"#).is_err());
         assert!(parse(r#"{"tier": "raw", "estimator": "stratified"}"#).is_err());
-        assert!(parse(r#"{"tier": "raw", "block_trials": 0}"#).is_err());
         assert!(parse(r#"{"tier": "raw", "design": "dtmb26"}"#).is_ok());
         assert!(parse(r#"{"tier": "operational"}"#).is_err());
         assert!(parse(r#"{"tier": "operational", "assay": "ivd-panel"}"#).is_ok());
@@ -541,11 +489,6 @@ mod tests {
             "'design' does not apply with 'assay': the assay workload \
              fixes the chip to the DTMB(2,6) IVD case-study layout"
         );
-        assert!(parse(
-            r#"{"tier": "operational", "assay": "ivd-panel",
-                "estimator": "stratified", "block_trials": 64}"#
-        )
-        .is_err());
     }
 
     #[test]
@@ -584,7 +527,6 @@ mod tests {
             assert_eq!(parse(body).unwrap_err().message, message);
         }
         assert!(parse(r#"{"trials": 100000000}"#).is_err());
-        assert!(parse(r#"{"block_trials": 100000}"#).is_err());
         assert!(parse(r#"{"scheme": "square-dtmb", "width": 5000}"#).is_err());
         assert!(parse(r#"{"trials": 0}"#).is_err());
         assert!(parse(r#"{"seed": -1}"#).is_err());
@@ -598,8 +540,6 @@ mod tests {
         assert_eq!(a.engine_key(), b.engine_key());
         let c = parse(r#"{"design": "dtmb36"}"#).unwrap();
         assert_ne!(a.engine_key(), c.engine_key());
-        let d = parse(r#"{"design": "dtmb26", "block_trials": 128}"#).unwrap();
-        assert_ne!(a.engine_key(), d.engine_key());
         let e = parse(r#"{"tier": "operational", "assay": "ivd-panel"}"#).unwrap();
         assert!(e.engine_key().starts_with("assay:ivd-panel"));
     }
@@ -613,12 +553,12 @@ mod tests {
         );
         let r = parse(
             r#"{"scheme": "spare-rows", "width": 8, "module_rows": 6,
-                "spare_rows": 2, "block_trials": 0}"#,
+                "spare_rows": 2}"#,
         )
         .unwrap();
         assert_eq!(
             r.engine_key(),
-            "spare-rows:width=8:module-rows=6:spare-rows=2:block=scalar"
+            "spare-rows:width=8:module-rows=6:spare-rows=2:block=auto"
         );
     }
 }

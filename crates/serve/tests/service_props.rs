@@ -144,7 +144,7 @@ proptest! {
 
     /// The engine cache is keyed by the shared `SchemeSpec`-derived
     /// descriptor and nothing else: two valid requests parse to equal
-    /// `EngineParams` iff the second is served from the first one's
+    /// `EngineSpec`s iff the second is served from the first one's
     /// cached engine.
     #[test]
     fn equal_engine_params_iff_shared_cache_entry(
@@ -167,8 +167,8 @@ proptest! {
         let body_b = request_body(
             b_scheme, b_tier, false, false, b_primaries, b_dim, 7, trials, seed ^ 1, false,
         );
-        let spec_a = parse_yield_request(body_a.as_bytes()).unwrap().engine_params();
-        let spec_b = parse_yield_request(body_b.as_bytes()).unwrap().engine_params();
+        let spec_a = parse_yield_request(body_a.as_bytes()).unwrap().engine_spec();
+        let spec_b = parse_yield_request(body_b.as_bytes()).unwrap().engine_spec();
 
         let state = ServerState::new(4, 1);
         let first = state.handle_yield(body_a.as_bytes());

@@ -63,31 +63,10 @@ impl MonteCarlo {
         self.master_seed
     }
 
-    /// Runs `trial` once per trial sequentially and returns the success
-    /// proportion.
-    pub fn run(&self, mut trial: impl FnMut(&mut StdRng) -> bool) -> BernoulliEstimate {
-        self.run_with(|| (), |rng, ()| trial(rng))
-    }
-
-    /// Like [`MonteCarlo::run`], but threads a caller-built scratch state
-    /// through every trial. `init` is called once before the loop; `trial`
-    /// receives the same `&mut S` each time, so buffers allocated in
-    /// `init` amortise across the whole run (the incremental-evaluator
-    /// pattern in `dmfb-reconfig`).
-    pub fn run_with<S>(
-        &self,
-        init: impl FnOnce() -> S,
-        mut trial: impl FnMut(&mut StdRng, &mut S) -> bool,
-    ) -> BernoulliEstimate {
-        let mut state = init();
-        let mut successes = 0u64;
-        for seed in SeedSequence::new(self.master_seed).take(self.trials as usize) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            if trial(&mut rng, &mut state) {
-                successes += 1;
-            }
-        }
-        BernoulliEstimate::new(successes, u64::from(self.trials))
+    /// Runs `trial` once per trial on the calling thread and returns the
+    /// success proportion.
+    pub fn run(&self, trial: impl Fn(&mut StdRng) -> bool + Sync) -> BernoulliEstimate {
+        self.run_parallel(1, trial)
     }
 
     /// Runs the experiment across `threads` worker threads (`0` means one
@@ -108,10 +87,10 @@ impl MonteCarlo {
 
     /// Per-thread-state variant of [`MonteCarlo::run_parallel`]: each
     /// worker thread calls `init` once and reuses the returned scratch for
-    /// all of its trials. Results are byte-identical to
-    /// [`MonteCarlo::run_with`] for any thread count, because every
-    /// trial's RNG depends only on the trial index and the per-worker
-    /// success counts are summed in worker order.
+    /// all of its trials, so buffers allocated in `init` amortise across
+    /// the run (the incremental-evaluator pattern in `dmfb-reconfig`).
+    /// Results are byte-identical for any thread count, because every
+    /// trial's RNG depends only on the trial index.
     ///
     /// # Panics
     ///
@@ -122,45 +101,23 @@ impl MonteCarlo {
         init: impl Fn() -> S + Sync,
         trial: impl Fn(&mut StdRng, &mut S) -> bool + Sync,
     ) -> BernoulliEstimate {
-        let threads = resolve_threads(threads);
-        if threads == 1 || self.trials < 2 {
-            return self.run_with(&init, |rng, s| trial(rng, s));
-        }
-        let total = self.trials as u64;
-        let master = self.master_seed;
-        let successes = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for t in 0..threads as u64 {
-                let trial = &trial;
-                let init = &init;
-                handles.push(scope.spawn(move || {
-                    let mut state = init();
-                    let mut local = 0u64;
-                    let mut i = t;
-                    while i < total {
-                        let mut rng = StdRng::seed_from_u64(SeedSequence::nth_seed(master, i));
-                        if trial(&mut rng, &mut state) {
-                            local += 1;
-                        }
-                        i += threads as u64;
-                    }
-                    local
-                }));
-            }
-            handles.into_iter().map(|h| h.join().expect("worker")).sum()
-        });
-        BernoulliEstimate::new(successes, total)
+        self.run_blocks_with(threads, 1, init, |seeds, state| {
+            seeds
+                .iter()
+                .filter(|&&seed| trial(&mut StdRng::seed_from_u64(seed), state))
+                .count() as u32
+        })
     }
 
     /// Block-parallel counterpart of [`MonteCarlo::run_parallel_with`]:
     /// trials are handed to `block` in groups of up to `width` *seeds*
-    /// (the same `SeedSequence` seeds the scalar engine would have used,
-    /// in trial order), and `block` returns how many of them succeeded.
+    /// (the same `SeedSequence` seeds the per-trial runners use, in trial
+    /// order), and `block` returns how many of them succeeded.
     ///
     /// Because each trial's seed depends only on its global index, the
     /// result is identical for any `width`, any `threads`, and to the
-    /// scalar runners — provided `block` gives each seed the verdict the
-    /// scalar `trial` closure would (the contract the `dmfb-reconfig`
+    /// per-trial runners — provided `block` gives each seed the verdict
+    /// the per-trial closure would (the contract the `dmfb-reconfig`
     /// word-parallel engine upholds).
     ///
     /// # Panics
@@ -173,57 +130,56 @@ impl MonteCarlo {
         init: impl Fn() -> S + Sync,
         block: impl Fn(&[u64], &mut S) -> u32 + Sync,
     ) -> BernoulliEstimate {
-        assert!(width > 0, "block width must be positive");
-        let total = u64::from(self.trials);
-        let blocks = total.div_ceil(width as u64);
-        let threads = resolve_threads(threads);
-        let master = self.master_seed;
-        let fill_seeds = |seeds: &mut Vec<u64>, b: u64| {
-            seeds.clear();
-            seeds.extend(
-                (b * width as u64..total.min((b + 1) * width as u64))
-                    .map(|i| SeedSequence::nth_seed(master, i)),
-            );
-        };
-        if threads == 1 || blocks < 2 {
-            let mut state = init();
-            let mut seeds = Vec::with_capacity(width);
-            let mut successes = 0u64;
-            for b in 0..blocks {
-                fill_seeds(&mut seeds, b);
-                successes += u64::from(block(&seeds, &mut state));
-            }
-            return BernoulliEstimate::new(successes, total);
-        }
-        let successes = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for t in 0..threads as u64 {
-                let block = &block;
-                let init = &init;
-                let fill_seeds = &fill_seeds;
-                handles.push(scope.spawn(move || {
-                    let mut state = init();
-                    let mut seeds = Vec::with_capacity(width);
-                    let mut local = 0u64;
-                    let mut b = t;
-                    while b < blocks {
-                        fill_seeds(&mut seeds, b);
-                        local += u64::from(block(&seeds, &mut state));
-                        b += threads as u64;
-                    }
-                    local
-                }));
-            }
-            handles.into_iter().map(|h| h.join().expect("worker")).sum()
+        let counts = self.fold_blocks(threads, width, 1, init, |seeds, state, counts| {
+            counts[0] += u64::from(block(seeds, state));
         });
-        BernoulliEstimate::new(successes, total)
+        BernoulliEstimate::new(counts[0], u64::from(self.trials))
+    }
+
+    /// Runs a *vector-valued* experiment: every trial fills a `k`-slot
+    /// success vector (one slot per swept parameter value), and the engine
+    /// tallies per-slot success counts into `k` estimates across `threads`
+    /// workers (`0` = one per available core). Per-worker count vectors are
+    /// summed element-wise, which is order-independent, so the estimates
+    /// never depend on scheduling.
+    ///
+    /// This is how one Monte-Carlo pass serves an entire yield curve: a
+    /// trial draws one random chip and reports, for each survival
+    /// probability on the grid, whether that chip would have been
+    /// tolerable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a worker thread panics.
+    pub fn tally_parallel<S>(
+        &self,
+        threads: usize,
+        k: usize,
+        init: impl Fn() -> S + Sync,
+        trial: impl Fn(&mut StdRng, &mut S, &mut [bool]) + Sync,
+    ) -> Vec<BernoulliEstimate> {
+        self.tally_blocks_with(
+            threads,
+            1,
+            k,
+            || (init(), vec![false; k]),
+            |seeds, (state, outcomes), counts| {
+                for &seed in seeds {
+                    outcomes.iter_mut().for_each(|o| *o = false);
+                    trial(&mut StdRng::seed_from_u64(seed), state, outcomes);
+                    for (c, &o) in counts.iter_mut().zip(outcomes.iter()) {
+                        *c += u64::from(o);
+                    }
+                }
+            },
+        )
     }
 
     /// Block-parallel counterpart of [`MonteCarlo::tally_parallel`]:
     /// `block` receives a group of up to `width` trial seeds and *adds*
     /// each slot's success count for those trials into the `k`-slot
-    /// count vector. Per-worker counts are summed element-wise, so the
-    /// estimates are identical for any `width` and `threads`.
+    /// count vector. The estimates are identical for any `width` and
+    /// `threads`.
     ///
     /// # Panics
     ///
@@ -236,147 +192,9 @@ impl MonteCarlo {
         init: impl Fn() -> S + Sync,
         block: impl Fn(&[u64], &mut S, &mut [u64]) + Sync,
     ) -> Vec<BernoulliEstimate> {
-        assert!(width > 0, "block width must be positive");
-        let total = u64::from(self.trials);
-        let blocks = total.div_ceil(width as u64);
-        let threads = resolve_threads(threads);
-        let master = self.master_seed;
-        let fill_seeds = |seeds: &mut Vec<u64>, b: u64| {
-            seeds.clear();
-            seeds.extend(
-                (b * width as u64..total.min((b + 1) * width as u64))
-                    .map(|i| SeedSequence::nth_seed(master, i)),
-            );
-        };
-        let counts = if threads == 1 || blocks < 2 {
-            let mut state = init();
-            let mut seeds = Vec::with_capacity(width);
-            let mut counts = vec![0u64; k];
-            for b in 0..blocks {
-                fill_seeds(&mut seeds, b);
-                block(&seeds, &mut state, &mut counts);
-            }
-            counts
-        } else {
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(threads);
-                for t in 0..threads as u64 {
-                    let block = &block;
-                    let init = &init;
-                    let fill_seeds = &fill_seeds;
-                    handles.push(scope.spawn(move || {
-                        let mut state = init();
-                        let mut seeds = Vec::with_capacity(width);
-                        let mut local = vec![0u64; k];
-                        let mut b = t;
-                        while b < blocks {
-                            fill_seeds(&mut seeds, b);
-                            block(&seeds, &mut state, &mut local);
-                            b += threads as u64;
-                        }
-                        local
-                    }));
-                }
-                let mut counts = vec![0u64; k];
-                for h in handles {
-                    for (c, l) in counts.iter_mut().zip(h.join().expect("worker")) {
-                        *c += l;
-                    }
-                }
-                counts
-            })
-        };
-        counts
-            .into_iter()
-            .map(|c| BernoulliEstimate::new(c, total))
-            .collect()
-    }
-
-    /// Runs a *vector-valued* experiment: every trial fills a `k`-slot
-    /// success vector (one slot per swept parameter value), and the engine
-    /// tallies per-slot success counts into `k` estimates.
-    ///
-    /// This is how one Monte-Carlo pass serves an entire yield curve: a
-    /// trial draws one random chip and reports, for each survival
-    /// probability on the grid, whether that chip would have been
-    /// tolerable — see `dmfb-yield`'s batched sweep.
-    pub fn tally<S>(
-        &self,
-        k: usize,
-        init: impl FnOnce() -> S,
-        mut trial: impl FnMut(&mut StdRng, &mut S, &mut [bool]),
-    ) -> Vec<BernoulliEstimate> {
-        let mut state = init();
-        let mut outcomes = vec![false; k];
-        let mut counts = vec![0u64; k];
-        for seed in SeedSequence::new(self.master_seed).take(self.trials as usize) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            outcomes.iter_mut().for_each(|o| *o = false);
-            trial(&mut rng, &mut state, &mut outcomes);
-            for (c, &o) in counts.iter_mut().zip(&outcomes) {
-                *c += u64::from(o);
-            }
-        }
-        counts
+        self.fold_blocks(threads, width, k, init, block)
             .into_iter()
             .map(|c| BernoulliEstimate::new(c, u64::from(self.trials)))
-            .collect()
-    }
-
-    /// Parallel, byte-identical counterpart of [`MonteCarlo::tally`]
-    /// (`threads == 0` means one worker per available core). Per-worker
-    /// count vectors are summed element-wise, which is order-independent,
-    /// so the estimates never depend on scheduling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panics.
-    pub fn tally_parallel<S>(
-        &self,
-        threads: usize,
-        k: usize,
-        init: impl Fn() -> S + Sync,
-        trial: impl Fn(&mut StdRng, &mut S, &mut [bool]) + Sync,
-    ) -> Vec<BernoulliEstimate> {
-        let threads = resolve_threads(threads);
-        if threads == 1 || self.trials < 2 {
-            return self.tally(k, &init, |rng, s, out| trial(rng, s, out));
-        }
-        let total = self.trials as u64;
-        let master = self.master_seed;
-        let counts = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for t in 0..threads as u64 {
-                let trial = &trial;
-                let init = &init;
-                handles.push(scope.spawn(move || {
-                    let mut state = init();
-                    let mut outcomes = vec![false; k];
-                    let mut local = vec![0u64; k];
-                    let mut i = t;
-                    while i < total {
-                        let mut rng = StdRng::seed_from_u64(SeedSequence::nth_seed(master, i));
-                        outcomes.iter_mut().for_each(|o| *o = false);
-                        trial(&mut rng, &mut state, &mut outcomes);
-                        for (c, &o) in local.iter_mut().zip(&outcomes) {
-                            *c += u64::from(o);
-                        }
-                        i += threads as u64;
-                    }
-                    local
-                }));
-            }
-            let mut counts = vec![0u64; k];
-            for h in handles {
-                for (c, l) in counts.iter_mut().zip(h.join().expect("worker")) {
-                    *c += l;
-                }
-            }
-            counts
-        });
-        counts
-            .into_iter()
-            .map(|c| BernoulliEstimate::new(c, total))
             .collect()
     }
 
@@ -432,6 +250,57 @@ impl MonteCarlo {
         }
         BernoulliEstimate::new(successes, done)
     }
+
+    /// The one trial loop behind every runner. Trial `i` gets seed
+    /// `SeedSequence::nth_seed(master, i)`; seeds are cut into blocks of
+    /// `width` consecutive trials, block `b` runs on worker
+    /// `b % threads`, and each worker adds into its own `k`-slot count
+    /// vector, summed element-wise at the end. Counts are integers, so the
+    /// sum — and every estimate — is independent of `width` and `threads`.
+    /// At width 1 this is the trial-strided schedule of a per-trial runner.
+    fn fold_blocks<S>(
+        &self,
+        threads: usize,
+        width: usize,
+        k: usize,
+        init: impl Fn() -> S + Sync,
+        block: impl Fn(&[u64], &mut S, &mut [u64]) + Sync,
+    ) -> Vec<u64> {
+        assert!(width > 0, "block width must be positive");
+        let total = u64::from(self.trials);
+        let blocks = total.div_ceil(width as u64);
+        let threads = resolve_threads(threads).min(blocks.max(1) as usize) as u64;
+        let worker = |t: u64| {
+            let mut state = init();
+            let mut seeds = Vec::with_capacity(width);
+            let mut counts = vec![0u64; k];
+            for b in (t..blocks).step_by(threads as usize) {
+                seeds.clear();
+                seeds.extend(
+                    (b * width as u64..total.min((b + 1) * width as u64))
+                        .map(|i| SeedSequence::nth_seed(self.master_seed, i)),
+                );
+                block(&seeds, &mut state, &mut counts);
+            }
+            counts
+        };
+        if threads == 1 {
+            return worker(0);
+        }
+        std::thread::scope(|scope| {
+            let worker = &worker;
+            let handles: Vec<_> = (0..threads)
+                .map(|t| scope.spawn(move || worker(t)))
+                .collect();
+            let mut counts = vec![0u64; k];
+            for h in handles {
+                for (c, l) in counts.iter_mut().zip(h.join().expect("worker")) {
+                    *c += l;
+                }
+            }
+            counts
+        })
+    }
 }
 
 #[cfg(test)]
@@ -462,33 +331,46 @@ mod tests {
 
     #[test]
     fn per_thread_state_is_reused_and_results_match() {
+        use std::sync::atomic::{AtomicU32, Ordering};
         let mc = MonteCarlo::new(1_000, 5);
-        // Count how many times init runs sequentially: exactly once.
-        let mut inits = 0u32;
-        let seq = mc.run_with(
+        let trial = |rng: &mut StdRng, buf: &mut Vec<u8>| {
+            buf.clear();
+            buf.push(1);
+            rng.gen_bool(0.37)
+        };
+        // One worker calls `init` exactly once.
+        let inits = AtomicU32::new(0);
+        let seq = mc.run_parallel_with(
+            1,
             || {
-                inits += 1;
+                inits.fetch_add(1, Ordering::Relaxed);
                 Vec::<u8>::with_capacity(16)
             },
-            |rng, buf| {
-                buf.clear();
-                buf.push(1);
-                rng.gen_bool(0.37)
-            },
+            trial,
         );
-        assert_eq!(inits, 1);
+        assert_eq!(inits.into_inner(), 1);
+        assert_eq!(seq, mc.run(|rng| rng.gen_bool(0.37)));
         for threads in [0, 1, 2, 5] {
-            let par = mc.run_parallel_with(
-                threads,
-                || Vec::<u8>::with_capacity(16),
-                |rng, buf| {
-                    buf.clear();
-                    buf.push(1);
-                    rng.gen_bool(0.37)
-                },
-            );
+            let par = mc.run_parallel_with(threads, || Vec::<u8>::with_capacity(16), trial);
             assert_eq!(par, seq, "threads={threads}");
         }
+    }
+
+    /// `k` Bernoulli slots per trial from one uniform (common random
+    /// numbers), counted by a plain loop over the seed stream — the
+    /// reference every runner must reproduce.
+    fn reference_tally(mc: &MonteCarlo, grid: &[f64]) -> Vec<BernoulliEstimate> {
+        let mut counts = vec![0u64; grid.len()];
+        for seed in SeedSequence::new(mc.master_seed()).take(mc.trials() as usize) {
+            let u: f64 = StdRng::seed_from_u64(seed).gen();
+            for (c, &p) in counts.iter_mut().zip(grid) {
+                *c += u64::from(u < p);
+            }
+        }
+        counts
+            .into_iter()
+            .map(|c| BernoulliEstimate::new(c, u64::from(mc.trials())))
+            .collect()
     }
 
     #[test]
@@ -501,12 +383,11 @@ mod tests {
                 *o = u < p;
             }
         };
-        let seq = mc.tally(grid.len(), || (), fill);
-        assert_eq!(seq.len(), grid.len());
+        let seq = reference_tally(&mc, &grid);
         // Slots are monotone in p by construction (common random numbers).
         assert!(seq[0].successes() <= seq[1].successes());
         assert!(seq[1].successes() <= seq[2].successes());
-        for threads in [0, 2, 7] {
+        for threads in [0, 1, 2, 7] {
             let par = mc.tally_parallel(threads, grid.len(), || (), fill);
             assert_eq!(par, seq, "threads={threads}");
         }
@@ -589,9 +470,12 @@ mod tests {
     #[test]
     fn blocks_match_scalar_at_any_width_and_thread_count() {
         let mc = MonteCarlo::new(1_003, 77);
-        let seq = mc.run(|rng| rng.gen_bool(0.42));
-        for width in [1usize, 7, 64, 256, 2048] {
-            for threads in [1usize, 2, 5] {
+        let reference = reference_tally(&mc, &[0.42]);
+        for threads in [1usize, 3] {
+            // The per-trial runner is the block core at width 1.
+            let per_trial = mc.run_parallel_with(threads, || (), |rng, ()| rng.gen::<f64>() < 0.42);
+            assert_eq!(per_trial, reference[0], "threads={threads}");
+            for width in [1usize, 17, 64, 256] {
                 let blocked = mc.run_blocks_with(
                     threads,
                     width,
@@ -599,11 +483,11 @@ mod tests {
                     |seeds, ()| {
                         seeds
                             .iter()
-                            .filter(|&&s| StdRng::seed_from_u64(s).gen_bool(0.42))
+                            .filter(|&&s| StdRng::seed_from_u64(s).gen::<f64>() < 0.42)
                             .count() as u32
                     },
                 );
-                assert_eq!(blocked, seq, "width={width} threads={threads}");
+                assert_eq!(blocked, per_trial, "width={width} threads={threads}");
             }
         }
     }
@@ -611,19 +495,22 @@ mod tests {
     #[test]
     fn tally_blocks_match_scalar_tally() {
         let mc = MonteCarlo::new(997, 31);
-        let grid = [0.2, 0.5, 0.9];
-        let seq = mc.tally(
-            grid.len(),
-            || (),
-            |rng, (), out| {
-                let u: f64 = rng.gen();
-                for (o, &p) in out.iter_mut().zip(&grid) {
-                    *o = u < p;
-                }
-            },
-        );
-        for width in [1usize, 64, 300] {
-            for threads in [1usize, 3] {
+        let grid = [0.1, 0.3, 0.5, 0.7, 0.9];
+        let reference = reference_tally(&mc, &grid);
+        for threads in [1usize, 3] {
+            let per_trial = mc.tally_parallel(
+                threads,
+                grid.len(),
+                || (),
+                |rng, (), out| {
+                    let u: f64 = rng.gen();
+                    for (o, &p) in out.iter_mut().zip(&grid) {
+                        *o = u < p;
+                    }
+                },
+            );
+            assert_eq!(per_trial, reference, "threads={threads}");
+            for width in [1usize, 17, 64, 256] {
                 let blocked = mc.tally_blocks_with(
                     threads,
                     width,
@@ -638,7 +525,7 @@ mod tests {
                         }
                     },
                 );
-                assert_eq!(blocked, seq, "width={width} threads={threads}");
+                assert_eq!(blocked, per_trial, "width={width} threads={threads}");
             }
         }
     }

@@ -209,10 +209,9 @@ pub struct OperationalYield {
     clean_feasible: bool,
     wear: Option<Wear>,
     threads: usize,
-    /// Engine selection for the Bernoulli sweep path: `None` = auto
-    /// (block engine at [`DEFAULT_BLOCK_TRIALS`]), `Some(0)` = scalar,
-    /// `Some(n)` = block engine with `n`-trial batches.
-    block_trials: Option<usize>,
+    /// Trials per block of the sweep path: [`DEFAULT_BLOCK_TRIALS`]
+    /// outside the width-invariance unit tests.
+    width: usize,
 }
 
 impl OperationalYield {
@@ -247,7 +246,7 @@ impl OperationalYield {
             clean_feasible,
             wear: None,
             threads: 1,
-            block_trials: None,
+            width: DEFAULT_BLOCK_TRIALS,
         }
     }
 
@@ -260,27 +259,11 @@ impl OperationalYield {
         self
     }
 
-    /// Selects the trial engine for [`OperationalYield::sweep`] and
-    /// [`OperationalYield::estimate`]: `None` (the default) auto-selects
-    /// the word-parallel block engine at [`DEFAULT_BLOCK_TRIALS`] trials
-    /// per batch, `Some(0)` forces the scalar per-trial engine, and
-    /// `Some(n)` runs the block engine with `n`-trial batches. Engines
-    /// and batch widths are byte-identical; the stratified and
-    /// defect-sampler paths always run scalar.
-    #[must_use]
-    pub fn with_block_trials(mut self, block_trials: Option<usize>) -> Self {
-        self.block_trials = block_trials;
+    /// Runs sweep blocks of `width` trials; estimates must not change.
+    #[cfg(test)]
+    fn with_width(mut self, width: usize) -> Self {
+        self.width = width;
         self
-    }
-
-    /// The batch width the sweep path should run at, or `None` for the
-    /// scalar engine.
-    fn block_width(&self) -> Option<usize> {
-        match self.block_trials {
-            Some(0) => None,
-            Some(n) => Some(n),
-            None => Some(DEFAULT_BLOCK_TRIALS),
-        }
     }
 
     /// Adds in-service wear on top of the manufacturing fault draw: each
@@ -353,37 +336,6 @@ impl OperationalYield {
         }
     }
 
-    /// One trial against an ascending survival grid: a single uniform per
-    /// cell is shared across every `p` (common random numbers), then each
-    /// grid point's chip instance runs through the three tiers. Slots
-    /// `3j..3j+3` of `out` receive `(raw, reconfigured, operational)` for
-    /// `ps[j]`.
-    fn trial_grid(&self, ps: &[f64], rng: &mut StdRng, state: &mut TrialState, out: &mut [bool]) {
-        for u in state.uniforms.iter_mut() {
-            *u = rng.gen();
-        }
-        let wear_map = self.wear.as_ref().map(|w| {
-            w.model
-                .inject_service_faults(self.checker.chip().array.region(), w.horizon_hours, rng)
-        });
-        for (j, &p) in ps.iter().enumerate() {
-            let mut defects = DefectMap::from_cells(
-                self.cells
-                    .iter()
-                    .zip(&state.uniforms)
-                    .filter(|(_, &u)| u >= p)
-                    .map(|(&c, _)| c),
-            );
-            if let Some(wear) = &wear_map {
-                defects = defects.merged(wear);
-            }
-            let v = self.verdict(&defects, &mut state.scratch);
-            out[3 * j] = v.raw;
-            out[3 * j + 1] = v.reconfigured;
-            out[3 * j + 2] = v.operational;
-        }
-    }
-
     /// Precomputes the word-parallel sweep geometry: where the in-scope
     /// assay cells sit in the fault-draw index space, and (per scope
     /// cell, CSR-packed) where their adjacent spares sit — so the block
@@ -421,8 +373,8 @@ impl OperationalYield {
     /// One batch of up-to-64-lane trial groups against the ascending
     /// grid. Per 64-lane group the sampler draws every cell's mantissa
     /// column once (common random numbers across the grid), the wear
-    /// model (if any) continues each lane's stream exactly where the
-    /// scalar engine would, and each grid point is then decided in three
+    /// model (if any) continues each lane's stream exactly where a
+    /// per-trial draw would, and each grid point is then decided in three
     /// word-parallel tiers:
     ///
     /// 1. **fault-free lanes** — no fault anywhere: raw, reconfigured
@@ -547,8 +499,8 @@ impl OperationalYield {
     /// survival probability parameterises the model. In-service wear, when
     /// configured, is drawn after the manufacturing sample, as in the
     /// Bernoulli paths. Thread-count invariant; depends only on
-    /// `(trials, seed)`. Always runs the scalar engine — an arbitrary
-    /// sampler's draw stream cannot be transposed into lanes.
+    /// `(trials, seed)`. Runs one trial at a time: an arbitrary sampler's
+    /// draw stream cannot be transposed into lanes.
     #[must_use]
     pub fn estimate_with(
         &self,
@@ -591,9 +543,9 @@ impl OperationalYield {
     /// The assay pipeline makes each trial expensive, which is precisely
     /// where skipping the defect-free bulk pays the most.
     ///
-    /// Thread-count invariant; depends only on `(budget, seed)`. Always
-    /// runs the scalar engine: the strata already skip the defect-free
-    /// bulk, which is where the block tiers earn their keep.
+    /// Thread-count invariant; depends only on `(budget, seed)`. Runs one
+    /// trial at a time: the strata already skip the defect-free bulk,
+    /// which is where the block tiers earn their keep.
     ///
     /// # Panics
     ///
@@ -661,8 +613,7 @@ impl OperationalYield {
     /// Sweeps an **ascending** survival grid in one batched Monte-Carlo
     /// pass: each trial draws one random chip and reports all three tiers
     /// at every `p` (common random numbers across the grid). Results are
-    /// byte-identical for any thread count, and for any engine or batch
-    /// width selected via [`OperationalYield::with_block_trials`].
+    /// byte-identical for any thread count.
     ///
     /// # Panics
     ///
@@ -673,36 +624,27 @@ impl OperationalYield {
             ps.windows(2).all(|w| w[0] <= w[1]),
             "survival grid must be ascending"
         );
-        let mc = MonteCarlo::new(trials, seed);
-        let estimates = match self.block_width() {
-            Some(width) => {
-                let plan = self.block_plan();
-                mc.tally_blocks_with(
-                    self.threads,
-                    width,
-                    3 * ps.len(),
-                    || BlockState {
-                        sampler: BlockSampler::new(&[]),
-                        mantissa: vec![0; self.cells.len() * LANES],
-                        mfg_words: vec![0; self.cells.len()],
-                        all_words: vec![0; self.cells.len()],
-                        wear_words: vec![0; self.cells.len()],
-                        wear_maps: Vec::new(),
-                        scratch: self.evaluator.scratch(),
-                    },
-                    |seeds, state, out| self.sweep_block(&plan, ps, seeds, state, out),
-                )
-            }
-            None => mc.tally_parallel(
-                self.threads,
-                3 * ps.len(),
-                || TrialState {
-                    uniforms: vec![0.0; self.cells.len()],
-                    scratch: self.evaluator.scratch(),
-                },
-                |rng, state, out| self.trial_grid(ps, rng, state, out),
-            ),
-        };
+        let plan = self.block_plan();
+        let estimates = MonteCarlo::new(trials, seed).tally_blocks_with(
+            self.threads,
+            self.width,
+            3 * ps.len(),
+            || BlockState {
+                sampler: BlockSampler::new(&[]),
+                mantissa: vec![0; self.cells.len() * LANES],
+                mfg_words: vec![0; self.cells.len()],
+                all_words: vec![0; self.cells.len()],
+                wear_words: vec![0; self.cells.len()],
+                wear_maps: Vec::new(),
+                scratch: self.evaluator.scratch(),
+            },
+            |seeds, state, out| self.sweep_block(&plan, ps, seeds, state, out),
+        );
+        Self::rows(ps, &estimates)
+    }
+
+    /// Regroups a `3 * ps.len()` tally into one three-tier row per `p`.
+    fn rows(ps: &[f64], estimates: &[BernoulliEstimate]) -> Vec<OperationalEstimate> {
         ps.iter()
             .enumerate()
             .map(|(j, &p)| OperationalEstimate {
@@ -713,13 +655,6 @@ impl OperationalYield {
             })
             .collect()
     }
-}
-
-/// Per-worker trial buffers: the per-cell uniform draw plus the matcher
-/// scratch.
-struct TrialState {
-    uniforms: Vec<f64>,
-    scratch: TrialScratch,
 }
 
 /// Word-parallel sweep geometry, precomputed once per sweep. All indices
@@ -762,6 +697,53 @@ mod tests {
 
     fn engine() -> OperationalYield {
         OperationalYield::ivd(AssayPanel::StandardIvd)
+    }
+
+    /// The scalar oracle of [`OperationalYield::sweep`]: one trial at a
+    /// time, a single uniform per cell shared across every `p` (common
+    /// random numbers), then each grid point's chip instance through the
+    /// three tiers. Slots `3j..3j+3` receive `(raw, reconfigured,
+    /// operational)` for `ps[j]`.
+    fn scalar_sweep(
+        eng: &OperationalYield,
+        ps: &[f64],
+        trials: u32,
+        seed: u64,
+    ) -> Vec<OperationalEstimate> {
+        let estimates = MonteCarlo::new(trials, seed).tally_parallel(
+            1,
+            3 * ps.len(),
+            || (vec![0.0f64; eng.cells.len()], eng.evaluator.scratch()),
+            |rng, (uniforms, scratch), out| {
+                for u in uniforms.iter_mut() {
+                    *u = rng.gen();
+                }
+                let wear_map = eng.wear.as_ref().map(|w| {
+                    w.model.inject_service_faults(
+                        eng.checker.chip().array.region(),
+                        w.horizon_hours,
+                        rng,
+                    )
+                });
+                for (j, &p) in ps.iter().enumerate() {
+                    let mut defects = DefectMap::from_cells(
+                        eng.cells
+                            .iter()
+                            .zip(uniforms.iter())
+                            .filter(|(_, &u)| u >= p)
+                            .map(|(&c, _)| c),
+                    );
+                    if let Some(wear) = &wear_map {
+                        defects = defects.merged(wear);
+                    }
+                    let v = eng.verdict(&defects, scratch);
+                    out[3 * j] = v.raw;
+                    out[3 * j + 1] = v.reconfigured;
+                    out[3 * j + 2] = v.operational;
+                }
+            },
+        );
+        OperationalYield::rows(ps, &estimates)
     }
 
     #[test]
@@ -964,36 +946,28 @@ mod tests {
     fn block_engine_is_byte_identical_to_scalar() {
         let eng = engine();
         let ps = [0.93, 0.97, 1.0];
-        let scalar = eng.clone().with_block_trials(Some(0)).sweep(&ps, 200, 5);
-        for block_trials in [None, Some(1), Some(64), Some(150)] {
-            let block = eng
-                .clone()
-                .with_block_trials(block_trials)
-                .sweep(&ps, 200, 5);
-            assert_eq!(block, scalar, "block_trials={block_trials:?}");
+        let scalar = scalar_sweep(&eng, &ps, 200, 5);
+        assert_eq!(eng.sweep(&ps, 200, 5), scalar);
+        for width in [1, 33, 64, 150] {
+            let block = eng.clone().with_width(width);
+            assert_eq!(block.sweep(&ps, 200, 5), scalar, "width={width}");
         }
         // Thread invariance holds inside the block engine too.
-        let threaded = eng
-            .clone()
-            .with_block_trials(Some(64))
-            .with_threads(3)
-            .sweep(&ps, 200, 5);
-        assert_eq!(threaded, scalar);
+        let threaded = eng.clone().with_width(64).with_threads(3);
+        assert_eq!(threaded.sweep(&ps, 200, 5), scalar);
     }
 
     #[test]
     fn block_engine_matches_scalar_under_wear() {
         // Wear draws must continue each lane's stream exactly where the
-        // scalar engine's per-trial RNG left it after the cell uniforms.
+        // scalar oracle's per-trial RNG left it after the cell uniforms.
         let eng = engine().with_wear(MtbfModel::new(2_000.0, 1.0), 1_000.0);
         let ps = [0.94, 0.99];
-        let scalar = eng.clone().with_block_trials(Some(0)).sweep(&ps, 150, 3);
-        for block_trials in [None, Some(33), Some(64)] {
-            let block = eng
-                .clone()
-                .with_block_trials(block_trials)
-                .sweep(&ps, 150, 3);
-            assert_eq!(block, scalar, "block_trials={block_trials:?}");
+        let scalar = scalar_sweep(&eng, &ps, 150, 3);
+        assert_eq!(eng.sweep(&ps, 150, 3), scalar);
+        for width in [1, 33, 64, 150] {
+            let block = eng.clone().with_width(width);
+            assert_eq!(block.sweep(&ps, 150, 3), scalar, "width={width}");
         }
     }
 

@@ -93,10 +93,10 @@ impl StratifiedPoint {
     }
 }
 
-/// Default block width (trials per [`MonteCarlo::run_blocks_with`] seed
-/// group) when the engine is left on auto — a few word groups per block
-/// keeps the per-block seed-derivation overhead negligible without
-/// starving the thread scheduler of blocks.
+/// Block width (trials per [`MonteCarlo::run_blocks_with`] seed group) of
+/// every Bernoulli estimate — a few word groups per block keeps the
+/// per-block seed-derivation overhead negligible without starving the
+/// thread scheduler of blocks. Estimates do not depend on it.
 pub const DEFAULT_BLOCK_TRIALS: usize = 256;
 
 /// The hexagonal engine under its historic name. The benchmark harness in
@@ -136,9 +136,9 @@ pub struct SchemeYield<C: Copy + Ord = HexCoord> {
     label: String,
     evaluator: TrialEvaluator<C>,
     threads: usize,
-    /// `None` = auto ([`DEFAULT_BLOCK_TRIALS`]); `Some(0)` = scalar
-    /// engine; `Some(n)` = block engine with width `n`.
-    block_trials: Option<usize>,
+    /// Trials per block: [`DEFAULT_BLOCK_TRIALS`] outside the
+    /// width-invariance unit tests.
+    width: usize,
 }
 
 impl SchemeYield {
@@ -171,7 +171,7 @@ impl<C: Copy + Ord + Send + Sync> SchemeYield<C> {
             label: scheme.label(),
             evaluator: TrialEvaluator::for_scheme(topo, scheme),
             threads: 1,
-            block_trials: None,
+            width: DEFAULT_BLOCK_TRIALS,
         }
     }
 
@@ -182,7 +182,7 @@ impl<C: Copy + Ord + Send + Sync> SchemeYield<C> {
             label: label.into(),
             evaluator,
             threads: 1,
-            block_trials: None,
+            width: DEFAULT_BLOCK_TRIALS,
         }
     }
 
@@ -195,25 +195,11 @@ impl<C: Copy + Ord + Send + Sync> SchemeYield<C> {
         self
     }
 
-    /// Selects the trial engine: `None` leaves the word-parallel block
-    /// engine on auto ([`DEFAULT_BLOCK_TRIALS`] trials per block),
-    /// `Some(0)` forces the scalar per-trial engine, and `Some(n)` runs
-    /// blocks of `n` trials. The choice never changes any estimate — the
-    /// block engine is byte-identical to the scalar one at every width —
-    /// only how fast it is computed.
-    #[must_use]
-    pub fn with_block_trials(mut self, block_trials: Option<usize>) -> Self {
-        self.block_trials = block_trials;
+    /// Runs blocks of `width` trials; estimates must not change.
+    #[cfg(test)]
+    fn with_width(mut self, width: usize) -> Self {
+        self.width = width;
         self
-    }
-
-    /// The effective block width: `None` means the scalar engine.
-    fn block_width(&self) -> Option<usize> {
-        match self.block_trials {
-            Some(0) => None,
-            Some(n) => Some(n),
-            None => Some(DEFAULT_BLOCK_TRIALS),
-        }
     }
 
     /// The scheme label (used in reports and bench artifacts).
@@ -255,35 +241,25 @@ impl<C: Copy + Ord + Send + Sync> SchemeYield<C> {
     }
 
     /// Estimates yield when every relevant cell survives independently
-    /// with probability `p`. On the (default) block engine, trials run 64
-    /// per word through the tiered sample → classify → match pipeline of
-    /// [`dmfb_reconfig::block`]; on the scalar engine
-    /// ([`SchemeYield::with_block_trials`]`(Some(0))`), one at a time
-    /// through [`TrialEvaluator::survival_trial`]. Both give byte-identical
-    /// estimates for any thread count.
+    /// with probability `p`. Trials run 64 per word through the tiered
+    /// sample → classify → match pipeline of [`dmfb_reconfig::block`],
+    /// whose verdicts equal [`TrialEvaluator::survival_trial`]'s trial by
+    /// trial; the estimate is the same for any thread count.
     #[must_use]
     pub fn estimate_survival(&self, p: f64, trials: u32, seed: u64) -> BernoulliEstimate {
-        let mc = MonteCarlo::new(trials, seed);
-        match self.block_width() {
-            Some(width) => mc.run_blocks_with(
-                self.threads,
-                width,
-                || self.evaluator.block_scratch(),
-                |seeds, block| self.evaluator.survival_block(p, seeds, block),
-            ),
-            None => mc.run_parallel_with(
-                self.threads,
-                || self.evaluator.scratch(),
-                |rng, scratch| self.evaluator.survival_trial(p, rng, scratch),
-            ),
-        }
+        MonteCarlo::new(trials, seed).run_blocks_with(
+            self.threads,
+            self.width,
+            || self.evaluator.block_scratch(),
+            |seeds, block| self.evaluator.survival_block(p, seeds, block),
+        )
     }
 
     /// Estimates yield with the **defect-count-stratified** rare-event
     /// estimator: the survival probability is decomposed as
     /// `Σₖ P(K=k)·P(survive | K=k)` over the evaluator's relevant cells,
-    /// each stratum sampled with exactly `k` faults via
-    /// [`TrialEvaluator::exact_fault_trial`], trials allocated by Neyman
+    /// each stratum sampled with exactly `k` faults (the block form of
+    /// [`TrialEvaluator::exact_fault_trial`]), trials allocated by Neyman
     /// weights after a pilot pass, and negligible strata truncated below
     /// `config.tolerance`.
     ///
@@ -308,27 +284,20 @@ impl<C: Copy + Ord + Send + Sync> SchemeYield<C> {
             (0.0..=1.0).contains(&p),
             "survival probability must be in [0, 1], got {p}"
         );
-        let strat = StratifiedMonteCarlo::new(self.evaluator.cell_count(), budget, seed)
+        StratifiedMonteCarlo::new(self.evaluator.cell_count(), budget, seed)
             .with_threads(self.threads)
             .with_config(*config)
             // Hall-type structural bound: strata at or below it are
             // provably tolerable and resolve exactly instead of being
             // sampled — the k = 1 stratum usually carries most of the
             // non-defect-free mass at p → 1.
-            .with_proven_tolerable(self.evaluator.guaranteed_tolerable_faults());
-        match self.block_width() {
-            Some(width) => strat.estimate_block(
+            .with_proven_tolerable(self.evaluator.guaranteed_tolerable_faults())
+            .estimate_block(
                 1.0 - p,
-                width,
+                self.width,
                 || self.evaluator.block_scratch(),
                 |k, seeds, block| self.evaluator.exact_fault_block(k, seeds, block),
-            ),
-            None => strat.estimate(
-                1.0 - p,
-                || self.evaluator.scratch(),
-                |k, rng, scratch| self.evaluator.exact_fault_trial(k, rng, scratch),
-            ),
-        }
+            )
     }
 
     /// Sweeps survival probabilities through the stratified estimator,
@@ -363,9 +332,8 @@ impl<C: Copy + Ord + Send + Sync> SchemeYield<C> {
     /// provided RNG), and the evaluator decides tolerability. Results are
     /// deterministic in `(trials, seed)` and independent of thread count.
     ///
-    /// Always runs the scalar engine: an arbitrary sampler's draw stream
-    /// cannot be transposed into fault words without changing it, so
-    /// [`SchemeYield::with_block_trials`] has no effect here.
+    /// Runs one trial at a time: an arbitrary sampler's draw stream cannot
+    /// be transposed into fault words without changing it.
     #[must_use]
     pub fn estimate_with_defects(
         &self,
@@ -385,10 +353,9 @@ impl<C: Copy + Ord + Send + Sync> SchemeYield<C> {
 
     /// Sweeps an **ascending** survival grid in one batched Monte-Carlo
     /// pass: each trial draws a single random chip (common random numbers
-    /// across the grid) and reports tolerability at every `p` at once via
-    /// the monotone threshold search in
-    /// [`TrialEvaluator::survival_trial_grid`]. Results are byte-identical
-    /// for any thread count.
+    /// across the grid) and reports tolerability at every `p` at once —
+    /// the block form of [`TrialEvaluator::survival_trial_grid`]. Results
+    /// are byte-identical for any thread count.
     ///
     /// # Panics
     ///
@@ -400,24 +367,13 @@ impl<C: Copy + Ord + Send + Sync> SchemeYield<C> {
         trials: u32,
         seed: u64,
     ) -> Vec<BernoulliEstimate> {
-        let mc = MonteCarlo::new(trials, seed);
-        match self.block_width() {
-            Some(width) => mc.tally_blocks_with(
-                self.threads,
-                width,
-                ps.len(),
-                || self.evaluator.block_scratch(),
-                |seeds, block, counts| {
-                    self.evaluator.survival_grid_block(ps, seeds, block, counts);
-                },
-            ),
-            None => mc.tally_parallel(
-                self.threads,
-                ps.len(),
-                || self.evaluator.scratch(),
-                |rng, scratch, out| self.evaluator.survival_trial_grid(ps, rng, scratch, out),
-            ),
-        }
+        MonteCarlo::new(trials, seed).tally_blocks_with(
+            self.threads,
+            self.width,
+            ps.len(),
+            || self.evaluator.block_scratch(),
+            |seeds, block, counts| self.evaluator.survival_grid_block(ps, seeds, block, counts),
+        )
     }
 
     /// Sweeps survival probabilities with an **independent** experiment
@@ -520,40 +476,53 @@ mod tests {
     #[test]
     fn block_engine_is_byte_identical_to_scalar() {
         let ps = [0.85, 0.92, 0.97, 1.0];
+        let config = StratifiedConfig::default();
         for est in [
             square(SquarePattern::PerfectCode),
             square(SquarePattern::Checkerboard),
             square(SquarePattern::Stripes),
             spare_rows(),
         ] {
-            let scalar = est.clone().with_block_trials(Some(0));
-            let survival = scalar.estimate_survival(0.95, 1_500, 11);
-            let sweep = scalar.sweep_survival_batched(&ps, 800, 3);
-            let strat =
-                scalar.estimate_survival_stratified(0.995, 1_200, 7, &StratifiedConfig::default());
-            // None = auto (the default engine) plus explicit widths that
-            // split trials across partial and multiple 64-lane groups.
-            for block_trials in [None, Some(1), Some(64), Some(333)] {
-                let block = est.clone().with_block_trials(block_trials);
+            // The scalar oracle: one trial at a time through the
+            // evaluator's per-trial entry points.
+            let ev = est.evaluator();
+            let survival = MonteCarlo::new(1_500, 11).run_parallel_with(
+                1,
+                || ev.scratch(),
+                |rng, scratch| ev.survival_trial(0.95, rng, scratch),
+            );
+            let sweep = MonteCarlo::new(800, 3).tally_parallel(
+                1,
+                ps.len(),
+                || ev.scratch(),
+                |rng, scratch, out| ev.survival_trial_grid(&ps, rng, scratch, out),
+            );
+            let strat = StratifiedMonteCarlo::new(ev.cell_count(), 1_200, 7)
+                .with_config(config)
+                .with_proven_tolerable(ev.guaranteed_tolerable_faults())
+                .estimate(
+                    1.0 - 0.995,
+                    || ev.scratch(),
+                    |k, rng, scratch| ev.exact_fault_trial(k, rng, scratch),
+                );
+            // The production width, then widths that split trials across
+            // partial and multiple 64-lane groups.
+            for width in [DEFAULT_BLOCK_TRIALS, 1, 17, 64, 333] {
+                let block = est.clone().with_width(width);
                 assert_eq!(
                     block.estimate_survival(0.95, 1_500, 11),
                     survival,
-                    "survival, block_trials={block_trials:?}"
+                    "survival, width={width}"
                 );
                 assert_eq!(
                     block.sweep_survival_batched(&ps, 800, 3),
                     sweep,
-                    "sweep, block_trials={block_trials:?}"
+                    "sweep, width={width}"
                 );
                 assert_eq!(
-                    block.estimate_survival_stratified(
-                        0.995,
-                        1_200,
-                        7,
-                        &StratifiedConfig::default()
-                    ),
+                    block.estimate_survival_stratified(0.995, 1_200, 7, &config),
                     strat,
-                    "stratified, block_trials={block_trials:?}"
+                    "stratified, width={width}"
                 );
             }
         }
