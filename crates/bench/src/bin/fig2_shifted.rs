@@ -66,6 +66,8 @@ fn main() {
     // comparable size (48 primaries).
     println!("\nInterstitial DTMB(2,6) on a comparable 48-primary array:");
     let dtmb = DtmbKind::Dtmb26A.with_primary_count(48);
+    let evaluator = TrialEvaluator::new(&dtmb, &ReconfigPolicy::AllPrimaries);
+    let mut scratch = evaluator.scratch();
     let mut table = TextTable::new(vec![
         "scenario".into(),
         "outcome".into(),
@@ -73,11 +75,7 @@ fn main() {
     ]);
     for (label, k) in [("1 fault", 1usize), ("2 faults", 2), ("3 faults", 3)] {
         let faulty: Vec<HexCoord> = dtmb.primaries().step_by(7).take(k).collect();
-        match attempt_reconfiguration(
-            &dtmb,
-            &DefectMap::from_cells(faulty),
-            &ReconfigPolicy::AllPrimaries,
-        ) {
+        match evaluator.reconfigure(&DefectMap::from_cells(faulty), &mut scratch) {
             Ok(plan) => table.row(vec![
                 label.into(),
                 "tolerated (local)".into(),

@@ -65,6 +65,8 @@ fn main() {
     let hex_chip = Biochip::dtmb(DtmbKind::Dtmb16, 80);
     let sq_region = dmfb_core::grid::SquareRegion::rect(10, 10);
     let sq_cells: Vec<_> = sq_region.iter().collect();
+    let sq_eval = TrialEvaluator::for_scheme(&sq_region, &SquarePattern::PerfectCode);
+    let mut sq_scratch = sq_eval.scratch();
     let mut table = TextTable::new(vec![
         "m".into(),
         format!("hex DTMB(1,6), n={}", hex_chip.array().primary_count()),
@@ -79,7 +81,7 @@ fn main() {
             let mut rng = StdRng::seed_from_u64(97 + t as u64 * 131 + m as u64);
             let mut cells = sq_cells.clone();
             cells.shuffle(&mut rng);
-            if SquarePattern::PerfectCode.is_reconfigurable(&sq_region, &cells[..m]) {
+            if sq_eval.evaluate_faulty_cells(&cells[..m], &mut sq_scratch) {
                 successes += 1;
             }
         }

@@ -14,7 +14,7 @@ use crate::chip::ChipDescription;
 use crate::schedule::{ExecError, Executor};
 use dmfb_defects::{CatastrophicDefect, DefectCause, DefectMap};
 use dmfb_grid::HexCoord;
-use dmfb_reconfig::{attempt_reconfiguration, ReconfigPolicy};
+use dmfb_reconfig::{ReconfigPolicy, TrialEvaluator};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -74,17 +74,22 @@ impl OnlineExecutor {
         events: &[OperationalFault],
         rng: &mut impl Rng,
     ) -> Result<OnlineReport, ExecError> {
+        let evaluator = TrialEvaluator::new(&self.chip.array, &self.policy);
+        let mut scratch = evaluator.scratch();
+        let mut replan = |defects: &DefectMap, resource: String| {
+            evaluator
+                .reconfigure(defects, &mut scratch)
+                .map_err(|failure| ExecError::FaultyResource {
+                    resource,
+                    cell: failure
+                        .unassigned
+                        .first()
+                        .copied()
+                        .unwrap_or(HexCoord::ORIGIN),
+                })
+        };
         let mut defects = self.initial_defects.clone();
-        let mut plan = attempt_reconfiguration(&self.chip.array, &defects, &self.policy).map_err(
-            |failure| ExecError::FaultyResource {
-                resource: "initial reconfiguration".into(),
-                cell: failure
-                    .unassigned
-                    .first()
-                    .copied()
-                    .unwrap_or(HexCoord::ORIGIN),
-            },
-        )?;
+        let mut plan = replan(&defects, "initial reconfiguration".into())?;
         let mut outcomes = Vec::with_capacity(batch.requests.len());
         let mut replans = 0usize;
         let mut absorbed = 0usize;
@@ -103,16 +108,7 @@ impl OnlineExecutor {
                 }
             }
             if changed {
-                plan = attempt_reconfiguration(&self.chip.array, &defects, &self.policy).map_err(
-                    |failure| ExecError::FaultyResource {
-                        resource: format!("online re-plan before assay {i}"),
-                        cell: failure
-                            .unassigned
-                            .first()
-                            .copied()
-                            .unwrap_or(HexCoord::ORIGIN),
-                    },
-                )?;
+                plan = replan(&defects, format!("online re-plan before assay {i}"))?;
                 replans += 1;
                 absorbed += events.iter().filter(|e| e.before_assay == i).count();
             }

@@ -1352,6 +1352,7 @@ fn cmd_assay(opts: &Options) -> Result<(), String> {
         defects.fault_count(),
         plan.len()
     );
+    let ey = effective::effective_yield_of(&chip.array, 1.0);
     let exec = Executor::new(chip, defects, Some(plan));
     let outcomes = exec
         .run(&MultiplexedIvd::standard_panel(), &mut rng)
@@ -1369,18 +1370,8 @@ fn cmd_assay(opts: &Options) -> Result<(), String> {
             o.completion_time_s
         );
     }
-    let ey = effective::effective_yield_of(exec_array(&exec), 1.0);
     outln!("(array effective-yield scale factor n/N = {ey:.4})");
     Ok(())
-}
-
-/// Accessor shim: the executor owns the chip; reach its array for stats.
-fn exec_array(_exec: &Executor) -> &DefectTolerantArray {
-    // The Executor API intentionally hides its internals; recompute the
-    // case-study array instead (cheap, deterministic).
-    use std::sync::OnceLock;
-    static ARRAY: OnceLock<DefectTolerantArray> = OnceLock::new();
-    ARRAY.get_or_init(|| ivd_dtmb26_chip().array)
 }
 
 fn cmd_profile(opts: &Options) -> Result<(), String> {

@@ -39,6 +39,31 @@ fn unknown_design_lists_choices_and_fails() {
     );
 }
 
+/// Replays the `$ dmfb …` cases of golden file `name` with `extra` args;
+/// returns the golden and the replayed transcript.
+fn replay_golden(name: &str, extra: &[&str]) -> (String, String) {
+    let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
+    let golden = std::fs::read_to_string(&path).unwrap();
+    let mut replay = String::new();
+    for line in golden.lines() {
+        let Some(case) = line.strip_prefix("$ dmfb ") else {
+            continue;
+        };
+        let mut args: Vec<&str> = case.split_whitespace().collect();
+        args.extend(extra);
+        let out = dmfb(&args);
+        assert!(
+            out.status.success(),
+            "{case}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        replay.push_str(line);
+        replay.push('\n');
+        replay.push_str(&String::from_utf8(out.stdout).unwrap());
+    }
+    (golden, replay)
+}
+
 /// Replays every `$ dmfb …` case in the committed yield/sweep golden and
 /// checks the binary still prints the recorded bytes, single-threaded and
 /// on every core. The cases cover each scheme family under every
@@ -49,34 +74,21 @@ fn unknown_design_lists_choices_and_fails() {
 /// size.
 #[test]
 fn yield_and_sweep_match_the_matrix_golden() {
-    let path = format!(
-        "{}/tests/golden/yield_sweep_matrix.txt",
-        env!("CARGO_MANIFEST_DIR")
-    );
-    let golden = std::fs::read_to_string(&path).unwrap();
     for threads in ["1", "0"] {
-        let mut replay = String::new();
-        for line in golden.lines() {
-            let Some(case) = line.strip_prefix("$ dmfb ") else {
-                continue;
-            };
-            let mut args: Vec<&str> = case.split_whitespace().collect();
-            args.extend(["--threads", threads]);
-            let out = dmfb(&args);
-            assert!(
-                out.status.success(),
-                "{case}: {}",
-                String::from_utf8_lossy(&out.stderr)
-            );
-            replay.push_str(line);
-            replay.push('\n');
-            replay.push_str(&String::from_utf8(out.stdout).unwrap());
-        }
+        let (golden, replay) = replay_golden("yield_sweep_matrix.txt", &["--threads", threads]);
         assert_eq!(
             replay, golden,
-            "yield/sweep output drifted from {path} at --threads {threads}"
+            "yield/sweep output drifted from yield_sweep_matrix.txt at --threads {threads}"
         );
     }
+}
+
+/// Commands that print or execute a plan: a `render` that reconfigures,
+/// one that fails (the Hall-witness message), and an `assay`.
+#[test]
+fn render_and_assay_match_the_plan_golden() {
+    let (golden, replay) = replay_golden("plans.txt", &[]);
+    assert_eq!(replay, golden, "plan output drifted from plans.txt");
 }
 
 /// Options outside the table every command shares are errors, never

@@ -1,10 +1,10 @@
 //! Bitset-adjacency bipartite graphs and a cache-friendly Hopcroft–Karp.
 //!
 //! The Monte-Carlo hot path solves tens of thousands of small bipartite
-//! matching problems per yield point. [`BipartiteGraph`] stores one heap
-//! `Vec` per left node, which is flexible but costs an allocation per node
-//! and a pointer chase per neighbour. [`BitsetGraph`] instead packs each
-//! left node's neighbour set into `u64` words of one flat buffer, so
+//! matching problems per yield point. An adjacency-list graph stores one
+//! heap `Vec` per left node, which costs an allocation per node and a
+//! pointer chase per neighbour. [`BitsetGraph`] instead packs each left
+//! node's neighbour set into `u64` words of one flat buffer, so
 //!
 //! * building a graph is `left × words` zeroed `u64`s plus one bit-set per
 //!   edge (no per-node allocations),
@@ -15,16 +15,13 @@
 //! scratch buffers, and [`BitsetGraph::hall_infeasible`] answers "can a
 //! left-perfect matching possibly exist?" in `O(left × words)` before any
 //! search starts — the early exit that serves the simulator's yes/no
-//! question.
-
-use crate::matching::Matching;
-use crate::BipartiteGraph;
+//! question. When the answer is no, [`BitsetMatcher::hall_witness`]
+//! explains it with a Hall-deficient set.
 
 /// A bipartite graph whose left-node neighbour sets are `u64` bitsets.
 ///
-/// Functionally equivalent to [`BipartiteGraph`] for matching purposes;
-/// trades the ability to iterate edges in insertion order for dense storage
-/// and word-parallel set operations.
+/// Neighbours iterate in ascending index order rather than insertion
+/// order; in exchange storage is dense and set operations are word-wise.
 ///
 /// # Example
 ///
@@ -35,8 +32,7 @@ use crate::BipartiteGraph;
 /// g.add_edge(0, 0);
 /// g.add_edge(0, 1);
 /// g.add_edge(1, 0);
-/// let m = hopcroft_karp_bitset(&g);
-/// assert_eq!(m.len(), 2);
+/// assert_eq!(hopcroft_karp_bitset(&g), 2);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BitsetGraph {
@@ -60,16 +56,6 @@ impl BitsetGraph {
             adj: vec![0u64; left_count * words_per_row],
             edges: 0,
         }
-    }
-
-    /// Converts an adjacency-list graph into the bitset layout.
-    #[must_use]
-    pub fn from_graph(graph: &BipartiteGraph) -> Self {
-        let mut g = BitsetGraph::new(graph.left_count(), graph.right_count());
-        for (a, b) in graph.edges() {
-            g.add_edge(a, b);
-        }
-        g
     }
 
     /// Clears all edges while keeping the side sizes and buffer capacity —
@@ -166,22 +152,6 @@ impl BitsetGraph {
         })
     }
 
-    /// Degree of left node `a`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` is out of range.
-    #[must_use]
-    pub fn degree_left(&self, a: usize) -> usize {
-        self.row(a).iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Whether some left node has no neighbours at all.
-    #[must_use]
-    pub fn has_isolated_left(&self) -> bool {
-        (0..self.left_count).any(|a| self.row(a).iter().all(|&w| w == 0))
-    }
-
     /// Cheap certificate that **no left-saturating (perfect-on-A) matching
     /// can exist**, checked before any augmenting search:
     ///
@@ -240,33 +210,23 @@ impl BitsetGraph {
     }
 }
 
-impl Matching {
-    /// Checks that the matching is consistent with a [`BitsetGraph`]:
-    /// every matched pair is an edge and the two directions agree.
+/// A witness that no matching can cover all left nodes: a set `S` of left
+/// nodes whose joint neighbourhood `N(S)` is strictly smaller than `S`
+/// (Hall's theorem). When local reconfiguration fails, `S` — faulty cells
+/// with fewer adjacent fault-free spares than members — explains why.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct HallViolation {
+    /// The deficient left nodes (faulty cells), ascending.
+    pub left_set: Vec<usize>,
+    /// Their joint right-side neighbourhood (available spares), ascending.
+    pub neighborhood: Vec<usize>,
+}
+
+impl HallViolation {
+    /// Deficiency `|S| - |N(S)|` (always >= 1 for a genuine violation).
     #[must_use]
-    pub fn is_valid_bitset(&self, graph: &BitsetGraph) -> bool {
-        if self.pair_left.len() != graph.left_count()
-            || self.pair_right.len() != graph.right_count()
-        {
-            return false;
-        }
-        let mut count = 0;
-        for (a, p) in self.pair_left.iter().enumerate() {
-            if let Some(b) = p {
-                if !graph.contains_edge(a, *b) || self.pair_right[*b] != Some(a) {
-                    return false;
-                }
-                count += 1;
-            }
-        }
-        for (b, p) in self.pair_right.iter().enumerate() {
-            if let Some(a) = p {
-                if self.pair_left[*a] != Some(b) {
-                    return false;
-                }
-            }
-        }
-        count == self.size
+    pub fn deficiency(&self) -> usize {
+        self.left_set.len().saturating_sub(self.neighborhood.len())
     }
 }
 
@@ -291,7 +251,7 @@ const INF: u32 = u32::MAX;
 /// g.add_edge(1, 0);
 /// let mut matcher = BitsetMatcher::new();
 /// assert!(!matcher.covers_all_left(&g)); // two faults, one spare
-/// assert_eq!(matcher.max_matching(&g).len(), 1);
+/// assert_eq!(matcher.max_matching(&g), 1);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct BitsetMatcher {
@@ -470,13 +430,14 @@ impl BitsetMatcher {
     }
 
     /// The `(left, right)` pairs of the matching computed by the most
-    /// recent [`BitsetMatcher::covers_all_left`] or
-    /// [`BitsetMatcher::max_matching`] call, in ascending left order.
+    /// recent [`BitsetMatcher::covers_all_left`],
+    /// [`BitsetMatcher::max_matching`] or [`BitsetMatcher::hall_witness`]
+    /// call, in ascending left order.
     ///
     /// This is how callers that need the *assignment* — not just the
-    /// yes/no cover verdict — read it back without paying for a fresh
-    /// [`Matching`] allocation: `covers_all_left` first, then iterate the
-    /// pairs. Empty when no solve has run (or the left side was empty).
+    /// yes/no cover verdict — read it back: `covers_all_left` first, then
+    /// iterate the pairs. Empty when no solve has run (or the left side
+    /// was empty).
     ///
     /// # Example
     ///
@@ -499,26 +460,63 @@ impl BitsetMatcher {
             .map(|(a, &b)| (a, b as usize))
     }
 
-    /// Computes a maximum matching, reusing this matcher's buffers.
-    pub fn max_matching(&mut self, graph: &BitsetGraph) -> Matching {
-        let size = self.solve(graph, false);
-        let mut m = Matching::new(graph.left_count(), graph.right_count());
-        for (a, &b) in self.pair_left.iter().enumerate() {
-            if b != UNMATCHED {
-                m.pair_left[a] = Some(b as usize);
+    /// Computes a maximum matching, reusing this matcher's buffers, and
+    /// returns its size; [`BitsetMatcher::left_pairs`] reads it back.
+    pub fn max_matching(&mut self, graph: &BitsetGraph) -> usize {
+        self.solve(graph, false)
+    }
+
+    /// Computes a maximum matching and, if it leaves some left node
+    /// unmatched, returns a [`HallViolation`]: the left nodes the
+    /// alternating BFS from the unmatched ones reaches, and the right nodes
+    /// it crosses. Both sets are the same for every maximum matching
+    /// (Dulmage–Mendelsohn), so the witness does not depend on which one
+    /// the search found. `None` when the left side is saturated.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use dmfb_graph::{BitsetGraph, BitsetMatcher};
+    ///
+    /// // Two faulty cells fight over one spare; a third has its own.
+    /// let mut g = BitsetGraph::new(3, 2);
+    /// g.add_edge(0, 0);
+    /// g.add_edge(1, 0);
+    /// g.add_edge(2, 1);
+    /// let v = BitsetMatcher::new().hall_witness(&g).expect("must be deficient");
+    /// assert_eq!((v.left_set, v.neighborhood), (vec![0, 1], vec![0]));
+    /// ```
+    pub fn hall_witness(&mut self, graph: &BitsetGraph) -> Option<HallViolation> {
+        if self.solve(graph, false) == graph.left_count() {
+            return None;
+        }
+        let mut left_seen: Vec<bool> = self.pair_left.iter().map(|&b| b == UNMATCHED).collect();
+        let mut right_seen = vec![false; graph.right_count()];
+        self.queue.clear();
+        self.queue
+            .extend((0..left_seen.len() as u32).filter(|&a| left_seen[a as usize]));
+        let mut head = 0;
+        while let Some(&a) = self.queue.get(head) {
+            head += 1;
+            for b in graph.neighbors(a as usize) {
+                let a2 = self.pair_right[b];
+                if !std::mem::replace(&mut right_seen[b], true)
+                    && a2 != UNMATCHED
+                    && !std::mem::replace(&mut left_seen[a2 as usize], true)
+                {
+                    self.queue.push(a2);
+                }
             }
         }
-        for (b, &a) in self.pair_right.iter().enumerate() {
-            if a != UNMATCHED {
-                m.pair_right[b] = Some(a as usize);
-            }
-        }
-        m.size = size;
-        m
+        let members = |seen: Vec<bool>| (0..seen.len()).filter(|&i| seen[i]).collect();
+        Some(HallViolation {
+            left_set: members(left_seen),
+            neighborhood: members(right_seen),
+        })
     }
 }
 
-/// Computes a maximum matching over a [`BitsetGraph`] with Hopcroft–Karp
+/// The size of a maximum matching of a [`BitsetGraph`], by Hopcroft–Karp
 /// in `O(E √V)`. One-shot convenience wrapper around [`BitsetMatcher`];
 /// loops should hold a matcher and call [`BitsetMatcher::max_matching`]
 /// to reuse its scratch buffers.
@@ -526,116 +524,73 @@ impl BitsetMatcher {
 /// # Example
 ///
 /// ```
-/// use dmfb_graph::{hopcroft_karp_bitset, BipartiteGraph, BitsetGraph};
+/// use dmfb_graph::{hopcroft_karp_bitset, BitsetGraph};
 ///
-/// let mut g = BipartiteGraph::new(2, 1);
+/// let mut g = BitsetGraph::new(2, 1);
 /// g.add_edge(0, 0);
 /// g.add_edge(1, 0);
-/// let m = hopcroft_karp_bitset(&BitsetGraph::from_graph(&g));
-/// assert_eq!(m.len(), 1);
+/// assert_eq!(hopcroft_karp_bitset(&g), 1);
 /// ```
 #[must_use]
-pub fn hopcroft_karp_bitset(graph: &BitsetGraph) -> Matching {
+pub fn hopcroft_karp_bitset(graph: &BitsetGraph) -> usize {
     BitsetMatcher::new().max_matching(graph)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hopcroft_karp;
 
-    fn both(left: usize, right: usize, edges: &[(usize, usize)]) -> (BipartiteGraph, BitsetGraph) {
-        let mut g = BipartiteGraph::new(left, right);
+    fn bits(left: usize, right: usize, edges: &[(usize, usize)]) -> BitsetGraph {
+        let mut g = BitsetGraph::new(left, right);
         for &(a, b) in edges {
             g.add_edge(a, b);
         }
-        let bg = BitsetGraph::from_graph(&g);
-        (g, bg)
-    }
-
-    #[test]
-    fn construction_mirrors_adjacency_list() {
-        let (g, bg) = both(3, 70, &[(0, 0), (0, 69), (2, 64), (2, 64)]);
-        assert_eq!(bg.left_count(), 3);
-        assert_eq!(bg.right_count(), 70);
-        assert_eq!(bg.edge_count(), g.edge_count());
-        assert!(bg.contains_edge(0, 69));
-        assert!(!bg.contains_edge(1, 0));
-        assert_eq!(bg.neighbors(0).collect::<Vec<_>>(), vec![0, 69]);
-        assert_eq!(bg.degree_left(2), 1);
-        assert_eq!(bg.degree_left(1), 0);
-        assert!(bg.has_isolated_left());
-    }
-
-    type EdgeCase = (usize, usize, &'static [(usize, usize)]);
-
-    #[test]
-    fn matches_list_matcher_on_fixed_cases() {
-        let cases: &[EdgeCase] = &[
-            (0, 0, &[]),
-            (3, 3, &[]),
-            (1, 1, &[(0, 0)]),
-            (2, 1, &[(0, 0), (1, 0)]),
-            (2, 2, &[(0, 0), (0, 1), (1, 0)]),
-            (3, 3, &[(0, 0), (0, 1), (1, 1), (2, 1), (2, 2)]),
-            (
-                4,
-                4,
-                &[(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (3, 3)],
-            ),
-        ];
-        for &(l, r, edges) in cases {
-            let (g, bg) = both(l, r, edges);
-            let list = hopcroft_karp(&g);
-            let bits = hopcroft_karp_bitset(&bg);
-            assert_eq!(list.len(), bits.len(), "edges {edges:?}");
-            assert!(bits.is_valid_bitset(&bg));
-        }
+        g
     }
 
     #[test]
     fn covers_all_left_agrees_with_full_matching() {
         let mut matcher = BitsetMatcher::new();
-        let (_, feasible) = both(2, 2, &[(0, 0), (0, 1), (1, 0)]);
+        let feasible = bits(2, 2, &[(0, 0), (0, 1), (1, 0)]);
         assert!(matcher.covers_all_left(&feasible));
-        let (_, tight) = both(2, 1, &[(0, 0), (1, 0)]);
+        let tight = bits(2, 1, &[(0, 0), (1, 0)]);
         assert!(!matcher.covers_all_left(&tight));
-        let (_, empty) = both(0, 4, &[]);
+        let empty = bits(0, 4, &[]);
         assert!(matcher.covers_all_left(&empty));
     }
 
     #[test]
     fn hall_infeasible_certificates() {
         // More left than right.
-        let (_, g) = both(3, 2, &[(0, 0), (1, 1), (2, 0)]);
+        let g = bits(3, 2, &[(0, 0), (1, 1), (2, 0)]);
         assert!(g.hall_infeasible());
         // Isolated left node.
-        let (_, g) = both(2, 2, &[(0, 0)]);
+        let g = bits(2, 2, &[(0, 0)]);
         assert!(g.hall_infeasible());
         // Joint neighbourhood too small.
-        let (_, g) = both(3, 3, &[(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]);
+        let g = bits(3, 3, &[(0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]);
         assert!(g.hall_infeasible());
         // Feasible square.
-        let (_, g) = both(2, 2, &[(0, 0), (1, 1)]);
+        let g = bits(2, 2, &[(0, 0), (1, 1)]);
         assert!(!g.hall_infeasible());
         // Infeasible but not caught by the cheap certificate (subset
         // violation): {0,1} share spare 0 while spare 1 hangs off node 2.
-        let (_, g) = both(3, 3, &[(0, 0), (1, 0), (2, 1), (2, 2), (0, 0)]);
+        let g = bits(3, 3, &[(0, 0), (1, 0), (2, 1), (2, 2), (0, 0)]);
         assert!(!g.hall_infeasible());
         assert!(!BitsetMatcher::new().covers_all_left(&g));
         // Empty left side is trivially feasible.
-        let (_, g) = both(0, 1, &[]);
+        let g = bits(0, 1, &[]);
         assert!(!g.hall_infeasible());
     }
 
     #[test]
     fn matcher_buffers_are_reusable() {
         let mut matcher = BitsetMatcher::new();
-        let (_, a) = both(3, 3, &[(0, 0), (1, 1), (2, 2)]);
-        let (_, b) = both(2, 1, &[(0, 0), (1, 0)]);
+        let a = bits(3, 3, &[(0, 0), (1, 1), (2, 2)]);
+        let b = bits(2, 1, &[(0, 0), (1, 0)]);
         for _ in 0..3 {
-            assert_eq!(matcher.max_matching(&a).len(), 3);
-            assert_eq!(matcher.max_matching(&b).len(), 1);
+            assert_eq!(matcher.max_matching(&a), 3);
+            assert_eq!(matcher.max_matching(&b), 1);
             assert!(matcher.covers_all_left(&a));
             assert!(!matcher.covers_all_left(&b));
         }
@@ -666,10 +621,10 @@ mod tests {
             g.add_edge(a, a * 64 + 63);
             g.add_edge(a, 259);
         }
-        let m = hopcroft_karp_bitset(&g);
-        assert_eq!(m.len(), 4);
-        assert!(m.is_valid_bitset(&g));
-        assert!(BitsetMatcher::new().covers_all_left(&g));
+        let mut matcher = BitsetMatcher::new();
+        assert_eq!(matcher.max_matching(&g), 4);
+        assert!(matcher.left_pairs().all(|(a, b)| g.contains_edge(a, b)));
+        assert!(matcher.covers_all_left(&g));
     }
 
     #[test]

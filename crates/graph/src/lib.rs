@@ -1,4 +1,5 @@
-//! Bipartite matching and graph utilities for biochip reconfiguration.
+//! The bitset matching kernel behind biochip reconfiguration, and the
+//! word-parallel kernels of the Monte-Carlo engine.
 //!
 //! The paper decides whether a defect pattern can be tolerated by building a
 //! bipartite graph `BG(A, B, E)` — `A` the faulty primary cells, `B` the
@@ -7,41 +8,39 @@
 //! covers all nodes in A, it implies that all faulty cells can be replaced
 //! by their adjacent fault-free spare cells through local reconfiguration."
 //!
-//! This crate provides:
+//! This crate is that matching kernel, plus the word-parallel sampling
+//! kernels of the Monte-Carlo engine:
 //!
-//! * [`BipartiteGraph`] — the adjacency structure,
 //! * [`BitsetGraph`] / [`BitsetMatcher`] / [`hopcroft_karp_bitset`] — a
 //!   `u64`-word bitset adjacency layout and an allocation-free
-//!   Hopcroft–Karp over it, with a Hall-violation early exit; this is the
-//!   Monte-Carlo hot path,
-//! * [`hopcroft_karp`] — `O(E √V)` maximum matching over the adjacency
-//!   lists, behind plan-producing reconfiguration and the Hall witness,
-//! * [`augmenting_path_matching`] — the simple Hungarian-style matcher used
-//!   as a cross-check oracle in tests and ablation benches,
-//! * [`hall_violation`] — a Hall-theorem deficiency witness explaining *why*
-//!   a defect pattern is untolerable,
-//! * [`UnionFind`] — a disjoint-set forest (no caller in the workspace;
-//!   `DefectMap::close_shorts` does not use it),
-//! * [`Matching`] — a validated matching with coverage queries,
+//!   Hopcroft–Karp over it, with a Hall-violation early exit; every
+//!   reconfiguration verdict and plan comes from it,
+//! * [`HallViolation`] — the Hall-theorem deficiency witness
+//!   [`BitsetMatcher::hall_witness`] extracts, explaining *why* a defect
+//!   pattern is untolerable,
 //! * [`words`] — word-level SWAR kernels for the transposed
 //!   64-trials-per-word Monte-Carlo engine: lane-parallel xoshiro256++
 //!   sampling ([`words::LaneRngs`]) and bit-sliced popcount
 //!   classification ([`words::LaneCounter`]).
 //!
+//! The adjacency-list matchers the test suites check this kernel against
+//! live in the dev-only `dmfb_oracle` crate.
+//!
 //! # Example
 //!
 //! ```
-//! use dmfb_graph::{BipartiteGraph, hopcroft_karp};
+//! use dmfb_graph::{BitsetGraph, BitsetMatcher};
 //!
 //! // Two faulty cells, two spares; fault 0 can use either spare,
 //! // fault 1 only spare 1.
-//! let mut g = BipartiteGraph::new(2, 2);
+//! let mut g = BitsetGraph::new(2, 2);
 //! g.add_edge(0, 0);
 //! g.add_edge(0, 1);
 //! g.add_edge(1, 1);
-//! let m = hopcroft_karp(&g);
-//! assert_eq!(m.len(), 2);
-//! assert!(m.covers_all_left(&g));
+//! let mut matcher = BitsetMatcher::new();
+//! assert!(matcher.covers_all_left(&g));
+//! let plan: Vec<_> = matcher.left_pairs().collect();
+//! assert_eq!(plan, vec![(0, 0), (1, 1)]);
 //! ```
 
 // Unsafe is denied crate-wide and allowed back in exactly one place: the
@@ -50,15 +49,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bipartite;
 mod bitset;
-mod hall;
-mod matching;
-mod union_find;
 pub mod words;
 
-pub use bipartite::BipartiteGraph;
-pub use bitset::{hopcroft_karp_bitset, BitsetGraph, BitsetMatcher};
-pub use hall::{hall_violation, HallViolation};
-pub use matching::{augmenting_path_matching, hopcroft_karp, Matching};
-pub use union_find::UnionFind;
+pub use bitset::{hopcroft_karp_bitset, BitsetGraph, BitsetMatcher, HallViolation};

@@ -8,9 +8,9 @@
 //! pool of fault-free spares, never larger than a few dozen for the array
 //! sizes the figures sweep.
 
-use dmfb_graph::{
-    augmenting_path_matching, hopcroft_karp, hopcroft_karp_bitset, BipartiteGraph, BitsetGraph,
-    BitsetMatcher,
+use dmfb_graph::{hopcroft_karp_bitset, BitsetMatcher};
+use dmfb_oracle::{
+    augmenting_path_matching, hall_violation, hopcroft_karp, BipartiteGraph, Matching,
 };
 use proptest::prelude::*;
 
@@ -37,26 +37,23 @@ proptest! {
     /// and the bitset result is a structurally valid matching.
     #[test]
     fn bitset_hk_agrees_with_augmenting_path(g in arb_dtmb_graph()) {
-        let bg = BitsetGraph::from_graph(&g);
-        let bits = hopcroft_karp_bitset(&bg);
-        let kuhn = augmenting_path_matching(&g);
-        prop_assert_eq!(bits.len(), kuhn.len());
-        prop_assert!(bits.is_valid_bitset(&bg));
+        let bg = g.to_bitset();
+        let mut matcher = BitsetMatcher::new();
+        let bits = matcher.max_matching(&bg);
+        prop_assert_eq!(bits, augmenting_path_matching(&g).len());
+        prop_assert!(Matching::from_pairs(&g, matcher.left_pairs()).is_valid(&g));
     }
 
     /// The bitset matcher also agrees with the adjacency-list
     /// Hopcroft–Karp, and the graph conversion preserves the edge set.
     #[test]
     fn bitset_hk_agrees_with_list_hk(g in arb_dtmb_graph()) {
-        let bg = BitsetGraph::from_graph(&g);
+        let bg = g.to_bitset();
         prop_assert_eq!(bg.edge_count(), g.edge_count());
         for (a, b) in g.edges() {
             prop_assert!(bg.contains_edge(a, b));
         }
-        prop_assert_eq!(
-            hopcroft_karp_bitset(&bg).len(),
-            hopcroft_karp(&g).len()
-        );
+        prop_assert_eq!(hopcroft_karp_bitset(&bg), hopcroft_karp(&g).len());
     }
 
     /// The early-exit feasibility path answers exactly "matching size
@@ -64,7 +61,7 @@ proptest! {
     /// issued for a feasible instance.
     #[test]
     fn covers_all_left_matches_full_solve(g in arb_dtmb_graph()) {
-        let bg = BitsetGraph::from_graph(&g);
+        let bg = g.to_bitset();
         let mut matcher = BitsetMatcher::new();
         let covered = matcher.covers_all_left(&bg);
         let size = augmenting_path_matching(&g).len();
@@ -79,12 +76,20 @@ proptest! {
     /// matcher.
     #[test]
     fn matcher_reuse_is_sound(a in arb_dtmb_graph(), b in arb_dtmb_graph()) {
-        let (ba, bb) = (BitsetGraph::from_graph(&a), BitsetGraph::from_graph(&b));
+        let (ba, bb) = (a.to_bitset(), b.to_bitset());
         let mut reused = BitsetMatcher::new();
         let _ = reused.max_matching(&ba);
         let warm = reused.max_matching(&bb);
-        let cold = hopcroft_karp_bitset(&bb);
-        prop_assert_eq!(warm.len(), cold.len());
-        prop_assert!(warm.is_valid_bitset(&bb));
+        prop_assert_eq!(warm, hopcroft_karp_bitset(&bb));
+        prop_assert!(Matching::from_pairs(&b, reused.left_pairs()).is_valid(&b));
+    }
+
+    /// The bitset Hall witness equals the list oracle's exactly: both are
+    /// the alternating-reachability sets of a maximum matching, which do
+    /// not depend on the matching chosen.
+    #[test]
+    fn bitset_witness_matches_list_witness(g in arb_dtmb_graph()) {
+        let witness = BitsetMatcher::new().hall_witness(&g.to_bitset());
+        prop_assert_eq!(witness, hall_violation(&g));
     }
 }

@@ -1,6 +1,7 @@
-//! Property-based tests for the matching engine.
+//! Property-based tests for the adjacency-list reference matchers the
+//! bitset kernel is checked against.
 
-use dmfb_graph::{augmenting_path_matching, hall_violation, hopcroft_karp, BipartiteGraph};
+use dmfb_oracle::{augmenting_path_matching, hall_violation, hopcroft_karp, BipartiteGraph};
 use proptest::prelude::*;
 
 /// A random bipartite graph strategy with both side sizes and an edge list.

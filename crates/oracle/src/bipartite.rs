@@ -1,5 +1,6 @@
 //! Bipartite graph `BG(A, B, E)` between faulty and spare cells.
 
+use dmfb_graph::BitsetGraph;
 use std::fmt;
 
 /// A bipartite graph with `left_count` nodes on the left side (the paper's
@@ -7,12 +8,12 @@ use std::fmt;
 /// (set `B`: fault-free spare cells).
 ///
 /// Nodes are dense `usize` indices on each side; callers keep their own
-/// index ↔ cell mappings (see `dmfb-reconfig`). Parallel edges are ignored.
+/// index ↔ cell mappings. Parallel edges are ignored.
 ///
 /// # Example
 ///
 /// ```
-/// use dmfb_graph::BipartiteGraph;
+/// use dmfb_oracle::BipartiteGraph;
 ///
 /// let mut g = BipartiteGraph::new(1, 2);
 /// g.add_edge(0, 0);
@@ -116,6 +117,16 @@ impl BipartiteGraph {
             .iter()
             .enumerate()
             .flat_map(|(a, nbrs)| nbrs.iter().map(move |b| (a, *b)))
+    }
+
+    /// The same graph in the production bitset layout.
+    #[must_use]
+    pub fn to_bitset(&self) -> BitsetGraph {
+        let mut g = BitsetGraph::new(self.left_count(), self.right_count());
+        for (a, b) in self.edges() {
+            g.add_edge(a, b);
+        }
+        g
     }
 }
 

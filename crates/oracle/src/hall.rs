@@ -1,31 +1,12 @@
-//! Hall-theorem deficiency witnesses.
+//! Hall-theorem deficiency witnesses over the adjacency list.
 //!
 //! By König/Hall duality, a bipartite graph has a matching saturating the
-//! left side iff every subset `S ⊆ A` satisfies `|N(S)| >= |S|`. When local
-//! reconfiguration fails, the *deficient set* — a set of faulty cells with
-//! fewer adjacent fault-free spares than members — is a human-readable
-//! explanation of the failure, which the diagnostics in `dmfb-reconfig`
-//! surface to users.
+//! left side iff every subset `S ⊆ A` satisfies `|N(S)| >= |S|`. This is
+//! the reference for `BitsetMatcher::hall_witness`, which production
+//! reconfiguration uses to explain failures.
 
 use crate::{hopcroft_karp, BipartiteGraph};
-
-/// A witness that no matching can cover all left nodes: a set `S` of left
-/// nodes whose joint neighbourhood `N(S)` is strictly smaller than `S`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HallViolation {
-    /// The deficient left nodes (faulty cells), sorted.
-    pub left_set: Vec<usize>,
-    /// Their joint right-side neighbourhood (available spares), sorted.
-    pub neighborhood: Vec<usize>,
-}
-
-impl HallViolation {
-    /// Deficiency `|S| - |N(S)|` (always >= 1 for a genuine violation).
-    #[must_use]
-    pub fn deficiency(&self) -> usize {
-        self.left_set.len().saturating_sub(self.neighborhood.len())
-    }
-}
+use dmfb_graph::HallViolation;
 
 /// Finds a Hall violation if the graph admits no left-saturating matching,
 /// or `None` if all left nodes can be matched.
@@ -37,7 +18,7 @@ impl HallViolation {
 /// # Example
 ///
 /// ```
-/// use dmfb_graph::{BipartiteGraph, hall_violation};
+/// use dmfb_oracle::{hall_violation, BipartiteGraph};
 ///
 /// // Two faulty cells fight over one spare.
 /// let mut g = BipartiteGraph::new(2, 1);

@@ -1,10 +1,12 @@
-//! Maximum bipartite matching: Hopcroft–Karp and a simple oracle.
+//! Maximum bipartite matching over the adjacency list: Hopcroft–Karp and
+//! the simple augmenting-path (Kuhn) matcher.
 
 use crate::BipartiteGraph;
 use std::collections::VecDeque;
 
 /// A matching in a bipartite graph: a set of edges no two of which share a
-/// node. Produced by [`hopcroft_karp`] or [`augmenting_path_matching`];
+/// node. Produced by [`hopcroft_karp`] or [`augmenting_path_matching`]
+/// (or read off another matcher by [`Matching::from_pairs`]);
 /// always *maximum* (largest possible cardinality), which is in particular
 /// maximal in the paper's sense.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -23,6 +25,20 @@ impl Matching {
             pair_right: vec![None; right],
             size: 0,
         }
+    }
+
+    /// The matching made of `(left, right)` `pairs` over `graph`'s node
+    /// sides, e.g. `dmfb_graph::BitsetMatcher::left_pairs`, so it can be
+    /// checked with [`Matching::is_valid`].
+    #[must_use]
+    pub fn from_pairs(graph: &BipartiteGraph, pairs: impl Iterator<Item = (usize, usize)>) -> Self {
+        let mut m = Matching::new(graph.left_count(), graph.right_count());
+        for (a, b) in pairs {
+            m.pair_left[a] = Some(b);
+            m.pair_right[b] = Some(a);
+            m.size += 1;
+        }
+        m
     }
 
     /// Number of matched pairs.
@@ -114,13 +130,12 @@ impl Matching {
 }
 
 /// Computes a maximum matching with the Hopcroft–Karp algorithm in
-/// `O(E √V)`. This is the production matcher used by the Monte-Carlo yield
-/// simulation, where it runs once per trial (10 000+ times per data point).
+/// `O(E √V)` — the list-based reference for `dmfb_graph::BitsetMatcher`.
 ///
 /// # Example
 ///
 /// ```
-/// use dmfb_graph::{BipartiteGraph, hopcroft_karp};
+/// use dmfb_oracle::{hopcroft_karp, BipartiteGraph};
 ///
 /// let mut g = BipartiteGraph::new(2, 1);
 /// g.add_edge(0, 0);
@@ -197,8 +212,8 @@ fn dfs(graph: &BipartiteGraph, a: usize, m: &mut Matching, dist: &mut [u32]) -> 
 /// Computes a maximum matching with the classic single-path augmenting
 /// (Hungarian/Kuhn) algorithm in `O(V · E)`.
 ///
-/// Slower than [`hopcroft_karp`] but easy to audit; the test suite uses it
-/// as an independent oracle, and the ablation bench compares both.
+/// Slower than [`hopcroft_karp`] but easy to audit: an independent second
+/// reference.
 #[must_use]
 pub fn augmenting_path_matching(graph: &BipartiteGraph) -> Matching {
     let n = graph.left_count();

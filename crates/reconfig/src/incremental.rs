@@ -30,7 +30,7 @@
 //! scheme alike.
 
 use crate::array::DefectTolerantArray;
-use crate::local::{ReconfigPlan, ReconfigPolicy};
+use crate::local::{ReconfigFailure, ReconfigPlan, ReconfigPolicy};
 use crate::scheme::{RedundancyScheme, SchemeStructure};
 use dmfb_defects::DefectMap;
 use dmfb_graph::{BitsetGraph, BitsetMatcher};
@@ -156,13 +156,15 @@ impl TrialEvaluator<HexCoord> {
         TrialEvaluator::from_structure(&s)
     }
 
-    /// Evaluates `defects` and, when the chip is tolerable, returns the
-    /// concrete [`ReconfigPlan`] behind the verdict — the per-trial
-    /// assignment consumers like the operational-yield engine need to
-    /// remap chip resources onto spares. Distribution-identical to
-    /// [`crate::local::attempt_reconfiguration`] succeeding (both read a
-    /// maximum matching of the same bipartite model), but runs through the
-    /// evaluator's reusable buffers.
+    /// Local reconfiguration of `defects`: the [`ReconfigPlan`] behind a
+    /// tolerable verdict, or a [`ReconfigFailure`] with its Hall witness
+    /// (built only on failure). Every plan that is printed or executed
+    /// comes from here; [`crate::attempt_reconfiguration`] wraps it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ReconfigFailure`] when some faulty in-scope primary
+    /// cannot be assigned a distinct adjacent fault-free spare.
     ///
     /// # Panics
     ///
@@ -173,19 +175,41 @@ impl TrialEvaluator<HexCoord> {
         &self,
         defects: &DefectMap,
         scratch: &mut TrialScratch,
-    ) -> Option<ReconfigPlan> {
-        let pairs = self.evaluate_defects_assignment(defects, scratch)?;
-        Some(ReconfigPlan::from_assignments(pairs.into_iter().map(
-            |(u, r)| {
-                let unit = self.unit_members(u);
-                let res = self.res_members(r);
-                assert!(
-                    unit.len() == 1 && res.len() == 1,
-                    "reconfigure requires a cell-level scheme structure"
-                );
-                (self.cells[unit[0] as usize], self.cells[res[0] as usize])
-            },
-        )))
+    ) -> Result<ReconfigPlan, ReconfigFailure> {
+        self.stage_cell_faults(scratch, |c| defects.is_faulty(c));
+        // Isolated faulty units stay in as edgeless rows, so a failure is
+        // explained from the same graph the verdict came from.
+        self.compact(scratch, false);
+        let unit = |row: usize| self.sole_cell(self.unit_members(scratch.rows[row] as usize));
+        let spare = |col: usize| self.sole_cell(self.res_members(scratch.res_of_col[col] as usize));
+        if scratch.matcher.covers_all_left(&scratch.graph) {
+            let pairs = scratch.matcher.left_pairs();
+            return Ok(ReconfigPlan::from_assignments(
+                pairs.map(|(row, col)| (unit(row), spare(col))),
+            ));
+        }
+        let witness = scratch
+            .matcher
+            .hall_witness(&scratch.graph)
+            .expect("an uncovered faulty unit implies a Hall violation");
+        let matched: Vec<usize> = scratch.matcher.left_pairs().map(|(row, _)| row).collect();
+        Err(ReconfigFailure {
+            unassigned: (0..scratch.rows.len())
+                .filter(|row| matched.binary_search(row).is_err())
+                .map(unit)
+                .collect(),
+            deficient_set: witness.left_set.into_iter().map(unit).collect(),
+            available_spares: witness.neighborhood.into_iter().map(spare).collect(),
+        })
+    }
+
+    /// The one lattice cell of a cell-level unit or resource.
+    fn sole_cell(&self, members: &[u32]) -> HexCoord {
+        assert!(
+            members.len() == 1,
+            "reconfigure requires a cell-level scheme structure"
+        );
+        self.cells[members[0] as usize]
     }
 }
 
@@ -448,6 +472,14 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
     /// Decides tolerability for the fault flags currently staged in
     /// `scratch.faulty_unit` / `scratch.dead_res`.
     pub(crate) fn solve(&self, scratch: &mut TrialScratch) -> bool {
+        self.compact(scratch, true) && scratch.matcher.covers_all_left(&scratch.graph)
+    }
+
+    /// Compacts the staged fault flags into the trial's bitset graph: a
+    /// row per faulty unit, a column per live resource they can use, in
+    /// order of first use. A faulty unit with no live resource is an
+    /// edgeless row, or with `stop_at_isolated` ends the call with `false`.
+    fn compact(&self, scratch: &mut TrialScratch, stop_at_isolated: bool) -> bool {
         scratch.rows.clear();
         scratch.edges.clear();
         scratch.res_of_col.clear();
@@ -482,20 +514,16 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
                 scratch.edges.push((row, col));
                 any = true;
             }
-            if !any {
-                // A faulty unit with no live resource can never be matched.
+            if !any && stop_at_isolated {
                 return false;
             }
             scratch.rows.push(i as u32);
-        }
-        if scratch.rows.is_empty() {
-            return true;
         }
         scratch.graph.reset(scratch.rows.len(), cols as usize);
         for &(a, b) in &scratch.edges {
             scratch.graph.add_edge(a as usize, b as usize);
         }
-        scratch.matcher.covers_all_left(&scratch.graph)
+        true
     }
 
     /// Runs one survival-mode trial: every relevant cell fails
@@ -505,7 +533,7 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
     ///
     /// For hex arrays the verdict has exactly the same distribution as
     /// building a [`DefectMap`] with `Bernoulli::from_survival(p)` and
-    /// calling [`crate::local::is_reconfigurable`]: cells outside the
+    /// calling [`TrialEvaluator::evaluate_defects`]: cells outside the
     /// evaluator's structure (out-of-scope primaries, spares bordering
     /// none of them) cannot change the answer, so their draws are skipped.
     pub fn survival_trial(&self, p: f64, rng: &mut StdRng, scratch: &mut TrialScratch) -> bool {
@@ -606,18 +634,16 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
         self.solve(scratch)
     }
 
-    /// Evaluates an explicit defect map. For hex arrays this gives the
-    /// same verdict as [`crate::local::is_reconfigurable`] on the
-    /// evaluator's array and policy — used by the equivalence tests and by
-    /// callers that already hold a map but want the incremental engine's
-    /// speed.
+    /// Evaluates an explicit defect map: whether every faulty unit can be
+    /// matched to a distinct live resource. Cells outside the evaluator's
+    /// structure are ignored.
     pub fn evaluate_defects(&self, defects: &DefectMap<C>, scratch: &mut TrialScratch) -> bool {
         self.stage_cell_faults(scratch, |c| defects.is_faulty(c));
         self.solve(scratch)
     }
 
     /// Evaluates an explicit faulty-cell list (cells outside the
-    /// evaluator's structure are ignored, mirroring the legacy oracles).
+    /// evaluator's structure are ignored).
     pub fn evaluate_faulty_cells(&self, faulty: &[C], scratch: &mut TrialScratch) -> bool {
         let mut sorted: Vec<C> = faulty.to_vec();
         sorted.sort_unstable();
@@ -625,25 +651,13 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
         self.solve(scratch)
     }
 
-    /// Like [`TrialEvaluator::evaluate_defects`], but on success returns
-    /// the **assignment** the matcher found: one `(unit, resource)` index
-    /// pair per faulty unit, in ascending unit order. `None` means the
-    /// fault set is not tolerable. Map the indices back to lattice cells
-    /// with [`TrialEvaluator::unit_coords`] /
-    /// [`TrialEvaluator::resource_coords`], or — for hexagonal cell-level
-    /// evaluators — use [`TrialEvaluator::reconfigure`] to get a
-    /// [`ReconfigPlan`] directly.
-    pub fn evaluate_defects_assignment(
-        &self,
-        defects: &DefectMap<C>,
-        scratch: &mut TrialScratch,
-    ) -> Option<Vec<(usize, usize)>> {
-        self.stage_cell_faults(scratch, |c| defects.is_faulty(c));
-        self.solve_assignment(scratch)
-    }
-
-    /// Assignment-returning variant of
-    /// [`TrialEvaluator::evaluate_faulty_cells`].
+    /// Like [`TrialEvaluator::evaluate_faulty_cells`], but on success
+    /// returns the **assignment** the matcher found: one `(unit,
+    /// resource)` index pair per faulty unit, in ascending unit order.
+    /// `None` means the fault set is not tolerable. Map the indices back
+    /// to lattice cells with [`TrialEvaluator::unit_coords`] /
+    /// [`TrialEvaluator::resource_coords`]; hexagonal evaluators get a
+    /// [`ReconfigPlan`] directly from [`TrialEvaluator::reconfigure`].
     pub fn evaluate_faulty_cells_assignment(
         &self,
         faulty: &[C],
@@ -660,11 +674,6 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
     fn solve_assignment(&self, scratch: &mut TrialScratch) -> Option<Vec<(usize, usize)>> {
         if !self.solve(scratch) {
             return None;
-        }
-        if scratch.rows.is_empty() {
-            // Fault-free (or out-of-scope) trial: `solve` succeeded without
-            // consulting the matcher, whose pairs may be stale.
-            return Some(Vec::new());
         }
         let mut pairs: Vec<(usize, usize)> = scratch
             .matcher
@@ -821,7 +830,6 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
 mod tests {
     use super::*;
     use crate::dtmb::DtmbKind;
-    use crate::local;
     use rand::SeedableRng;
 
     fn evaluator(kind: DtmbKind, n: usize) -> (DefectTolerantArray, TrialEvaluator) {
@@ -844,29 +852,6 @@ mod tests {
         let (_, eval) = evaluator(DtmbKind::Dtmb44, 40);
         let mut scratch = eval.scratch();
         assert!(eval.evaluate_defects(&DefectMap::new(), &mut scratch));
-    }
-
-    #[test]
-    fn agrees_with_local_engine_on_random_maps() {
-        use rand::seq::SliceRandom;
-        for kind in DtmbKind::ALL {
-            let array = kind.with_primary_count(60);
-            let eval = TrialEvaluator::new(&array, &ReconfigPolicy::AllPrimaries);
-            let mut scratch = eval.scratch();
-            let cells: Vec<HexCoord> = array.region().iter().collect();
-            let mut rng = StdRng::seed_from_u64(0xD7);
-            for faults in [0usize, 1, 3, 8, 20, 40] {
-                for _ in 0..20 {
-                    let mut pick = cells.clone();
-                    pick.shuffle(&mut rng);
-                    let defects = DefectMap::from_cells(pick.into_iter().take(faults));
-                    let expected =
-                        local::is_reconfigurable(&array, &defects, &ReconfigPolicy::AllPrimaries);
-                    let got = eval.evaluate_defects(&defects, &mut scratch);
-                    assert_eq!(got, expected, "{kind} faults={faults}");
-                }
-            }
-        }
     }
 
     #[test]
@@ -1032,72 +1017,6 @@ mod tests {
     }
 
     #[test]
-    fn square_pattern_through_generic_engine() {
-        use crate::square_dtmb::SquarePattern;
-        use dmfb_grid::{SquareCoord, SquareRegion};
-        let region = SquareRegion::rect(10, 10);
-        for pattern in SquarePattern::ALL {
-            let eval = TrialEvaluator::for_scheme(&region, &pattern);
-            let mut scratch = eval.scratch();
-            // Fault-free passes; the whole-array fault only passes when
-            // there is nothing required (never here).
-            assert!(eval.evaluate_faulty_cells(&[], &mut scratch), "{pattern}");
-            let all: Vec<SquareCoord> = region.iter().collect();
-            assert!(!eval.evaluate_faulty_cells(&all, &mut scratch), "{pattern}");
-            // Single-fault verdicts match the legacy oracle everywhere.
-            for c in region.iter() {
-                assert_eq!(
-                    eval.evaluate_faulty_cells(&[c], &mut scratch),
-                    pattern.is_reconfigurable(&region, &[c]),
-                    "{pattern} fault at {c}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn reconfigure_returns_valid_plans() {
-        use rand::seq::SliceRandom;
-        let array = DtmbKind::Dtmb26A.with_primary_count(80);
-        let eval = TrialEvaluator::new(&array, &ReconfigPolicy::AllPrimaries);
-        let mut scratch = eval.scratch();
-        let cells: Vec<HexCoord> = array.region().iter().collect();
-        let mut rng = StdRng::seed_from_u64(0xA55A);
-        for faults in [0usize, 1, 4, 12, 30] {
-            for _ in 0..15 {
-                let mut pick = cells.clone();
-                pick.shuffle(&mut rng);
-                let defects = DefectMap::from_cells(pick.into_iter().take(faults));
-                let plan = eval.reconfigure(&defects, &mut scratch);
-                assert_eq!(
-                    plan.is_some(),
-                    local::is_reconfigurable(&array, &defects, &ReconfigPolicy::AllPrimaries),
-                    "verdict must match the reference engine"
-                );
-                let Some(plan) = plan else { continue };
-                // Every faulty primary is assigned; assignments are local,
-                // land on live spares, and use each spare once.
-                let faulty: Vec<HexCoord> = defects
-                    .faulty_cells()
-                    .filter(|c| array.is_primary(*c))
-                    .collect();
-                assert_eq!(plan.len(), faulty.len());
-                let mut used: Vec<HexCoord> = Vec::new();
-                for (cell, spare) in plan.iter() {
-                    assert!(faulty.contains(&cell));
-                    assert!(cell.is_adjacent(spare), "{cell} -> {spare} not local");
-                    assert!(array.is_spare(spare));
-                    assert!(!defects.is_faulty(spare), "dead spare used");
-                    used.push(spare);
-                }
-                used.sort();
-                used.dedup();
-                assert_eq!(used.len(), plan.len(), "spares must be distinct");
-            }
-        }
-    }
-
-    #[test]
     fn assignment_indices_map_back_to_cells() {
         let (array, eval) = evaluator(DtmbKind::Dtmb44, 40);
         let mut scratch = eval.scratch();
@@ -1116,7 +1035,7 @@ mod tests {
         }
         // Fault-free: an empty assignment, not a stale one.
         assert_eq!(
-            eval.evaluate_defects_assignment(&DefectMap::new(), &mut scratch),
+            eval.evaluate_faulty_cells_assignment(&[], &mut scratch),
             Some(Vec::new())
         );
     }

@@ -15,12 +15,14 @@
 //!   any region, with degree audits and redundancy ratios (Table 1).
 //! * [`array`](mod@crate::array) — [`DefectTolerantArray`]: a region plus a role (primary /
 //!   spare) per cell.
-//! * [`local`] — matching-based local reconfiguration with success policies
-//!   and Hall-violation failure witnesses.
-//! * [`incremental`] — [`TrialEvaluator`]: the Monte-Carlo hot path, which
-//!   precomputes the primary↔spare neighbour structure once per array and
-//!   evaluates each trial (or a whole survival-probability grid per trial)
-//!   with reusable bitset-matching buffers.
+//! * [`local`] — reconfiguration plans, success policies and
+//!   Hall-violation failure witnesses, with the one-shot
+//!   [`attempt_reconfiguration`].
+//! * [`incremental`] — [`TrialEvaluator`]: the one matching kernel behind
+//!   every verdict, plan and witness. It precomputes the primary↔spare
+//!   neighbour structure once per array and evaluates each defect map,
+//!   trial or survival-probability grid with reusable bitset-matching
+//!   buffers.
 //! * [`block`](mod@crate::block) — the tiered bit-parallel trial engine:
 //!   64 trials per word through sample → classify → match tiers
 //!   ([`TrialBlock`]), byte-identical to the scalar path at any block

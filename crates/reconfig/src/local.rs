@@ -12,8 +12,8 @@
 //! reconfigured."
 
 use crate::array::DefectTolerantArray;
+use crate::TrialEvaluator;
 use dmfb_defects::DefectMap;
-use dmfb_graph::{hall_violation, hopcroft_karp, BipartiteGraph};
 use dmfb_grid::HexCoord;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -54,12 +54,10 @@ impl ReconfigPlan {
     /// Builds a plan from explicit `(faulty_primary, replacing_spare)`
     /// pairs, sorted by faulty cell for deterministic iteration order.
     ///
-    /// This is the constructor used by engines that compute the matching
-    /// elsewhere (e.g. [`crate::TrialEvaluator::reconfigure`], whose
-    /// bitset matcher works on compiled unit/resource indices) and only
-    /// need to surface the assignment as a plan. The caller is
-    /// responsible for the pairs actually being a valid matching —
-    /// distinct spares, each adjacent to its faulty cell.
+    /// [`crate::TrialEvaluator::reconfigure`] builds its plans this way
+    /// from the matcher's unit/resource pairs. The caller is responsible
+    /// for the pairs actually being a valid matching — distinct spares,
+    /// each adjacent to its faulty cell.
     #[must_use]
     pub fn from_assignments<I: IntoIterator<Item = (HexCoord, HexCoord)>>(pairs: I) -> Self {
         let mut assignments: Vec<(HexCoord, HexCoord)> = pairs.into_iter().collect();
@@ -141,10 +139,12 @@ impl std::error::Error for ReconfigFailure {}
 
 /// Attempts local reconfiguration of `array` under `defects`.
 ///
-/// Builds the paper's bipartite model restricted to the faulty primaries in
-/// the policy's scope, computes a maximum matching (Hopcroft–Karp), and
-/// either returns the replacement plan or a failure carrying a
-/// Hall-deficiency witness.
+/// Builds a [`TrialEvaluator`] for `(array, policy)` and calls
+/// [`TrialEvaluator::reconfigure`]: the paper's bipartite model restricted
+/// to the faulty primaries in the policy's scope, a maximum matching, and
+/// either the replacement plan or a failure carrying a Hall-deficiency
+/// witness. Loops over many defect maps of one array should hold the
+/// evaluator and a scratch instead.
 ///
 /// # Errors
 ///
@@ -171,101 +171,8 @@ pub fn attempt_reconfiguration(
     defects: &DefectMap,
     policy: &ReconfigPolicy,
 ) -> Result<ReconfigPlan, ReconfigFailure> {
-    // The faulty primary cells that matter (set A).
-    let faulty: Vec<HexCoord> = defects
-        .faulty_cells()
-        .filter(|c| array.is_primary(*c) && policy.requires(*c))
-        .collect();
-    if faulty.is_empty() {
-        return Ok(ReconfigPlan::default());
-    }
-    // The fault-free spares adjacent to any of them (set B).
-    let mut spares: Vec<HexCoord> = Vec::new();
-    let mut spare_index = std::collections::BTreeMap::new();
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    for (ai, &cell) in faulty.iter().enumerate() {
-        for spare in array.adjacent_spares(cell) {
-            if defects.is_faulty(spare) {
-                continue;
-            }
-            let bi = *spare_index.entry(spare).or_insert_with(|| {
-                spares.push(spare);
-                spares.len() - 1
-            });
-            edges.push((ai, bi));
-        }
-    }
-    let mut graph = BipartiteGraph::new(faulty.len(), spares.len());
-    for (a, b) in edges {
-        graph.add_edge(a, b);
-    }
-
-    let matching = hopcroft_karp(&graph);
-    if matching.covers_all_left(&graph) {
-        let assignments = matching
-            .pairs()
-            .map(|(a, b)| (faulty[a], spares[b]))
-            .collect();
-        Ok(ReconfigPlan { assignments })
-    } else {
-        let witness = hall_violation(&graph).expect("uncovered left side implies deficiency");
-        Err(ReconfigFailure {
-            unassigned: matching
-                .unmatched_left()
-                .into_iter()
-                .map(|a| faulty[a])
-                .collect(),
-            deficient_set: witness.left_set.into_iter().map(|a| faulty[a]).collect(),
-            available_spares: witness
-                .neighborhood
-                .into_iter()
-                .map(|b| spares[b])
-                .collect(),
-        })
-    }
-}
-
-/// Fast reconfigurability test — the Monte-Carlo hot path. Equivalent to
-/// `attempt_reconfiguration(..).is_ok()` but skips plan and witness
-/// construction.
-#[must_use]
-pub fn is_reconfigurable(
-    array: &DefectTolerantArray,
-    defects: &DefectMap,
-    policy: &ReconfigPolicy,
-) -> bool {
-    let faulty: Vec<HexCoord> = defects
-        .faulty_cells()
-        .filter(|c| array.is_primary(*c) && policy.requires(*c))
-        .collect();
-    if faulty.is_empty() {
-        return true;
-    }
-    let mut spares: Vec<HexCoord> = Vec::new();
-    let mut spare_index = std::collections::BTreeMap::new();
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    for (ai, &cell) in faulty.iter().enumerate() {
-        let mut any = false;
-        for spare in array.adjacent_spares(cell) {
-            if defects.is_faulty(spare) {
-                continue;
-            }
-            let bi = *spare_index.entry(spare).or_insert_with(|| {
-                spares.push(spare);
-                spares.len() - 1
-            });
-            edges.push((ai, bi));
-            any = true;
-        }
-        if !any {
-            return false; // a faulty cell with no live spare can never match
-        }
-    }
-    let mut graph = BipartiteGraph::new(faulty.len(), spares.len());
-    for (a, b) in edges {
-        graph.add_edge(a, b);
-    }
-    hopcroft_karp(&graph).covers_all_left(&graph)
+    let evaluator = TrialEvaluator::new(array, policy);
+    evaluator.reconfigure(defects, &mut evaluator.scratch())
 }
 
 #[cfg(test)]
@@ -285,11 +192,6 @@ mod tests {
             attempt_reconfiguration(&array, &DefectMap::new(), &ReconfigPolicy::AllPrimaries)
                 .unwrap();
         assert!(plan.is_empty());
-        assert!(is_reconfigurable(
-            &array,
-            &DefectMap::new(),
-            &ReconfigPolicy::AllPrimaries
-        ));
     }
 
     #[test]
@@ -330,11 +232,6 @@ mod tests {
         assert_eq!(err.unassigned, vec![cell]);
         assert!(err.deficient_set.contains(&cell));
         assert!(err.available_spares.is_empty());
-        assert!(!is_reconfigurable(
-            &array,
-            &defects,
-            &ReconfigPolicy::AllPrimaries
-        ));
         assert!(err.to_string().contains("failed"));
     }
 
@@ -380,11 +277,7 @@ mod tests {
         let array = dtmb26_array();
         let spares: Vec<HexCoord> = array.spares().collect();
         let defects = DefectMap::from_cells(spares);
-        assert!(is_reconfigurable(
-            &array,
-            &defects,
-            &ReconfigPolicy::AllPrimaries
-        ));
+        assert!(attempt_reconfiguration(&array, &defects, &ReconfigPolicy::AllPrimaries).is_ok());
     }
 
     #[test]
@@ -399,11 +292,7 @@ mod tests {
         assert_eq!(cluster.len(), 6);
         // One faulty primary in the cluster: fine.
         let one = DefectMap::from_cells([cluster[0]]);
-        assert!(is_reconfigurable(
-            &array,
-            &one,
-            &ReconfigPolicy::AllPrimaries
-        ));
+        assert!(attempt_reconfiguration(&array, &one, &ReconfigPolicy::AllPrimaries).is_ok());
         // Two faulty primaries in the same cluster: they share the single
         // spare, so reconfiguration must fail.
         let two = DefectMap::from_cells([cluster[0], cluster[1]]);

@@ -199,9 +199,8 @@ impl RedundancyScheme<Region> for DtmbKind {
 }
 
 /// The square-lattice interstitial analogues: same semantics on
-/// 4-adjacency. This is what retires the bespoke matching code that used
-/// to live beside [`SquarePattern::is_reconfigurable`] (kept as the slow
-/// reference oracle for the equivalence proptests).
+/// 4-adjacency, so square patterns need no matching code of their own
+/// (the adjacency-list reference lives in the dev-only `dmfb_oracle`).
 impl RedundancyScheme<SquareRegion> for SquarePattern {
     fn label(&self) -> String {
         self.to_string()

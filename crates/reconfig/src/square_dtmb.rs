@@ -21,10 +21,8 @@
 //!   faults on them are untolerable. This is microfluidic locality biting
 //!   exactly as the paper warns.
 
-use dmfb_graph::{hopcroft_karp, BipartiteGraph};
 use dmfb_grid::{SquareCoord, SquareRegion};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Interstitial spare patterns on the square lattice.
@@ -102,52 +100,6 @@ impl SquarePattern {
         crate::scheme_audit(region, &self)
     }
 
-    /// Whether a set of faulty cells is tolerable by local reconfiguration
-    /// on this pattern over `region`: every faulty primary must be matched
-    /// to a distinct adjacent fault-free spare (4-adjacency).
-    ///
-    /// This is the **slow reference oracle**, rebuilding the bipartite
-    /// model per call; sweeps and Monte-Carlo runs go through the generic
-    /// [`crate::TrialEvaluator`] instead (see
-    /// `tests/scheme_props.rs` for the proptest equivalence between the
-    /// two).
-    #[must_use]
-    pub fn is_reconfigurable(self, region: &SquareRegion, faulty: &[SquareCoord]) -> bool {
-        let faulty_set: std::collections::BTreeSet<SquareCoord> = faulty.iter().copied().collect();
-        let faulty_primaries: Vec<SquareCoord> = faulty
-            .iter()
-            .copied()
-            .filter(|c| region.contains(*c) && !self.is_spare_site(*c))
-            .collect();
-        if faulty_primaries.is_empty() {
-            return true;
-        }
-        let mut spares: Vec<SquareCoord> = Vec::new();
-        let mut index: BTreeMap<SquareCoord, usize> = BTreeMap::new();
-        let mut edges = Vec::new();
-        for (a, &cell) in faulty_primaries.iter().enumerate() {
-            let mut any = false;
-            for n in cell.neighbors4() {
-                if region.contains(n) && self.is_spare_site(n) && !faulty_set.contains(&n) {
-                    let b = *index.entry(n).or_insert_with(|| {
-                        spares.push(n);
-                        spares.len() - 1
-                    });
-                    edges.push((a, b));
-                    any = true;
-                }
-            }
-            if !any {
-                return false;
-            }
-        }
-        let mut graph = BipartiteGraph::new(faulty_primaries.len(), spares.len());
-        for (a, b) in edges {
-            graph.add_edge(a, b);
-        }
-        hopcroft_karp(&graph).covers_all_left(&graph)
-    }
-
     /// Counts of (primaries, spares) over `region`.
     #[must_use]
     pub fn counts(self, region: &SquareRegion) -> (usize, usize) {
@@ -159,6 +111,13 @@ impl SquarePattern {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TrialEvaluator;
+
+    /// Whether `faulty` is tolerable on `pattern` over `region`.
+    fn tolerable(pattern: SquarePattern, region: &SquareRegion, faulty: &[SquareCoord]) -> bool {
+        let eval = TrialEvaluator::for_scheme(region, &pattern);
+        eval.evaluate_faulty_cells(faulty, &mut eval.scratch())
+    }
 
     #[test]
     fn perfect_code_covers_every_primary_once() {
@@ -191,9 +150,17 @@ mod tests {
         assert_eq!(min, 0, "odd/odd cells are unprotected");
         assert_eq!(max, 2);
         // And a single fault there is fatal.
-        assert!(!SquarePattern::Quarter.is_reconfigurable(&region, &[SquareCoord::new(3, 3)]));
+        assert!(!tolerable(
+            SquarePattern::Quarter,
+            &region,
+            &[SquareCoord::new(3, 3)]
+        ));
         // ...while the perfect code tolerates any single primary fault.
-        assert!(SquarePattern::PerfectCode.is_reconfigurable(&region, &[SquareCoord::new(3, 3)]));
+        assert!(tolerable(
+            SquarePattern::PerfectCode,
+            &region,
+            &[SquareCoord::new(3, 3)]
+        ));
     }
 
     #[test]
@@ -221,11 +188,19 @@ mod tests {
             .unwrap();
         let nbrs: Vec<SquareCoord> = spare.neighbors4().collect();
         // One fault: fine.
-        assert!(SquarePattern::PerfectCode.is_reconfigurable(&region, &[nbrs[0]]));
+        assert!(tolerable(SquarePattern::PerfectCode, &region, &[nbrs[0]]));
         // Two faults contending for the same single spare: fatal (s = 1).
-        assert!(!SquarePattern::PerfectCode.is_reconfigurable(&region, &[nbrs[0], nbrs[1]]));
+        assert!(!tolerable(
+            SquarePattern::PerfectCode,
+            &region,
+            &[nbrs[0], nbrs[1]]
+        ));
         // Checkerboard absorbs both (s = 4).
-        assert!(SquarePattern::Checkerboard.is_reconfigurable(&region, &[nbrs[0], nbrs[1]]));
+        assert!(tolerable(
+            SquarePattern::Checkerboard,
+            &region,
+            &[nbrs[0], nbrs[1]]
+        ));
     }
 
     #[test]
@@ -235,7 +210,7 @@ mod tests {
             .iter()
             .filter(|c| SquarePattern::Stripes.is_spare_site(*c))
             .collect();
-        assert!(SquarePattern::Stripes.is_reconfigurable(&region, &spares));
+        assert!(tolerable(SquarePattern::Stripes, &region, &spares));
     }
 
     #[test]

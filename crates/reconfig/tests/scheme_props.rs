@@ -1,11 +1,12 @@
 //! Property tests: the generic [`TrialEvaluator`] (compiled through the
-//! `RedundancyScheme` layer) must agree with the legacy per-scheme
-//! oracles — `SquarePattern::is_reconfigurable` and
+//! `RedundancyScheme` layer) must agree with the per-scheme reference
+//! oracles — `dmfb_oracle::square_dtmb::is_reconfigurable` and
 //! `SpareRowArray::shifted_replacement` — on random defect maps, mirroring
 //! `evaluator_props.rs` for the hexagonal engine.
 
 use dmfb_defects::DefectMap;
 use dmfb_grid::{SquareCoord, SquareRegion, Topology};
+use dmfb_oracle::square_dtmb;
 use dmfb_reconfig::shifted::{ModuleBand, SpareRowArray};
 use dmfb_reconfig::{SquarePattern, TrialEvaluator};
 use proptest::prelude::*;
@@ -41,7 +42,7 @@ proptest! {
         let faulty = cells_from_picks(&region, &picks);
         let eval = TrialEvaluator::for_scheme(&region, &pattern);
         let mut scratch = eval.scratch();
-        let expected = pattern.is_reconfigurable(&region, &faulty);
+        let expected = square_dtmb::is_reconfigurable(pattern, &region, &faulty);
         prop_assert_eq!(
             eval.evaluate_faulty_cells(&faulty, &mut scratch),
             expected,

@@ -1,6 +1,8 @@
-//! Property-based tests for the square-lattice interstitial patterns.
+//! Property-based tests for the square-lattice interstitial patterns,
+//! with verdicts from the adjacency-list reference oracle.
 
 use dmfb_grid::{SquareCoord, SquareRegion};
+use dmfb_oracle::square_dtmb;
 use dmfb_reconfig::square_dtmb::SquarePattern;
 use proptest::prelude::*;
 
@@ -42,7 +44,7 @@ proptest! {
             .into_iter()
             .map(|(x, y)| SquareCoord::new(x, y))
             .collect();
-        if pattern.is_reconfigurable(&region, &cells) {
+        if square_dtmb::is_reconfigurable(pattern, &region, &cells) {
             for skip in 0..cells.len() {
                 let reduced: Vec<SquareCoord> = cells
                     .iter()
@@ -50,7 +52,7 @@ proptest! {
                     .filter(|(i, _)| *i != skip)
                     .map(|(_, c)| *c)
                     .collect();
-                prop_assert!(pattern.is_reconfigurable(&region, &reduced));
+                prop_assert!(square_dtmb::is_reconfigurable(pattern, &region, &reduced));
             }
         }
     }
@@ -59,13 +61,13 @@ proptest! {
     #[test]
     fn square_spare_faults_harmless(pattern in arb_pattern(), seed in 0usize..50) {
         let region = SquareRegion::rect(9, 9);
-        prop_assert!(pattern.is_reconfigurable(&region, &[]));
+        prop_assert!(square_dtmb::is_reconfigurable(pattern, &region, &[]));
         let spares: Vec<SquareCoord> = region
             .iter()
             .filter(|c| pattern.is_spare_site(*c))
             .skip(seed % 3)
             .collect();
-        prop_assert!(pattern.is_reconfigurable(&region, &spares));
+        prop_assert!(square_dtmb::is_reconfigurable(pattern, &region, &spares));
     }
 
     /// On patterns with a real guarantee (not Quarter), any single primary
@@ -81,7 +83,7 @@ proptest! {
         ] {
             if !pattern.is_spare_site(cell) {
                 prop_assert!(
-                    pattern.is_reconfigurable(&region, &[cell]),
+                    square_dtmb::is_reconfigurable(pattern, &region, &[cell]),
                     "pattern {} must tolerate a single interior fault at {}",
                     pattern,
                     cell

@@ -317,7 +317,7 @@ impl OperationalYield {
             }
         }
         let plan = if survivor_bound {
-            self.evaluator.reconfigure(defects, scratch)
+            self.evaluator.reconfigure(defects, scratch).ok()
         } else {
             // A faulty cell with no live spare can never be matched.
             None

@@ -10,9 +10,8 @@
 //! fault set, so prefix feasibility is monotone and binary search is
 //! sound).
 
-use dmfb_defects::DefectMap;
 use dmfb_grid::HexCoord;
-use dmfb_reconfig::{local, DefectTolerantArray, ReconfigPolicy};
+use dmfb_reconfig::{DefectTolerantArray, ReconfigPolicy, TrialEvaluator};
 use dmfb_sim::{SeedSequence, Summary};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -78,6 +77,8 @@ pub fn tolerance_profile(
     assert!(!cells.is_empty(), "array has no cells");
     let mut stats = Summary::new();
     let mut histogram = vec![0u32; cells.len() + 1];
+    let evaluator = TrialEvaluator::new(array, policy);
+    let mut scratch = evaluator.scratch();
 
     for trial_seed in SeedSequence::new(seed).take(trials as usize) {
         let mut rng = StdRng::seed_from_u64(trial_seed);
@@ -85,10 +86,7 @@ pub fn tolerance_profile(
         order.shuffle(&mut rng);
 
         // Binary search the longest reconfigurable prefix.
-        let feasible = |k: usize| {
-            let defects = DefectMap::from_cells(order[..k].iter().copied());
-            local::is_reconfigurable(array, &defects, policy)
-        };
+        let mut feasible = |k: usize| evaluator.evaluate_faulty_cells(&order[..k], &mut scratch);
         let (mut lo, mut hi) = (0usize, order.len());
         // Invariant: feasible(lo), !feasible(hi) — unless everything is
         // tolerable (possible under UsedCells policies).

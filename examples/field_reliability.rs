@@ -25,7 +25,8 @@ fn main() {
     let chips: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(400);
 
     let chip = ivd_dtmb26_chip();
-    let policy = used_cells_policy(&chip);
+    let evaluator = TrialEvaluator::new(&chip.array, &used_cells_policy(&chip));
+    let mut scratch = evaluator.scratch();
     let model = MtbfModel::new(mtbf, 1.0);
     println!(
         "chip: {} primaries + {} spares; per-cell MTBF {mtbf} h; fleet of {chips}\n",
@@ -45,7 +46,7 @@ fn main() {
                 .map(|f| f.cell)
                 .collect();
             let defects = DefectMap::from_cells(cells);
-            if attempt_reconfiguration(&chip.array, &defects, &policy).is_ok() {
+            if evaluator.reconfigure(&defects, &mut scratch).is_ok() {
                 alive += 1;
             }
         }
