@@ -1268,7 +1268,7 @@ fn cmd_soak(opts: &Options) -> Result<(), String> {
 
 fn cmd_faults(opts: &Options) -> Result<(), String> {
     require_hex_scheme(opts)?;
-    let trials: u32 = opts.get("trials", 10_000)?;
+    let trials = opts.trials(10_000)?;
     let seed: u64 = opts.get("seed", 1)?;
     let max_m: usize = opts.get("max-m", 40)?;
     let chip = if opts.flag("casestudy") {
@@ -1282,6 +1282,12 @@ fn cmd_faults(opts: &Options) -> Result<(), String> {
     } else {
         opts.biochip()?
     };
+    let cells = chip.array().region().len();
+    if max_m > cells {
+        return Err(format!(
+            "need --max-m <= {cells} (the chip's cell count), got {max_m}"
+        ));
+    }
     outln!("m,yield,ci_lo,ci_hi");
     for m in 0..=max_m {
         let est = chip.exact_fault_yield(m, trials, seed.wrapping_add(m as u64));
@@ -1295,6 +1301,9 @@ fn cmd_render(opts: &Options) -> Result<(), String> {
     require_hex_scheme(opts)?;
     let chip = opts.biochip()?;
     let p: f64 = opts.get("inject", 1.0)?;
+    if !(0.0..=1.0).contains(&p) {
+        return Err(format!("need 0 <= --inject <= 1, got {p}"));
+    }
     let seed: u64 = opts.get("seed", 1)?;
     let array = chip.array();
     let mut rng = StdRng::seed_from_u64(seed);
@@ -1338,6 +1347,12 @@ fn cmd_assay(opts: &Options) -> Result<(), String> {
     let m: usize = opts.get("faults", 0)?;
     let seed: u64 = opts.get("seed", 42)?;
     let chip = ivd_dtmb26_chip();
+    let cells = chip.array.region().len();
+    if m > cells {
+        return Err(format!(
+            "need --faults <= {cells} (the chip's cell count), got {m}"
+        ));
+    }
     let mut rng = StdRng::seed_from_u64(seed);
     let mut defects = ExactCount::new(m).inject(chip.array.region(), &mut rng);
     defects.close_shorts();
@@ -1376,7 +1391,7 @@ fn cmd_assay(opts: &Options) -> Result<(), String> {
 
 fn cmd_profile(opts: &Options) -> Result<(), String> {
     require_hex_scheme(opts)?;
-    let trials: u32 = opts.get("trials", 2_000)?;
+    let trials = opts.trials(2_000)?;
     let seed: u64 = opts.get("seed", 1)?;
     let (array, policy, label) = if opts.flag("casestudy") {
         let chip = ivd_dtmb26_chip();

@@ -133,8 +133,34 @@ fn out_of_range_primaries_fail_cleanly_on_every_hex_command() {
 }
 
 #[test]
+fn out_of_range_fault_counts_and_survival_fail_cleanly() {
+    for (command, needle) in [
+        (
+            "faults --design dtmb16 --primaries 10 --max-m 100",
+            "need --max-m <= 14 (the chip's cell count), got 100",
+        ),
+        (
+            "assay --faults 100000",
+            "need --faults <= 343 (the chip's cell count), got 100000",
+        ),
+        (
+            "render --design dtmb16 --primaries 10 --inject 1.5",
+            "need 0 <= --inject <= 1, got 1.5",
+        ),
+    ] {
+        let args: Vec<&str> = command.split(' ').collect();
+        let out = dmfb(&args);
+        assert_eq!(out.status.code(), Some(1), "{command} must fail, not panic");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains(needle), "{command}: {err}");
+        assert!(!err.contains("panicked"), "{command}: {err}");
+        assert!(out.stdout.is_empty(), "{command} printed output");
+    }
+}
+
+#[test]
 fn zero_trials_are_rejected_by_yield_and_sweep() {
-    for command in ["yield", "sweep"] {
+    for command in ["yield", "sweep", "faults", "profile"] {
         let out = dmfb(&[command, "--design", "dtmb26", "--trials", "0"]);
         assert_eq!(out.status.code(), Some(1), "{command} accepted --trials 0");
         let err = String::from_utf8(out.stderr).unwrap();

@@ -7,20 +7,14 @@
 //! is the fault flag of lane `L` — the bit-sliced Bernoulli draw the
 //! word-parallel classifier tiers consume directly.
 //!
-//! Two properties make the transposition safe to rely on:
-//!
-//! * **Byte identity.** Lane `L` seeded with `seeds[L]` replays exactly
-//!   the stream of `StdRng::seed_from_u64(seeds[L])`, and
-//!   [`fault_threshold`] turns the scalar `u >= p` float compare into an
-//!   equivalent integer mantissa compare. A trial's verdict therefore
-//!   never depends on which lane, block, or thread evaluated it — the
-//!   caller keeps the scalar engine's `SeedSequence` trial→seed mapping
-//!   and gets bit-identical results at any block width.
-//! * **Stream hand-off.** [`BlockSampler::resume_lane`] reconstructs a
-//!   scalar [`StdRng`] from a lane's mid-stream state, so stages that
-//!   need scalar draws *after* the transposed cell sweep (e.g. the
-//!   operational engine's wear-model injection) continue the exact
-//!   stream the scalar engine would have used.
+//! The transposition is **byte-identical**: lane `L` seeded with
+//! `seeds[L]` replays exactly the stream of
+//! `StdRng::seed_from_u64(seeds[L])`, and [`fault_threshold`] turns the
+//! scalar `u >= p` float compare into an equivalent integer mantissa
+//! compare. A trial's verdict therefore never depends on which lane,
+//! block, or thread evaluated it — the caller keeps the scalar engine's
+//! `SeedSequence` trial→seed mapping and gets bit-identical results at
+//! any block width.
 //!
 //! # Example
 //!
@@ -30,16 +24,14 @@
 //!
 //! let seeds = [11u64, 22, 33];
 //! let mut sampler = BlockSampler::new(&seeds);
-//! let t = fault_threshold(0.95);
-//! let word = sampler.fault_word(t); // one cell, three trials
+//! let mut word = [0u64; 1]; // one cell, three trials
+//! sampler.fill_fault_words(fault_threshold(0.95), &mut word);
 //! let mut scalar = StdRng::seed_from_u64(22);
 //! let u: f64 = scalar.gen();
-//! assert_eq!((word >> 1) & 1 == 1, u >= 0.95);
+//! assert_eq!((word[0] >> 1) & 1 == 1, u >= 0.95);
 //! ```
 
 use dmfb_graph::words::{lane_mask, mantissa_threshold, LaneRngs, LANES};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Integer mantissa threshold equivalent to the scalar fault test
 /// `rng.gen::<f64>() >= p` for survival probability `p` — defect-model
@@ -58,9 +50,9 @@ pub fn fault_threshold(p: f64) -> u64 {
 ///
 /// Construction order is the contract: the caller draws cells in the
 /// same order as the scalar engine (the evaluator's sorted cell order),
-/// one [`BlockSampler::fault_word`] or [`BlockSampler::mantissas`] call
-/// per cell, so each lane consumes its stream exactly like
-/// `survival_trial`'s per-cell loop.
+/// one [`BlockSampler::fill_fault_words`] slot or
+/// [`BlockSampler::mantissas`] call per cell, so each lane consumes its
+/// stream exactly like `survival_trial`'s per-cell loop.
 #[derive(Clone, Debug)]
 pub struct BlockSampler {
     rngs: LaneRngs,
@@ -111,18 +103,11 @@ impl BlockSampler {
         lane_mask(self.lanes)
     }
 
-    /// Draws one cell for all lanes: bit `L` of the result is lane `L`'s
-    /// fault flag under mantissa `threshold` (see [`fault_threshold`]).
-    /// Idle lanes are masked to zero.
-    #[must_use]
-    pub fn fault_word(&mut self, threshold: u64) -> u64 {
-        self.rngs.next_ge(threshold) & self.live_mask()
-    }
-
-    /// Draws one cell per `out` slot for all lanes — byte-identical to
-    /// `out.len()` successive [`BlockSampler::fault_word`] calls but
-    /// batched so lane RNG state stays in registers across the sweep
-    /// (the survival engine's whole-structure sampling pass).
+    /// Draws one cell per `out` slot for all lanes: bit `L` of `out[i]` is
+    /// lane `L`'s fault flag for cell `i` under mantissa `threshold` (see
+    /// [`fault_threshold`]); idle lanes are masked to zero. Batched so lane
+    /// RNG state stays in registers across the sweep (the survival
+    /// engine's whole-structure sampling pass).
     pub fn fill_fault_words(&mut self, threshold: u64, out: &mut [u64]) {
         self.rngs.fill_ge(threshold, out);
         let live = self.live_mask();
@@ -156,10 +141,6 @@ impl BlockSampler {
     /// costs `O(k² · lanes)` instead of `O(n · lanes)`. For the small
     /// stratum counts the stratified estimator samples, that removes the
     /// dominant term.
-    ///
-    /// Lanes advance by exactly `faults` draws, so
-    /// [`BlockSampler::resume_lane`] stays in step with the scalar
-    /// stream.
     ///
     /// # Panics
     ///
@@ -208,30 +189,13 @@ impl BlockSampler {
             }
         }
     }
-
-    /// Reconstructs a scalar [`StdRng`] that continues lane `lane`'s
-    /// stream from its current position — for per-trial follow-on draws
-    /// after the transposed cell sweep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is not a live lane.
-    #[must_use]
-    pub fn resume_lane(&self, lane: usize) -> StdRng {
-        assert!(lane < self.lanes, "lane {lane} out of range");
-        let state = self.rngs.state(lane);
-        let mut bytes = [0u8; 32];
-        for (chunk, word) in bytes.chunks_mut(8).zip(state) {
-            chunk.copy_from_slice(&word.to_le_bytes());
-        }
-        StdRng::from_seed(bytes)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn fault_words_replay_scalar_bernoulli() {
@@ -241,8 +205,9 @@ mod tests {
             let t = fault_threshold(p);
             let mut scalars: Vec<StdRng> =
                 seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-            for cell in 0..40 {
-                let word = sampler.fault_word(t);
+            let mut words = [0u64; 40];
+            sampler.fill_fault_words(t, &mut words);
+            for (cell, &word) in words.iter().enumerate() {
                 for (lane, rng) in scalars.iter_mut().enumerate() {
                     let u: f64 = rng.gen();
                     assert_eq!(
@@ -265,17 +230,18 @@ mod tests {
             let mut words = vec![u64::MAX; 150];
             batched.fill_fault_words(t, &mut words);
             for (cell, &word) in words.iter().enumerate() {
-                assert_eq!(word, reference.fault_word(t), "p={p} cell={cell}");
+                let mut one = [u64::MAX];
+                reference.fill_fault_words(t, &mut one);
+                assert_eq!(word, one[0], "p={p} cell={cell}");
             }
-            // Idle lanes masked, and resumable states still in step.
+            // Idle lanes masked, and both samplers' lanes still in step.
             for &word in &words {
                 assert_eq!(word & !batched.live_mask(), 0);
             }
-            for lane in 0..seeds.len() {
-                let a: f64 = batched.resume_lane(lane).gen();
-                let b: f64 = reference.resume_lane(lane).gen();
-                assert_eq!(a, b, "lane={lane}");
-            }
+            let (mut a, mut b) = ([0u64; LANES], [0u64; LANES]);
+            batched.mantissas(&mut a);
+            reference.mantissas(&mut b);
+            assert_eq!(a[..seeds.len()], b[..seeds.len()], "p={p}");
         }
     }
 
@@ -285,46 +251,20 @@ mod tests {
         assert_eq!(sampler.lanes(), 3);
         assert_eq!(sampler.live_mask(), 0b111);
         // p = 0 faults every live lane; idle lanes must still read zero.
-        let word = sampler.fault_word(fault_threshold(0.0));
-        assert_eq!(word, 0b111);
-    }
-
-    #[test]
-    fn resume_lane_continues_the_scalar_stream() {
-        let seeds = [41u64, 42, 43];
-        let mut sampler = BlockSampler::new(&seeds);
-        let t = fault_threshold(0.9);
-        for _ in 0..17 {
-            let _ = sampler.fault_word(t);
-        }
-        for (lane, &seed) in seeds.iter().enumerate() {
-            let mut reference = StdRng::seed_from_u64(seed);
-            for _ in 0..17 {
-                let _: f64 = reference.gen();
-            }
-            let mut resumed = sampler.resume_lane(lane);
-            for _ in 0..8 {
-                let a: f64 = resumed.gen();
-                let b: f64 = reference.gen();
-                assert_eq!(a, b, "lane={lane}");
-            }
-        }
+        let mut word = [0u64; 1];
+        sampler.fill_fault_words(fault_threshold(0.0), &mut word);
+        assert_eq!(word, [0b111]);
     }
 
     #[test]
     fn reseed_resets_all_lanes() {
         let mut sampler = BlockSampler::new(&[5, 6]);
         let t = fault_threshold(0.5);
-        let first = sampler.fault_word(t);
+        let (mut first, mut again) = ([0u64; 8], [0u64; 8]);
+        sampler.fill_fault_words(t, &mut first);
         sampler.reseed(&[5, 6]);
-        assert_eq!(sampler.fault_word(t), first);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn resume_rejects_idle_lane() {
-        let sampler = BlockSampler::new(&[1]);
-        let _ = sampler.resume_lane(1);
+        sampler.fill_fault_words(t, &mut again);
+        assert_eq!(again, first);
     }
 
     /// The scalar reference: partial Fisher–Yates over a dense identity
@@ -371,29 +311,6 @@ mod tests {
             // Every lane holds exactly `faults` distinct faulty cells.
             let total: u32 = words.iter().map(|w| w.count_ones()).sum();
             assert_eq!(total as usize, faults * seeds.len());
-        }
-    }
-
-    #[test]
-    fn exact_fault_words_keep_lanes_resumable() {
-        // Each trial consumes exactly `faults` draws, so resume_lane must
-        // continue where the scalar stream would be after its swaps.
-        let seeds = [3u64, 1441, 0xDEAD];
-        let (n, faults) = (29usize, 5usize);
-        let mut sampler = BlockSampler::new(&seeds);
-        let mut words = vec![0u64; n];
-        sampler.exact_fault_words(n, faults, &mut words);
-        for (lane, &seed) in seeds.iter().enumerate() {
-            let mut reference = StdRng::seed_from_u64(seed);
-            for _ in 0..faults {
-                let _ = reference.gen_range(0..n);
-            }
-            let mut resumed = sampler.resume_lane(lane);
-            for _ in 0..4 {
-                let a: f64 = resumed.gen();
-                let b: f64 = reference.gen();
-                assert_eq!(a, b, "lane={lane}");
-            }
         }
     }
 

@@ -26,13 +26,13 @@
 /// # Example
 ///
 /// ```
-/// use dmfb_graph::{hopcroft_karp_bitset, BitsetGraph};
+/// use dmfb_graph::{BitsetGraph, BitsetMatcher};
 ///
 /// let mut g = BitsetGraph::new(2, 2);
 /// g.add_edge(0, 0);
 /// g.add_edge(0, 1);
 /// g.add_edge(1, 0);
-/// assert_eq!(hopcroft_karp_bitset(&g), 2);
+/// assert_eq!(BitsetMatcher::new().max_matching(&g), 2);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BitsetGraph {
@@ -56,13 +56,6 @@ impl BitsetGraph {
             adj: vec![0u64; left_count * words_per_row],
             edges: 0,
         }
-    }
-
-    /// Clears all edges while keeping the side sizes and buffer capacity —
-    /// the reuse entry point for per-trial graph construction.
-    pub fn clear_edges(&mut self) {
-        self.adj.iter_mut().for_each(|w| *w = 0);
-        self.edges = 0;
     }
 
     /// Reshapes the graph to new side sizes, reusing the buffer when it is
@@ -516,26 +509,6 @@ impl BitsetMatcher {
     }
 }
 
-/// The size of a maximum matching of a [`BitsetGraph`], by Hopcroft–Karp
-/// in `O(E √V)`. One-shot convenience wrapper around [`BitsetMatcher`];
-/// loops should hold a matcher and call [`BitsetMatcher::max_matching`]
-/// to reuse its scratch buffers.
-///
-/// # Example
-///
-/// ```
-/// use dmfb_graph::{hopcroft_karp_bitset, BitsetGraph};
-///
-/// let mut g = BitsetGraph::new(2, 1);
-/// g.add_edge(0, 0);
-/// g.add_edge(1, 0);
-/// assert_eq!(hopcroft_karp_bitset(&g), 1);
-/// ```
-#[must_use]
-pub fn hopcroft_karp_bitset(graph: &BitsetGraph) -> usize {
-    BitsetMatcher::new().max_matching(graph)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -602,12 +575,11 @@ mod tests {
         g.add_edge(0, 129);
         g.add_edge(1, 0);
         assert_eq!(g.edge_count(), 2);
-        g.clear_edges();
-        assert_eq!(g.edge_count(), 0);
-        assert!(!g.contains_edge(0, 129));
         g.reset(4, 5);
         assert_eq!(g.left_count(), 4);
         assert_eq!(g.right_count(), 5);
+        assert_eq!(g.edge_count(), 0);
+        assert!(!g.contains_edge(1, 0));
         g.add_edge(3, 4);
         assert_eq!(g.edge_count(), 1);
         assert!(g.contains_edge(3, 4));

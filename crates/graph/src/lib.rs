@@ -11,7 +11,7 @@
 //! This crate is that matching kernel, plus the word-parallel sampling
 //! kernels of the Monte-Carlo engine:
 //!
-//! * [`BitsetGraph`] / [`BitsetMatcher`] / [`hopcroft_karp_bitset`] — a
+//! * [`BitsetGraph`] / [`BitsetMatcher`] — a
 //!   `u64`-word bitset adjacency layout and an allocation-free
 //!   Hopcroft–Karp over it, with a Hall-violation early exit; every
 //!   reconfiguration verdict and plan comes from it,
@@ -52,4 +52,4 @@
 mod bitset;
 pub mod words;
 
-pub use bitset::{hopcroft_karp_bitset, BitsetGraph, BitsetMatcher, HallViolation};
+pub use bitset::{BitsetGraph, BitsetMatcher, HallViolation};

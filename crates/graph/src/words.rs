@@ -10,10 +10,11 @@
 //!   `StdRng::seed_from_u64(seed)`, so a lane's draw stream is
 //!   *bit-identical* to the scalar engine's per-trial RNG. On x86-64
 //!   hosts with AVX2 the step/compare/pack kernels run as
-//!   runtime-dispatched four-lane SIMD (with a batched lane-major sweep,
-//!   [`LaneRngs::fill_ge`], that keeps RNG state in registers across a
-//!   whole cell pass); every other host takes the portable SWAR loops,
-//!   and both paths are held to the same scalar-stream tests.
+//!   runtime-dispatched four-lane SIMD (the fault-word sampler,
+//!   [`LaneRngs::fill_ge`], sweeps lane-major so RNG state stays in
+//!   registers across a whole cell pass); every other host takes the
+//!   portable SWAR loops, and both paths are held to the same
+//!   scalar-stream tests.
 //! * [`mantissa_threshold`] — converts a survival probability into an
 //!   integer mantissa threshold such that the scalar comparison
 //!   `rng.gen::<f64>() >= p` and the word comparison
@@ -34,10 +35,10 @@
 //! let seeds: Vec<u64> = (0..8).map(|i| 1000 + i as u64 * 78).collect();
 //! let mut lanes = LaneRngs::new(&seeds);
 //! let mut scalar = StdRng::seed_from_u64(seeds[3]);
-//! let t = mantissa_threshold(0.95);
-//! let word = lanes.next_ge(t);
+//! let mut word = [0u64; 1];
+//! lanes.fill_ge(mantissa_threshold(0.95), &mut word);
 //! let u: f64 = scalar.gen();
-//! assert_eq!((word >> 3) & 1 == 1, u >= 0.95);
+//! assert_eq!((word[0] >> 3) & 1 == 1, u >= 0.95);
 //! assert_eq!(LANES, 64);
 //! ```
 
@@ -108,38 +109,6 @@ mod x86 {
         result
     }
 
-    /// Fused step + mantissa compare + pack: advances all 64 lanes one
-    /// draw and returns the `(next_u64() >> 11) >= threshold` fault word
-    /// without materialising mantissa or bit arrays. The comparison is a
-    /// signed vector compare — safe because 53-bit mantissas and
-    /// thresholds (`<= 2^53`) never reach the sign bit — and the pack is
-    /// a sign-bit `movemask` per four lanes.
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn step_ge(
-        s0: &mut [u64; LANES],
-        s1: &mut [u64; LANES],
-        s2: &mut [u64; LANES],
-        s3: &mut [u64; LANES],
-        threshold: u64,
-    ) -> u64 {
-        let t = _mm256_set1_epi64x(threshold as i64);
-        let mut word = 0u64;
-        let mut lane = 0;
-        while lane < LANES {
-            let result = step4(s0, s1, s2, s3, lane);
-            let m = _mm256_srli_epi64::<11>(result);
-            // Sign bit of each lane = (m < t); invert for (m >= t).
-            let lt = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(t, m)));
-            word |= u64::from(!lt as u32 & 0xF) << lane;
-            lane += 4;
-        }
-        word
-    }
-
     /// Vectorised step + mantissa shift: advances all 64 lanes one draw
     /// and writes the 53-bit mantissas to `out`.
     ///
@@ -164,12 +133,13 @@ mod x86 {
     }
 
     /// Batched fused sampler: one `(next_u64() >> 11) >= threshold` fault
-    /// word per `out` slot, equivalent to `out.len()` successive
-    /// [`step_ge`] calls but loop-inverted — lanes outer, cells inner —
-    /// so each lane group's RNG state stays in registers across the whole
-    /// cell sweep instead of round-tripping through memory per cell. Two
-    /// 4-lane groups advance per pass to keep both dependency chains in
-    /// flight.
+    /// word per `out` slot, loop-inverted — lanes outer, cells inner — so
+    /// each lane group's RNG state stays in registers across the whole
+    /// cell sweep. The comparison is a signed vector compare — safe
+    /// because 53-bit mantissas and thresholds (`<= 2^53`) never reach the
+    /// sign bit — and the pack is a sign-bit `movemask` per four lanes.
+    /// Two 4-lane groups advance per pass to keep both dependency chains
+    /// in flight.
     ///
     /// # Safety
     ///
@@ -451,41 +421,12 @@ impl LaneRngs {
         }
     }
 
-    /// Advances every lane one step and packs the per-lane fault bits
-    /// `(next_u64() >> 11) >= threshold` into one word (lane `L` at
-    /// bit `L`) — one transposed Bernoulli draw across 64 trials.
-    ///
-    /// This is the block sampler's innermost call (once per cell per
-    /// 64-trial group); on AVX2 hosts it runs fused — step, mantissa
-    /// shift, compare and sign-bit pack — without materialising either
-    /// intermediate array.
-    #[must_use]
-    #[allow(unsafe_code)] // AVX2 dispatch; guarded by `x86::available()`.
-    pub fn next_ge(&mut self, threshold: u64) -> u64 {
-        #[cfg(target_arch = "x86_64")]
-        if x86::available() {
-            // SAFETY: AVX2 presence just checked.
-            return unsafe {
-                x86::step_ge(
-                    &mut self.s0,
-                    &mut self.s1,
-                    &mut self.s2,
-                    &mut self.s3,
-                    threshold,
-                )
-            };
-        }
-        let mut mantissas = [0u64; LANES];
-        self.next_mantissas(&mut mantissas);
-        pack_ge(&mantissas, threshold)
-    }
-
-    /// Draws one fault word per `out` slot — exactly `out.len()`
-    /// successive [`LaneRngs::next_ge`] draws, one per cell in slice
-    /// order. This is the survival sampler's batched form: on AVX2 hosts
-    /// the loop runs lane-major so each lane group's RNG state lives in
-    /// registers across the entire cell sweep (the per-cell form reloads
-    /// and re-stores all four state arrays every draw).
+    /// Draws one fault word per `out` slot, one cell per slot in slice
+    /// order: every lane advances one step per slot and bit `L` of the
+    /// word is lane `L`'s `(next_u64() >> 11) >= threshold` — one
+    /// transposed Bernoulli draw across 64 trials. On AVX2 hosts the loop
+    /// runs lane-major so each lane group's RNG state lives in registers
+    /// across the entire cell sweep.
     #[allow(unsafe_code)] // AVX2 dispatch; guarded by `x86::available()`.
     pub fn fill_ge(&mut self, threshold: u64, out: &mut [u64]) {
         #[cfg(target_arch = "x86_64")]
@@ -503,28 +444,11 @@ impl LaneRngs {
             }
             return;
         }
+        let mut mantissas = [0u64; LANES];
         for word in out.iter_mut() {
-            *word = self.next_ge(threshold);
+            self.next_mantissas(&mut mantissas);
+            *word = pack_ge(&mantissas, threshold);
         }
-    }
-
-    /// The xoshiro256++ state of `lane` as `[s0, s1, s2, s3]`.
-    ///
-    /// Feeding the little-endian bytes of this array to
-    /// `StdRng::from_seed` yields a scalar generator that continues the
-    /// lane's stream exactly — how the operational engine hands a lane's
-    /// mid-stream RNG to scalar code (e.g. wear-model draws) without
-    /// replaying the cell draws. Mid-stream states are never all-zero
-    /// (the all-zero state is an isolated fixed point xoshiro cannot
-    /// reach), so `from_seed`'s zero-escape never fires.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= 64`.
-    #[must_use]
-    pub fn state(&self, lane: usize) -> [u64; 4] {
-        assert!(lane < LANES, "lane {lane} out of range");
-        [self.s0[lane], self.s1[lane], self.s2[lane], self.s3[lane]]
     }
 
     /// One lock-step xoshiro256++ update of all 64 lanes; `out[L]` gets
@@ -681,9 +605,9 @@ mod tests {
             let mut lanes = LaneRngs::new(&seeds);
             let mut scalars: Vec<StdRng> =
                 seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-            let t = mantissa_threshold(p);
-            for _ in 0..50 {
-                let word = lanes.next_ge(t);
+            let mut words = [0u64; 50];
+            lanes.fill_ge(mantissa_threshold(p), &mut words);
+            for &word in &words {
                 for (lane, rng) in scalars.iter_mut().enumerate() {
                     let u: f64 = rng.gen();
                     assert_eq!((word >> lane) & 1 == 1, u >= p, "p={p} lane={lane}");
@@ -703,32 +627,6 @@ mod tests {
             for (lane, rng) in scalars.iter_mut().enumerate() {
                 let u: f64 = rng.gen();
                 assert_eq!(m[lane] as f64 / MANTISSA_SCALE, u, "lane={lane}");
-            }
-        }
-    }
-
-    #[test]
-    fn state_resumes_as_scalar_rng() {
-        let seeds = [0x51u64, 0x52, 0x53];
-        let mut lanes = LaneRngs::new(&seeds);
-        let mut m = [0u64; LANES];
-        for _ in 0..13 {
-            lanes.next_mantissas(&mut m);
-        }
-        for (lane, &seed) in seeds.iter().enumerate() {
-            // Scalar replay: 13 draws, then compare the continuation.
-            let mut reference = StdRng::seed_from_u64(seed);
-            for _ in 0..13 {
-                let _: f64 = reference.gen();
-            }
-            let state = lanes.state(lane);
-            let mut bytes = [0u8; 32];
-            for (chunk, word) in bytes.chunks_mut(8).zip(state) {
-                chunk.copy_from_slice(&word.to_le_bytes());
-            }
-            let mut resumed = StdRng::from_seed(bytes);
-            for _ in 0..10 {
-                assert_eq!(resumed.next_u64(), reference.next_u64());
             }
         }
     }
@@ -821,11 +719,22 @@ mod tests {
         }
     }
 
+    /// The portable per-cell reference for [`LaneRngs::fill_ge`]: one
+    /// lock-step draw per cell, shifted to mantissas and packed.
+    fn portable_ge(lanes: &mut LaneRngs, threshold: u64) -> u64 {
+        let mut m = [0u64; LANES];
+        lanes.next_raw(&mut m);
+        for v in m.iter_mut() {
+            *v >>= 11;
+        }
+        pack_ge_portable(&m, threshold)
+    }
+
     #[test]
     fn fill_ge_matches_per_cell_draws() {
-        // The batched (lane-major) sampler must equal the per-cell draw
-        // loop word for word and leave identical lane states, at every
-        // sweep length, threshold and starting phase.
+        // The batched (lane-major) sampler must equal the portable
+        // per-cell draw loop word for word and leave the lanes in step,
+        // at every sweep length, threshold and starting phase.
         let seeds: Vec<u64> = (0..64).map(|i| 0xF1_11 + i * 71).collect();
         for &cells in &[0usize, 1, 7, 160, 333] {
             for &p in &[0.0, 0.5, 0.99, 1.0] {
@@ -833,27 +742,28 @@ mod tests {
                 let mut batched = LaneRngs::new(&seeds);
                 let mut reference = LaneRngs::new(&seeds);
                 // Offset the phase so non-fresh states are covered too.
-                let _ = batched.next_ge(t);
-                let _ = reference.next_ge(t);
+                batched.fill_ge(t, &mut [0]);
+                let _ = portable_ge(&mut reference, t);
                 let mut words = vec![u64::MAX; cells];
                 batched.fill_ge(t, &mut words);
                 for (cell, &word) in words.iter().enumerate() {
                     assert_eq!(
                         word,
-                        reference.next_ge(t),
+                        portable_ge(&mut reference, t),
                         "cells={cells} p={p} cell={cell}"
                     );
                 }
-                for lane in 0..LANES {
-                    assert_eq!(batched.state(lane), reference.state(lane), "lane={lane}");
-                }
+                let (mut a, mut b) = ([0u64; LANES], [0u64; LANES]);
+                batched.next_raw(&mut a);
+                reference.next_raw(&mut b);
+                assert_eq!(a, b, "cells={cells} p={p}");
             }
         }
     }
 
     #[test]
     fn dispatched_paths_match_portable_reference() {
-        // Whatever path `next_ge`/`next_mantissas`/`pack_ge` dispatch to
+        // Whatever path `fill_ge`/`next_mantissas`/`pack_ge` dispatch to
         // (AVX2 or portable), the results must equal the portable scalar
         // pipeline run on an identical clone.
         let seeds: Vec<u64> = (0..64).map(|i| 0x7A57 + i * 101).collect();
@@ -863,12 +773,13 @@ mod tests {
         let mut raw = [0u64; LANES];
         for round in 0..200u64 {
             let t = (round * 0x4000_0000_0000) % ((1 << 53) + 1);
-            let word = fused.next_ge(t);
+            let mut word = [0u64; 1];
+            fused.fill_ge(t, &mut word);
             reference.next_raw(&mut raw);
             for (dst, &r) in m.iter_mut().zip(&raw) {
                 *dst = r >> 11;
             }
-            assert_eq!(word, pack_ge_portable(&m, t), "round={round}");
+            assert_eq!(word[0], pack_ge_portable(&m, t), "round={round}");
             assert_eq!(pack_ge(&m, t), pack_ge_portable(&m, t), "round={round}");
             fused.next_mantissas(&mut raw);
             reference.next_raw(&mut m);
@@ -877,10 +788,10 @@ mod tests {
             }
             assert_eq!(raw, m, "round={round}");
         }
-        // The states must stay in lock-step too.
-        for lane in 0..LANES {
-            assert_eq!(fused.state(lane), reference.state(lane), "lane={lane}");
-        }
+        // The lanes must stay in lock-step too.
+        fused.next_raw(&mut raw);
+        reference.next_raw(&mut m);
+        assert_eq!(raw, m);
     }
 
     #[test]

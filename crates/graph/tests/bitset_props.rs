@@ -8,7 +8,7 @@
 //! pool of fault-free spares, never larger than a few dozen for the array
 //! sizes the figures sweep.
 
-use dmfb_graph::{hopcroft_karp_bitset, BitsetMatcher};
+use dmfb_graph::BitsetMatcher;
 use dmfb_oracle::{
     augmenting_path_matching, hall_violation, hopcroft_karp, BipartiteGraph, Matching,
 };
@@ -53,7 +53,7 @@ proptest! {
         for (a, b) in g.edges() {
             prop_assert!(bg.contains_edge(a, b));
         }
-        prop_assert_eq!(hopcroft_karp_bitset(&bg), hopcroft_karp(&g).len());
+        prop_assert_eq!(BitsetMatcher::new().max_matching(&bg), hopcroft_karp(&g).len());
     }
 
     /// The early-exit feasibility path answers exactly "matching size
@@ -80,7 +80,7 @@ proptest! {
         let mut reused = BitsetMatcher::new();
         let _ = reused.max_matching(&ba);
         let warm = reused.max_matching(&bb);
-        prop_assert_eq!(warm, hopcroft_karp_bitset(&bb));
+        prop_assert_eq!(warm, BitsetMatcher::new().max_matching(&bb));
         prop_assert!(Matching::from_pairs(&b, reused.left_pairs()).is_valid(&b));
     }
 

@@ -651,39 +651,6 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
         self.solve(scratch)
     }
 
-    /// Like [`TrialEvaluator::evaluate_faulty_cells`], but on success
-    /// returns the **assignment** the matcher found: one `(unit,
-    /// resource)` index pair per faulty unit, in ascending unit order.
-    /// `None` means the fault set is not tolerable. Map the indices back
-    /// to lattice cells with [`TrialEvaluator::unit_coords`] /
-    /// [`TrialEvaluator::resource_coords`]; hexagonal evaluators get a
-    /// [`ReconfigPlan`] directly from [`TrialEvaluator::reconfigure`].
-    pub fn evaluate_faulty_cells_assignment(
-        &self,
-        faulty: &[C],
-        scratch: &mut TrialScratch,
-    ) -> Option<Vec<(usize, usize)>> {
-        let mut sorted: Vec<C> = faulty.to_vec();
-        sorted.sort_unstable();
-        self.stage_cell_faults(scratch, |c| sorted.binary_search(&c).is_ok());
-        self.solve_assignment(scratch)
-    }
-
-    /// Runs the matcher on the staged fault flags and reads the assignment
-    /// back through the trial's row/column compaction tables.
-    fn solve_assignment(&self, scratch: &mut TrialScratch) -> Option<Vec<(usize, usize)>> {
-        if !self.solve(scratch) {
-            return None;
-        }
-        let mut pairs: Vec<(usize, usize)> = scratch
-            .matcher
-            .left_pairs()
-            .map(|(row, col)| (scratch.rows[row] as usize, scratch.res_of_col[col] as usize))
-            .collect();
-        pairs.sort_unstable();
-        Some(pairs)
-    }
-
     /// The lattice cells making up unit `i` (one cell for interstitial
     /// schemes; a whole module row for the spare-row baseline).
     pub fn unit_coords(&self, i: usize) -> impl Iterator<Item = C> + '_ {
@@ -1017,44 +984,23 @@ mod tests {
     }
 
     #[test]
-    fn assignment_indices_map_back_to_cells() {
-        let (array, eval) = evaluator(DtmbKind::Dtmb44, 40);
-        let mut scratch = eval.scratch();
-        let faulty: Vec<HexCoord> = array.primaries().take(3).collect();
-        let pairs = eval
-            .evaluate_faulty_cells_assignment(&faulty, &mut scratch)
-            .expect("three scattered faults are tolerable on DTMB(4,4)");
-        assert_eq!(pairs.len(), 3);
-        for (u, r) in pairs {
-            let unit: Vec<HexCoord> = eval.unit_coords(u).collect();
-            let res: Vec<HexCoord> = eval.resource_coords(r).collect();
-            assert_eq!(unit.len(), 1);
-            assert_eq!(res.len(), 1);
-            assert!(faulty.contains(&unit[0]));
-            assert!(unit[0].is_adjacent(res[0]));
-        }
-        // Fault-free: an empty assignment, not a stale one.
-        assert_eq!(
-            eval.evaluate_faulty_cells_assignment(&[], &mut scratch),
-            Some(Vec::new())
-        );
-    }
-
-    #[test]
     fn spare_row_assignments_use_indestructible_resources() {
         use crate::shifted::SpareRowArray;
         use dmfb_grid::SquareCoord;
         let array = SpareRowArray::figure2_example();
         let eval = TrialEvaluator::for_scheme(&array.region(), &array);
         let mut scratch = eval.scratch();
-        let pairs = eval
-            .evaluate_faulty_cells_assignment(&[SquareCoord::new(3, 4)], &mut scratch)
-            .expect("one faulty row fits the spare row");
-        assert_eq!(pairs.len(), 1);
-        let (u, r) = pairs[0];
-        assert_eq!(eval.unit_coords(u).count(), array.width() as usize);
+        assert!(
+            eval.evaluate_faulty_cells(&[SquareCoord::new(3, 4)], &mut scratch),
+            "one faulty row fits the spare row"
+        );
+        let unit = (0..eval.unit_count())
+            .find(|&u| eval.unit_coords(u).any(|c| c == SquareCoord::new(3, 4)))
+            .expect("the faulty cell belongs to a module row");
+        assert_eq!(eval.unit_coords(unit).count(), array.width() as usize);
+        assert_eq!(eval.resource_count(), 1);
         assert_eq!(
-            eval.resource_coords(r).count(),
+            eval.resource_coords(0).count(),
             0,
             "spare rows are indestructible"
         );

@@ -1,6 +1,6 @@
 //! The Monte-Carlo engine.
 
-use crate::{BernoulliEstimate, SeedSequence, Summary};
+use crate::{BernoulliEstimate, SeedSequence};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -198,59 +198,6 @@ impl MonteCarlo {
             .collect()
     }
 
-    /// Runs a real-valued observable once per trial and accumulates a
-    /// [`Summary`].
-    pub fn observe(&self, mut observable: impl FnMut(&mut StdRng) -> f64) -> Summary {
-        let mut s = Summary::new();
-        for seed in SeedSequence::new(self.master_seed).take(self.trials as usize) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            s.push(observable(&mut rng));
-        }
-        s
-    }
-
-    /// Runs trials until the 95% Wilson interval half-width drops below
-    /// `target_half_width` or the engine's trial budget is exhausted,
-    /// whichever comes first. Checks the width every `batch` trials.
-    ///
-    /// The trial stream is the same as [`MonteCarlo::run`]'s, so stopping
-    /// early is statistically safe to first order (the stopping rule looks
-    /// only at the width, not the estimate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch == 0` or `target_half_width <= 0`.
-    pub fn run_to_precision(
-        &self,
-        target_half_width: f64,
-        batch: u32,
-        mut trial: impl FnMut(&mut StdRng) -> bool,
-    ) -> BernoulliEstimate {
-        assert!(batch > 0, "batch must be positive");
-        assert!(
-            target_half_width > 0.0,
-            "target half-width must be positive"
-        );
-        let mut successes = 0u64;
-        let mut done = 0u64;
-        let mut seeds = SeedSequence::new(self.master_seed);
-        while done < u64::from(self.trials) {
-            for _ in 0..batch.min((u64::from(self.trials) - done) as u32) {
-                let seed = seeds.next().expect("seed stream is infinite");
-                let mut rng = StdRng::seed_from_u64(seed);
-                if trial(&mut rng) {
-                    successes += 1;
-                }
-                done += 1;
-            }
-            let est = BernoulliEstimate::new(successes, done);
-            if est.margin95() <= target_half_width {
-                return est;
-            }
-        }
-        BernoulliEstimate::new(successes, done)
-    }
-
     /// The one trial loop behind every runner. Trial `i` gets seed
     /// `SeedSequence::nth_seed(master, i)`; seeds are cut into blocks of
     /// `width` consecutive trials, block `b` runs on worker
@@ -403,15 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn observe_summary() {
-        let mc = MonteCarlo::new(10_000, 11);
-        let s = mc.observe(|rng| rng.gen_range(0.0..1.0));
-        assert!((s.mean() - 0.5).abs() < 0.02);
-        assert!(s.min() >= 0.0 && s.max() <= 1.0);
-        assert_eq!(s.count(), 10_000);
-    }
-
-    #[test]
     fn zero_trials() {
         let mc = MonteCarlo::new(0, 5);
         let est = mc.run(|_| true);
@@ -425,46 +363,6 @@ mod tests {
         let auto = mc.run_parallel(0, |rng| rng.gen_bool(0.5));
         let seq = mc.run(|rng| rng.gen_bool(0.5));
         assert_eq!(auto, seq);
-    }
-
-    #[test]
-    fn precision_mode_stops_early_when_easy() {
-        let mc = MonteCarlo::new(100_000, 21);
-        // A certain event needs very few trials to reach a tight interval.
-        let est = mc.run_to_precision(0.01, 100, |_| true);
-        assert!(
-            est.trials() < 50_000,
-            "stopped after {} trials",
-            est.trials()
-        );
-        assert_eq!(est.point(), 1.0);
-        assert!(est.margin95() <= 0.01);
-    }
-
-    #[test]
-    fn precision_mode_exhausts_budget_when_hard() {
-        let mc = MonteCarlo::new(500, 22);
-        // A fair coin cannot reach +-0.1% with 500 trials.
-        let est = mc.run_to_precision(0.001, 100, |rng| rng.gen_bool(0.5));
-        assert_eq!(est.trials(), 500);
-        assert!(est.margin95() > 0.001);
-    }
-
-    #[test]
-    fn precision_mode_prefix_of_run() {
-        // The precision mode consumes the same trial stream, so its counts
-        // are a prefix of the full run's trial-by-trial history.
-        let mc = MonteCarlo::new(2_000, 23);
-        let full = mc.run(|rng| rng.gen_bool(0.3));
-        let partial = mc.run_to_precision(1.0, 2_000, |rng| rng.gen_bool(0.3));
-        assert_eq!(partial.trials(), 2_000);
-        assert_eq!(partial.successes(), full.successes());
-    }
-
-    #[test]
-    #[should_panic(expected = "batch must be positive")]
-    fn precision_mode_rejects_zero_batch() {
-        let _ = MonteCarlo::new(10, 1).run_to_precision(0.1, 0, |_| true);
     }
 
     #[test]

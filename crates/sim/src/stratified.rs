@@ -371,13 +371,6 @@ impl StratifiedMonteCarlo {
         self
     }
 
-    /// The planned strata and truncated mass for defect probability `q` —
-    /// exposed so tests and reports can inspect the planner's choices.
-    #[must_use]
-    pub fn strata(&self, q: f64) -> (Vec<StratumPlan>, f64) {
-        plan_strata(self.cells, q, &self.config)
-    }
-
     /// Runs the stratified experiment for defect probability `q`.
     ///
     /// `init` builds per-worker scratch state; `trial` receives the

@@ -38,13 +38,11 @@
 //! assert!(e.raw.point() <= e.reconfigured.point());
 //! ```
 
-use crate::scheme_yield::YieldPoint;
 use crate::scheme_yield::DEFAULT_BLOCK_TRIALS;
 use dmfb_bioassay::feasibility::{FeasibilityChecker, TimingBudget};
 use dmfb_bioassay::layout::{ivd_dtmb26_chip, used_cells_policy};
 use dmfb_bioassay::{ChipDescription, MultiplexedIvd};
 use dmfb_defects::block::{fault_threshold, BlockSampler};
-use dmfb_defects::operational::MtbfModel;
 use dmfb_defects::DefectMap;
 use dmfb_graph::words::{pack_ge, LANES};
 use dmfb_grid::HexCoord;
@@ -122,14 +120,6 @@ impl std::str::FromStr for AssayPanel {
 /// counts as operationally dead.
 pub const DEFAULT_SLACK: f64 = 1.5;
 
-/// In-service wear configuration: an MTBF model plus the service horizon
-/// after which the chip is evaluated.
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct Wear {
-    model: MtbfModel,
-    horizon_hours: f64,
-}
-
 /// The three-tier verdict for one explicit chip instance.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TrialVerdict {
@@ -156,14 +146,6 @@ pub struct OperationalEstimate {
     pub reconfigured: BernoulliEstimate,
     /// Tier 3: yield with reconfiguration *and* assay-level feasibility.
     pub operational: BernoulliEstimate,
-}
-
-impl OperationalEstimate {
-    /// The operational tier as a plottable [`YieldPoint`].
-    #[must_use]
-    pub fn operational_point(&self) -> YieldPoint {
-        YieldPoint::from_estimate(self.p, &self.operational)
-    }
 }
 
 /// The three-tier estimate from the defect-count-stratified rare-event
@@ -207,7 +189,6 @@ pub struct OperationalYield {
     /// Whether the fault-free chip meets the budget (the shortcut verdict
     /// for fault-free trials).
     clean_feasible: bool,
-    wear: Option<Wear>,
     threads: usize,
     /// Trials per block of the sweep path: [`DEFAULT_BLOCK_TRIALS`]
     /// outside the width-invariance unit tests.
@@ -244,7 +225,6 @@ impl OperationalYield {
             scope,
             cells,
             clean_feasible,
-            wear: None,
             threads: 1,
             width: DEFAULT_BLOCK_TRIALS,
         }
@@ -263,19 +243,6 @@ impl OperationalYield {
     #[cfg(test)]
     fn with_width(mut self, width: usize) -> Self {
         self.width = width;
-        self
-    }
-
-    /// Adds in-service wear on top of the manufacturing fault draw: each
-    /// trial also samples `model`'s dielectric-breakdown failures over
-    /// `horizon_hours` of operation and folds them into the chip's defect
-    /// map — the chip is evaluated *as fielded*, not as fabricated.
-    #[must_use]
-    pub fn with_wear(mut self, model: MtbfModel, horizon_hours: f64) -> Self {
-        self.wear = Some(Wear {
-            model,
-            horizon_hours,
-        });
         self
     }
 
@@ -366,16 +333,13 @@ impl OperationalYield {
             scope_idx,
             adj_offsets,
             adj_idx,
-            index_of,
         }
     }
 
     /// One batch of up-to-64-lane trial groups against the ascending
     /// grid. Per 64-lane group the sampler draws every cell's mantissa
-    /// column once (common random numbers across the grid), the wear
-    /// model (if any) continues each lane's stream exactly where a
-    /// per-trial draw would, and each grid point is then decided in three
-    /// word-parallel tiers:
+    /// column once (common random numbers across the grid), and each grid
+    /// point is then decided in three word-parallel tiers:
     ///
     /// 1. **fault-free lanes** — no fault anywhere: raw, reconfigured
     ///    and (iff the clean chip meets budget) operational, no matcher
@@ -405,22 +369,6 @@ impl OperationalYield {
                     .expect("column is LANES wide");
                 state.sampler.mantissas(col);
             }
-            state.wear_maps.clear();
-            state.wear_words.iter_mut().for_each(|w| *w = 0);
-            if let Some(w) = &self.wear {
-                for lane in 0..chunk.len() {
-                    let mut rng = state.sampler.resume_lane(lane);
-                    let map = w.model.inject_service_faults(
-                        self.checker.chip().array.region(),
-                        w.horizon_hours,
-                        &mut rng,
-                    );
-                    for cell in map.faulty_cells() {
-                        state.wear_words[plan.index_of[&cell] as usize] |= 1u64 << lane;
-                    }
-                    state.wear_maps.push(map);
-                }
-            }
             for (j, &p) in ps.iter().enumerate() {
                 let threshold = fault_threshold(p);
                 let mut fault_any = 0u64;
@@ -428,16 +376,14 @@ impl OperationalYield {
                     let col: &[u64; LANES] = (&state.mantissa[i * LANES..(i + 1) * LANES])
                         .try_into()
                         .expect("column is LANES wide");
-                    let mfg = pack_ge(col, threshold) & live;
-                    state.mfg_words[i] = mfg;
-                    let all = mfg | state.wear_words[i];
-                    state.all_words[i] = all;
-                    fault_any |= all;
+                    let w = pack_ge(col, threshold) & live;
+                    state.fault_words[i] = w;
+                    fault_any |= w;
                 }
                 let mut scope_fault = 0u64;
                 let mut survivor_fail = 0u64;
                 for (k, &sc) in plan.scope_idx.iter().enumerate() {
-                    let w = state.all_words[sc as usize];
+                    let w = state.fault_words[sc as usize];
                     scope_fault |= w;
                     let spares = &plan.adj_idx
                         [plan.adj_offsets[k] as usize..plan.adj_offsets[k + 1] as usize];
@@ -446,7 +392,7 @@ impl OperationalYield {
                     // matching the scalar `any()` over an empty iterator.
                     let all_dead = spares
                         .iter()
-                        .fold(u64::MAX, |acc, &s| acc & state.all_words[s as usize]);
+                        .fold(u64::MAX, |acc, &s| acc & state.fault_words[s as usize]);
                     survivor_fail |= w & all_dead;
                 }
                 let fault_free = live & !fault_any;
@@ -461,14 +407,11 @@ impl OperationalYield {
                     let lane = gray.trailing_zeros() as usize;
                     gray &= gray - 1;
                     let bit = 1u64 << lane;
-                    let mut defects = DefectMap::from_cells(
+                    let defects = DefectMap::from_cells(
                         (0..n)
-                            .filter(|&i| state.mfg_words[i] & bit != 0)
+                            .filter(|&i| state.fault_words[i] & bit != 0)
                             .map(|i| self.cells[i]),
                     );
-                    if let Some(wear) = state.wear_maps.get(lane) {
-                        defects = defects.merged(wear);
-                    }
                     let v = self.verdict(&defects, &mut state.scratch);
                     debug_assert_eq!(
                         v.raw,
@@ -496,9 +439,8 @@ impl OperationalYield {
     /// the hook the clustered wafer-defect model rides: `sample` draws one
     /// chip instance's defect map per trial (all randomness from the
     /// provided RNG). The reported `p` is [`f64::NAN`] because no single
-    /// survival probability parameterises the model. In-service wear, when
-    /// configured, is drawn after the manufacturing sample, as in the
-    /// Bernoulli paths. Thread-count invariant; depends only on
+    /// survival probability parameterises the model. Thread-count
+    /// invariant; depends only on
     /// `(trials, seed)`. Runs one trial at a time: an arbitrary sampler's
     /// draw stream cannot be transposed into lanes.
     #[must_use]
@@ -513,15 +455,7 @@ impl OperationalYield {
             3,
             || self.evaluator.scratch(),
             |rng, scratch, out| {
-                let mut defects = sample(rng);
-                if let Some(w) = &self.wear {
-                    defects = defects.merged(&w.model.inject_service_faults(
-                        self.checker.chip().array.region(),
-                        w.horizon_hours,
-                        rng,
-                    ));
-                }
-                let v = self.verdict(&defects, scratch);
+                let v = self.verdict(&sample(rng), scratch);
                 out[0] = v.raw;
                 out[1] = v.reconfigured;
                 out[2] = v.operational;
@@ -549,9 +483,7 @@ impl OperationalYield {
     ///
     /// # Panics
     ///
-    /// Panics if in-service wear is configured (stratification conditions
-    /// on the *manufacturing* defect count alone) or `p` is outside
-    /// `[0, 1]`.
+    /// Panics if `p` is outside `[0, 1]`.
     #[must_use]
     pub fn estimate_stratified(
         &self,
@@ -560,11 +492,6 @@ impl OperationalYield {
         seed: u64,
         config: &StratifiedConfig,
     ) -> StratifiedOperationalEstimate {
-        assert!(
-            self.wear.is_none(),
-            "stratified estimation conditions on the manufacturing defect count; \
-             in-service wear is not supported"
-        );
         assert!(
             (0.0..=1.0).contains(&p),
             "survival probability must be in [0, 1], got {p}"
@@ -632,10 +559,7 @@ impl OperationalYield {
             || BlockState {
                 sampler: BlockSampler::new(&[]),
                 mantissa: vec![0; self.cells.len() * LANES],
-                mfg_words: vec![0; self.cells.len()],
-                all_words: vec![0; self.cells.len()],
-                wear_words: vec![0; self.cells.len()],
-                wear_maps: Vec::new(),
+                fault_words: vec![0; self.cells.len()],
                 scratch: self.evaluator.scratch(),
             },
             |seeds, state, out| self.sweep_block(&plan, ps, seeds, state, out),
@@ -666,21 +590,15 @@ struct BlockPlan {
     adj_offsets: Vec<u32>,
     /// Each scope cell's adjacent-spare positions, CSR-packed.
     adj_idx: Vec<u32>,
-    /// `cells[i] → i`, for folding wear maps into lane bit columns.
-    index_of: BTreeMap<HexCoord, u32>,
 }
 
 /// Per-worker buffers for the block engine: the lock-step sampler, the
-/// per-cell mantissa columns shared across the grid, the per-cell
-/// manufacturing/wear/combined fault words, the per-lane wear maps (for
-/// residue-lane defect-map reconstruction) and the matcher scratch.
+/// per-cell mantissa columns shared across the grid, the per-cell fault
+/// words of the current grid point and the matcher scratch.
 struct BlockState {
     sampler: BlockSampler,
     mantissa: Vec<u64>,
-    mfg_words: Vec<u64>,
-    all_words: Vec<u64>,
-    wear_words: Vec<u64>,
-    wear_maps: Vec<DefectMap>,
+    fault_words: Vec<u64>,
     scratch: TrialScratch,
 }
 
@@ -718,24 +636,14 @@ mod tests {
                 for u in uniforms.iter_mut() {
                     *u = rng.gen();
                 }
-                let wear_map = eng.wear.as_ref().map(|w| {
-                    w.model.inject_service_faults(
-                        eng.checker.chip().array.region(),
-                        w.horizon_hours,
-                        rng,
-                    )
-                });
                 for (j, &p) in ps.iter().enumerate() {
-                    let mut defects = DefectMap::from_cells(
+                    let defects = DefectMap::from_cells(
                         eng.cells
                             .iter()
                             .zip(uniforms.iter())
                             .filter(|(_, &u)| u >= p)
                             .map(|(&c, _)| c),
                     );
-                    if let Some(wear) = &wear_map {
-                        defects = defects.merged(wear);
-                    }
                     let v = eng.verdict(&defects, scratch);
                     out[3 * j] = v.raw;
                     out[3 * j + 1] = v.reconfigured;
@@ -818,19 +726,6 @@ mod tests {
     }
 
     #[test]
-    fn wear_only_reduces_yield() {
-        let eng = engine();
-        let base = eng.estimate(0.97, 200, 13);
-        let worn = eng
-            .clone()
-            .with_wear(MtbfModel::new(2_000.0, 1.0), 1_000.0)
-            .estimate(0.97, 200, 13);
-        assert!(worn.operational.successes() <= base.operational.successes());
-        assert!(worn.reconfigured.successes() <= base.reconfigured.successes());
-        assert!(worn.raw.successes() <= base.raw.successes());
-    }
-
-    #[test]
     fn stratified_tiers_keep_their_ordering() {
         let eng = engine();
         let e = eng.estimate_stratified(0.999, 400, 11, &StratifiedConfig::default());
@@ -890,13 +785,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "wear is not supported")]
-    fn stratified_rejects_wear() {
-        let eng = engine().with_wear(MtbfModel::new(2_000.0, 1.0), 100.0);
-        let _ = eng.estimate_stratified(0.99, 100, 1, &StratifiedConfig::default());
-    }
-
-    #[test]
     fn defect_sampler_hook_runs_the_three_tiers() {
         use dmfb_defects::injection::{Bernoulli, InjectionModel};
         let eng = engine();
@@ -934,15 +822,6 @@ mod tests {
     }
 
     #[test]
-    fn operational_point_conversion() {
-        let e = engine().estimate(1.0, 10, 1);
-        let pt = e.operational_point();
-        assert_eq!(pt.x, 1.0);
-        assert_eq!(pt.y, 1.0);
-        assert_eq!(pt.trials, 10);
-    }
-
-    #[test]
     fn block_engine_is_byte_identical_to_scalar() {
         let eng = engine();
         let ps = [0.93, 0.97, 1.0];
@@ -955,31 +834,5 @@ mod tests {
         // Thread invariance holds inside the block engine too.
         let threaded = eng.clone().with_width(64).with_threads(3);
         assert_eq!(threaded.sweep(&ps, 200, 5), scalar);
-    }
-
-    #[test]
-    fn block_engine_matches_scalar_under_wear() {
-        // Wear draws must continue each lane's stream exactly where the
-        // scalar oracle's per-trial RNG left it after the cell uniforms.
-        let eng = engine().with_wear(MtbfModel::new(2_000.0, 1.0), 1_000.0);
-        let ps = [0.94, 0.99];
-        let scalar = scalar_sweep(&eng, &ps, 150, 3);
-        assert_eq!(eng.sweep(&ps, 150, 3), scalar);
-        for width in [1, 33, 64, 150] {
-            let block = eng.clone().with_width(width);
-            assert_eq!(block.sweep(&ps, 150, 3), scalar, "width={width}");
-        }
-    }
-
-    #[test]
-    fn wear_trial_rng_keeps_grid_deterministic() {
-        // The wear draw happens once per trial, after the uniforms; the
-        // sweep must stay identical to single-point estimates per column.
-        let eng = engine().with_wear(MtbfModel::new(5_000.0, 1.0), 500.0);
-        let ps = [0.94, 0.99];
-        let rows = eng.sweep(&ps, 150, 3);
-        for (j, &p) in ps.iter().enumerate() {
-            assert_eq!(rows[j], eng.estimate(p, 150, 3), "p={p}");
-        }
     }
 }

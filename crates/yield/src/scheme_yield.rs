@@ -39,19 +39,6 @@ pub struct YieldPoint {
     pub trials: u64,
 }
 
-impl YieldPoint {
-    /// Builds a point from a Bernoulli estimate at swept parameter `x`.
-    #[must_use]
-    pub fn from_estimate(x: f64, est: &BernoulliEstimate) -> Self {
-        YieldPoint {
-            x,
-            y: est.point(),
-            ci95: est.wilson95(),
-            trials: est.trials(),
-        }
-    }
-}
-
 /// Splits a worker budget between sweep grid points (outer) and trials
 /// within a point (inner) so no cores idle when the grid is shorter than
 /// the thread count (`0` = one worker per available core). Results are
@@ -76,21 +63,6 @@ pub struct StratifiedPoint {
     pub x: f64,
     /// The stratified estimate at `x`.
     pub estimate: StratifiedEstimate,
-}
-
-impl StratifiedPoint {
-    /// Collapses the stratified bookkeeping into a plottable
-    /// [`YieldPoint`] (the CI is the stratified normal-approximation
-    /// interval, the trial count the trials actually spent).
-    #[must_use]
-    pub fn to_yield_point(&self) -> YieldPoint {
-        YieldPoint {
-            x: self.x,
-            y: self.estimate.point,
-            ci95: self.estimate.ci95(),
-            trials: self.estimate.trials,
-        }
-    }
 }
 
 /// Block width (trials per [`MonteCarlo::run_blocks_with`] seed group) of
@@ -212,32 +184,6 @@ impl<C: Copy + Ord + Send + Sync> SchemeYield<C> {
     #[must_use]
     pub fn evaluator(&self) -> &TrialEvaluator<C> {
         &self.evaluator
-    }
-
-    /// Evaluates one explicit fault set and, when it is tolerable, returns
-    /// the **assignment** behind the verdict — one `(unit, resource)`
-    /// index pair per faulty unit — instead of a bare bool. `None` means
-    /// the chip cannot be reconfigured. Map indices to lattice cells with
-    /// [`TrialEvaluator::unit_coords`] / [`TrialEvaluator::resource_coords`].
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use dmfb_grid::{SquareCoord, SquareRegion};
-    /// use dmfb_reconfig::SquarePattern;
-    /// use dmfb_yield::SchemeYield;
-    ///
-    /// let est = SchemeYield::from_scheme(&SquareRegion::rect(8, 8), &SquarePattern::Checkerboard);
-    /// let pairs = est
-    ///     .assignment(&[SquareCoord::new(1, 0)])
-    ///     .expect("one fault on a checkerboard is tolerable");
-    /// assert_eq!(pairs.len(), 1);
-    /// ```
-    #[must_use]
-    pub fn assignment(&self, faulty: &[C]) -> Option<Vec<(usize, usize)>> {
-        let mut scratch = self.evaluator.scratch();
-        self.evaluator
-            .evaluate_faulty_cells_assignment(faulty, &mut scratch)
     }
 
     /// Estimates yield when every relevant cell survives independently
@@ -575,30 +521,6 @@ mod tests {
     }
 
     #[test]
-    fn assignment_exposes_the_matching_behind_the_verdict() {
-        use dmfb_grid::SquareCoord;
-        let est = spare_rows();
-        // One faulty cell faults its whole module row; the assignment maps
-        // that row onto one of the two indestructible spare rows.
-        let pairs = est.assignment(&[SquareCoord::new(2, 1)]).unwrap();
-        assert_eq!(pairs.len(), 1);
-        let (unit, resource) = pairs[0];
-        let row: Vec<SquareCoord> = est.evaluator().unit_coords(unit).collect();
-        assert!(row.contains(&SquareCoord::new(2, 1)));
-        assert_eq!(est.evaluator().resource_coords(resource).count(), 0);
-        // Exceeding the spare rows: no assignment exists.
-        assert!(est
-            .assignment(&[
-                SquareCoord::new(0, 0),
-                SquareCoord::new(0, 1),
-                SquareCoord::new(0, 2),
-            ])
-            .is_none());
-        // Fault-free: an empty assignment, not a stale one.
-        assert_eq!(est.assignment(&[]), Some(Vec::new()));
-    }
-
-    #[test]
     fn stratified_matches_spare_row_closed_form() {
         use crate::analytical;
         let est = spare_rows();
@@ -665,13 +587,6 @@ mod tests {
             strat.effective_trials(),
             strat.trials
         );
-        let pt = StratifiedPoint {
-            x: 0.999,
-            estimate: strat.clone(),
-        }
-        .to_yield_point();
-        assert_eq!(pt.y, strat.point);
-        assert_eq!(pt.trials, strat.trials);
     }
 
     #[test]
