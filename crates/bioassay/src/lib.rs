@@ -10,9 +10,11 @@
 //! * [`chip`] — functional resources: dispensing ports, mixers, optical
 //!   detectors, and the chip description tying them to the array.
 //! * [`router`] — BFS droplet routing around faulty cells with fluidic
-//!   (droplet non-interference) constraints.
+//!   (droplet non-interference) constraints, on a dense grid of cell
+//!   slots.
 //! * [`schedule`] — a discrete-time executor running concurrent assay
-//!   operations on the array.
+//!   operations on the array; it costs transports from one BFS distance
+//!   field per mixer rendezvous rather than routing each one.
 //! * [`kinetics`] — Trinder-reaction kinetics: two-stage Michaelis–Menten
 //!   enzyme cascade, Beer–Lambert absorbance at 545 nm, photodiode noise,
 //!   and concentration estimation with a calibration curve.

@@ -4,11 +4,19 @@
 //! cannot enter catastrophically faulty cells, and independent droplets
 //! must keep one empty cell between each other or they merge accidentally —
 //! the *static fluidic constraint*. The router plans shortest paths under
-//! these rules with breadth-first search.
+//! these rules with breadth-first search over a dense grid: one flat slot
+//! per cell of the region's axial bounding box, padded by a closed border
+//! so that every neighbour of an open slot is a fixed index offset away.
+//! A schedule that only needs move counts asks for one BFS distance field
+//! per rendezvous cell instead of one path per transport.
 
 use dmfb_defects::{DefectCause, DefectMap};
-use dmfb_grid::{HexCoord, Region};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use dmfb_grid::{HexCoord, HexDir, Region};
+
+/// Slot marker for a cell the search has not reached.
+const UNSEEN: u32 = u32::MAX;
+/// Slot marker for a cell inside another droplet's spacing halo.
+const FORBIDDEN: u32 = u32::MAX - 1;
 
 /// A path router over one chip's region and fault state.
 ///
@@ -29,37 +37,104 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// ```
 #[derive(Clone, Debug)]
 pub struct Router {
-    region: Region,
-    blocked: BTreeSet<HexCoord>,
+    /// The cell stored in slot 0 (one step outside the bounding box's
+    /// low corner, on the closed border).
+    origin: HexCoord,
+    /// Slots per row: the bounding box's `q` extent plus the two border
+    /// columns.
+    stride: i32,
+    /// Whether each slot's cell is in the region and not catastrophically
+    /// faulty. Border slots are always closed.
+    open: Vec<bool>,
+    /// Slot offsets of the six neighbours, in [`HexDir::ALL`] order.
+    steps: [isize; 6],
 }
 
 impl Router {
     /// Creates a router that avoids the catastrophically faulty cells of
     /// `defects`. Parametric faults do not block transport (droplets still
     /// move over them; detection is the test subsystem's business).
+    ///
+    /// Memory is one slot per cell of the region's axial bounding box.
+    ///
+    /// # Panics
+    ///
+    /// Panics if that box holds more than `i32::MAX` slots.
     #[must_use]
     pub fn new(region: &Region, defects: &DefectMap) -> Self {
-        let blocked = defects
-            .iter()
-            .filter(|(_, cause)| matches!(cause, DefectCause::Catastrophic(_)))
-            .map(|(c, _)| c)
-            .collect();
-        Router {
-            region: region.clone(),
-            blocked,
+        let (lo, hi) = region
+            .bounds()
+            .unwrap_or((HexCoord::ORIGIN, HexCoord::new(-1, -1)));
+        let padded = |lo: i32, hi: i32| hi.checked_sub(lo).and_then(|d| d.checked_add(3));
+        let (stride, slots) = padded(lo.q, hi.q)
+            .zip(padded(lo.r, hi.r))
+            .and_then(|(stride, rows)| Some((stride, stride.checked_mul(rows)?)))
+            .expect("region bounding box fits in i32::MAX slots");
+        let mut router = Router {
+            origin: HexCoord::new(lo.q - 1, lo.r - 1),
+            stride,
+            open: vec![false; slots as usize],
+            steps: HexDir::ALL.map(|d| {
+                let (dq, dr) = d.offset();
+                (dr * stride + dq) as isize
+            }),
+        };
+        for cell in region.iter() {
+            let slot = router.slot(cell).expect("region cells lie in the box");
+            router.open[slot] = true;
         }
+        for (cell, cause) in defects.iter() {
+            if matches!(cause, DefectCause::Catastrophic(_)) {
+                if let Some(slot) = router.slot(cell) {
+                    router.open[slot] = false;
+                }
+            }
+        }
+        router
+    }
+
+    /// The slot holding `cell`, or `None` outside the padded box.
+    fn slot(&self, cell: HexCoord) -> Option<usize> {
+        let q = cell.q.checked_sub(self.origin.q)?;
+        let r = cell.r.checked_sub(self.origin.r)?;
+        let rows = self.open.len() as i32 / self.stride;
+        ((0..self.stride).contains(&q) && (0..rows).contains(&r))
+            .then(|| (r * self.stride + q) as usize)
+    }
+
+    /// The cell stored in `slot`.
+    fn cell(&self, slot: usize) -> HexCoord {
+        let slot = slot as i32;
+        HexCoord::new(
+            self.origin.q + slot % self.stride,
+            self.origin.r + slot / self.stride,
+        )
+    }
+
+    /// The open slot holding `cell`, if it is routable.
+    fn open_slot(&self, cell: HexCoord) -> Option<usize> {
+        self.slot(cell).filter(|&s| self.open[s])
+    }
+
+    /// The six neighbour slots of an open slot, in [`HexDir::ALL`] order.
+    /// The closed border keeps them in bounds.
+    fn neighbors(&self, slot: usize) -> impl Iterator<Item = usize> + '_ {
+        self.steps.iter().map(move |&d| slot.wrapping_add_signed(d))
     }
 
     /// Whether `cell` is routable (inside the region and not blocked).
     #[must_use]
     pub fn is_routable(&self, cell: HexCoord) -> bool {
-        self.region.contains(cell) && !self.blocked.contains(&cell)
+        self.open_slot(cell).is_some()
     }
 
     /// Shortest path from `from` to `to` avoiding blocked cells and keeping
     /// fluidic spacing from `other_droplets` (no cell of the path may be
     /// adjacent to or on top of another droplet, except the endpoints when
     /// they coincide with a merge target).
+    ///
+    /// Neighbours are explored in [`HexCoord::neighbors`] order from a
+    /// FIFO queue, so among equally short paths the result is fixed.
     ///
     /// Returns `None` when no route exists.
     #[must_use]
@@ -69,38 +144,43 @@ impl Router {
         to: HexCoord,
         other_droplets: &[HexCoord],
     ) -> Option<Vec<HexCoord>> {
-        if !self.is_routable(from) || !self.is_routable(to) {
-            return None;
-        }
-        let forbidden: BTreeSet<HexCoord> = other_droplets
-            .iter()
-            .flat_map(|&d| std::iter::once(d).chain(d.neighbors()))
-            .filter(|c| *c != to && *c != from)
-            .collect();
+        let start = self.open_slot(from)?;
+        let goal = self.open_slot(to)?;
         if from == to {
             return Some(vec![from]);
         }
-        let mut prev: BTreeMap<HexCoord, HexCoord> = BTreeMap::new();
-        let mut queue = VecDeque::new();
-        prev.insert(from, from);
-        queue.push_back(from);
-        while let Some(c) = queue.pop_front() {
-            for n in c.neighbors() {
-                if !self.is_routable(n) || forbidden.contains(&n) || prev.contains_key(&n) {
+        // `prev[s]` is the slot `s` was reached from; the start points at
+        // itself.
+        let mut prev = vec![UNSEEN; self.open.len()];
+        for halo in other_droplets
+            .iter()
+            .flat_map(|&d| std::iter::once(d).chain(d.neighbors()))
+        {
+            if let Some(s) = self.slot(halo).filter(|&s| s != start && s != goal) {
+                prev[s] = FORBIDDEN;
+            }
+        }
+        prev[start] = start as u32;
+        let mut queue = vec![start];
+        let mut head = 0;
+        while let Some(&c) = queue.get(head) {
+            head += 1;
+            for n in self.neighbors(c) {
+                if !self.open[n] || prev[n] != UNSEEN {
                     continue;
                 }
-                prev.insert(n, c);
-                if n == to {
+                prev[n] = c as u32;
+                if n == goal {
                     let mut path = vec![to];
-                    let mut cur = to;
-                    while cur != from {
-                        cur = prev[&cur];
-                        path.push(cur);
+                    let mut cur = goal;
+                    while cur != start {
+                        cur = prev[cur] as usize;
+                        path.push(self.cell(cur));
                     }
                     path.reverse();
                     return Some(path);
                 }
-                queue.push_back(n);
+                queue.push(n);
             }
         }
         None
@@ -111,6 +191,46 @@ impl Router {
     #[must_use]
     pub fn route_length(&self, from: HexCoord, to: HexCoord) -> Option<usize> {
         self.route(from, to, &[]).map(|p| p.len() - 1)
+    }
+
+    /// Breadth-first move counts from `source` to every routable cell.
+    /// Routes are reversible on the hex lattice, so the field answers
+    /// [`Router::route_length`] in either direction for every cell at the
+    /// cost of one search.
+    pub(crate) fn distances(&self, source: HexCoord) -> DistanceField<'_> {
+        let mut dist = vec![UNSEEN; self.open.len()];
+        if let Some(start) = self.open_slot(source) {
+            dist[start] = 0;
+            let mut queue = vec![start];
+            let mut head = 0;
+            while let Some(&c) = queue.get(head) {
+                head += 1;
+                let next = dist[c] + 1;
+                for n in self.neighbors(c) {
+                    if self.open[n] && dist[n] == UNSEEN {
+                        dist[n] = next;
+                        queue.push(n);
+                    }
+                }
+            }
+        }
+        DistanceField { router: self, dist }
+    }
+}
+
+/// Move counts from one source cell, as computed by [`Router::distances`].
+pub(crate) struct DistanceField<'a> {
+    router: &'a Router,
+    dist: Vec<u32>,
+}
+
+impl DistanceField<'_> {
+    /// Droplet moves between the source and `cell`, or `None` when no
+    /// route joins them (either cell blocked, off the region, or walled
+    /// off).
+    pub(crate) fn moves(&self, cell: HexCoord) -> Option<usize> {
+        let slot = self.router.slot(cell)?;
+        (self.dist[slot] != UNSEEN).then(|| self.dist[slot] as usize)
     }
 }
 
@@ -238,6 +358,38 @@ mod tests {
                 &[HexCoord::new(2, 1)]
             )
             .is_none());
+    }
+
+    #[test]
+    fn distance_field_matches_route_length_both_ways() {
+        let region = Region::hexagon(HexCoord::ORIGIN, 3);
+        let mut defects = DefectMap::new();
+        for c in [
+            HexCoord::new(1, 0),
+            HexCoord::new(0, 1),
+            HexCoord::new(-1, 1),
+            HexCoord::new(2, -2),
+        ] {
+            defects.mark(c, breakdown());
+        }
+        defects.mark(
+            HexCoord::new(-1, 0),
+            DefectCause::Parametric(ParametricDefect::PlateGap, 0.5),
+        );
+        let router = Router::new(&region, &defects);
+        let field = router.distances(HexCoord::ORIGIN);
+        for cell in region.iter().chain([HexCoord::new(9, 9)]) {
+            assert_eq!(
+                field.moves(cell),
+                router.route_length(HexCoord::ORIGIN, cell)
+            );
+            assert_eq!(
+                field.moves(cell),
+                router.route_length(cell, HexCoord::ORIGIN)
+            );
+        }
+        let blocked = router.distances(HexCoord::new(1, 0));
+        assert!(region.iter().all(|c| blocked.moves(c).is_none()));
     }
 
     #[test]

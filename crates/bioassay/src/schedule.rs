@@ -14,7 +14,7 @@ use crate::droplet::ElectrowettingModel;
 use crate::kinetics::{
     absorbance_545nm, CalibrationCurve, Photodiode, DROPLET_PATH_CM, QUINONEIMINE_EPSILON,
 };
-use crate::router::Router;
+use crate::router::{DistanceField, Router};
 use dmfb_defects::DefectMap;
 use dmfb_grid::HexCoord;
 use dmfb_reconfig::ReconfigPlan;
@@ -125,9 +125,18 @@ impl ProtocolSchedule {
 
 /// Plans a batch on a chip instance without running any chemistry: checks
 /// that every referenced resource exists and (after remapping through
-/// `plan`) sits on a live cell, routes the three transports of each assay
+/// `plan`) sits on a live cell, costs the three transports of each assay
 /// around catastrophic faults, and serialises operations that share
 /// dispensers, mixers or detectors.
+///
+/// Transports are costed, not traced: each distinct (remapped)
+/// rendezvous cell gets one BFS distance field
+/// ([`Router`]), which gives the sample →
+/// rendezvous, reagent → rendezvous and rendezvous → detector move counts
+/// at once, since droplet routes are reversible. The counts equal
+/// `Router::route(..).len() - 1` for each transport, and an unreachable
+/// transport reports [`ExecError::Unroutable`] with that route's
+/// endpoints, checking sample, reagent and detector in that order.
 ///
 /// This is the scheduling core shared by [`Executor::run`] (which layers
 /// reaction chemistry on top) and the operational-yield feasibility check
@@ -198,6 +207,7 @@ pub fn plan_protocol(
 
     let step_ms = actuation.step_time_ms().ok_or(ExecError::VoltageTooLow)?;
     let router = Router::new(chip.array.region(), defects);
+    let mut fields: Vec<(HexCoord, DistanceField)> = Vec::new();
     // Resource reservation clocks, seconds.
     let mut free_at: BTreeMap<ResourceKey, f64> = BTreeMap::new();
     let mut ops = Vec::with_capacity(batch.requests.len());
@@ -233,16 +243,26 @@ pub fn plan_protocol(
             detector.cell,
         )?;
 
-        // Plan the three transports.
-        let route = |from: HexCoord, to: HexCoord| {
-            router
-                .route(from, to, &[])
-                .ok_or(ExecError::Unroutable { from, to })
+        // Cost the three transports from the rendezvous's distance field,
+        // searched once per distinct rendezvous in the batch.
+        let field = match fields.iter().position(|(c, _)| *c == rendezvous) {
+            Some(i) => &fields[i].1,
+            None => {
+                fields.push((rendezvous, router.distances(rendezvous)));
+                &fields[fields.len() - 1].1
+            }
         };
-        let sample_route = route(sample_cell, rendezvous)?;
-        let reagent_route = route(reagent_cell, rendezvous)?;
-        let detect_route = route(rendezvous, detector_cell)?;
-        let moves = (sample_route.len() - 1) + (reagent_route.len() - 1) + (detect_route.len() - 1);
+        let unroutable = |from, to| ExecError::Unroutable { from, to };
+        let sample_moves = field
+            .moves(sample_cell)
+            .ok_or(unroutable(sample_cell, rendezvous))?;
+        let reagent_moves = field
+            .moves(reagent_cell)
+            .ok_or(unroutable(reagent_cell, rendezvous))?;
+        let detect_moves = field
+            .moves(detector_cell)
+            .ok_or(unroutable(rendezvous, detector_cell))?;
+        let moves = sample_moves + reagent_moves + detect_moves;
 
         // Timing: start when all four resources are free.
         let keys = [
@@ -257,8 +277,7 @@ pub fn plan_protocol(
             .fold(0.0f64, f64::max);
         let transport_s = moves as f64 * step_ms / 1e3;
         let detect_s = f64::from(detector.integration_ms) / 1e3;
-        let reaction_s =
-            mixer.mix_time_s() + (detect_route.len() - 1) as f64 * step_ms / 1e3 + detect_s;
+        let reaction_s = mixer.mix_time_s() + detect_moves as f64 * step_ms / 1e3 + detect_s;
         let completion = ready + transport_s + mixer.mix_time_s() + detect_s;
         for k in keys {
             free_at.insert(k, completion);
@@ -554,6 +573,69 @@ mod tests {
             .run(&MultiplexedIvd::full_metabolic_panel(), &mut rng())
             .unwrap();
         assert_eq!(outcomes.len(), 8);
+    }
+
+    /// Plans the standard panel on the fabricated chip with some of request
+    /// 0's `[sample, rendezvous, detector]` cells (by index) sealed off
+    /// behind catastrophic faults on every in-region neighbour, the cells
+    /// themselves intact; returns the error and those three cells.
+    fn plan_walled(walled: &[usize]) -> (ExecError, [HexCoord; 3]) {
+        let chip = layout::fabricated_ivd_chip();
+        let batch = MultiplexedIvd::standard_panel();
+        let req = &batch.requests[0];
+        let cells = [
+            chip.dispenser(&req.sample_port).unwrap().cell,
+            chip.mixer(&req.mixer).unwrap().rendezvous(),
+            chip.detectors[req.detector].cell,
+        ];
+        let mut defects = DefectMap::new();
+        for &i in walled {
+            for n in cells[i].neighbors() {
+                if chip.array.region().contains(n) {
+                    defects.mark(
+                        n,
+                        DefectCause::Catastrophic(CatastrophicDefect::OpenConnection),
+                    );
+                }
+            }
+        }
+        let err = plan_protocol(
+            &chip,
+            &defects,
+            None,
+            &ElectrowettingModel::default(),
+            &batch,
+        )
+        .unwrap_err();
+        (err, cells)
+    }
+
+    #[test]
+    fn severed_sample_transport_is_unroutable_from_the_sample() {
+        // Also when the detector transport is severed too: the sample
+        // transport is checked first.
+        for walled in [&[0][..], &[0, 2]] {
+            let (err, [sample, rendezvous, _]) = plan_walled(walled);
+            assert_eq!(
+                err,
+                ExecError::Unroutable {
+                    from: sample,
+                    to: rendezvous
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn severed_detector_transport_is_unroutable_to_the_detector() {
+        let (err, [_, rendezvous, detector]) = plan_walled(&[2]);
+        assert_eq!(
+            err,
+            ExecError::Unroutable {
+                from: rendezvous,
+                to: detector
+            }
+        );
     }
 
     #[test]

@@ -336,7 +336,7 @@ pub fn run(config: &BenchConfig) -> BenchReport {
 /// `yield_estimate` stays the reconfigured (second-tier) yield so the
 /// entries remain comparable with the matching-only suites.
 fn run_assay(report: &mut BenchReport, panel: AssayPanel, quick: bool, threads: usize) {
-    let trials: u32 = if quick { 300 } else { 2_000 };
+    let trials: u32 = if quick { 4_000 } else { 20_000 };
     let Engine::Assay(engine) = Engine::build(&EngineSpec::Assay(panel), threads) else {
         unreachable!("assay specs build the assay stack")
     };

@@ -661,10 +661,16 @@ fn assay_rejections_cover_every_command() {
 fn bench_assay_records_operational_columns() {
     let dir = std::env::temp_dir().join(format!("dmfb-bench-assay-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
+    // One thread, as the committed baseline is recorded: the suite runs
+    // for seconds beside the other smoke tests, and on a small host a
+    // multi-threaded run would crowd out the timing-sensitive
+    // `bench_compare_gates_on_committed_baselines`.
     let out = dmfb(&[
         "bench",
         "--quick",
         "--json",
+        "--threads",
+        "1",
         "--assay",
         "ivd-panel",
         "--out",
