@@ -167,7 +167,6 @@ pub struct FeasibilityChecker {
     chip: ChipDescription,
     batch: MultiplexedIvd,
     budget: TimingBudget,
-    actuation: ElectrowettingModel,
 }
 
 impl FeasibilityChecker {
@@ -178,15 +177,7 @@ impl FeasibilityChecker {
             chip,
             batch,
             budget,
-            actuation: ElectrowettingModel::default(),
         }
-    }
-
-    /// Overrides the electrowetting actuation model used for timing.
-    #[must_use]
-    pub fn with_actuation(mut self, actuation: ElectrowettingModel) -> Self {
-        self.actuation = actuation;
-        self
     }
 
     /// The chip under evaluation.
@@ -220,7 +211,13 @@ impl FeasibilityChecker {
         defects: &DefectMap,
         plan: Option<&ReconfigPlan>,
     ) -> Result<ProtocolSchedule, Infeasibility> {
-        let schedule = plan_protocol(&self.chip, defects, plan, &self.actuation, &self.batch)?;
+        let schedule = plan_protocol(
+            &self.chip,
+            defects,
+            plan,
+            &ElectrowettingModel::default(),
+            &self.batch,
+        )?;
         let makespan = schedule.makespan_s();
         if !self.budget.allows(makespan) {
             return Err(Infeasibility::OverBudget {

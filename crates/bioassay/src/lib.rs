@@ -27,7 +27,6 @@
 //!   chip still schedule the protocol within its timing budget? This is
 //!   what the operational-yield engine in `dmfb-yield` asks per
 //!   Monte-Carlo trial.
-//! * [`online`] — online reconfiguration when cells fail mid-protocol.
 //!
 //! # Example
 //!
@@ -50,7 +49,6 @@ pub mod droplet;
 pub mod feasibility;
 pub mod kinetics;
 pub mod layout;
-pub mod online;
 pub mod router;
 pub mod schedule;
 

@@ -305,7 +305,6 @@ pub struct Executor {
     defects: DefectMap,
     plan: Option<ReconfigPlan>,
     actuation: ElectrowettingModel,
-    photodiode: Photodiode,
 }
 
 impl Executor {
@@ -318,7 +317,6 @@ impl Executor {
             defects,
             plan,
             actuation: ElectrowettingModel::default(),
-            photodiode: Photodiode::default(),
         }
     }
 
@@ -326,13 +324,6 @@ impl Executor {
     #[must_use]
     pub fn with_actuation(mut self, actuation: ElectrowettingModel) -> Self {
         self.actuation = actuation;
-        self
-    }
-
-    /// Overrides the photodiode noise model.
-    #[must_use]
-    pub fn with_photodiode(mut self, photodiode: Photodiode) -> Self {
-        self.photodiode = photodiode;
         self
     }
 
@@ -392,7 +383,7 @@ impl Executor {
             let state = kinetics.integrate(diluted, op.reaction_s, 0.05);
             let clean_absorbance =
                 absorbance_545nm(state.quinoneimine_mm, DROPLET_PATH_CM, QUINONEIMINE_EPSILON);
-            let absorbance = self.photodiode.measure(clean_absorbance, rng);
+            let absorbance = Photodiode::default().measure(clean_absorbance, rng);
             // The instrument calibrates against diluted standards with the
             // same reaction window, then corrects for dilution.
             let dilution =

@@ -39,7 +39,6 @@ pub use dmfb_yield::{
 };
 
 pub use dmfb_bioassay::layout::{fabricated_ivd_chip, ivd_dtmb26_chip, used_cells_policy};
-pub use dmfb_bioassay::online::{OnlineExecutor, OperationalFault};
 pub use dmfb_bioassay::schedule::Executor;
 pub use dmfb_bioassay::{
     Analyte, ChipDescription, FeasibilityChecker, Infeasibility, MultiplexedIvd, ProtocolSchedule,

@@ -4,9 +4,8 @@
 //! operational". Manufacturing defects are the subject of its yield
 //! analysis; operational faults accrue in the field — dielectric ageing
 //! under repeated actuation, progressive breakdown at high drive voltage.
-//! This module models their arrival so the online-reconfiguration layer
-//! (`dmfb-bioassay::online`) has a realistic source of mid-protocol
-//! failures.
+//! This module models their arrival; a campaign's `wear` step ages a chip
+//! in service through [`MtbfModel::inject_service_faults`].
 //!
 //! Each cell fails independently as a Poisson process whose rate scales
 //! with actuation stress; the first arrival per cell is exponentially

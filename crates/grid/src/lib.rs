@@ -21,8 +21,6 @@
 //!   reconfiguration engine are generic over.
 //! * [`CellMap`] — per-cell payload storage over a region, generic over the
 //!   cell coordinate type.
-//! * [`AdjacencyGraph`] — the paper's Figure 3(b) graph model: one node per
-//!   cell, one edge per physically adjacent pair.
 //! * [`render`] — ASCII rendering used by the figure generators.
 //!
 //! # Example
@@ -43,7 +41,6 @@
 #![warn(missing_docs)]
 
 mod error;
-mod graph_model;
 mod hex;
 mod map;
 mod region;
@@ -52,7 +49,6 @@ mod square;
 mod topology;
 
 pub use error::GridError;
-pub use graph_model::{AdjacencyGraph, NodeId};
 pub use hex::{HexCoord, HexDir, Ring};
 pub use map::CellMap;
 pub use region::Region;

@@ -33,8 +33,6 @@
 //!   the same incremental fast engine.
 //! * [`shifted`] — the boundary spare-row baseline with its cascade of
 //!   "shifted replacements" (Figure 2), including cost accounting.
-//! * [`app_aware`] — the redundancy-free category-1 alternative: re-placing
-//!   modules onto fault-free unused cells.
 //!
 //! # Example
 //!
@@ -50,7 +48,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod app_aware;
 pub mod array;
 pub mod block;
 pub mod dtmb;

@@ -151,19 +151,6 @@ impl SpareRowArray {
         SquareRegion::rect(self.width, self.total_rows())
     }
 
-    /// The module band index owning `row`, or `None` for spare rows.
-    #[must_use]
-    pub fn band_of_row(&self, row: u32) -> Option<usize> {
-        let mut start = 0;
-        for (i, b) in self.bands.iter().enumerate() {
-            if row < start + b.rows {
-                return Some(i);
-            }
-            start += b.rows;
-        }
-        None
-    }
-
     /// Performs shifted replacement around the given faulty cells.
     ///
     /// Every row containing a fault is vacated; rows below it (towards the
@@ -326,8 +313,6 @@ mod tests {
             ])
             .is_err());
         assert_eq!(array.total_rows(), 7);
-        assert_eq!(array.band_of_row(4), Some(0));
-        assert_eq!(array.band_of_row(5), None);
         assert_eq!(array.width(), 4);
     }
 }

@@ -8,7 +8,7 @@
 //! corner.
 //!
 //! ```text
-//! cargo run -p dmfb-examples --bin chip_triage [survival_p] [batch]
+//! cargo run --release -p dmfb_examples --example chip_triage [survival_p] [batch]
 //! ```
 
 use dmfb_core::prelude::*;

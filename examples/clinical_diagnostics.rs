@@ -7,7 +7,7 @@
 //! mixing, Trinder-reaction kinetics, and noisy photometric detection.
 //!
 //! ```text
-//! cargo run -p dmfb-examples --bin clinical_diagnostics [faults] [seed]
+//! cargo run --release -p dmfb_examples --example clinical_diagnostics [faults] [seed]
 //! ```
 
 use dmfb_core::prelude::*;

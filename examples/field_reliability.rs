@@ -10,7 +10,7 @@
 //! paying during the product's life.
 //!
 //! ```text
-//! cargo run -p dmfb-examples --bin field_reliability [mtbf_hours] [chips]
+//! cargo run --release -p dmfb_examples --example field_reliability [mtbf_hours] [chips]
 //! ```
 
 use dmfb_core::defects::operational::MtbfModel;

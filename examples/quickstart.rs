@@ -2,7 +2,7 @@
 //! inspect one reconfiguration.
 //!
 //! ```text
-//! cargo run -p dmfb-examples --bin quickstart
+//! cargo run --release -p dmfb_examples --example quickstart
 //! ```
 
 use dmfb_core::prelude::*;

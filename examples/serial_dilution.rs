@@ -2,7 +2,7 @@
 //! assay's linear range with merge-mix-split ladders.
 //!
 //! ```text
-//! cargo run -p dmfb-examples --bin serial_dilution [raw_mM]
+//! cargo run --release -p dmfb_examples --example serial_dilution [raw_mM]
 //! ```
 
 use dmfb_core::bioassay::dilution::{diluted_concentration, DilutionPlan};

@@ -7,7 +7,7 @@
 //! for high p") as an actionable tool.
 //!
 //! ```text
-//! cargo run -p dmfb-examples --bin yield_explorer [primaries] [trials]
+//! cargo run --release -p dmfb_examples --example yield_explorer [primaries] [trials]
 //! ```
 
 use dmfb_core::prelude::*;
