@@ -5,13 +5,14 @@
 //! must keep one empty cell between each other or they merge accidentally —
 //! the *static fluidic constraint*. The router plans shortest paths under
 //! these rules with breadth-first search over a dense grid: one flat slot
-//! per cell of the region's axial bounding box, padded by a closed border
-//! so that every neighbour of an open slot is a fixed index offset away.
+//! per cell of the region's axial bounding box ([`SlotIndex`]), padded by
+//! a closed border so that every neighbour of an open slot is a fixed
+//! index offset away.
 //! A schedule that only needs move counts asks for one BFS distance field
 //! per rendezvous cell instead of one path per transport.
 
 use dmfb_defects::{DefectCause, DefectMap};
-use dmfb_grid::{HexCoord, HexDir, Region};
+use dmfb_grid::{HexCoord, Region, SlotIndex};
 
 /// Slot marker for a cell the search has not reached.
 const UNSEEN: u32 = u32::MAX;
@@ -37,17 +38,11 @@ const FORBIDDEN: u32 = u32::MAX - 1;
 /// ```
 #[derive(Clone, Debug)]
 pub struct Router {
-    /// The cell stored in slot 0 (one step outside the bounding box's
-    /// low corner, on the closed border).
-    origin: HexCoord,
-    /// Slots per row: the bounding box's `q` extent plus the two border
-    /// columns.
-    stride: i32,
+    /// Slot arithmetic over the region's padded axial bounding box.
+    index: SlotIndex,
     /// Whether each slot's cell is in the region and not catastrophically
     /// faulty. Border slots are always closed.
     open: Vec<bool>,
-    /// Slot offsets of the six neighbours, in [`HexDir::ALL`] order.
-    steps: [isize; 6],
 }
 
 impl Router {
@@ -62,64 +57,24 @@ impl Router {
     /// Panics if that box holds more than `i32::MAX` slots.
     #[must_use]
     pub fn new(region: &Region, defects: &DefectMap) -> Self {
-        let (lo, hi) = region
-            .bounds()
-            .unwrap_or((HexCoord::ORIGIN, HexCoord::new(-1, -1)));
-        let padded = |lo: i32, hi: i32| hi.checked_sub(lo).and_then(|d| d.checked_add(3));
-        let (stride, slots) = padded(lo.q, hi.q)
-            .zip(padded(lo.r, hi.r))
-            .and_then(|(stride, rows)| Some((stride, stride.checked_mul(rows)?)))
-            .expect("region bounding box fits in i32::MAX slots");
-        let mut router = Router {
-            origin: HexCoord::new(lo.q - 1, lo.r - 1),
-            stride,
-            open: vec![false; slots as usize],
-            steps: HexDir::ALL.map(|d| {
-                let (dq, dr) = d.offset();
-                (dr * stride + dq) as isize
-            }),
-        };
+        let index = SlotIndex::covering(region);
+        let mut open = vec![false; index.slot_count()];
         for cell in region.iter() {
-            let slot = router.slot(cell).expect("region cells lie in the box");
-            router.open[slot] = true;
+            open[index.slot(cell).expect("region cells lie in the box")] = true;
         }
         for (cell, cause) in defects.iter() {
             if matches!(cause, DefectCause::Catastrophic(_)) {
-                if let Some(slot) = router.slot(cell) {
-                    router.open[slot] = false;
+                if let Some(slot) = index.slot(cell) {
+                    open[slot] = false;
                 }
             }
         }
-        router
-    }
-
-    /// The slot holding `cell`, or `None` outside the padded box.
-    fn slot(&self, cell: HexCoord) -> Option<usize> {
-        let q = cell.q.checked_sub(self.origin.q)?;
-        let r = cell.r.checked_sub(self.origin.r)?;
-        let rows = self.open.len() as i32 / self.stride;
-        ((0..self.stride).contains(&q) && (0..rows).contains(&r))
-            .then(|| (r * self.stride + q) as usize)
-    }
-
-    /// The cell stored in `slot`.
-    fn cell(&self, slot: usize) -> HexCoord {
-        let slot = slot as i32;
-        HexCoord::new(
-            self.origin.q + slot % self.stride,
-            self.origin.r + slot / self.stride,
-        )
+        Router { index, open }
     }
 
     /// The open slot holding `cell`, if it is routable.
     fn open_slot(&self, cell: HexCoord) -> Option<usize> {
-        self.slot(cell).filter(|&s| self.open[s])
-    }
-
-    /// The six neighbour slots of an open slot, in [`HexDir::ALL`] order.
-    /// The closed border keeps them in bounds.
-    fn neighbors(&self, slot: usize) -> impl Iterator<Item = usize> + '_ {
-        self.steps.iter().map(move |&d| slot.wrapping_add_signed(d))
+        self.index.slot(cell).filter(|&s| self.open[s])
     }
 
     /// Whether `cell` is routable (inside the region and not blocked).
@@ -156,7 +111,7 @@ impl Router {
             .iter()
             .flat_map(|&d| std::iter::once(d).chain(d.neighbors()))
         {
-            if let Some(s) = self.slot(halo).filter(|&s| s != start && s != goal) {
+            if let Some(s) = self.index.slot(halo).filter(|&s| s != start && s != goal) {
                 prev[s] = FORBIDDEN;
             }
         }
@@ -165,7 +120,7 @@ impl Router {
         let mut head = 0;
         while let Some(&c) = queue.get(head) {
             head += 1;
-            for n in self.neighbors(c) {
+            for n in self.index.neighbors(c) {
                 if !self.open[n] || prev[n] != UNSEEN {
                     continue;
                 }
@@ -175,7 +130,7 @@ impl Router {
                     let mut cur = goal;
                     while cur != start {
                         cur = prev[cur] as usize;
-                        path.push(self.cell(cur));
+                        path.push(self.index.cell(cur));
                     }
                     path.reverse();
                     return Some(path);
@@ -206,7 +161,7 @@ impl Router {
             while let Some(&c) = queue.get(head) {
                 head += 1;
                 let next = dist[c] + 1;
-                for n in self.neighbors(c) {
+                for n in self.index.neighbors(c) {
                     if self.open[n] && dist[n] == UNSEEN {
                         dist[n] = next;
                         queue.push(n);
@@ -229,7 +184,7 @@ impl DistanceField<'_> {
     /// route joins them (either cell blocked, off the region, or walled
     /// off).
     pub(crate) fn moves(&self, cell: HexCoord) -> Option<usize> {
-        let slot = self.router.slot(cell)?;
+        let slot = self.router.index.slot(cell)?;
         (self.dist[slot] != UNSEEN).then(|| self.dist[slot] as usize)
     }
 }

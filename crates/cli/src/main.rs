@@ -1043,6 +1043,13 @@ fn cmd_bench(opts: &Options) -> Result<(), String> {
         assay,
         search,
     };
+    // Check the report's destination before the suite runs, not after.
+    if config.json && !std::path::Path::new(&config.out_dir).is_dir() {
+        return Err(format!(
+            "--out '{}' is not an existing directory",
+            config.out_dir
+        ));
+    }
     if let Some(baseline) = opts.map.get("compare") {
         let (report, rendered, regressed) = bench_cmd::run_compare(&config, baseline)?;
         out!("{}", bench_cmd::render_table(&report));

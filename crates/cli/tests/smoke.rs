@@ -940,6 +940,21 @@ fn bench_compare_gates_on_committed_baselines() {
 }
 
 #[test]
+fn bench_rejects_a_missing_out_directory_before_running() {
+    let dir = std::env::temp_dir().join(format!("dmfb-bench-missing-{}", std::process::id()));
+    let dir = dir.to_str().unwrap();
+    for extra in [&[][..], &["--compare", "benchmarks/BENCH_serve.json"][..]] {
+        let mut args = vec!["bench", "--quick", "--json", "--out", dir];
+        args.extend_from_slice(extra);
+        let out = dmfb(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        assert!(out.stdout.is_empty(), "the suite must not run: {args:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains(dir) && !err.contains("panicked"), "{err}");
+    }
+}
+
+#[test]
 fn bench_json_records_estimator_columns() {
     let dir = std::env::temp_dir().join(format!("dmfb-bench-est-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

@@ -21,6 +21,8 @@
 //!   reconfiguration engine are generic over.
 //! * [`CellMap`] — per-cell payload storage over a region, generic over the
 //!   cell coordinate type.
+//! * [`SlotIndex`] — dense slot arithmetic over a region's padded axial
+//!   bounding box, for flat per-cell arrays with fixed neighbour offsets.
 //! * [`render`] — ASCII rendering used by the figure generators.
 //!
 //! # Example
@@ -45,6 +47,7 @@ mod hex;
 mod map;
 mod region;
 pub mod render;
+mod slots;
 mod square;
 mod topology;
 
@@ -52,5 +55,6 @@ pub use error::GridError;
 pub use hex::{HexCoord, HexDir, Ring};
 pub use map::CellMap;
 pub use region::Region;
+pub use slots::SlotIndex;
 pub use square::{SquareCoord, SquareDir, SquareRegion};
 pub use topology::Topology;

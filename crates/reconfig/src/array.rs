@@ -1,7 +1,7 @@
 //! Defect-tolerant arrays: regions with a primary/spare role per cell.
 
 use crate::dtmb::DtmbKind;
-use dmfb_grid::{CellMap, GridError, HexCoord, Region};
+use dmfb_grid::{CellMap, GridError, HexCoord, Region, SlotIndex};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -19,6 +19,11 @@ pub enum CellRole {
 /// cells — the object the paper calls `DTMB(s, p)` when the spares follow
 /// one of the interstitial patterns of Figures 3–6.
 ///
+/// Roles are stored densely: one byte per slot of the region's padded
+/// axial bounding box ([`SlotIndex`]), so role and adjacency queries are
+/// index arithmetic and iteration in slot order is sorted cell order.
+/// Memory is one byte per bounding-box slot on top of the [`Region`].
+///
 /// # Example
 ///
 /// ```
@@ -31,7 +36,12 @@ pub enum CellRole {
 #[derive(Clone, PartialEq, Serialize, Deserialize)]
 pub struct DefectTolerantArray {
     region: Region,
-    roles: CellMap<CellRole>,
+    /// Slot arithmetic over `region`'s bounding box.
+    index: SlotIndex,
+    /// The role of each slot's cell; `None` off the region.
+    roles: Vec<Option<CellRole>>,
+    primaries: usize,
+    spares: usize,
     kind: Option<DtmbKind>,
 }
 
@@ -61,14 +71,11 @@ impl DefectTolerantArray {
             region.len(),
             "role map must cover the region exactly"
         );
-        for c in region.iter() {
-            assert!(roles.contains(c), "cell {c} missing from role map");
-        }
-        DefectTolerantArray {
-            region,
-            roles,
-            kind,
-        }
+        DefectTolerantArray::with_roles(region, kind, |c| {
+            *roles
+                .get(c)
+                .unwrap_or_else(|| panic!("cell {c} missing from role map"))
+        })
     }
 
     /// An array with no redundancy at all: every cell is primary. This is
@@ -76,11 +83,30 @@ impl DefectTolerantArray {
     /// multiplexed-diagnostics chip.
     #[must_use]
     pub fn without_redundancy(region: Region) -> Self {
-        let roles = CellMap::from_region_with(&region, |_| CellRole::Primary);
+        DefectTolerantArray::with_roles(region, None, |_| CellRole::Primary)
+    }
+
+    /// Builds the array over `region` with `role(c)` for every cell.
+    pub(crate) fn with_roles(
+        region: Region,
+        kind: Option<DtmbKind>,
+        mut role: impl FnMut(HexCoord) -> CellRole,
+    ) -> Self {
+        let index = SlotIndex::covering(&region);
+        let mut roles = vec![None; index.slot_count()];
+        let mut spares = 0;
+        for c in region.iter() {
+            let r = role(c);
+            spares += usize::from(r == CellRole::Spare);
+            roles[index.slot(c).expect("region cells lie in the box")] = Some(r);
+        }
         DefectTolerantArray {
+            primaries: region.len() - spares,
+            spares,
             region,
+            index,
             roles,
-            kind: None,
+            kind,
         }
     }
 
@@ -96,51 +122,72 @@ impl DefectTolerantArray {
         self.kind
     }
 
+    /// The slot index the roles are stored over.
+    pub(crate) fn slot_index(&self) -> &SlotIndex {
+        &self.index
+    }
+
+    /// The role of every slot's cell (`None` off the region), in slot
+    /// order.
+    pub(crate) fn slot_roles(&self) -> &[Option<CellRole>] {
+        &self.roles
+    }
+
+    fn role_at(&self, cell: HexCoord) -> Option<CellRole> {
+        self.index.slot(cell).and_then(|s| self.roles[s])
+    }
+
+    /// The cells whose role is `role`, in sorted order.
+    fn cells_with(&self, role: CellRole) -> impl Iterator<Item = HexCoord> + '_ {
+        self.roles
+            .iter()
+            .enumerate()
+            .filter(move |(_, r)| **r == Some(role))
+            .map(|(s, _)| self.index.cell(s))
+    }
+
     /// The role of `cell`.
     ///
     /// # Errors
     ///
     /// [`GridError::CellNotInRegion`] if the cell is not part of the array.
     pub fn role(&self, cell: HexCoord) -> Result<CellRole, GridError> {
-        self.roles
-            .get(cell)
-            .copied()
-            .ok_or(GridError::CellNotInRegion(cell))
+        self.role_at(cell).ok_or(GridError::CellNotInRegion(cell))
     }
 
     /// Whether `cell` is a spare (false for primaries *and* for cells
     /// outside the array).
     #[must_use]
     pub fn is_spare(&self, cell: HexCoord) -> bool {
-        matches!(self.roles.get(cell), Some(CellRole::Spare))
+        self.role_at(cell) == Some(CellRole::Spare)
     }
 
     /// Whether `cell` is a primary (false outside the array).
     #[must_use]
     pub fn is_primary(&self, cell: HexCoord) -> bool {
-        matches!(self.roles.get(cell), Some(CellRole::Primary))
+        self.role_at(cell) == Some(CellRole::Primary)
     }
 
     /// Iterates the primary cells in sorted order.
     pub fn primaries(&self) -> impl Iterator<Item = HexCoord> + '_ {
-        self.roles.cells_where(|r| *r == CellRole::Primary)
+        self.cells_with(CellRole::Primary)
     }
 
     /// Iterates the spare cells in sorted order.
     pub fn spares(&self) -> impl Iterator<Item = HexCoord> + '_ {
-        self.roles.cells_where(|r| *r == CellRole::Spare)
+        self.cells_with(CellRole::Spare)
     }
 
     /// Number of primary cells (`n` in the paper).
     #[must_use]
     pub fn primary_count(&self) -> usize {
-        self.primaries().count()
+        self.primaries
     }
 
     /// Number of spare cells.
     #[must_use]
     pub fn spare_count(&self) -> usize {
-        self.spares().count()
+        self.spares
     }
 
     /// Total number of cells (`N = n + spares`).
@@ -163,14 +210,12 @@ impl DefectTolerantArray {
 
     /// The spare cells adjacent to `cell` (its replacement candidates).
     pub fn adjacent_spares(&self, cell: HexCoord) -> impl Iterator<Item = HexCoord> + '_ {
-        self.region.neighbors_in(cell).filter(|n| self.is_spare(*n))
+        cell.neighbors().filter(|n| self.is_spare(*n))
     }
 
     /// The primary cells adjacent to `cell`.
     pub fn adjacent_primaries(&self, cell: HexCoord) -> impl Iterator<Item = HexCoord> + '_ {
-        self.region
-            .neighbors_in(cell)
-            .filter(|n| self.is_primary(*n))
+        cell.neighbors().filter(|n| self.is_primary(*n))
     }
 
     /// Audits the array against Definition 1, returning the observed

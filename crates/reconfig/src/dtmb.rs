@@ -17,7 +17,7 @@
 //! [`DefectTolerantArray::audit`].
 
 use crate::array::{CellRole, DefectTolerantArray};
-use dmfb_grid::{CellMap, HexCoord, Region};
+use dmfb_grid::{HexCoord, Region, SlotIndex};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -108,14 +108,18 @@ impl DtmbKind {
     /// Instantiates the pattern over `region`, assigning every cell a role.
     #[must_use]
     pub fn instantiate(self, region: &Region) -> DefectTolerantArray {
-        let roles = CellMap::from_region_with(region, |c| {
+        self.over(region.clone())
+    }
+
+    /// [`DtmbKind::instantiate`] on an owned region.
+    fn over(self, region: Region) -> DefectTolerantArray {
+        DefectTolerantArray::with_roles(region, Some(self), |c| {
             if self.is_spare_site(c) {
                 CellRole::Spare
             } else {
                 CellRole::Primary
             }
-        });
-        DefectTolerantArray::from_roles(region.clone(), roles, Some(self))
+        })
     }
 
     /// Builds an array with exactly `primaries` primary cells plus **all
@@ -138,16 +142,27 @@ impl DtmbKind {
     #[must_use]
     pub fn with_primary_count(self, primaries: usize) -> DefectTolerantArray {
         assert!(primaries > 0, "need at least one primary cell");
-        let selected = self.select_primary_sites(primaries);
-        let mut region: Region = selected.iter().copied().collect();
-        for &c in &selected {
-            for n in c.neighbors() {
-                if self.is_spare_site(n) {
-                    region.insert(n);
+        let (side, selected) = self.select_primary_sites(primaries);
+        // Mark the selection and its spare neighbours on a dense box one
+        // cell wider than the window, then read the region off in slot
+        // (sorted) order.
+        let index = SlotIndex::spanning(HexCoord::ORIGIN, HexCoord::new(side - 1, side - 1));
+        let mut member = vec![false; index.slot_count()];
+        for c in selected {
+            let slot = index.slot(c).expect("selected sites lie in the window");
+            member[slot] = true;
+            for n in index.neighbors(slot) {
+                if self.is_spare_site(index.cell(n)) {
+                    member[n] = true;
                 }
             }
         }
-        self.instantiate(&region)
+        self.over(
+            (0..member.len())
+                .filter(|&s| member[s])
+                .map(|s| index.cell(s))
+                .collect(),
+        )
     }
 
     /// Builds an array with exactly `primaries` primary and `spares` spare
@@ -205,22 +220,33 @@ impl DtmbKind {
             }
             assert!(needed == 0, "{self}: could not grow enough spare sites");
         }
-        self.instantiate(&region)
+        self.over(region)
     }
 
-    /// Picks `count` primary sites deterministically: scan a window large
-    /// enough to contain them in sorted order.
-    fn select_primary_sites(self, count: usize) -> Vec<HexCoord> {
-        let mut side = 2u32;
-        loop {
-            let window = Region::parallelogram(side, side);
-            let primaries: Vec<HexCoord> =
-                window.iter().filter(|c| !self.is_spare_site(*c)).collect();
-            if primaries.len() >= count {
-                return primaries.into_iter().take(count).collect();
-            }
-            side += 1;
+    /// Picks `count` primary sites deterministically: the first `count`
+    /// primaries, in sorted order, of the smallest `side × side`
+    /// parallelogram window (`side ≥ 2`) that holds that many. Returns
+    /// the side with the sites.
+    fn select_primary_sites(self, count: usize) -> (i32, Vec<HexCoord>) {
+        let is_primary = |q: i32, r: i32| !self.is_spare_site(HexCoord::new(q, r));
+        // No window of fewer than `count` cells can hold `count` primaries.
+        let least = count.isqrt() + usize::from(count.isqrt().pow(2) < count);
+        let mut side = i32::try_from(least.max(2)).expect("window side fits in i32");
+        let mut found = (0..side)
+            .map(|q| (0..side).filter(|&r| is_primary(q, r)).count())
+            .sum::<usize>();
+        while found < count {
+            // Grow the window by column `side` and row `side`.
+            found += (0..=side).filter(|&r| is_primary(side, r)).count()
+                + (0..side).filter(|&q| is_primary(q, side)).count();
+            side = side.checked_add(1).expect("window side fits in i32");
         }
+        let sites = (0..side)
+            .flat_map(|q| (0..side).map(move |r| HexCoord::new(q, r)))
+            .filter(|c| is_primary(c.q, c.r))
+            .take(count)
+            .collect();
+        (side, sites)
     }
 }
 

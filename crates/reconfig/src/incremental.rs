@@ -29,7 +29,7 @@
 //! calls — one Monte-Carlo pass serves an entire yield curve, for every
 //! scheme alike.
 
-use crate::array::DefectTolerantArray;
+use crate::array::{CellRole, DefectTolerantArray};
 use crate::local::{ReconfigFailure, ReconfigPlan, ReconfigPolicy};
 use crate::scheme::{RedundancyScheme, SchemeStructure};
 use dmfb_defects::DefectMap;
@@ -132,28 +132,66 @@ pub struct TrialScratch {
 
 impl TrialEvaluator<HexCoord> {
     /// Builds the evaluator for a hexagonal DTMB `array` under `policy`.
-    /// Cost is one pass over the array — amortised over every subsequent
-    /// trial. Units are the in-scope primaries; resources are the spares
-    /// bordering at least one of them.
+    /// Cost is one pass over the array's role slots — amortised over
+    /// every subsequent trial. Units are the in-scope primaries in sorted
+    /// order; resources are the spares bordering at least one of them,
+    /// numbered as first met in [`dmfb_grid::HexDir::ALL`] order — the
+    /// structure [`TrialEvaluator::from_structure`] would compile, emitted
+    /// straight into CSR form.
     #[must_use]
     pub fn new(array: &DefectTolerantArray, policy: &ReconfigPolicy) -> Self {
-        let mut s = SchemeStructure::new();
-        let mut res_index = std::collections::BTreeMap::new();
-        for c in array.primaries().filter(|c| policy.requires(*c)) {
-            let unit = s.add_unit([c]);
-            for spare in array.adjacent_spares(c) {
-                let resource = match res_index.get(&spare) {
-                    Some(&r) => r,
-                    None => {
-                        let r = s.add_resource([spare]);
-                        res_index.insert(spare, r);
-                        r
-                    }
-                };
-                s.connect(unit, resource);
+        const NONE: u32 = u32::MAX;
+        let index = array.slot_index();
+        let roles = array.slot_roles();
+        let mut unit_slots = Vec::with_capacity(array.primary_count());
+        let mut res_slots = Vec::new();
+        let mut res_of_slot = vec![NONE; roles.len()];
+        let mut adj_offsets = Vec::with_capacity(array.primary_count() + 1);
+        let mut adj_res = Vec::new();
+        adj_offsets.push(0u32);
+        for (slot, role) in roles.iter().enumerate() {
+            if *role != Some(CellRole::Primary) || !policy.requires(index.cell(slot)) {
+                continue;
+            }
+            unit_slots.push(slot);
+            for n in index.neighbors(slot) {
+                if roles[n] != Some(CellRole::Spare) {
+                    continue;
+                }
+                if res_of_slot[n] == NONE {
+                    res_of_slot[n] = res_slots.len() as u32;
+                    res_slots.push(n);
+                }
+                adj_res.push(res_of_slot[n]);
+            }
+            adj_offsets.push(adj_res.len() as u32);
+        }
+        // Units and resources are distinct cells; number them in slot
+        // (sorted cell) order to get the sampled cell index space.
+        let mut cell_of_slot = vec![NONE; roles.len()];
+        for &slot in unit_slots.iter().chain(&res_slots) {
+            cell_of_slot[slot] = 0;
+        }
+        let mut cells = Vec::with_capacity(unit_slots.len() + res_slots.len());
+        for (slot, cell) in cell_of_slot.iter_mut().enumerate() {
+            if *cell != NONE {
+                *cell = cells.len() as u32;
+                cells.push(index.cell(slot));
             }
         }
-        TrialEvaluator::from_structure(&s)
+        let singletons = |n: usize| (0..=n as u32).collect::<Vec<u32>>();
+        let (rev_offsets, rev_units) = reverse_adjacency(&adj_offsets, &adj_res, res_slots.len());
+        TrialEvaluator {
+            cells,
+            unit_offsets: singletons(unit_slots.len()),
+            unit_cells: unit_slots.iter().map(|&s| cell_of_slot[s]).collect(),
+            res_offsets: singletons(res_slots.len()),
+            res_cells: res_slots.iter().map(|&s| cell_of_slot[s]).collect(),
+            adj_offsets,
+            adj_res,
+            rev_offsets,
+            rev_units,
+        }
     }
 
     /// Local reconfiguration of `defects`: the [`ReconfigPlan`] behind a

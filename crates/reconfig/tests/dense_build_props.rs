@@ -1,0 +1,275 @@
+//! The dense-slot array builder and `TrialEvaluator::new` against the
+//! `BTreeSet`/`BTreeMap` builder they replaced, kept verbatim below as the
+//! reference: same regions, same roles in the same order, and the same
+//! evaluator field for field.
+
+use dmfb_grid::{CellMap, HexCoord, Region};
+use dmfb_reconfig::dtmb::DtmbKind;
+use dmfb_reconfig::{
+    CellRole, DefectTolerantArray, ReconfigPolicy, SchemeStructure, TrialEvaluator,
+};
+use proptest::prelude::*;
+
+/// The B-tree array: a `Region` and a `CellMap` of roles.
+struct ReferenceArray {
+    region: Region,
+    roles: CellMap<CellRole>,
+}
+
+impl ReferenceArray {
+    fn is_spare(&self, cell: HexCoord) -> bool {
+        matches!(self.roles.get(cell), Some(CellRole::Spare))
+    }
+
+    fn is_primary(&self, cell: HexCoord) -> bool {
+        matches!(self.roles.get(cell), Some(CellRole::Primary))
+    }
+
+    fn primaries(&self) -> impl Iterator<Item = HexCoord> + '_ {
+        self.roles.cells_where(|r| *r == CellRole::Primary)
+    }
+
+    fn spares(&self) -> impl Iterator<Item = HexCoord> + '_ {
+        self.roles.cells_where(|r| *r == CellRole::Spare)
+    }
+
+    fn spare_count(&self) -> usize {
+        self.spares().count()
+    }
+
+    fn adjacent_spares(&self, cell: HexCoord) -> impl Iterator<Item = HexCoord> + '_ {
+        self.region.neighbors_in(cell).filter(|n| self.is_spare(*n))
+    }
+
+    fn adjacent_primaries(&self, cell: HexCoord) -> impl Iterator<Item = HexCoord> + '_ {
+        self.region
+            .neighbors_in(cell)
+            .filter(|n| self.is_primary(*n))
+    }
+}
+
+fn instantiate(kind: DtmbKind, region: &Region) -> ReferenceArray {
+    let roles = CellMap::from_region_with(region, |c| {
+        if kind.is_spare_site(c) {
+            CellRole::Spare
+        } else {
+            CellRole::Primary
+        }
+    });
+    ReferenceArray {
+        region: region.clone(),
+        roles,
+    }
+}
+
+fn with_primary_count(kind: DtmbKind, primaries: usize) -> ReferenceArray {
+    assert!(primaries > 0, "need at least one primary cell");
+    let selected = select_primary_sites(kind, primaries);
+    let mut region: Region = selected.iter().copied().collect();
+    for &c in &selected {
+        for n in c.neighbors() {
+            if kind.is_spare_site(n) {
+                region.insert(n);
+            }
+        }
+    }
+    instantiate(kind, &region)
+}
+
+fn with_exact_counts(kind: DtmbKind, primaries: usize, spares: usize) -> ReferenceArray {
+    let natural = with_primary_count(kind, primaries);
+    let have = natural.spare_count();
+    assert!(
+        (spares as f64) >= 0.5 * have as f64 && (spares as f64) <= 1.5 * have as f64 + 1.0,
+        "{kind} cannot supply {spares} spares for {primaries} primaries \
+         (natural count is {have})"
+    );
+    let mut region = natural.region.clone();
+    if have > spares {
+        // Trim the spares that protect the fewest primaries first.
+        let mut candidates: Vec<(usize, HexCoord)> = natural
+            .spares()
+            .map(|s| (natural.adjacent_primaries(s).count(), s))
+            .collect();
+        candidates.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
+        for (_, s) in candidates.into_iter().take(have - spares) {
+            region.remove(s);
+        }
+    } else if have < spares {
+        // Grow pattern-consistent spare sites adjacent to the region.
+        let mut needed = spares - have;
+        let mut frontier: Vec<HexCoord> = Vec::new();
+        for c in natural.region.iter() {
+            for n in c.neighbors() {
+                if !natural.region.contains(n) && kind.is_spare_site(n) {
+                    frontier.push(n);
+                }
+            }
+        }
+        frontier.sort();
+        frontier.dedup();
+        for s in frontier {
+            if needed == 0 {
+                break;
+            }
+            if region.insert(s) {
+                needed -= 1;
+            }
+        }
+        assert!(needed == 0, "{kind}: could not grow enough spare sites");
+    }
+    instantiate(kind, &region)
+}
+
+fn select_primary_sites(kind: DtmbKind, count: usize) -> Vec<HexCoord> {
+    let mut side = 2u32;
+    loop {
+        let window = Region::parallelogram(side, side);
+        let primaries: Vec<HexCoord> = window.iter().filter(|c| !kind.is_spare_site(*c)).collect();
+        if primaries.len() >= count {
+            return primaries.into_iter().take(count).collect();
+        }
+        side += 1;
+    }
+}
+
+/// `TrialEvaluator::new` as it was: a `SchemeStructure` with a `BTreeMap`
+/// spare index, compiled by `from_structure`.
+fn reference_evaluator(array: &ReferenceArray, policy: &ReconfigPolicy) -> TrialEvaluator {
+    let mut s = SchemeStructure::new();
+    let mut res_index = std::collections::BTreeMap::new();
+    for c in array.primaries().filter(|c| policy.requires(*c)) {
+        let unit = s.add_unit([c]);
+        for spare in array.adjacent_spares(c) {
+            let resource = match res_index.get(&spare) {
+                Some(&r) => r,
+                None => {
+                    let r = s.add_resource([spare]);
+                    res_index.insert(spare, r);
+                    r
+                }
+            };
+            s.connect(unit, resource);
+        }
+    }
+    TrialEvaluator::from_structure(&s)
+}
+
+/// Asserts the dense array has the reference's region and roles, and
+/// answers every role and adjacency query alike, in the same order.
+fn assert_same_array(array: &DefectTolerantArray, reference: &ReferenceArray) {
+    assert_eq!(array.region(), &reference.region);
+    assert!(array.primaries().eq(reference.primaries()));
+    assert!(array.spares().eq(reference.spares()));
+    assert_eq!(array.primary_count(), reference.primaries().count());
+    assert_eq!(array.spare_count(), reference.spare_count());
+    let (lo, hi) = reference.region.bounds().expect("arrays are non-empty");
+    for q in lo.q - 1..=hi.q + 1 {
+        for r in lo.r - 1..=hi.r + 1 {
+            let c = HexCoord::new(q, r);
+            assert_eq!(array.role(c).ok(), reference.roles.get(c).copied(), "{c}");
+            assert!(
+                array.adjacent_spares(c).eq(reference.adjacent_spares(c)),
+                "{c}"
+            );
+            assert!(
+                array
+                    .adjacent_primaries(c)
+                    .eq(reference.adjacent_primaries(c)),
+                "{c}"
+            );
+        }
+    }
+}
+
+fn assert_same_evaluator(
+    array: &DefectTolerantArray,
+    reference: &ReferenceArray,
+    policy: &ReconfigPolicy,
+) {
+    assert_eq!(
+        format!("{:?}", TrialEvaluator::new(array, policy)),
+        format!("{:?}", reference_evaluator(reference, policy)),
+    );
+}
+
+fn arb_kind() -> impl Strategy<Value = DtmbKind> {
+    prop::sample::select(DtmbKind::ALL.to_vec())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random primary counts, all-primary and random used-cell policies.
+    #[test]
+    fn dense_builder_matches_the_btree_builder(
+        kind in arb_kind(),
+        n in 1usize..=600,
+        scoped in 0u8..2,
+        scope_picks in prop::collection::vec(0usize..100_000, 0..80),
+    ) {
+        let array = kind.with_primary_count(n);
+        let reference = with_primary_count(kind, n);
+        assert_same_array(&array, &reference);
+        assert_same_evaluator(&array, &reference, &ReconfigPolicy::AllPrimaries);
+        if scoped == 1 {
+            let cells: Vec<HexCoord> = reference.region.iter().collect();
+            // Off-array cells in the scope must be as harmless as before.
+            let policy = ReconfigPolicy::UsedCells(
+                scope_picks
+                    .iter()
+                    .map(|&i| cells.get(i % (cells.len() + 3)).copied().unwrap_or(HexCoord::new(-9, 4)))
+                    .collect(),
+            );
+            assert_same_evaluator(&array, &reference, &policy);
+        }
+    }
+}
+
+#[test]
+fn dense_builder_matches_at_2400_primaries() {
+    for kind in DtmbKind::ALL {
+        let array = kind.with_primary_count(2400);
+        let reference = with_primary_count(kind, 2400);
+        assert_same_array(&array, &reference);
+        assert_same_evaluator(&array, &reference, &ReconfigPolicy::AllPrimaries);
+    }
+}
+
+#[test]
+fn exact_counts_match_the_btree_builder() {
+    for kind in DtmbKind::ALL {
+        let natural = with_primary_count(kind, 252).spare_count();
+        // Trim and keep; only DTMB(4,4)'s adjacent spare rows leave
+        // pattern sites to grow into.
+        let grow = if kind == DtmbKind::Dtmb44 {
+            natural + 5
+        } else {
+            natural
+        };
+        for spares in [natural * 3 / 4, natural, grow] {
+            let array = kind.with_exact_counts(252, spares);
+            let reference = with_exact_counts(kind, 252, spares);
+            assert_same_array(&array, &reference);
+            assert_same_evaluator(&array, &reference, &ReconfigPolicy::AllPrimaries);
+        }
+    }
+    let array = DtmbKind::Dtmb26A.with_exact_counts(252, 91);
+    assert_same_array(&array, &with_exact_counts(DtmbKind::Dtmb26A, 252, 91));
+}
+
+#[test]
+fn instantiate_matches_on_translated_and_negative_regions() {
+    for kind in DtmbKind::ALL {
+        for region in [
+            Region::hexagon(HexCoord::ORIGIN, 6),
+            Region::rectangle(9, 7),
+            Region::parallelogram(8, 5).translated(HexCoord::new(-13, 4)),
+        ] {
+            let array = kind.instantiate(&region);
+            let reference = instantiate(kind, &region);
+            assert_same_array(&array, &reference);
+            assert_same_evaluator(&array, &reference, &ReconfigPolicy::AllPrimaries);
+        }
+    }
+}

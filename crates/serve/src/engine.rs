@@ -96,11 +96,10 @@ impl CachedEngine {
 fn raw_yield(chip: &Biochip, query: &Query, threads: usize) -> BernoulliEstimate {
     let model = Bernoulli::from_survival(query.p);
     let (trials, seed) = (query.trials, SeedSequence::nth_seed(query.seed, 1));
-    let region = chip.array().region().clone();
     let array = chip.array();
     let policy = chip.policy();
     MonteCarlo::new(trials, seed).run_parallel(threads, |rng| {
-        let defects = model.inject(&region, rng);
+        let defects = model.inject(array.region(), rng);
         let any_relevant = defects
             .faulty_cells()
             .any(|c| array.is_primary(c) && policy.requires(c));
