@@ -42,8 +42,9 @@ pub struct SoakConfig {
     /// measures *service* latency (parse, cache, evaluator build), not
     /// trial throughput — the bench suite owns that axis.
     pub trials: u32,
-    /// Hex primary-cell count of the cold/warm dtmb26 workload. Sized so
-    /// evaluator construction dominates a cold request.
+    /// Hex primary-cell count of the cold/warm dtmb26 workload. A cold
+    /// request's engine build and a warm request's run both grow about
+    /// linearly with it, so it barely moves the cold/warm p50 ratio.
     pub primaries: usize,
     /// Require `cold_p50 / warm_p50 >= require_speedup` (0 disables).
     pub require_speedup: f64,
