@@ -88,90 +88,6 @@ impl ChipDescription {
         self.mixers.iter().find(|m| m.name == name)
     }
 
-    /// The *physical* chip obtained by pushing every resource through a
-    /// reconfiguration plan: dispensers, mixers, detectors and assay cells
-    /// whose logical cell was replaced now sit on the replacing spare.
-    ///
-    /// The result intentionally breaks the *logical* layout invariant that
-    /// [`ChipDescription::validate`] checks (resources on primary cells) —
-    /// that is the point of reconfiguration. Use it to inspect or render
-    /// where the protocol will physically run; the executor and the
-    /// feasibility check perform the same remapping internally.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use dmfb_bioassay::layout::ivd_dtmb26_chip;
-    /// use dmfb_defects::DefectMap;
-    /// use dmfb_reconfig::{attempt_reconfiguration, ReconfigPolicy};
-    ///
-    /// let chip = ivd_dtmb26_chip();
-    /// let faulty = chip.mixers[0].rendezvous();
-    /// let defects = DefectMap::from_cells([faulty]);
-    /// let plan = attempt_reconfiguration(
-    ///     &chip.array,
-    ///     &defects,
-    ///     &ReconfigPolicy::UsedCells(chip.assay_cells.iter().collect()),
-    /// )
-    /// .unwrap();
-    /// let physical = chip.remapped(&plan);
-    /// // The faulty mixer cell moved onto its assigned spare...
-    /// assert_ne!(physical.mixers[0].rendezvous(), faulty);
-    /// // ...and untouched resources stayed put.
-    /// assert_eq!(physical.detectors, chip.detectors);
-    /// ```
-    #[must_use]
-    pub fn remapped(&self, plan: &dmfb_reconfig::ReconfigPlan) -> ChipDescription {
-        let mut chip = self.clone();
-        for d in &mut chip.dispensers {
-            d.cell = plan.remap(d.cell);
-        }
-        for m in &mut chip.mixers {
-            for c in &mut m.cells {
-                *c = plan.remap(*c);
-            }
-        }
-        for det in &mut chip.detectors {
-            det.cell = plan.remap(det.cell);
-        }
-        chip.assay_cells = self.assay_cells.iter().map(|c| plan.remap(c)).collect();
-        chip
-    }
-
-    /// Validates the *physical* side of the layout against a fault state:
-    /// every resource cell is inside the array and fault-free. This is the
-    /// counterpart of [`ChipDescription::validate`] for chips produced by
-    /// [`ChipDescription::remapped`], where resources may legitimately sit
-    /// on spare cells.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first unusable resource.
-    pub fn validate_physical(&self, defects: &dmfb_defects::DefectMap) -> Result<(), String> {
-        let region = self.array.region();
-        let check = |what: String, cell: HexCoord| -> Result<(), String> {
-            if !region.contains(cell) {
-                return Err(format!("{what} cell {cell} outside array"));
-            }
-            if defects.is_faulty(cell) {
-                return Err(format!("{what} cell {cell} is faulty"));
-            }
-            Ok(())
-        };
-        for d in &self.dispensers {
-            check(format!("dispenser {}", d.label), d.cell)?;
-        }
-        for m in &self.mixers {
-            for &c in &m.cells {
-                check(format!("mixer {}", m.name), c)?;
-            }
-        }
-        for (i, det) in self.detectors.iter().enumerate() {
-            check(format!("detector {i}"), det.cell)?;
-        }
-        Ok(())
-    }
-
     /// Validates internal consistency: all referenced cells exist in the
     /// array, resources sit on primary cells, and assay cells are primary.
     ///
@@ -256,47 +172,6 @@ mod tests {
     #[test]
     fn validation_accepts_consistent_chip() {
         assert!(tiny_chip().validate().is_ok());
-    }
-
-    #[test]
-    fn remapped_chip_validates_physically() {
-        use dmfb_defects::DefectMap;
-        use dmfb_reconfig::ReconfigPlan;
-        let chip = crate::layout::ivd_dtmb26_chip();
-        let faulty = chip.mixers[0].rendezvous();
-        let spare = chip
-            .array
-            .adjacent_spares(faulty)
-            .next()
-            .expect("assay cells have spares");
-        let defects = DefectMap::from_cells([faulty]);
-        // Logical chip fails the physical check (mixer on a faulty cell)...
-        let err = chip.validate_physical(&defects).unwrap_err();
-        assert!(err.contains("mixer") && err.contains("faulty"), "{err}");
-        // ...while the remapped chip passes it, with the mixer on the spare.
-        let plan = ReconfigPlan::from_assignments([(faulty, spare)]);
-        let physical = chip.remapped(&plan);
-        physical.validate_physical(&defects).expect("remap is live");
-        assert_eq!(physical.mixers[0].rendezvous(), spare);
-        assert!(physical.assay_cells.contains(spare));
-        assert!(!physical.assay_cells.contains(faulty));
-    }
-
-    #[test]
-    fn validate_physical_names_the_offending_resource() {
-        use dmfb_defects::DefectMap;
-        let chip = tiny_chip();
-        assert!(chip.validate_physical(&DefectMap::new()).is_ok());
-        let dead_detector = DefectMap::from_cells([chip.detectors[0].cell]);
-        let err = chip.validate_physical(&dead_detector).unwrap_err();
-        assert!(err.contains("detector 0"), "{err}");
-        let dead_port = DefectMap::from_cells([chip.dispensers[0].cell]);
-        let err = chip.validate_physical(&dead_port).unwrap_err();
-        assert!(err.contains("dispenser SAMPLE1"), "{err}");
-        let mut off_array = tiny_chip();
-        off_array.detectors[0].cell = HexCoord::new(99, 99);
-        let err = off_array.validate_physical(&DefectMap::new()).unwrap_err();
-        assert!(err.contains("outside array"), "{err}");
     }
 
     #[test]

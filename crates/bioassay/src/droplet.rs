@@ -1,13 +1,7 @@
-//! Droplets and the electrowetting transport model.
+//! Droplet contents and the electrowetting transport model.
 
-use dmfb_grid::HexCoord;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::fmt;
-
-/// Identifier of a droplet within one protocol execution.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
-pub struct DropletId(pub u32);
 
 /// The chemical contents of a droplet: concentration (mM) per species.
 ///
@@ -16,10 +10,10 @@ pub struct DropletId(pub u32);
 /// ```
 /// use dmfb_bioassay::droplet::Mixture;
 ///
-/// let sample = Mixture::single("glucose", 5.0);
-/// let reagent = Mixture::single("glucose_oxidase", 2.0);
-/// let mixed = sample.mixed_with(1.0, &reagent, 1.0);
-/// assert!((mixed.concentration("glucose") - 2.5).abs() < 1e-12);
+/// let mut reagent = Mixture::single("glucose_oxidase", 2.0);
+/// reagent.set("peroxidase", 1.0);
+/// assert_eq!(reagent.concentration("glucose_oxidase"), 2.0);
+/// assert_eq!(reagent.concentration("glucose"), 0.0);
 /// ```
 #[derive(Clone, PartialEq, Debug, Default, Serialize, Deserialize)]
 pub struct Mixture {
@@ -64,107 +58,9 @@ impl Mixture {
         self.species.get(species).copied().unwrap_or(0.0)
     }
 
-    /// Volume-weighted mixing of two droplet contents.
-    ///
-    /// # Panics
-    ///
-    /// Panics if both volumes are zero or either is negative.
-    #[must_use]
-    pub fn mixed_with(&self, self_volume: f64, other: &Mixture, other_volume: f64) -> Mixture {
-        assert!(
-            self_volume >= 0.0 && other_volume >= 0.0 && self_volume + other_volume > 0.0,
-            "volumes must be non-negative and not both zero"
-        );
-        let total = self_volume + other_volume;
-        let mut out = Mixture::new();
-        for (s, c) in &self.species {
-            out.species.insert(s.clone(), c * self_volume / total);
-        }
-        for (s, c) in &other.species {
-            *out.species.entry(s.clone()).or_insert(0.0) += c * other_volume / total;
-        }
-        out
-    }
-
     /// Iterates `(species, concentration)` sorted by species name.
     pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> {
         self.species.iter().map(|(s, c)| (s.as_str(), *c))
-    }
-}
-
-/// A droplet on the array.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
-pub struct Droplet {
-    /// Identity within a protocol run.
-    pub id: DropletId,
-    /// Current cell.
-    pub position: HexCoord,
-    /// Volume in nanolitres.
-    pub volume_nl: f64,
-    /// Chemical contents.
-    pub contents: Mixture,
-}
-
-impl Droplet {
-    /// Creates a droplet at a position.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `volume_nl` is not positive and finite.
-    #[must_use]
-    pub fn new(id: DropletId, position: HexCoord, volume_nl: f64, contents: Mixture) -> Self {
-        assert!(
-            volume_nl.is_finite() && volume_nl > 0.0,
-            "droplet volume must be positive"
-        );
-        Droplet {
-            id,
-            position,
-            volume_nl,
-            contents,
-        }
-    }
-
-    /// Merges another droplet into this one (volumes add, contents mix).
-    pub fn merge(&mut self, other: Droplet) {
-        self.contents = self
-            .contents
-            .mixed_with(self.volume_nl, &other.contents, other.volume_nl);
-        self.volume_nl += other.volume_nl;
-    }
-
-    /// Splits this droplet in two equal halves — the electrowetting split
-    /// operation (three electrodes: outer two on, centre off). The first
-    /// half stays in place; the returned half carries `new_id` and sits at
-    /// `new_position`. Contents are identical in both halves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_position` is not adjacent to the droplet (a split
-    /// can only place the second half on a neighbouring electrode).
-    #[must_use]
-    pub fn split(&mut self, new_id: DropletId, new_position: HexCoord) -> Droplet {
-        assert!(
-            self.position.is_adjacent(new_position),
-            "split half must land on an adjacent electrode"
-        );
-        self.volume_nl /= 2.0;
-        Droplet {
-            id: new_id,
-            position: new_position,
-            volume_nl: self.volume_nl,
-            contents: self.contents.clone(),
-        }
-    }
-}
-
-impl fmt::Display for Droplet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "droplet #{} at {} ({:.1} nL)",
-            self.id.0, self.position, self.volume_nl
-        )
     }
 }
 
@@ -234,73 +130,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mixture_mixing_conserves_species() {
-        let a = Mixture::single("glucose", 10.0);
-        let mut b = Mixture::single("lactate", 4.0);
-        b.set("glucose", 2.0);
-        let m = a.mixed_with(2.0, &b, 2.0);
-        assert!((m.concentration("glucose") - 6.0).abs() < 1e-12);
-        assert!((m.concentration("lactate") - 2.0).abs() < 1e-12);
-        assert_eq!(m.concentration("unknown"), 0.0);
-        assert_eq!(m.iter().count(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "volumes")]
-    fn mixing_zero_volumes_rejected() {
-        let a = Mixture::new();
-        let _ = a.mixed_with(0.0, &Mixture::new(), 0.0);
-    }
-
-    #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_concentration_rejected() {
         let _ = Mixture::single("x", -1.0);
-    }
-
-    #[test]
-    fn droplet_merge() {
-        let mut a = Droplet::new(
-            DropletId(0),
-            HexCoord::new(0, 0),
-            10.0,
-            Mixture::single("glucose", 8.0),
-        );
-        let b = Droplet::new(DropletId(1), HexCoord::new(1, 0), 30.0, Mixture::new());
-        a.merge(b);
-        assert!((a.volume_nl - 40.0).abs() < 1e-12);
-        assert!((a.contents.concentration("glucose") - 2.0).abs() < 1e-12);
-        assert!(a.to_string().contains("40.0 nL"));
-    }
-
-    #[test]
-    fn split_halves_volume_keeps_contents() {
-        let mut a = Droplet::new(
-            DropletId(0),
-            HexCoord::new(0, 0),
-            80.0,
-            Mixture::single("glucose", 4.0),
-        );
-        let b = a.split(DropletId(1), HexCoord::new(1, 0));
-        assert!((a.volume_nl - 40.0).abs() < 1e-12);
-        assert!((b.volume_nl - 40.0).abs() < 1e-12);
-        assert_eq!(b.contents.concentration("glucose"), 4.0);
-        assert_eq!(b.id, DropletId(1));
-        assert_eq!(b.position, HexCoord::new(1, 0));
-        // Merge-then-split round trip: a 1:1 buffer merge then split gives
-        // half the concentration at the original volume.
-        let buffer = Droplet::new(DropletId(2), HexCoord::new(0, 1), 40.0, Mixture::new());
-        a.merge(buffer);
-        let _half = a.split(DropletId(3), HexCoord::new(1, 0));
-        assert!((a.volume_nl - 40.0).abs() < 1e-12);
-        assert!((a.contents.concentration("glucose") - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "adjacent electrode")]
-    fn split_requires_adjacency() {
-        let mut a = Droplet::new(DropletId(0), HexCoord::new(0, 0), 10.0, Mixture::new());
-        let _ = a.split(DropletId(1), HexCoord::new(5, 5));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! glutamate and pyruvate in human physiological fluids. This crate builds
 //! that workload end to end:
 //!
-//! * [`droplet`] — droplets and the electrowetting transport model.
+//! * [`droplet`] — droplet contents and the electrowetting transport model.
 //! * [`chip`] — functional resources: dispensing ports, mixers, optical
 //!   detectors, and the chip description tying them to the array.
 //! * [`router`] — BFS droplet routing around faulty cells with fluidic
@@ -44,7 +44,6 @@
 
 pub mod assay;
 pub mod chip;
-pub mod dilution;
 pub mod droplet;
 pub mod feasibility;
 pub mod kinetics;
@@ -54,6 +53,5 @@ pub mod schedule;
 
 pub use assay::{Analyte, AssayOutcome, MultiplexedIvd};
 pub use chip::ChipDescription;
-pub use droplet::Droplet;
 pub use feasibility::{FeasibilityChecker, Infeasibility, TimingBudget};
 pub use schedule::{plan_protocol, ProtocolSchedule, ScheduledOp};

@@ -408,14 +408,6 @@ impl Executor {
         }
         Ok(outcomes)
     }
-
-    /// Convenience: whether the batch can run at all on this chip instance
-    /// (resources live, routes exist), without doing the chemistry.
-    #[must_use]
-    pub fn is_executable(&self, batch: &MultiplexedIvd) -> bool {
-        let mut rng = rand::rngs::mock::StepRng::new(0, 1);
-        self.run(batch, &mut rng).is_ok()
-    }
 }
 
 #[cfg(test)]
@@ -547,13 +539,6 @@ mod tests {
             exec.run(&MultiplexedIvd::standard_panel(), &mut rng()),
             Err(ExecError::VoltageTooLow)
         ));
-    }
-
-    #[test]
-    fn is_executable_smoke() {
-        let chip = layout::fabricated_ivd_chip();
-        let exec = Executor::new(chip, DefectMap::new(), None);
-        assert!(exec.is_executable(&MultiplexedIvd::standard_panel()));
     }
 
     #[test]

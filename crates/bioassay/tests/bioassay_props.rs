@@ -1,6 +1,5 @@
-//! Property-based tests for routing, mixing and kinetics.
+//! Property-based tests for routing, scheduling and kinetics.
 
-use dmfb_bioassay::droplet::Mixture;
 use dmfb_bioassay::feasibility::{FeasibilityChecker, Infeasibility, TimingBudget};
 use dmfb_bioassay::kinetics::{absorbance_545nm, TrinderKinetics};
 use dmfb_bioassay::layout::ivd_dtmb26_chip;
@@ -329,20 +328,6 @@ proptest! {
                 prop_assert!(spacing_violation(&[*c, parked]).is_none(), "cell {c} violates spacing");
             }
         }
-    }
-
-    /// Volume-weighted mixing conserves total solute amount.
-    #[test]
-    fn mixing_conserves_mass(c1 in 0.0f64..100.0, c2 in 0.0f64..100.0, v1 in 0.1f64..100.0, v2 in 0.1f64..100.0) {
-        let a = Mixture::single("x", c1);
-        let b = Mixture::single("x", c2);
-        let mixed = a.mixed_with(v1, &b, v2);
-        let before = c1 * v1 + c2 * v2;
-        let after = mixed.concentration("x") * (v1 + v2);
-        prop_assert!((before - after).abs() < 1e-9 * before.max(1.0));
-        // Mixed concentration lies between the inputs.
-        prop_assert!(mixed.concentration("x") >= c1.min(c2) - 1e-12);
-        prop_assert!(mixed.concentration("x") <= c1.max(c2) + 1e-12);
     }
 
     /// Kinetics: the coloured product is non-negative, bounded by the

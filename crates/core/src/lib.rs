@@ -6,9 +6,8 @@
 //!
 //! This facade crate re-exports the whole workspace and adds the
 //! [`Biochip`] pipeline: a single entry point that designs a
-//! defect-tolerant array, injects manufacturing defects, tests the chip
-//! with simulated droplet traces, attempts local reconfiguration, and
-//! reports yield metrics.
+//! defect-tolerant array, injects manufacturing defects, attempts local
+//! reconfiguration, and reports yield metrics.
 //!
 //! ## Quick start
 //!
@@ -41,7 +40,7 @@ pub mod search;
 pub mod spec;
 
 pub use engine::{DefectModel, Engine, Estimate, Estimator, Query};
-pub use pipeline::{Biochip, PipelineOutcome, YieldReport};
+pub use pipeline::{Biochip, YieldReport};
 pub use search::{CandidateScore, SearchConfig, SearchReport, SearchSpace};
 pub use spec::{EngineSpec, SchemeSpec, Tier};
 

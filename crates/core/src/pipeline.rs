@@ -1,17 +1,11 @@
-//! The end-to-end pipeline: design → inject → test → reconfigure → report.
+//! The end-to-end pipeline: design → inject → reconfigure → report.
 
-use dmfb_defects::injection::{Bernoulli, ExactCount, InjectionModel};
-use dmfb_defects::testing::{self, MeasurementModel};
-use dmfb_defects::DefectMap;
+use dmfb_defects::injection::{ExactCount, InjectionModel};
 use dmfb_grid::Region;
 use dmfb_reconfig::dtmb::DtmbKind;
-use dmfb_reconfig::{
-    attempt_reconfiguration, DefectTolerantArray, ReconfigFailure, ReconfigPlan, ReconfigPolicy,
-};
+use dmfb_reconfig::{DefectTolerantArray, ReconfigPolicy};
 use dmfb_sim::BernoulliEstimate;
 use dmfb_yield::{analytical, effective, SchemeYield};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// A biochip under yield analysis: a defect-tolerant array plus the policy
 /// deciding which primary cells must work.
@@ -169,26 +163,6 @@ impl Biochip {
         self.engine()
             .estimate_with_defects(trials, seed, |rng| model.inject(region, rng))
     }
-
-    /// Simulates one fabricated chip instance end to end: inject defects at
-    /// survival `p`, run the droplet-trace test to localise them, then
-    /// attempt local reconfiguration *using only what the test detected*.
-    #[must_use]
-    pub fn simulate_one(&self, p: f64, seed: u64) -> PipelineOutcome {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut defects = Bernoulli::from_survival(p).inject(self.array.region(), &mut rng);
-        defects.close_shorts();
-        let diagnosis =
-            testing::diagnose(self.array.region(), &defects, MeasurementModel::default());
-        let plan = attempt_reconfiguration(&self.array, &diagnosis.detected, &self.policy);
-        PipelineOutcome {
-            true_defects: defects,
-            detected: diagnosis.detected.clone(),
-            test_droplets: diagnosis.droplets_used,
-            test_moves: diagnosis.total_moves,
-            plan,
-        }
-    }
 }
 
 /// Yield metrics for one design point.
@@ -210,32 +184,11 @@ pub struct YieldReport {
     pub analytical: Option<f64>,
 }
 
-/// One chip instance's journey through test and reconfiguration.
-#[derive(Clone, Debug)]
-pub struct PipelineOutcome {
-    /// The defects actually present.
-    pub true_defects: DefectMap,
-    /// The defects found by droplet-trace testing.
-    pub detected: DefectMap,
-    /// Test droplets dispensed.
-    pub test_droplets: usize,
-    /// Total electrode actuations spent testing.
-    pub test_moves: usize,
-    /// The reconfiguration result based on the detected faults.
-    pub plan: Result<ReconfigPlan, ReconfigFailure>,
-}
-
-impl PipelineOutcome {
-    /// Whether this chip instance ships (reconfiguration succeeded).
-    #[must_use]
-    pub fn ships(&self) -> bool {
-        self.plan.is_ok()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn report_orders_yields_correctly() {
@@ -275,27 +228,6 @@ mod tests {
         assert_eq!(zero.point(), 1.0);
         let some = chip.exact_fault_yield(10, 800, 1);
         assert!(some.point() < 1.0);
-    }
-
-    #[test]
-    fn pipeline_outcome_end_to_end() {
-        let chip = Biochip::dtmb(DtmbKind::Dtmb36, 60);
-        let outcome = chip.simulate_one(0.9, 42);
-        // Droplet-trace testing finds every catastrophic fault it can reach.
-        assert!(outcome.test_droplets >= 1);
-        if outcome.true_defects.is_fault_free() {
-            assert!(outcome.ships());
-        }
-        if let Ok(plan) = &outcome.plan {
-            for (faulty, spare) in plan.iter() {
-                assert!(faulty.is_adjacent(spare));
-                assert!(chip.array().is_spare(spare));
-            }
-        }
-        // Detected faults are a subset of true faults.
-        for c in outcome.detected.faulty_cells() {
-            assert!(outcome.true_defects.is_faulty(c));
-        }
     }
 
     #[test]

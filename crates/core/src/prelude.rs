@@ -8,13 +8,12 @@
 //! assert!(y.point() > 0.0);
 //! ```
 
-pub use crate::{Biochip, PipelineOutcome, YieldReport};
+pub use crate::{Biochip, YieldReport};
 
 pub use dmfb_grid::{CellMap, HexCoord, HexDir, Region, SquareCoord, SquareRegion, Topology};
 
 pub use dmfb_defects::injection::{Bernoulli, ClusteredSpot, ExactCount, InjectionModel};
 pub use dmfb_defects::scenario::{Scenario, ScenarioError, StepAction, Trajectory};
-pub use dmfb_defects::testing::{covering_walk, diagnose, MeasurementModel};
 pub use dmfb_defects::ClusteredDefects;
 pub use dmfb_defects::{CatastrophicDefect, DefectCause, DefectMap, FaultClass};
 

@@ -102,12 +102,6 @@ impl Bernoulli {
         self.defect_probability
     }
 
-    /// The survival probability `p = 1 − q`.
-    #[must_use]
-    pub fn survival_probability(&self) -> f64 {
-        1.0 - self.defect_probability
-    }
-
     /// Topology-generic injection: every cell of `topo` fails independently
     /// with probability `q`, marked with a generic open-connection cause
     /// (cause taxonomy richer than open/failed is hexagonal-specific).
@@ -322,7 +316,6 @@ mod tests {
         let a = Bernoulli::new(0.05);
         let b = Bernoulli::from_survival(0.95);
         assert!((a.defect_probability() - b.defect_probability()).abs() < 1e-12);
-        assert!((b.survival_probability() - 0.95).abs() < 1e-12);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Manufacturing defect models, stochastic injection, and droplet-trace
-//! testing for digital microfluidic biochips.
+//! Manufacturing defect models and stochastic injection for digital
+//! microfluidic biochips.
 //!
 //! Following the paper's Section 4, faults are classified like analog
 //! circuits: **catastrophic** (dielectric breakdown, shorts between
@@ -7,7 +7,7 @@
 //! and **parametric** (geometry deviations that only fail when they exceed
 //! tolerance).
 //!
-//! Three layers live here:
+//! These layers live here:
 //!
 //! * Fault taxonomy and per-chip [`DefectMap`]s ([`fault`], [`map`]).
 //! * Stochastic injection ([`injection`]): the paper's i.i.d. cell-failure
@@ -22,10 +22,6 @@
 //!   seeds spreading over any lattice [`dmfb_grid::Topology`] — the
 //!   "real wafers cluster" model the scheme-generic yield engines accept
 //!   as a drop-in defect sampler.
-//! * Test and diagnosis ([`testing`]): simulation of the electrostatic
-//!   droplet-trace test methodology the paper cites (its refs 10 and 11) — a test
-//!   droplet traverses the cells; catastrophic faults block it; bisection
-//!   over traversal segments localises the faulty cells.
 //! * Scripted campaigns ([`scenario`]): a line-oriented DSL compiling
 //!   named adversarial fault campaigns into deterministic, seeded damage
 //!   trajectories with replayable per-step markers — the targeted-damage
@@ -55,7 +51,6 @@ pub mod map;
 pub mod operational;
 pub mod parametric;
 pub mod scenario;
-pub mod testing;
 
 pub use clustered::ClusteredDefects;
 pub use fault::{CatastrophicDefect, DefectCause, FaultClass, ParametricDefect};

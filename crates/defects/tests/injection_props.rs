@@ -1,7 +1,6 @@
-//! Property-based tests for defect injection and droplet-trace testing.
+//! Property-based tests for defect injection.
 
 use dmfb_defects::injection::{Bernoulli, ClusteredSpot, ExactCount, InjectionModel};
-use dmfb_defects::testing::{covering_walk, diagnose, MeasurementModel};
 use dmfb_defects::{DefectCause, DefectMap};
 use dmfb_grid::{HexCoord, Region};
 use proptest::prelude::*;
@@ -63,31 +62,6 @@ proptest! {
         }
         let mut again = map.clone();
         prop_assert_eq!(again.close_shorts(), 0);
-    }
-
-    /// Covering walks visit every cell of any connected region, stepping
-    /// only between adjacent cells.
-    #[test]
-    fn covering_walks_cover(region in arb_region()) {
-        let walk = covering_walk(&region).expect("parallelograms are connected");
-        let visited: std::collections::BTreeSet<HexCoord> = walk.iter().copied().collect();
-        prop_assert_eq!(visited.len(), region.len());
-        for w in walk.windows(2) {
-            prop_assert!(w[0].is_adjacent(w[1]));
-        }
-    }
-
-    /// Diagnosis finds every catastrophic fault (or reports the cell
-    /// unreachable) and never reports a fault on a healthy cell.
-    #[test]
-    fn diagnosis_sound_and_complete(region in arb_region(), seed in 0u64..300) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let truth = Bernoulli::new(0.15).inject(&region, &mut rng);
-        let report = diagnose(&region, &truth, MeasurementModel::default());
-        prop_assert!(report.catches_all_catastrophic(&truth));
-        for c in report.detected.faulty_cells() {
-            prop_assert!(truth.is_faulty(c), "false positive at {c}");
-        }
     }
 
     /// Map merge is commutative on the fault set (causes may differ).

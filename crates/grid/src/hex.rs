@@ -108,32 +108,6 @@ impl HexDir {
             HexDir::SouthWest => HexDir::NorthEast,
         }
     }
-
-    /// Rotate one step counter-clockwise (60°).
-    #[must_use]
-    pub const fn rotate_ccw(self) -> HexDir {
-        match self {
-            HexDir::East => HexDir::NorthEast,
-            HexDir::NorthEast => HexDir::NorthWest,
-            HexDir::NorthWest => HexDir::West,
-            HexDir::West => HexDir::SouthWest,
-            HexDir::SouthWest => HexDir::SouthEast,
-            HexDir::SouthEast => HexDir::East,
-        }
-    }
-
-    /// Rotate one step clockwise (60°).
-    #[must_use]
-    pub const fn rotate_cw(self) -> HexDir {
-        match self {
-            HexDir::East => HexDir::SouthEast,
-            HexDir::SouthEast => HexDir::SouthWest,
-            HexDir::SouthWest => HexDir::West,
-            HexDir::West => HexDir::NorthWest,
-            HexDir::NorthWest => HexDir::NorthEast,
-            HexDir::NorthEast => HexDir::East,
-        }
-    }
 }
 
 impl HexCoord {
@@ -227,45 +201,6 @@ impl HexCoord {
     /// from the centre outwards. Contains `1 + 3*radius*(radius+1)` cells.
     pub fn spiral(self, radius: u32) -> impl Iterator<Item = HexCoord> {
         (0..=radius).flat_map(move |k| self.ring(k))
-    }
-
-    /// Rotates 60° counter-clockwise about the origin
-    /// (cube `(x, y, z) → (−z, −x, −y)`).
-    ///
-    /// ```
-    /// use dmfb_grid::HexCoord;
-    /// let c = HexCoord::new(2, -1);
-    /// let mut r = c;
-    /// for _ in 0..6 { r = r.rotated_ccw(); }
-    /// assert_eq!(r, c);
-    /// ```
-    #[must_use]
-    pub fn rotated_ccw(self) -> HexCoord {
-        let (x, y, z) = self.to_cube();
-        HexCoord::from_cube(-z, -x, -y)
-    }
-
-    /// Rotates 60° clockwise about the origin
-    /// (cube `(x, y, z) → (−y, −z, −x)`).
-    #[must_use]
-    pub fn rotated_cw(self) -> HexCoord {
-        let (x, y, z) = self.to_cube();
-        HexCoord::from_cube(-y, -z, -x)
-    }
-
-    /// Rotates 60° counter-clockwise about `center`.
-    #[must_use]
-    pub fn rotated_ccw_around(self, center: HexCoord) -> HexCoord {
-        (self - center).rotated_ccw() + center
-    }
-
-    /// Reflects across the `q` axis (cube `(x, y, z) → (x, z, y)`): an
-    /// involution that, combined with the rotations, generates the full
-    /// 12-element symmetry group of the hexagonal lattice.
-    #[must_use]
-    pub fn reflected(self) -> HexCoord {
-        let (x, y, z) = self.to_cube();
-        HexCoord::from_cube(x, z, y)
     }
 
     /// Cells on the straight line from `self` to `other`, inclusive of both
@@ -438,18 +373,6 @@ mod tests {
         let c = HexCoord::new(-5, 9);
         for d in HexDir::ALL {
             assert_eq!(c.step(d).step(d.opposite()), c);
-        }
-    }
-
-    #[test]
-    fn rotation_cycles() {
-        for d in HexDir::ALL {
-            let mut x = d;
-            for _ in 0..6 {
-                x = x.rotate_ccw();
-            }
-            assert_eq!(x, d);
-            assert_eq!(d.rotate_ccw().rotate_cw(), d);
         }
     }
 

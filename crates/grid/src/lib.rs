@@ -12,7 +12,7 @@
 //! * [`HexCoord`] — axial coordinates on the hexagonal lattice, with the six
 //!   [`HexDir`] transport directions, distances, rings, spirals and lines.
 //! * [`SquareCoord`] — integer coordinates on the square lattice with
-//!   4-neighbour ([`SquareDir`]) and 8-neighbour adjacency.
+//!   4-neighbour ([`SquareDir`]) adjacency.
 //! * [`Region`] — a finite set of hexagonal cells (the biochip outline) with
 //!   deterministic iteration order, boundary/interior classification and
 //!   shape constructors (parallelogram, hexagon, rectangle, arbitrary sets).

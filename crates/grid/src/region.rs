@@ -203,39 +203,6 @@ impl Region {
             cells: self.cells.iter().map(|c| *c + offset).collect(),
         }
     }
-
-    /// Returns a new region with every cell mapped through `f`.
-    /// If `f` is not injective on the region the result is smaller.
-    #[must_use]
-    pub fn transformed(&self, mut f: impl FnMut(HexCoord) -> HexCoord) -> Region {
-        Region {
-            cells: self.cells.iter().map(|c| f(*c)).collect(),
-        }
-    }
-
-    /// The set difference `self \ other`.
-    #[must_use]
-    pub fn difference(&self, other: &Region) -> Region {
-        Region {
-            cells: self.cells.difference(&other.cells).copied().collect(),
-        }
-    }
-
-    /// The set union.
-    #[must_use]
-    pub fn union(&self, other: &Region) -> Region {
-        Region {
-            cells: self.cells.union(&other.cells).copied().collect(),
-        }
-    }
-
-    /// The set intersection.
-    #[must_use]
-    pub fn intersection(&self, other: &Region) -> Region {
-        Region {
-            cells: self.cells.intersection(&other.cells).copied().collect(),
-        }
-    }
 }
 
 impl FromIterator<HexCoord> for Region {
@@ -311,15 +278,6 @@ mod tests {
         region.insert(HexCoord::new(5, 5));
         assert!(!region.is_connected());
         assert!(Region::new().is_connected());
-    }
-
-    #[test]
-    fn set_operations() {
-        let a = Region::parallelogram(3, 1);
-        let b = Region::parallelogram(2, 2);
-        assert_eq!(a.union(&b).len(), 3 + 4 - 2);
-        assert_eq!(a.intersection(&b).len(), 2);
-        assert_eq!(a.difference(&b).len(), 1);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! with one text row per lattice row `r` and a half-cell indentation per
 //! row, which preserves the six-neighbour adjacency visually.
 
-use crate::{CellMap, HexCoord, Region, SquareCoord, SquareRegion};
+use crate::{HexCoord, Region, SquareCoord, SquareRegion};
 
 /// Renders a hexagonal region, one glyph per cell, using `glyph` to choose
 /// the character for each coordinate.
@@ -46,17 +46,6 @@ pub fn hex(region: &Region, mut glyph: impl FnMut(HexCoord) -> char) -> String {
         out.push('\n');
     }
     out
-}
-
-/// Renders a hexagonal region using a payload map; cells missing from the
-/// map (but inside the region) print as `default`.
-pub fn hex_map<T>(
-    region: &Region,
-    map: &CellMap<T>,
-    mut glyph: impl FnMut(&T) -> char,
-    default: char,
-) -> String {
-    hex(region, |c| map.get(c).map_or(default, &mut glyph))
 }
 
 /// Renders a square region, one glyph per cell, row by row.
@@ -107,15 +96,6 @@ mod tests {
         let region = Region::parallelogram(2, 1);
         let art = hex(&region, |c| if c.q == 0 { 'a' } else { 'b' });
         assert!(art.contains('a') && art.contains('b'));
-    }
-
-    #[test]
-    fn hex_map_uses_default_for_missing() {
-        let region = Region::parallelogram(2, 1);
-        let mut map = CellMap::new();
-        map.insert(HexCoord::new(0, 0), 7);
-        let art = hex_map(&region, &map, |_| 'x', '.');
-        assert!(art.contains('x') && art.contains('.'));
     }
 
     #[test]

@@ -95,25 +95,6 @@ impl SquareCoord {
         SquareDir::ALL.into_iter().map(move |d| self.step(d))
     }
 
-    /// The eight surrounding cells, including diagonals. Diagonal adjacency
-    /// matters for *fluidic constraints*: two independent droplets must not
-    /// occupy diagonally adjacent electrodes or they may merge.
-    pub fn neighbors8(self) -> impl Iterator<Item = SquareCoord> {
-        let deltas = [
-            (0, -1),
-            (1, -1),
-            (1, 0),
-            (1, 1),
-            (0, 1),
-            (-1, 1),
-            (-1, 0),
-            (-1, -1),
-        ];
-        deltas
-            .into_iter()
-            .map(move |(dx, dy)| SquareCoord::new(self.x + dx, self.y + dy))
-    }
-
     /// Manhattan distance: minimum droplet moves on an unobstructed array.
     #[must_use]
     pub fn manhattan(self, other: SquareCoord) -> u32 {
@@ -124,12 +105,6 @@ impl SquareCoord {
     #[must_use]
     pub fn is_adjacent4(self, other: SquareCoord) -> bool {
         self.manhattan(other) == 1
-    }
-
-    /// Whether `other` is within the 8-neighbourhood (excludes `self`).
-    #[must_use]
-    pub fn is_adjacent8(self, other: SquareCoord) -> bool {
-        self != other && self.x.abs_diff(other.x) <= 1 && self.y.abs_diff(other.y) <= 1
     }
 }
 
@@ -249,17 +224,6 @@ mod tests {
             assert!(c.is_adjacent4(x));
             assert_eq!(c.manhattan(x), 1);
         }
-    }
-
-    #[test]
-    fn eight_neighbors_include_diagonals() {
-        let c = SquareCoord::new(0, 0);
-        let n: HashSet<_> = c.neighbors8().collect();
-        assert_eq!(n.len(), 8);
-        assert!(n.contains(&SquareCoord::new(1, 1)));
-        assert!(c.is_adjacent8(SquareCoord::new(-1, 1)));
-        assert!(!c.is_adjacent8(c));
-        assert!(!c.is_adjacent4(SquareCoord::new(1, 1)));
     }
 
     #[test]

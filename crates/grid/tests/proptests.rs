@@ -96,39 +96,4 @@ proptest! {
         let i = region.interior().count();
         prop_assert_eq!(b + i, region.len());
     }
-
-    /// Rotations are distance-preserving bijections of order 6; the
-    /// reflection is an involution; cw and ccw are inverses.
-    #[test]
-    fn symmetry_group_laws(a in arb_coord(), b in arb_coord()) {
-        prop_assert_eq!(a.rotated_ccw().rotated_cw(), a);
-        prop_assert_eq!(a.reflected().reflected(), a);
-        prop_assert_eq!(a.rotated_ccw().distance(b.rotated_ccw()), a.distance(b));
-        prop_assert_eq!(a.reflected().distance(b.reflected()), a.distance(b));
-        let mut six = a;
-        for _ in 0..6 {
-            six = six.rotated_ccw();
-        }
-        prop_assert_eq!(six, a);
-        // Rotation about a center fixes the center.
-        prop_assert_eq!(b.rotated_ccw_around(b), b);
-        prop_assert_eq!(a.rotated_ccw_around(b).distance(b), a.distance(b));
-    }
-
-    /// Region transforms under lattice symmetries preserve cardinality,
-    /// connectivity, and interior size.
-    #[test]
-    fn region_symmetry_invariants(w in 2u32..8, h in 2u32..8) {
-        let region = Region::parallelogram(w, h);
-        let rotated = region.transformed(HexCoord::rotated_ccw);
-        prop_assert_eq!(rotated.len(), region.len());
-        prop_assert!(rotated.is_connected());
-        prop_assert_eq!(
-            rotated.interior().count(),
-            region.interior().count()
-        );
-        let reflected = region.transformed(HexCoord::reflected);
-        prop_assert_eq!(reflected.len(), region.len());
-        prop_assert_eq!(reflected.boundary().count(), region.boundary().count());
-    }
 }

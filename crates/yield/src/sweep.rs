@@ -29,25 +29,6 @@ impl YieldCurve {
         }
     }
 
-    /// Applies a transformation to every `y` (and its CI), e.g. the
-    /// `1/(1+RR)` effective-yield scaling.
-    #[must_use]
-    pub fn map_y(&self, f: impl Fn(f64) -> f64) -> YieldCurve {
-        YieldCurve {
-            label: self.label.clone(),
-            points: self
-                .points
-                .iter()
-                .map(|p| YieldPoint {
-                    x: p.x,
-                    y: f(p.y),
-                    ci95: (f(p.ci95.0), f(p.ci95.1)),
-                    trials: p.trials,
-                })
-                .collect(),
-        }
-    }
-
     /// Linear interpolation of the curve at `x`; clamps outside the domain.
     /// Returns `None` for an empty curve.
     #[must_use]
@@ -153,14 +134,6 @@ mod tests {
         // No crossing when one dominates.
         let c = YieldCurve::new("c", vec![pt(0.0, 2.0), pt(1.0, 2.0)]);
         assert!(a.crossover_with(&c).is_empty());
-    }
-
-    #[test]
-    fn map_y_scales() {
-        let c = YieldCurve::new("c", vec![pt(0.0, 0.8)]);
-        let e = c.map_y(|y| y / 2.0);
-        assert!((e.points[0].y - 0.4).abs() < 1e-12);
-        assert_eq!(e.label, "c");
     }
 
     #[test]

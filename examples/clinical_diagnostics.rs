@@ -1,8 +1,8 @@
 //! Clinical scenario: multiplexed in-vitro diagnostics on a defective chip.
 //!
 //! A DTMB(2,6) diagnostics biochip (252 primary + 91 spare cells, paper
-//! Figure 12) comes off the line with manufacturing defects. We test it,
-//! reconfigure it, and then run the full four-assay clinical panel —
+//! Figure 12) comes off the line with manufacturing defects. We reconfigure
+//! it around its fault map, and then run the full four-assay clinical panel —
 //! glucose and lactate on two patient samples — through droplet transport,
 //! mixing, Trinder-reaction kinetics, and noisy photometric detection.
 //!
@@ -42,18 +42,9 @@ fn main() {
         on_assay
     );
 
-    // Droplet-trace testing localises the faults.
-    let diagnosis = diagnose(chip.array.region(), &defects, MeasurementModel::default());
-    println!(
-        "test: {} droplet(s), {} electrode actuations, {} fault(s) localised",
-        diagnosis.droplets_used,
-        diagnosis.total_moves,
-        diagnosis.detected.fault_count()
-    );
-
     // Local reconfiguration (used-cells policy).
     let policy = used_cells_policy(&chip);
-    let plan = match attempt_reconfiguration(&chip.array, &diagnosis.detected, &policy) {
+    let plan = match attempt_reconfiguration(&chip.array, &defects, &policy) {
         Ok(plan) => {
             println!(
                 "reconfiguration: OK, {} assay cell(s) replaced by spares",

@@ -6,6 +6,8 @@
 //! ```
 
 use dmfb_core::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn main() {
     // 1. A DTMB(2,6) biochip with 100 primary cells: every primary cell is
@@ -32,17 +34,13 @@ fn main() {
         report.effective_yield
     );
 
-    // 3. One chip instance end to end: inject defects, test with droplet
-    //    traces, reconfigure from what the test found.
-    let outcome = chip.simulate_one(0.95, 7);
-    println!(
-        "one chip: {} true fault(s), {} detected with {} test droplet(s) / {} moves",
-        outcome.true_defects.fault_count(),
-        outcome.detected.fault_count(),
-        outcome.test_droplets,
-        outcome.test_moves,
-    );
-    match &outcome.plan {
+    // 3. One chip instance end to end: inject defects, then reconfigure
+    //    from the fault map.
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut defects = Bernoulli::from_survival(0.95).inject(chip.array().region(), &mut rng);
+    defects.close_shorts();
+    println!("one chip: {} fault(s)", defects.fault_count());
+    match attempt_reconfiguration(chip.array(), &defects, chip.policy()) {
         Ok(plan) => {
             println!("  ships! {} replacement(s):", plan.len());
             for (faulty, spare) in plan.iter() {

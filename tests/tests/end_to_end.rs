@@ -1,61 +1,10 @@
-//! End-to-end pipeline tests across crates: injection → droplet-trace
-//! testing → reconfiguration → assay execution.
+//! End-to-end pipeline tests across crates: injection → reconfiguration
+//! → assay execution.
 
 use dmfb_core::prelude::*;
 use dmfb_integration_tests::TEST_SEEDS;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// The triage pipeline is sound for every design: detected faults are true
-/// faults, and a shipped chip's plan replaces every detected in-scope
-/// faulty primary with a distinct adjacent fault-free spare.
-#[test]
-fn triage_pipeline_sound_for_all_designs() {
-    for kind in DtmbKind::ALL {
-        let chip = Biochip::dtmb(kind, 80);
-        for (i, &seed) in TEST_SEEDS.iter().enumerate() {
-            let outcome = chip.simulate_one(0.93, seed + i as u64);
-            for c in outcome.detected.faulty_cells() {
-                assert!(outcome.true_defects.is_faulty(c), "{kind}: ghost fault {c}");
-            }
-            if let Ok(plan) = &outcome.plan {
-                let mut used = std::collections::BTreeSet::new();
-                for (faulty, spare) in plan.iter() {
-                    assert!(faulty.is_adjacent(spare), "{kind}");
-                    assert!(chip.array().is_spare(spare), "{kind}");
-                    assert!(!outcome.detected.is_faulty(spare), "{kind}");
-                    assert!(used.insert(spare), "{kind}: spare reused");
-                }
-            }
-        }
-    }
-}
-
-/// Diagnosed-fault reconfiguration agrees with oracle-fault
-/// reconfiguration whenever testing found everything (connected arrays,
-/// catastrophic faults only).
-#[test]
-fn testing_matches_oracle_for_catastrophic_faults() {
-    let array = DtmbKind::Dtmb36.with_primary_count(60);
-    let mut rng = StdRng::seed_from_u64(TEST_SEEDS[2]);
-    for m in [1usize, 3, 6] {
-        let defects = ExactCount::new(m).inject(array.region(), &mut rng);
-        let diagnosis = diagnose(array.region(), &defects, MeasurementModel::default());
-        if diagnosis.unreachable.is_empty() {
-            assert_eq!(
-                diagnosis.detected.fault_count(),
-                defects.fault_count(),
-                "all catastrophic faults found"
-            );
-            let via_test =
-                attempt_reconfiguration(&array, &diagnosis.detected, &ReconfigPolicy::AllPrimaries)
-                    .is_ok();
-            let via_oracle =
-                attempt_reconfiguration(&array, &defects, &ReconfigPolicy::AllPrimaries).is_ok();
-            assert_eq!(via_test, via_oracle);
-        }
-    }
-}
 
 /// A reconfigured case-study chip still runs its clinical panel, and the
 /// measured concentrations stay clinically usable.
@@ -85,19 +34,6 @@ fn reconfigured_chip_completes_clinical_panel() {
             o.true_concentration_mm
         );
     }
-}
-
-/// The same seeds produce the same pipeline outcomes (full determinism
-/// across the crate stack).
-#[test]
-fn pipeline_is_deterministic() {
-    let chip = Biochip::dtmb(DtmbKind::Dtmb26B, 70);
-    let a = chip.simulate_one(0.9, 999);
-    let b = chip.simulate_one(0.9, 999);
-    assert_eq!(a.true_defects, b.true_defects);
-    assert_eq!(a.detected, b.detected);
-    assert_eq!(a.test_droplets, b.test_droplets);
-    assert_eq!(a.ships(), b.ships());
 }
 
 /// Clustered defects (violating the paper's independence assumption) hurt
