@@ -614,7 +614,7 @@ fn cmd_yield(opts: &Options) -> Result<(), String> {
         outln!(
             "raw yield         : {:.4}  (exact: p^n over n = {} in-scope primaries)",
             r.raw_yield,
-            engine.evaluator().primary_count()
+            engine.evaluator().unit_count()
         );
         outln!("reconfigured yield: {}", r.reconfigured_yield);
         outln!("effective yield   : {:.4}", r.effective_yield);

@@ -133,7 +133,7 @@ impl Biochip {
         p: f64,
         reconfigured: BernoulliEstimate,
     ) -> YieldReport {
-        let raw_yield = analytical::no_redundancy_yield(p, engine.evaluator().primary_count());
+        let raw_yield = analytical::no_redundancy_yield(p, engine.evaluator().unit_count());
         let analytical = match self.array.kind() {
             Some(DtmbKind::Dtmb16) => Some(analytical::dtmb16_yield(p, self.array.primary_count())),
             None => Some(analytical::no_redundancy_yield(

@@ -21,8 +21,9 @@
 //!   reconfiguration engine are generic over.
 //! * [`CellMap`] — per-cell payload storage over a region, generic over the
 //!   cell coordinate type.
-//! * [`SlotIndex`] — dense slot arithmetic over a region's padded axial
-//!   bounding box, for flat per-cell arrays with fixed neighbour offsets.
+//! * [`SlotIndex`] — dense slot arithmetic over a padded bounding box on
+//!   either lattice ([`Lattice`]), for flat per-cell arrays with fixed
+//!   neighbour offsets.
 //! * [`render`] — ASCII rendering used by the figure generators.
 //!
 //! # Example
@@ -55,6 +56,6 @@ pub use error::GridError;
 pub use hex::{HexCoord, HexDir, Ring};
 pub use map::CellMap;
 pub use region::Region;
-pub use slots::SlotIndex;
+pub use slots::{Lattice, SlotIndex};
 pub use square::{SquareCoord, SquareDir, SquareRegion};
 pub use topology::Topology;

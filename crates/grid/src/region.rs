@@ -180,22 +180,6 @@ impl Region {
         seen.len() == self.cells.len()
     }
 
-    /// Axial bounding box `((q_min, r_min), (q_max, r_max))`, or `None` for
-    /// an empty region.
-    #[must_use]
-    pub fn bounds(&self) -> Option<(HexCoord, HexCoord)> {
-        let mut it = self.cells.iter();
-        let first = *it.next()?;
-        let (mut qmin, mut qmax, mut rmin, mut rmax) = (first.q, first.q, first.r, first.r);
-        for c in it {
-            qmin = qmin.min(c.q);
-            qmax = qmax.max(c.q);
-            rmin = rmin.min(c.r);
-            rmax = rmax.max(c.r);
-        }
-        Some((HexCoord::new(qmin, rmin), HexCoord::new(qmax, rmax)))
-    }
-
     /// Returns a new region translated by `offset`.
     #[must_use]
     pub fn translated(&self, offset: HexCoord) -> Region {
@@ -230,6 +214,7 @@ impl<'a> IntoIterator for &'a Region {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Topology;
 
     #[test]
     fn parallelogram_counts() {

@@ -5,7 +5,7 @@
 //! with one text row per lattice row `r` and a half-cell indentation per
 //! row, which preserves the six-neighbour adjacency visually.
 
-use crate::{HexCoord, Region, SquareCoord, SquareRegion};
+use crate::{HexCoord, Lattice, Region, SquareCoord, SquareRegion, Topology};
 
 /// Renders a hexagonal region, one glyph per cell, using `glyph` to choose
 /// the character for each coordinate.
@@ -23,51 +23,32 @@ use crate::{HexCoord, Region, SquareCoord, SquareRegion};
 /// let art = render::hex(&region, |_| '*');
 /// assert_eq!(art.lines().count(), 2);
 /// ```
-pub fn hex(region: &Region, mut glyph: impl FnMut(HexCoord) -> char) -> String {
-    let Some((lo, hi)) = region.bounds() else {
-        return String::new();
-    };
-    let mut out = String::new();
-    for r in lo.r..=hi.r {
-        let mut line = String::new();
-        // Half-cell shear: row r starts (r - lo.r) half-steps to the right.
-        let indent = (r - lo.r) as usize;
-        line.extend(std::iter::repeat_n(' ', indent));
-        for q in lo.q..=hi.q {
-            let c = HexCoord::new(q, r);
-            if region.contains(c) {
-                line.push(glyph(c));
-            } else {
-                line.push(' ');
-            }
-            line.push(' ');
-        }
-        out.push_str(line.trim_end());
-        out.push('\n');
-    }
-    out
+pub fn hex(region: &Region, glyph: impl FnMut(HexCoord) -> char) -> String {
+    rows(region, true, glyph)
 }
 
 /// Renders a square region, one glyph per cell, row by row.
-pub fn square(region: &SquareRegion, mut glyph: impl FnMut(SquareCoord) -> char) -> String {
-    let cells: Vec<SquareCoord> = region.iter().collect();
-    if cells.is_empty() {
+pub fn square(region: &SquareRegion, glyph: impl FnMut(SquareCoord) -> char) -> String {
+    rows(region, false, glyph)
+}
+
+/// One text row per minor-axis value (`r` or `y`) of the bounding box,
+/// one glyph per major-axis value, spaces off the topology; `shear`
+/// indents each row one half-cell past the one above.
+fn rows<T: Topology>(topo: &T, shear: bool, mut glyph: impl FnMut(T::Coord) -> char) -> String {
+    let Some((lo, hi)) = topo.bounds() else {
         return String::new();
-    }
-    let xmin = cells.iter().map(|c| c.x).min().expect("non-empty");
-    let xmax = cells.iter().map(|c| c.x).max().expect("non-empty");
-    let ymin = cells.iter().map(|c| c.y).min().expect("non-empty");
-    let ymax = cells.iter().map(|c| c.y).max().expect("non-empty");
+    };
+    let ((x0, y0), (x1, y1)) = (lo.axes(), hi.axes());
     let mut out = String::new();
-    for y in ymin..=ymax {
+    for y in y0..=y1 {
         let mut line = String::new();
-        for x in xmin..=xmax {
-            let c = SquareCoord::new(x, y);
-            if region.contains(c) {
-                line.push(glyph(c));
-            } else {
-                line.push(' ');
-            }
+        if shear {
+            line.extend(std::iter::repeat_n(' ', (y - y0) as usize));
+        }
+        for x in x0..=x1 {
+            let c = T::Coord::from_axes(x, y);
+            line.push(if topo.contains_cell(c) { glyph(c) } else { ' ' });
             line.push(' ');
         }
         out.push_str(line.trim_end());

@@ -11,8 +11,7 @@
 //! reconfiguration engine can be written once and ride on either lattice
 //! (or any future one).
 
-use crate::{HexCoord, Region, SquareCoord, SquareRegion};
-use std::fmt;
+use crate::{HexCoord, Lattice, Region, SquareCoord, SquareRegion};
 
 /// A finite set of cells with an adjacency relation — the geometric
 /// substrate a redundancy scheme is instantiated on.
@@ -37,8 +36,9 @@ use std::fmt;
 /// assert_eq!(square.full_degree(), 4);
 /// ```
 pub trait Topology {
-    /// The coordinate type of a cell on this topology.
-    type Coord: Copy + Ord + Eq + fmt::Debug + Send + Sync;
+    /// The coordinate type of a cell on this topology; its [`Lattice`]
+    /// arithmetic lays the cells out on a [`crate::SlotIndex`].
+    type Coord: Lattice;
 
     /// Number of cells in the topology.
     fn cell_count(&self) -> usize;
@@ -46,16 +46,31 @@ pub trait Topology {
     /// Whether `cell` belongs to the topology.
     fn contains_cell(&self, cell: Self::Coord) -> bool;
 
-    /// The lattice degree of an unobstructed interior cell (6 on the
-    /// hexagonal lattice, 4 on the square lattice). Cells with fewer
-    /// in-topology neighbours are boundary cells.
-    fn full_degree(&self) -> usize;
-
     /// Iterates every cell in sorted (deterministic) order.
     fn cells_iter(&self) -> impl Iterator<Item = Self::Coord> + '_;
 
     /// Iterates the in-topology neighbours of `cell`.
     fn neighbors_of(&self, cell: Self::Coord) -> impl Iterator<Item = Self::Coord> + '_;
+
+    /// The lattice degree of an unobstructed interior cell (6 on the
+    /// hexagonal lattice, 4 on the square lattice). Cells with fewer
+    /// in-topology neighbours are boundary cells.
+    fn full_degree(&self) -> usize {
+        Self::Coord::STEPS.len()
+    }
+
+    /// The bounding box `(lo, hi)` of the cells, inclusive on both
+    /// [`Lattice`] axes, or `None` for an empty topology.
+    fn bounds(&self) -> Option<(Self::Coord, Self::Coord)> {
+        let (x0, y0, x1, y1) = self
+            .cells_iter()
+            .map(Lattice::axes)
+            .fold(None, |b, (x, y)| {
+                let (x0, y0, x1, y1) = b.unwrap_or((x, y, x, y));
+                Some((x0.min(x), y0.min(y), x1.max(x), y1.max(y)))
+            })?;
+        Some((Lattice::from_axes(x0, y0), Lattice::from_axes(x1, y1)))
+    }
 
     /// In-topology degree of `cell`.
     fn degree_of(&self, cell: Self::Coord) -> usize {
@@ -80,10 +95,6 @@ impl Topology for Region {
         self.contains(cell)
     }
 
-    fn full_degree(&self) -> usize {
-        6
-    }
-
     fn cells_iter(&self) -> impl Iterator<Item = HexCoord> + '_ {
         self.iter()
     }
@@ -102,10 +113,6 @@ impl Topology for SquareRegion {
 
     fn contains_cell(&self, cell: SquareCoord) -> bool {
         self.contains(cell)
-    }
-
-    fn full_degree(&self) -> usize {
-        4
     }
 
     fn cells_iter(&self) -> impl Iterator<Item = SquareCoord> + '_ {
@@ -153,6 +160,14 @@ mod tests {
         assert!(!region.is_interior_cell(corner));
         assert!(region.is_interior_cell(SquareCoord::new(1, 1)));
         assert_eq!(interior_count(&region), 2);
+        let shifted: SquareRegion = [(-3, 4), (1, -2), (0, 0)]
+            .map(|(x, y)| SquareCoord::new(x, y))
+            .into_iter()
+            .collect();
+        assert_eq!(
+            shifted.bounds(),
+            Some((SquareCoord::new(-3, -2), SquareCoord::new(1, 4)))
+        );
     }
 
     #[test]

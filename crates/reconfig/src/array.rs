@@ -1,7 +1,7 @@
 //! Defect-tolerant arrays: regions with a primary/spare role per cell.
 
 use crate::dtmb::DtmbKind;
-use dmfb_grid::{CellMap, GridError, HexCoord, Region, SlotIndex};
+use dmfb_grid::{CellMap, GridError, HexCoord, Region, SlotIndex, Topology};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -13,6 +13,20 @@ pub enum CellRole {
     /// An interstitial spare that can functionally replace an adjacent
     /// faulty primary via local reconfiguration.
     Spare,
+}
+
+/// Lays `topo`'s cells out on a [`SlotIndex`] over its bounding box: the
+/// index, and `role(c)` in each cell's slot (`None` off the topology).
+pub(crate) fn role_slots<T: Topology>(
+    topo: &T,
+    mut role: impl FnMut(T::Coord) -> CellRole,
+) -> (SlotIndex<T::Coord>, Vec<Option<CellRole>>) {
+    let index = SlotIndex::covering(topo);
+    let mut roles = vec![None; index.slot_count()];
+    for c in topo.cells_iter() {
+        roles[index.slot(c).expect("topology cells lie in the box")] = Some(role(c));
+    }
+    (index, roles)
 }
 
 /// A microfluidic array whose cells are partitioned into primary and spare
@@ -92,14 +106,12 @@ impl DefectTolerantArray {
         kind: Option<DtmbKind>,
         mut role: impl FnMut(HexCoord) -> CellRole,
     ) -> Self {
-        let index = SlotIndex::covering(&region);
-        let mut roles = vec![None; index.slot_count()];
         let mut spares = 0;
-        for c in region.iter() {
+        let (index, roles) = role_slots(&region, |c| {
             let r = role(c);
             spares += usize::from(r == CellRole::Spare);
-            roles[index.slot(c).expect("region cells lie in the box")] = Some(r);
-        }
+            r
+        });
         DefectTolerantArray {
             primaries: region.len() - spares,
             spares,

@@ -475,15 +475,16 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
     /// `false`.
     fn augment(&self, root: u32, lane: u32, res_words: &[u64], m: &mut LaneMatcher) -> bool {
         let visit = next_generation(&mut m.visit_gen, &mut m.visited);
+        let (offsets, adj_res) = (&self.structure.adj_offsets, &self.structure.adj_res);
         m.stack.clear();
-        m.stack.push((root, self.adj_offsets[root as usize]));
+        m.stack.push((root, offsets[root as usize]));
         while let Some(frame) = m.stack.last_mut() {
             let unit = frame.0 as usize;
-            if frame.1 == self.adj_offsets[unit + 1] {
+            if frame.1 == offsets[unit + 1] {
                 m.stack.pop();
                 continue;
             }
-            let r = self.adj_res[frame.1 as usize] as usize;
+            let r = adj_res[frame.1 as usize] as usize;
             frame.1 += 1;
             if (res_words[r] >> lane) & 1 == 1 || m.visited[r] == visit {
                 continue;
@@ -491,13 +492,13 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
             m.visited[r] = visit;
             if m.owner_gen[r] == m.lane_gen {
                 let holder = m.owner[r];
-                m.stack.push((holder, self.adj_offsets[holder as usize]));
+                m.stack.push((holder, offsets[holder as usize]));
                 continue;
             }
             // `r` is free: every frame takes the resource its cursor
             // last stepped over, shifting the path by one.
             for &(u, next) in &m.stack {
-                let taken = self.adj_res[next as usize - 1] as usize;
+                let taken = adj_res[next as usize - 1] as usize;
                 m.owner[taken] = u;
                 m.owner_gen[taken] = m.lane_gen;
             }
@@ -711,9 +712,11 @@ mod tests {
     /// `0..units`, resource `j` is cell `100 + j`, and `edges` lists each
     /// unit's candidate resources.
     fn hand_built(edges: &[&[usize]], resources: usize) -> TrialEvaluator<u32> {
-        let mut s = SchemeStructure::new();
-        let res: Vec<usize> = (0..resources)
-            .map(|j| s.add_resource([100 + j as u32]))
+        let units = edges.len() as u32;
+        let cells = (0..units).chain((0..resources as u32).map(|j| 100 + j));
+        let mut s = SchemeStructure::new(cells.collect());
+        let res: Vec<usize> = (0..resources as u32)
+            .map(|j| s.add_resource([units + j]))
             .collect();
         for (i, adj) in edges.iter().enumerate() {
             let unit = s.add_unit([i as u32]);
@@ -721,13 +724,13 @@ mod tests {
                 s.connect(unit, res[j]);
             }
         }
-        TrialEvaluator::from_structure(&s)
+        TrialEvaluator::from_structure(s)
     }
 
     /// Decides one lane (lane 0) with exactly `faulty` cells failed,
     /// checks it against the scalar matcher, and returns the verdict.
     fn decide_lane(eval: &TrialEvaluator<u32>, block: &mut TrialBlock, faulty: &[u32]) -> bool {
-        for (word, cell) in block.cell_words.iter_mut().zip(&eval.cells) {
+        for (word, cell) in block.cell_words.iter_mut().zip(&eval.structure.cells) {
             *word = u64::from(faulty.contains(cell));
         }
         let verdict = eval.decide_group_masked(block, 1) == 1;

@@ -12,10 +12,12 @@
 //! once per scheme instance — from a hex `(array, policy)` pair via
 //! [`TrialEvaluator::new`], or from **any** [`RedundancyScheme`] over any
 //! [`Topology`] via [`TrialEvaluator::for_scheme`] —
-//! it stores the compiled [`SchemeStructure`] in CSR form: the relevant
-//! cells, the replaceable *units* (primary cells, or module rows for the
-//! spare-row baseline), the spare *resources*, and the unit→resource
-//! adjacency. A trial then only (a) draws one uniform per relevant cell,
+//! it takes over the compiled [`SchemeStructure`], CSR arrays of the
+//! relevant cells, the replaceable *units* (primary cells, or module rows
+//! for the spare-row baseline), the spare *resources*, and the
+//! unit→resource adjacency, adding only the reverse adjacency. Both
+//! constructors of cell-level evaluators run the one compiler in
+//! `scheme.rs`. A trial then only (a) draws one uniform per relevant cell,
 //! (b) aggregates them into per-unit/per-resource fault flags, and
 //! (c) runs the bitset Hopcroft–Karp from `dmfb-graph` over a reusable
 //! [`BitsetGraph`] — no maps, no lattice walks, no allocations after
@@ -29,9 +31,9 @@
 //! calls — one Monte-Carlo pass serves an entire yield curve, for every
 //! scheme alike.
 
-use crate::array::{CellRole, DefectTolerantArray};
+use crate::array::DefectTolerantArray;
 use crate::local::{ReconfigFailure, ReconfigPlan, ReconfigPolicy};
-use crate::scheme::{RedundancyScheme, SchemeStructure};
+use crate::scheme::{compile_cells, RedundancyScheme, SchemeStructure};
 use dmfb_defects::DefectMap;
 use dmfb_graph::{BitsetGraph, BitsetMatcher};
 use dmfb_grid::{HexCoord, Topology};
@@ -74,21 +76,8 @@ use rand::Rng;
 /// ```
 #[derive(Clone, Debug)]
 pub struct TrialEvaluator<C = HexCoord> {
-    /// Distinct relevant cells, sorted; index space for fault draws.
-    pub(crate) cells: Vec<C>,
-    /// CSR offsets into `unit_cells`, length `unit_count + 1`.
-    pub(crate) unit_offsets: Vec<u32>,
-    /// Concatenated member-cell indices per unit.
-    pub(crate) unit_cells: Vec<u32>,
-    /// CSR offsets into `res_cells`, length `resource_count + 1`.
-    pub(crate) res_offsets: Vec<u32>,
-    /// Concatenated member-cell indices per resource (an empty slice means
-    /// the resource is indestructible).
-    pub(crate) res_cells: Vec<u32>,
-    /// CSR offsets into `adj_res`, length `unit_count + 1`.
-    pub(crate) adj_offsets: Vec<u32>,
-    /// Concatenated candidate-resource indices per unit.
-    pub(crate) adj_res: Vec<u32>,
+    /// The compiled structure, taken over as it is.
+    pub(crate) structure: SchemeStructure<C>,
     /// CSR offsets into `rev_units`, length `resource_count + 1`.
     pub(crate) rev_offsets: Vec<u32>,
     /// Concatenated distinct unit indices per resource: the reverse of
@@ -131,67 +120,15 @@ pub struct TrialScratch {
 }
 
 impl TrialEvaluator<HexCoord> {
-    /// Builds the evaluator for a hexagonal DTMB `array` under `policy`.
-    /// Cost is one pass over the array's role slots — amortised over
-    /// every subsequent trial. Units are the in-scope primaries in sorted
-    /// order; resources are the spares bordering at least one of them,
-    /// numbered as first met in [`dmfb_grid::HexDir::ALL`] order — the
-    /// structure [`TrialEvaluator::from_structure`] would compile, emitted
-    /// straight into CSR form.
+    /// Builds the evaluator for a hexagonal DTMB `array` under `policy`:
+    /// the cell-level compiler over the array's role slots, with units
+    /// filtered by [`ReconfigPolicy::requires`]. Cost is a few passes over
+    /// the slots — amortised over every subsequent trial.
     #[must_use]
     pub fn new(array: &DefectTolerantArray, policy: &ReconfigPolicy) -> Self {
-        const NONE: u32 = u32::MAX;
-        let index = array.slot_index();
-        let roles = array.slot_roles();
-        let mut unit_slots = Vec::with_capacity(array.primary_count());
-        let mut res_slots = Vec::new();
-        let mut res_of_slot = vec![NONE; roles.len()];
-        let mut adj_offsets = Vec::with_capacity(array.primary_count() + 1);
-        let mut adj_res = Vec::new();
-        adj_offsets.push(0u32);
-        for (slot, role) in roles.iter().enumerate() {
-            if *role != Some(CellRole::Primary) || !policy.requires(index.cell(slot)) {
-                continue;
-            }
-            unit_slots.push(slot);
-            for n in index.neighbors(slot) {
-                if roles[n] != Some(CellRole::Spare) {
-                    continue;
-                }
-                if res_of_slot[n] == NONE {
-                    res_of_slot[n] = res_slots.len() as u32;
-                    res_slots.push(n);
-                }
-                adj_res.push(res_of_slot[n]);
-            }
-            adj_offsets.push(adj_res.len() as u32);
-        }
-        // Units and resources are distinct cells; number them in slot
-        // (sorted cell) order to get the sampled cell index space.
-        let mut cell_of_slot = vec![NONE; roles.len()];
-        for &slot in unit_slots.iter().chain(&res_slots) {
-            cell_of_slot[slot] = 0;
-        }
-        let mut cells = Vec::with_capacity(unit_slots.len() + res_slots.len());
-        for (slot, cell) in cell_of_slot.iter_mut().enumerate() {
-            if *cell != NONE {
-                *cell = cells.len() as u32;
-                cells.push(index.cell(slot));
-            }
-        }
-        let singletons = |n: usize| (0..=n as u32).collect::<Vec<u32>>();
-        let (rev_offsets, rev_units) = reverse_adjacency(&adj_offsets, &adj_res, res_slots.len());
-        TrialEvaluator {
-            cells,
-            unit_offsets: singletons(unit_slots.len()),
-            unit_cells: unit_slots.iter().map(|&s| cell_of_slot[s]).collect(),
-            res_offsets: singletons(res_slots.len()),
-            res_cells: res_slots.iter().map(|&s| cell_of_slot[s]).collect(),
-            adj_offsets,
-            adj_res,
-            rev_offsets,
-            rev_units,
-        }
+        TrialEvaluator::from_structure(compile_cells(array.slot_index(), array.slot_roles(), |c| {
+            policy.requires(c)
+        }))
     }
 
     /// Local reconfiguration of `defects`: the [`ReconfigPlan`] behind a
@@ -247,7 +184,7 @@ impl TrialEvaluator<HexCoord> {
             members.len() == 1,
             "reconfigure requires a cell-level scheme structure"
         );
-        self.cells[members[0] as usize]
+        self.structure.cells[members[0] as usize]
     }
 }
 
@@ -302,54 +239,20 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
     where
         T: Topology<Coord = C>,
     {
-        TrialEvaluator::from_structure(&scheme.compile(topo))
+        TrialEvaluator::from_structure(scheme.compile(topo))
     }
 
-    /// Compiles a [`SchemeStructure`] into CSR form.
+    /// Takes a compiled [`SchemeStructure`] over, adding the reverse
+    /// (resource → unit) adjacency.
     #[must_use]
-    pub fn from_structure(structure: &SchemeStructure<C>) -> Self {
-        let mut cells: Vec<C> = (0..structure.unit_count())
-            .flat_map(|i| structure.unit_cells(i).iter().copied())
-            .chain(
-                (0..structure.resource_count())
-                    .flat_map(|j| structure.resource_cells(j).iter().copied()),
-            )
-            .collect();
-        cells.sort_unstable();
-        cells.dedup();
-        let cell_index =
-            |c: &C| -> u32 { cells.binary_search(c).expect("cell was collected") as u32 };
-        let mut unit_offsets = Vec::with_capacity(structure.unit_count() + 1);
-        let mut unit_cells = Vec::new();
-        unit_offsets.push(0u32);
-        for i in 0..structure.unit_count() {
-            unit_cells.extend(structure.unit_cells(i).iter().map(&cell_index));
-            unit_offsets.push(unit_cells.len() as u32);
-        }
-        let mut res_offsets = Vec::with_capacity(structure.resource_count() + 1);
-        let mut res_cells = Vec::new();
-        res_offsets.push(0u32);
-        for j in 0..structure.resource_count() {
-            res_cells.extend(structure.resource_cells(j).iter().map(&cell_index));
-            res_offsets.push(res_cells.len() as u32);
-        }
-        let mut adj_offsets = Vec::with_capacity(structure.unit_count() + 1);
-        let mut adj_res = Vec::new();
-        adj_offsets.push(0u32);
-        for i in 0..structure.unit_count() {
-            adj_res.extend_from_slice(structure.adjacent_resources(i));
-            adj_offsets.push(adj_res.len() as u32);
-        }
-        let (rev_offsets, rev_units) =
-            reverse_adjacency(&adj_offsets, &adj_res, structure.resource_count());
+    pub fn from_structure(structure: SchemeStructure<C>) -> Self {
+        let (rev_offsets, rev_units) = reverse_adjacency(
+            &structure.adj_offsets,
+            &structure.adj_res,
+            structure.res_offsets.len() - 1,
+        );
         TrialEvaluator {
-            cells,
-            unit_offsets,
-            unit_cells,
-            res_offsets,
-            res_cells,
-            adj_offsets,
-            adj_res,
+            structure,
             rev_offsets,
             rev_units,
         }
@@ -359,39 +262,25 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
     /// primary cells).
     #[must_use]
     pub fn unit_count(&self) -> usize {
-        self.unit_offsets.len() - 1
+        self.structure.unit_offsets.len() - 1
     }
 
     /// Number of spare resources that can ever participate in a matching.
     #[must_use]
     pub fn resource_count(&self) -> usize {
-        self.res_offsets.len() - 1
-    }
-
-    /// Number of in-scope primary cells — hex-flavoured alias of
-    /// [`TrialEvaluator::unit_count`].
-    #[must_use]
-    pub fn primary_count(&self) -> usize {
-        self.unit_count()
-    }
-
-    /// Number of relevant spares — hex-flavoured alias of
-    /// [`TrialEvaluator::resource_count`].
-    #[must_use]
-    pub fn spare_count(&self) -> usize {
-        self.resource_count()
+        self.structure.res_offsets.len() - 1
     }
 
     /// Number of distinct cells whose fault state the evaluator samples.
     #[must_use]
     pub fn cell_count(&self) -> usize {
-        self.cells.len()
+        self.structure.cells.len()
     }
 
     /// Number of unit→resource adjacencies in the precomputed structure.
     #[must_use]
     pub fn edge_count(&self) -> usize {
-        self.adj_res.len()
+        self.structure.adj_res.len()
     }
 
     /// Largest fault count that is **provably** tolerable on this
@@ -414,11 +303,12 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
     /// low-count strata exactly instead of sampling them.
     #[must_use]
     pub fn guaranteed_tolerable_faults(&self) -> usize {
+        let s = &self.structure;
         if self.unit_count() == 0 {
-            return self.cells.len();
+            return s.cells.len();
         }
-        let mut seen = vec![false; self.cells.len()];
-        for &c in self.unit_cells.iter().chain(&self.res_cells) {
+        let mut seen = vec![false; s.cells.len()];
+        for &c in s.unit_cells.iter().chain(&s.res_cells) {
             if std::mem::replace(&mut seen[c as usize], true) {
                 return 0;
             }
@@ -437,18 +327,18 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
     #[must_use]
     pub fn scratch(&self) -> TrialScratch {
         TrialScratch {
-            u_cell: vec![0.0; self.cells.len()],
+            u_cell: vec![0.0; self.structure.cells.len()],
             unit_u: vec![0.0; self.unit_count()],
             res_u: vec![0.0; self.resource_count()],
             faulty_unit: vec![false; self.unit_count()],
             dead_res: vec![false; self.resource_count()],
             rows: Vec::with_capacity(self.unit_count()),
-            edges: Vec::with_capacity(self.adj_res.len()),
+            edges: Vec::with_capacity(self.structure.adj_res.len()),
             col_of_res: vec![0; self.resource_count()],
             col_gen: vec![0; self.resource_count()],
             generation: 0,
             res_of_col: Vec::with_capacity(self.resource_count()),
-            perm: (0..self.cells.len() as u32).collect(),
+            perm: (0..self.structure.cells.len() as u32).collect(),
             graph: BitsetGraph::new(0, 0),
             matcher: BitsetMatcher::new(),
         }
@@ -456,17 +346,20 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
 
     /// Member-cell indices of unit `i`.
     pub(crate) fn unit_members(&self, i: usize) -> &[u32] {
-        &self.unit_cells[self.unit_offsets[i] as usize..self.unit_offsets[i + 1] as usize]
+        &self.structure.unit_cells
+            [self.structure.unit_offsets[i] as usize..self.structure.unit_offsets[i + 1] as usize]
     }
 
     /// Member-cell indices of resource `j`.
     pub(crate) fn res_members(&self, j: usize) -> &[u32] {
-        &self.res_cells[self.res_offsets[j] as usize..self.res_offsets[j + 1] as usize]
+        &self.structure.res_cells
+            [self.structure.res_offsets[j] as usize..self.structure.res_offsets[j + 1] as usize]
     }
 
     /// Candidate resource indices of unit `i`.
     pub(crate) fn adjacent(&self, i: usize) -> &[u32] {
-        &self.adj_res[self.adj_offsets[i] as usize..self.adj_offsets[i + 1] as usize]
+        &self.structure.adj_res
+            [self.structure.adj_offsets[i] as usize..self.structure.adj_offsets[i + 1] as usize]
     }
 
     /// Distinct units that list resource `j` as a candidate.
@@ -652,7 +545,7 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
         rng: &mut StdRng,
         scratch: &mut TrialScratch,
     ) -> bool {
-        let n = self.cells.len();
+        let n = self.structure.cells.len();
         assert!(
             faults <= n,
             "cannot inject {faults} faults into a {n}-cell structure"
@@ -692,13 +585,15 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
     /// The lattice cells making up unit `i` (one cell for interstitial
     /// schemes; a whole module row for the spare-row baseline).
     pub fn unit_coords(&self, i: usize) -> impl Iterator<Item = C> + '_ {
-        self.unit_members(i).iter().map(|&c| self.cells[c as usize])
+        let cells = &self.structure.cells;
+        self.unit_members(i).iter().map(move |&c| cells[c as usize])
     }
 
     /// The lattice cells making up resource `j` (empty for indestructible
     /// resources such as legacy spare rows).
     pub fn resource_coords(&self, j: usize) -> impl Iterator<Item = C> + '_ {
-        self.res_members(j).iter().map(|&c| self.cells[c as usize])
+        let cells = &self.structure.cells;
+        self.res_members(j).iter().map(move |&c| cells[c as usize])
     }
 
     /// Member-cell count of each unit, in unit order.
@@ -717,8 +612,8 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
     /// module row belongs to exactly one unit), which is what makes the
     /// exact survival bounds below valid.
     fn units_overlap(&self) -> bool {
-        let mut seen = vec![false; self.cells.len()];
-        for &c in &self.unit_cells {
+        let mut seen = vec![false; self.structure.cells.len()];
+        for &c in &self.structure.unit_cells {
             if seen[c as usize] {
                 return true;
             }
@@ -807,7 +702,7 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
     /// Stages per-unit/per-resource fault flags from a per-cell fault
     /// predicate.
     fn stage_cell_faults(&self, scratch: &mut TrialScratch, mut is_faulty: impl FnMut(C) -> bool) {
-        for (u, &c) in scratch.u_cell.iter_mut().zip(&self.cells) {
+        for (u, &c) in scratch.u_cell.iter_mut().zip(&self.structure.cells) {
             *u = if is_faulty(c) { 1.0 } else { 0.0 };
         }
         self.stage_marked_cells(scratch);
@@ -846,10 +741,10 @@ mod tests {
     #[test]
     fn structure_mirrors_array() {
         let (array, eval) = evaluator(DtmbKind::Dtmb26A, 80);
-        assert_eq!(eval.primary_count(), array.primary_count());
-        assert!(eval.spare_count() <= array.spare_count());
+        assert_eq!(eval.unit_count(), array.primary_count());
+        assert!(eval.resource_count() <= array.spare_count());
         assert!(eval.edge_count() > 0);
-        assert_eq!(eval.cell_count(), eval.primary_count() + eval.spare_count());
+        assert_eq!(eval.cell_count(), eval.unit_count() + eval.resource_count());
     }
 
     #[test]
@@ -892,7 +787,7 @@ mod tests {
         let array = DtmbKind::Dtmb26A.with_primary_count(50);
         // Empty scope: nothing is required, chips always pass.
         let eval = TrialEvaluator::new(&array, &ReconfigPolicy::UsedCells(BTreeSet::new()));
-        assert_eq!(eval.primary_count(), 0);
+        assert_eq!(eval.unit_count(), 0);
         let mut scratch = eval.scratch();
         let all: Vec<HexCoord> = array.region().iter().collect();
         assert!(eval.evaluate_defects(&DefectMap::from_cells(all), &mut scratch));

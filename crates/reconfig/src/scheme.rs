@@ -19,20 +19,25 @@
 //!   exactly [`SpareRowArray::shifted_replacement`]'s success condition.
 //!
 //! [`RedundancyScheme::compile`] lowers a scheme over a [`Topology`] into
-//! a [`SchemeStructure`], the neutral form the incremental
-//! [`crate::TrialEvaluator`] consumes — which is how square DTMB and
-//! spare-row arrays ride the same bitset-matching/CRN-batched fast engine
+//! a [`SchemeStructure`], CSR arrays over dense cell ids that
+//! [`crate::TrialEvaluator`] takes by move. Every cell-level scheme (hex
+//! and square patterns, hex arrays under a policy) compiles through
+//! `compile_cells`; the spare-row baseline writes its ids by arithmetic.
+//! That is how square DTMB and spare-row arrays ride the same fast engine
 //! as the hexagonal designs.
 
+use crate::array::{role_slots, CellRole};
 use crate::dtmb::DtmbKind;
 use crate::shifted::SpareRowArray;
 use crate::square_dtmb::SquarePattern;
-use dmfb_grid::{Region, SquareCoord, SquareRegion, Topology};
-use std::collections::BTreeMap;
+use dmfb_grid::{Lattice, Region, SlotIndex, SquareCoord, SquareRegion, Topology};
 
 /// The compiled assignment-under-conflicts structure of a redundancy
-/// scheme over a concrete topology.
+/// scheme over a concrete topology, in CSR form over dense cell ids.
 ///
+/// * The **cells** are the lattice cells whose faults can matter; member
+///   ids index this list, and trials draw one uniform per cell in its
+///   order (sorted, for every shipped scheme).
 /// * A **unit** is a set of cells that must be replaced as a whole when
 ///   any member cell is faulty (a single primary cell for interstitial
 ///   schemes; a module row for the spare-row baseline).
@@ -41,99 +46,168 @@ use std::collections::BTreeMap;
 ///   cells is indestructible (spare rows: the legacy shifted-replacement
 ///   semantics never fault the spare rows themselves).
 /// * The **adjacency** lists, per unit, which resources may replace it.
+///   It is filled push-only: [`SchemeStructure::connect`] only ever
+///   extends the unit added last.
 ///
 /// # Example
 ///
 /// ```
-/// use dmfb_reconfig::SchemeStructure;
+/// use dmfb_reconfig::{SchemeStructure, TrialEvaluator};
 /// use dmfb_grid::SquareCoord;
 ///
-/// let mut s = SchemeStructure::new();
-/// let u = s.add_unit([SquareCoord::new(0, 0)]);
-/// let r = s.add_resource([SquareCoord::new(0, 1)]);
+/// let mut s = SchemeStructure::new(vec![SquareCoord::new(0, 0), SquareCoord::new(0, 1)]);
+/// let r = s.add_resource([1]);
+/// let u = s.add_unit([0]);
 /// s.connect(u, r);
-/// assert_eq!((s.unit_count(), s.resource_count(), s.edge_count()), (1, 1, 1));
+/// let eval = TrialEvaluator::from_structure(s);
+/// assert_eq!((eval.unit_count(), eval.resource_count(), eval.edge_count()), (1, 1, 1));
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SchemeStructure<C> {
-    units: Vec<Vec<C>>,
-    resources: Vec<Vec<C>>,
-    adjacency: Vec<Vec<u32>>,
+    // `*_offsets` has one entry per unit (resource) plus one, and bounds
+    // that unit's (resource's) slice of the array beside it; member ids
+    // index `cells`.
+    pub(crate) cells: Vec<C>,
+    pub(crate) unit_offsets: Vec<u32>,
+    pub(crate) unit_cells: Vec<u32>,
+    pub(crate) res_offsets: Vec<u32>,
+    pub(crate) res_cells: Vec<u32>,
+    pub(crate) adj_offsets: Vec<u32>,
+    pub(crate) adj_res: Vec<u32>,
 }
 
-impl<C: Copy + Ord> SchemeStructure<C> {
-    /// Creates an empty structure.
-    #[must_use]
-    pub fn new() -> Self {
-        SchemeStructure {
-            units: Vec::new(),
-            resources: Vec::new(),
-            adjacency: Vec::new(),
-        }
-    }
-
-    /// Adds a replaceable unit made of `cells`; returns its index.
-    pub fn add_unit<I: IntoIterator<Item = C>>(&mut self, cells: I) -> usize {
-        self.units.push(cells.into_iter().collect());
-        self.adjacency.push(Vec::new());
-        self.units.len() - 1
-    }
-
-    /// Adds a spare resource made of `cells` (empty = indestructible);
-    /// returns its index.
-    pub fn add_resource<I: IntoIterator<Item = C>>(&mut self, cells: I) -> usize {
-        self.resources.push(cells.into_iter().collect());
-        self.resources.len() - 1
-    }
-
-    /// Declares that `resource` may replace `unit`.
+impl<C: Ord> SchemeStructure<C> {
+    /// An empty structure over `cells` (trials draw their fault states in
+    /// this order).
     ///
     /// # Panics
     ///
-    /// Panics if either index is out of range.
-    pub fn connect(&mut self, unit: usize, resource: usize) {
-        assert!(unit < self.units.len(), "unit index out of range");
+    /// Panics if `cells` is not strictly increasing (sorted, distinct).
+    #[must_use]
+    pub fn new(cells: Vec<C>) -> Self {
         assert!(
-            resource < self.resources.len(),
+            cells.windows(2).all(|w| w[0] < w[1]),
+            "cells are strictly increasing"
+        );
+        SchemeStructure {
+            cells,
+            unit_offsets: vec![0],
+            unit_cells: Vec::new(),
+            res_offsets: vec![0],
+            res_cells: Vec::new(),
+            adj_offsets: vec![0],
+            adj_res: Vec::new(),
+        }
+    }
+
+    /// Adds a replaceable unit made of the cells with ids `members`
+    /// (indices into the cell list; panics on one past its end); returns
+    /// its index.
+    pub fn add_unit<I: IntoIterator<Item = u32>>(&mut self, members: I) -> usize {
+        extend_ids(&mut self.unit_cells, members, self.cells.len());
+        self.unit_offsets.push(self.unit_cells.len() as u32);
+        self.adj_offsets.push(self.adj_res.len() as u32);
+        self.unit_offsets.len() - 2
+    }
+
+    /// Adds a spare resource made of the cells with ids `members` (none =
+    /// indestructible; panics on one past the cell list); returns its
+    /// index.
+    pub fn add_resource<I: IntoIterator<Item = u32>>(&mut self, members: I) -> usize {
+        extend_ids(&mut self.res_cells, members, self.cells.len());
+        self.res_offsets.push(self.res_cells.len() as u32);
+        self.res_offsets.len() - 2
+    }
+
+    /// Declares that `resource` may replace `unit`, the unit added last.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `unit` is not the last unit added or `resource` is out
+    /// of range.
+    pub fn connect(&mut self, unit: usize, resource: usize) {
+        assert!(
+            unit + 2 == self.unit_offsets.len(),
+            "connect the unit added last"
+        );
+        assert!(
+            resource + 1 < self.res_offsets.len(),
             "resource index out of range"
         );
-        self.adjacency[unit].push(resource as u32);
+        self.adj_res.push(resource as u32);
+        *self.adj_offsets.last_mut().expect("offsets start at 0") += 1;
     }
+}
 
-    /// Number of replaceable units.
-    #[must_use]
-    pub fn unit_count(&self) -> usize {
-        self.units.len()
+/// Appends member ids to `ids`, each checked against the cell count.
+fn extend_ids(ids: &mut Vec<u32>, members: impl IntoIterator<Item = u32>, cells: usize) {
+    for id in members {
+        assert!((id as usize) < cells, "member id out of range");
+        ids.push(id);
     }
+}
 
-    /// Number of spare resources.
-    #[must_use]
-    pub fn resource_count(&self) -> usize {
-        self.resources.len()
+/// The one cell-level compiler: every primary is a unit of one cell,
+/// every spare a resource of one cell, with edges from lattice adjacency.
+///
+/// `roles` holds each slot's role (`None` off the topology). Units are
+/// the primaries `in_scope` admits, in slot (sorted cell) order;
+/// resources are the spares bordering at least one of them, numbered as
+/// first met in neighbour order; the sampled cells are the units and
+/// resources, numbered in slot order.
+pub(crate) fn compile_cells<C: Lattice>(
+    index: &SlotIndex<C>,
+    roles: &[Option<CellRole>],
+    mut in_scope: impl FnMut(C) -> bool,
+) -> SchemeStructure<C> {
+    const NONE: u32 = u32::MAX;
+    // Room for a unit per slot, so the pass never reallocates; the
+    // offsets kept in the evaluator are trimmed after.
+    let mut unit_slots = Vec::with_capacity(roles.len());
+    let mut res_slots = Vec::new();
+    let mut res_of_slot = vec![NONE; roles.len()];
+    let mut adj_offsets = Vec::with_capacity(roles.len() + 1);
+    adj_offsets.push(0);
+    let mut adj_res = Vec::new();
+    for (slot, role) in roles.iter().enumerate() {
+        if *role != Some(CellRole::Primary) || !in_scope(index.cell(slot)) {
+            continue;
+        }
+        unit_slots.push(slot);
+        for n in index.neighbors(slot) {
+            if roles[n] != Some(CellRole::Spare) {
+                continue;
+            }
+            if res_of_slot[n] == NONE {
+                res_of_slot[n] = res_slots.len() as u32;
+                res_slots.push(n);
+            }
+            adj_res.push(res_of_slot[n]);
+        }
+        adj_offsets.push(adj_res.len() as u32);
     }
-
-    /// Number of unit→resource adjacencies.
-    #[must_use]
-    pub fn edge_count(&self) -> usize {
-        self.adjacency.iter().map(Vec::len).sum()
+    adj_offsets.shrink_to_fit();
+    // Units and resources are distinct cells; number them in slot order.
+    let mut id = vec![NONE; roles.len()];
+    for &slot in unit_slots.iter().chain(&res_slots) {
+        id[slot] = 0;
     }
-
-    /// The member cells of unit `i`.
-    #[must_use]
-    pub fn unit_cells(&self, i: usize) -> &[C] {
-        &self.units[i]
+    let mut cells = Vec::with_capacity(unit_slots.len() + res_slots.len());
+    for (slot, cell) in id.iter_mut().enumerate() {
+        if *cell != NONE {
+            *cell = cells.len() as u32;
+            cells.push(index.cell(slot));
+        }
     }
-
-    /// The member cells of resource `j` (empty = indestructible).
-    #[must_use]
-    pub fn resource_cells(&self, j: usize) -> &[C] {
-        &self.resources[j]
-    }
-
-    /// The candidate resource indices of unit `i`.
-    #[must_use]
-    pub fn adjacent_resources(&self, i: usize) -> &[u32] {
-        &self.adjacency[i]
+    let singletons = |n: usize| (0..=n as u32).collect();
+    SchemeStructure {
+        cells,
+        unit_offsets: singletons(unit_slots.len()),
+        unit_cells: unit_slots.iter().map(|&s| id[s]).collect(),
+        res_offsets: singletons(res_slots.len()),
+        res_cells: res_slots.iter().map(|&s| id[s]).collect(),
+        adj_offsets,
+        adj_res,
     }
 }
 
@@ -154,40 +228,25 @@ pub trait RedundancyScheme<T: Topology> {
     /// Whether lattice cell `cell` is a spare site under this scheme.
     fn is_spare_cell(&self, topo: &T, cell: T::Coord) -> bool;
 
-    /// Compiles the scheme over `topo` into the neutral structure the
-    /// generic evaluator consumes.
+    /// Compiles the scheme over `topo` into the structure the generic
+    /// evaluator consumes.
     fn compile(&self, topo: &T) -> SchemeStructure<T::Coord> {
-        let mut s = SchemeStructure::new();
-        let mut resource_index: BTreeMap<T::Coord, usize> = BTreeMap::new();
-        for c in topo.cells_iter() {
+        let (index, roles) = role_slots(topo, |c| {
             if self.is_spare_cell(topo, c) {
-                continue;
+                CellRole::Spare
+            } else {
+                CellRole::Primary
             }
-            let unit = s.add_unit([c]);
-            for n in topo.neighbors_of(c) {
-                if !self.is_spare_cell(topo, n) {
-                    continue;
-                }
-                let resource = match resource_index.get(&n) {
-                    Some(&r) => r,
-                    None => {
-                        let r = s.add_resource([n]);
-                        resource_index.insert(n, r);
-                        r
-                    }
-                };
-                s.connect(unit, resource);
-            }
-        }
-        s
+        });
+        compile_cells(&index, &roles, |_| true)
     }
 }
 
 /// The hexagonal interstitial patterns: primary/spare classification from
 /// the published sublattice colourings, adjacency from 6-neighbour hex
 /// adjacency. (Policy-scoped variants go through
-/// [`crate::TrialEvaluator::new`], which filters units by
-/// [`crate::ReconfigPolicy`].)
+/// [`crate::TrialEvaluator::new`], which runs the same compiler with
+/// [`crate::ReconfigPolicy::requires`] as its unit filter.)
 impl RedundancyScheme<Region> for DtmbKind {
     fn label(&self) -> String {
         self.to_string()
@@ -241,19 +300,25 @@ impl RedundancyScheme<SquareRegion> for SpareRowArray {
     }
 
     fn compile(&self, _topo: &SquareRegion) -> SchemeStructure<SquareCoord> {
-        let mut s = SchemeStructure::new();
-        let width = i32::try_from(self.width()).expect("width fits in i32");
-        let spares: Vec<usize> = (0..self.spare_rows())
-            .map(|_| s.add_resource(std::iter::empty()))
-            .collect();
-        for row in 0..self.module_rows() {
-            let y = i32::try_from(row).expect("row fits in i32");
-            let unit = s.add_unit((0..width).map(|x| SquareCoord::new(x, y)));
-            for &r in &spares {
-                s.connect(unit, r);
-            }
+        let (width, rows, spares) = (self.width(), self.module_rows(), self.spare_rows());
+        let w = i32::try_from(width).expect("width fits in i32");
+        let h = i32::try_from(rows).expect("rows fit in i32");
+        // The module-row cells in sorted (x-major) order, so cell (x, y)
+        // has id x * rows + y; row y is unit y, and every unit may use
+        // every (memberless) spare row.
+        SchemeStructure {
+            cells: (0..w)
+                .flat_map(|x| (0..h).map(move |y| SquareCoord::new(x, y)))
+                .collect(),
+            unit_offsets: (0..=rows).map(|y| y * width).collect(),
+            unit_cells: (0..rows)
+                .flat_map(|y| (0..width).map(move |x| x * rows + y))
+                .collect(),
+            res_offsets: vec![0; spares as usize + 1],
+            res_cells: Vec::new(),
+            adj_offsets: (0..=rows).map(|y| y * spares).collect(),
+            adj_res: (0..rows).flat_map(|_| 0..spares).collect(),
         }
-        s
     }
 }
 
@@ -291,21 +356,22 @@ pub fn scheme_audit<T: Topology>(topo: &T, scheme: &impl RedundancyScheme<T>) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TrialEvaluator;
 
     #[test]
     fn hex_dtmb_compiles_to_cell_level_structure() {
         let region = Region::parallelogram(10, 10);
         let kind = DtmbKind::Dtmb26A;
-        let s = kind.compile(&region);
+        let eval = TrialEvaluator::from_structure(kind.compile(&region));
         let array = kind.instantiate(&region);
-        assert_eq!(s.unit_count(), array.primary_count());
+        assert_eq!(eval.unit_count(), array.primary_count());
+        assert!(eval.edge_count() > 0);
         // Every compiled resource is a real spare cell of the array.
-        for j in 0..s.resource_count() {
-            let cells = s.resource_cells(j);
+        for j in 0..eval.resource_count() {
+            let cells: Vec<_> = eval.resource_coords(j).collect();
             assert_eq!(cells.len(), 1);
             assert!(array.is_spare(cells[0]));
         }
-        assert!(s.edge_count() > 0);
         assert_eq!(
             RedundancyScheme::<Region>::label(&kind),
             "DTMB(2,6)".to_string()
@@ -317,15 +383,12 @@ mod tests {
         let region = SquareRegion::rect(10, 10);
         let s = SquarePattern::Checkerboard.compile(&region);
         let (primaries, spares) = SquarePattern::Checkerboard.counts(&region);
-        assert_eq!(s.unit_count(), primaries);
+        assert_eq!(s.unit_offsets.len(), primaries + 1);
         // Checkerboard: every spare borders a primary, so all spares appear.
-        assert_eq!(s.resource_count(), spares);
+        assert_eq!(s.res_offsets.len(), spares + 1);
         // Interior primaries have exactly 4 candidate spares.
-        let max_adj = (0..s.unit_count())
-            .map(|i| s.adjacent_resources(i).len())
-            .max()
-            .unwrap();
-        assert_eq!(max_adj, 4);
+        let max_adj = s.adj_offsets.windows(2).map(|w| w[1] - w[0]).max();
+        assert_eq!(max_adj, Some(4));
     }
 
     #[test]
@@ -333,27 +396,57 @@ mod tests {
         let region = SquareRegion::rect(8, 8);
         let s = SquarePattern::Quarter.compile(&region);
         // The odd/odd cells have no adjacent spare: isolated units exist.
-        assert!((0..s.unit_count()).any(|i| s.adjacent_resources(i).is_empty()));
+        assert!(s.adj_offsets.windows(2).any(|w| w[0] == w[1]));
     }
 
     #[test]
     fn spare_rows_compile_to_complete_bipartite_rows() {
         let array = SpareRowArray::figure2_example();
-        let s = array.compile(&array.region());
-        assert_eq!(s.unit_count(), array.module_rows() as usize);
-        assert_eq!(s.resource_count(), array.spare_rows() as usize);
+        let eval = TrialEvaluator::from_structure(array.compile(&array.region()));
+        assert_eq!(eval.unit_count(), array.module_rows() as usize);
+        assert_eq!(eval.resource_count(), array.spare_rows() as usize);
         assert_eq!(
-            s.edge_count(),
+            eval.edge_count(),
             (array.module_rows() * array.spare_rows()) as usize
         );
         // Units carry one cell per column; resources are indestructible.
-        for i in 0..s.unit_count() {
-            assert_eq!(s.unit_cells(i).len(), array.width() as usize);
-        }
-        for j in 0..s.resource_count() {
-            assert!(s.resource_cells(j).is_empty());
-        }
+        assert!(eval.unit_cell_counts().all(|n| n == array.width() as usize));
+        assert!(eval.resource_cell_counts().all(|n| n == 0));
         assert!(array.label().contains("spare-rows"));
+    }
+
+    #[test]
+    #[should_panic(expected = "connect the unit added last")]
+    fn connect_extends_only_the_last_unit() {
+        let mut s = SchemeStructure::new(vec![0u32, 1, 2]);
+        let r = s.add_resource([2]);
+        let first = s.add_unit([0]);
+        s.add_unit([1]);
+        s.connect(first, r);
+    }
+
+    #[test]
+    #[should_panic(expected = "cells are strictly increasing")]
+    fn duplicate_cells_are_rejected() {
+        let _ = SchemeStructure::new(vec![0u32, 1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cells are strictly increasing")]
+    fn unsorted_cells_are_rejected() {
+        let _ = SchemeStructure::new(vec![SquareCoord::new(1, 0), SquareCoord::new(0, 5)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "member id out of range")]
+    fn unit_member_ids_are_checked() {
+        SchemeStructure::new(vec![0u32, 1]).add_unit([0, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "member id out of range")]
+    fn resource_member_ids_are_checked() {
+        SchemeStructure::new(vec![0u32, 1]).add_resource([2]);
     }
 
     #[test]

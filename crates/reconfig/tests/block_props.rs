@@ -72,22 +72,34 @@ fn random_structure(seed: u64) -> SchemeStructure<u32> {
             })
             .collect()
     };
-    let mut s = SchemeStructure::new();
-    for _ in 0..resources {
-        let size = if rng.gen_range(0..5u32) == 0 {
-            0
-        } else {
-            rng.gen_range(1..=2usize)
-        };
-        let members = cells(&mut rng, size);
+    let resource_members: Vec<Vec<u32>> = (0..resources)
+        .map(|_| {
+            let size = if rng.gen_range(0..5u32) == 0 {
+                0
+            } else {
+                rng.gen_range(1..=2usize)
+            };
+            cells(&mut rng, size)
+        })
+        .collect();
+    let unit_members: Vec<(Vec<u32>, Vec<usize>)> = (0..units)
+        .map(|_| {
+            let size = rng.gen_range(1..=3usize);
+            let members = cells(&mut rng, size);
+            let edges = (0..rng.gen_range(0..=4usize))
+                .map(|_| rng.gen_range(0..resources))
+                .collect();
+            (members, edges)
+        })
+        .collect();
+    let mut s = SchemeStructure::new((0..fresh).collect());
+    for members in resource_members {
         s.add_resource(members);
     }
-    for _ in 0..units {
-        let size = rng.gen_range(1..=3usize);
-        let members = cells(&mut rng, size);
+    for (members, edges) in unit_members {
         let unit = s.add_unit(members);
-        for _ in 0..rng.gen_range(0..=4usize) {
-            s.connect(unit, rng.gen_range(0..resources));
+        for r in edges {
+            s.connect(unit, r);
         }
     }
     s
@@ -236,7 +248,7 @@ proptest! {
         n in 1usize..100,
         chunk in 1usize..130,
     ) {
-        let eval = TrialEvaluator::from_structure(&random_structure(structure_seed));
+        let eval = TrialEvaluator::from_structure(random_structure(structure_seed));
         let s = seeds(base, n);
         check_survival(&eval, p_low, &s, chunk);
         check_survival(&eval, p_any, &s, chunk);

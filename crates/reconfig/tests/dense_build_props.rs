@@ -1,14 +1,162 @@
-//! The dense-slot array builder and `TrialEvaluator::new` against the
-//! `BTreeSet`/`BTreeMap` builder they replaced, kept verbatim below as the
-//! reference: same regions, same roles in the same order, and the same
-//! evaluator field for field.
+//! The dense compilers against the `BTreeSet`/`BTreeMap` builders they
+//! replaced, kept verbatim below as the reference: the dense-slot array
+//! builder (same regions, same roles in the same order), and the one
+//! cell-level compiler behind `TrialEvaluator::new` and every
+//! `RedundancyScheme::compile` (hex and square patterns, spare rows),
+//! against the old `Vec`-per-list structure and its sort-and-search cell
+//! numbering — the same evaluator, field for field.
 
-use dmfb_grid::{CellMap, HexCoord, Region};
+use dmfb_grid::{CellMap, HexCoord, Region, SquareCoord, SquareRegion, Topology};
 use dmfb_reconfig::dtmb::DtmbKind;
+use dmfb_reconfig::shifted::{ModuleBand, SpareRowArray};
 use dmfb_reconfig::{
-    CellRole, DefectTolerantArray, ReconfigPolicy, SchemeStructure, TrialEvaluator,
+    CellRole, DefectTolerantArray, ReconfigPolicy, RedundancyScheme, SchemeStructure,
+    SquarePattern, TrialEvaluator,
 };
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::fmt::Debug;
+
+/// `SchemeStructure` as it was: a `Vec` of coordinates per unit and
+/// resource, and a `Vec` of resource indices per unit.
+struct ReferenceStructure<C> {
+    units: Vec<Vec<C>>,
+    resources: Vec<Vec<C>>,
+    adjacency: Vec<Vec<u32>>,
+}
+
+impl<C: Copy + Ord> ReferenceStructure<C> {
+    fn new() -> Self {
+        ReferenceStructure {
+            units: Vec::new(),
+            resources: Vec::new(),
+            adjacency: Vec::new(),
+        }
+    }
+
+    fn add_unit<I: IntoIterator<Item = C>>(&mut self, cells: I) -> usize {
+        self.units.push(cells.into_iter().collect());
+        self.adjacency.push(Vec::new());
+        self.units.len() - 1
+    }
+
+    fn add_resource<I: IntoIterator<Item = C>>(&mut self, cells: I) -> usize {
+        self.resources.push(cells.into_iter().collect());
+        self.resources.len() - 1
+    }
+
+    fn connect(&mut self, unit: usize, resource: usize) {
+        assert!(unit < self.units.len(), "unit index out of range");
+        assert!(
+            resource < self.resources.len(),
+            "resource index out of range"
+        );
+        self.adjacency[unit].push(resource as u32);
+    }
+}
+
+/// `RedundancyScheme::compile`'s default as it was: topology neighbour
+/// walks and a `BTreeMap` spare index.
+fn reference_compile<T: Topology>(
+    topo: &T,
+    scheme: &impl RedundancyScheme<T>,
+) -> ReferenceStructure<T::Coord> {
+    let mut s = ReferenceStructure::new();
+    let mut resource_index: BTreeMap<T::Coord, usize> = BTreeMap::new();
+    for c in topo.cells_iter() {
+        if scheme.is_spare_cell(topo, c) {
+            continue;
+        }
+        let unit = s.add_unit([c]);
+        for n in topo.neighbors_of(c) {
+            if !scheme.is_spare_cell(topo, n) {
+                continue;
+            }
+            let resource = match resource_index.get(&n) {
+                Some(&r) => r,
+                None => {
+                    let r = s.add_resource([n]);
+                    resource_index.insert(n, r);
+                    r
+                }
+            };
+            s.connect(unit, resource);
+        }
+    }
+    s
+}
+
+/// `SpareRowArray::compile` as it was: module rows over coordinates.
+fn reference_spare_rows(array: &SpareRowArray) -> ReferenceStructure<SquareCoord> {
+    let mut s = ReferenceStructure::new();
+    let width = i32::try_from(array.width()).expect("width fits in i32");
+    let spares: Vec<usize> = (0..array.spare_rows())
+        .map(|_| s.add_resource(std::iter::empty()))
+        .collect();
+    for row in 0..array.module_rows() {
+        let y = i32::try_from(row).expect("row fits in i32");
+        let unit = s.add_unit((0..width).map(|x| SquareCoord::new(x, y)));
+        for &r in &spares {
+            s.connect(unit, r);
+        }
+    }
+    s
+}
+
+/// `TrialEvaluator::from_structure`'s numbering as it was: sort and
+/// dedup every member cell, then binary-search each member's id.
+fn reference_from_structure<C: Copy + Ord>(structure: &ReferenceStructure<C>) -> TrialEvaluator<C> {
+    let mut cells: Vec<C> = structure
+        .units
+        .iter()
+        .flatten()
+        .copied()
+        .chain(structure.resources.iter().flatten().copied())
+        .collect();
+    cells.sort_unstable();
+    cells.dedup();
+    let cell_index = |c: &C| -> u32 { cells.binary_search(c).expect("cell was collected") as u32 };
+    let mut s = SchemeStructure::new(cells.clone());
+    for members in &structure.resources {
+        s.add_resource(members.iter().map(cell_index));
+    }
+    for (members, adjacent) in structure.units.iter().zip(&structure.adjacency) {
+        let unit = s.add_unit(members.iter().map(cell_index));
+        for &r in adjacent {
+            s.connect(unit, r as usize);
+        }
+    }
+    TrialEvaluator::from_structure(s)
+}
+
+fn assert_same<C: Debug>(dense: &TrialEvaluator<C>, reference: &TrialEvaluator<C>) {
+    assert_eq!(format!("{dense:?}"), format!("{reference:?}"));
+}
+
+/// A scheme compiled by `for_scheme` against the reference compiler.
+fn assert_same_compile<T: Topology>(topo: &T, scheme: &impl RedundancyScheme<T>) {
+    assert_same(
+        &TrialEvaluator::for_scheme(topo, scheme),
+        &reference_from_structure(&reference_compile(topo, scheme)),
+    );
+}
+
+/// A spare-row array compiled by `for_scheme` against the reference.
+fn assert_same_spare_rows(width: u32, bands: &[u32], spare_rows: u32) {
+    let bands = bands
+        .iter()
+        .enumerate()
+        .map(|(i, &rows)| ModuleBand {
+            name: format!("Module {i}"),
+            rows,
+        })
+        .collect();
+    let array = SpareRowArray::new(width, bands, spare_rows);
+    assert_same(
+        &TrialEvaluator::for_scheme(&array.region(), &array),
+        &reference_from_structure(&reference_spare_rows(&array)),
+    );
+}
 
 /// The B-tree array: a `Region` and a `CellMap` of roles.
 struct ReferenceArray {
@@ -133,11 +281,11 @@ fn select_primary_sites(kind: DtmbKind, count: usize) -> Vec<HexCoord> {
     }
 }
 
-/// `TrialEvaluator::new` as it was: a `SchemeStructure` with a `BTreeMap`
-/// spare index, compiled by `from_structure`.
+/// `TrialEvaluator::new` as it was: the reference structure with a
+/// `BTreeMap` spare index over the policy's primaries.
 fn reference_evaluator(array: &ReferenceArray, policy: &ReconfigPolicy) -> TrialEvaluator {
-    let mut s = SchemeStructure::new();
-    let mut res_index = std::collections::BTreeMap::new();
+    let mut s = ReferenceStructure::new();
+    let mut res_index = BTreeMap::new();
     for c in array.primaries().filter(|c| policy.requires(*c)) {
         let unit = s.add_unit([c]);
         for spare in array.adjacent_spares(c) {
@@ -152,7 +300,7 @@ fn reference_evaluator(array: &ReferenceArray, policy: &ReconfigPolicy) -> Trial
             s.connect(unit, resource);
         }
     }
-    TrialEvaluator::from_structure(&s)
+    reference_from_structure(&s)
 }
 
 /// Asserts the dense array has the reference's region and roles, and
@@ -187,14 +335,18 @@ fn assert_same_evaluator(
     reference: &ReferenceArray,
     policy: &ReconfigPolicy,
 ) {
-    assert_eq!(
-        format!("{:?}", TrialEvaluator::new(array, policy)),
-        format!("{:?}", reference_evaluator(reference, policy)),
+    assert_same(
+        &TrialEvaluator::new(array, policy),
+        &reference_evaluator(reference, policy),
     );
 }
 
 fn arb_kind() -> impl Strategy<Value = DtmbKind> {
     prop::sample::select(DtmbKind::ALL.to_vec())
+}
+
+fn arb_pattern() -> impl Strategy<Value = SquarePattern> {
+    prop::sample::select(SquarePattern::ALL.to_vec())
 }
 
 proptest! {
@@ -224,6 +376,61 @@ proptest! {
             assert_same_evaluator(&array, &reference, &policy);
         }
     }
+
+    /// Every square pattern on random rectangles.
+    #[test]
+    fn square_patterns_match_the_btree_compiler(
+        pattern in arb_pattern(),
+        width in 1u32..=40,
+        height in 1u32..=40,
+    ) {
+        assert_same_compile(&SquareRegion::rect(width, height), &pattern);
+    }
+
+    /// Non-rectangular square regions: a random mask over a `width`-wide
+    /// block (holes where it reads 0), translated to negative coordinates.
+    #[test]
+    fn holed_square_regions_match_the_btree_compiler(
+        pattern in arb_pattern(),
+        width in 1i32..=24,
+        mask in prop::collection::vec(0u8..4, 0..=600),
+        dx in -80i32..=0,
+        dy in -80i32..=0,
+    ) {
+        let region: SquareRegion = mask
+            .iter()
+            .enumerate()
+            .filter(|(_, &m)| m != 0)
+            .map(|(i, _)| SquareCoord::new(dx + i as i32 % width, dy + i as i32 / width))
+            .collect();
+        assert_same_compile(&region, &pattern);
+    }
+
+    /// Spare-row arrays of one to three module bands, with and without
+    /// spare rows.
+    #[test]
+    fn spare_rows_match_the_btree_compiler(
+        width in 1u32..=40,
+        bands in prop::collection::vec(1u32..=12, 1..=3),
+        spare_rows in 0u32..=6,
+    ) {
+        assert_same_spare_rows(width, &bands, spare_rows);
+    }
+}
+
+#[test]
+fn square_and_spare_row_edge_shapes_match_the_btree_compiler() {
+    for pattern in SquarePattern::ALL {
+        assert_same_compile(&SquareRegion::new(), &pattern);
+        assert_same_compile(&SquareRegion::rect(1, 1), &pattern);
+        assert_same_compile(&SquareRegion::rect(37, 23), &pattern);
+        assert_same_compile(&SquareRegion::rect(120, 90), &pattern);
+    }
+    assert_same_spare_rows(8, &[2, 2, 2], 1);
+    assert_same_spare_rows(300, &[290], 10);
+    assert_same_spare_rows(300, &[290], 0);
+    assert_same_spare_rows(1, &[1], 0);
+    assert_same_spare_rows(17, &[1], 3);
 }
 
 #[test]
@@ -270,6 +477,8 @@ fn instantiate_matches_on_translated_and_negative_regions() {
             let reference = instantiate(kind, &region);
             assert_same_array(&array, &reference);
             assert_same_evaluator(&array, &reference, &ReconfigPolicy::AllPrimaries);
+            // The scheme's own compile: the same compiler without a policy.
+            assert_same_compile(&region, &kind);
         }
     }
 }
