@@ -14,6 +14,7 @@ fn main() {
     let array = DtmbKind::Dtmb26A.with_primary_count(120);
     let total_cells = array.total_cells() as f64;
     let est = SchemeYield::new(array.clone(), ReconfigPolicy::AllPrimaries);
+    let ev = est.evaluator();
 
     let mut table = TextTable::new(vec![
         "E[failures]".into(),
@@ -29,13 +30,27 @@ fn main() {
         let q = expected / total_cells;
         let iid = est.estimate_survival(1.0 - q, 10_000, seed).point();
         let y_tight = est
-            .estimate_with_defects(10_000, seed ^ 0x1, |rng| tight.inject(array.region(), rng))
+            .estimate_sampled(
+                10_000,
+                seed ^ 0x1,
+                || (),
+                |rng, _, faults| {
+                    faults.extend(ev.fault_ids(&tight.inject(array.region(), rng)));
+                },
+            )
             .point();
         // A wider, shallower cluster with the same expectation.
         let peak2 = expected / (mean_clusters * footprint_weight(2));
         let wide = ClusteredSpot::new(mean_clusters, 2, peak2.min(1.0));
         let y_wide = est
-            .estimate_with_defects(10_000, seed ^ 0x2, |rng| wide.inject(array.region(), rng))
+            .estimate_sampled(
+                10_000,
+                seed ^ 0x2,
+                || (),
+                |rng, _, faults| {
+                    faults.extend(ev.fault_ids(&wide.inject(array.region(), rng)));
+                },
+            )
             .point();
         table.row(vec![
             format!("{expected:.1}"),

@@ -607,7 +607,7 @@ fn cmd_yield(opts: &Options) -> Result<(), String> {
             print_cluster(&cluster, op.chip().array.region());
         }
     }
-    if let (Engine::Hex { chip, engine }, [(_, Estimate::Naive(reconfigured))], true) =
+    if let (Engine::Hex { chip, engine, .. }, [(_, Estimate::Naive(reconfigured))], true) =
         (&engine, tiers.as_slice(), full_report)
     {
         let r = chip.yield_report_from(engine, p, *reconfigured);

@@ -12,11 +12,13 @@
 
 use crate::spec::{DefectModelKind, EngineSpec, EstimatorKind, SchemeSpec, Tier};
 use crate::Biochip;
+use dmfb_defects::clustered::ClusterWalk;
 use dmfb_defects::ClusteredDefects;
-use dmfb_grid::{SquareCoord, SquareRegion, Topology};
+use dmfb_grid::{HexCoord, Lattice, SquareCoord, SquareRegion, Topology};
 use dmfb_reconfig::shifted::{ModuleBand, SpareRowArray};
 use dmfb_sim::{BernoulliEstimate, StratifiedConfig, StratifiedEstimate};
 use dmfb_yield::{OperationalYield, SchemeYield};
+use std::sync::OnceLock;
 
 /// Which yield estimator a query runs.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -97,6 +99,8 @@ pub enum Engine {
         chip: Biochip,
         /// The compiled engine for the chip.
         engine: SchemeYield,
+        /// The chip's cluster walk, built on the first clustered query.
+        clusters: OnceLock<ClusterWalk<HexCoord>>,
     },
     /// A square-lattice scheme (interstitial DTMB or spare rows).
     Square {
@@ -108,6 +112,8 @@ pub enum Engine {
         /// interstitial patterns, the spare-row area for spare rows (whose
         /// compiled resources have no member cells).
         spare_cells: usize,
+        /// The region's cluster walk, built on the first clustered query.
+        clusters: OnceLock<ClusterWalk<SquareCoord>>,
     },
     /// The Section 7 assay stack over the fixed IVD case-study chip.
     Assay(OperationalYield),
@@ -134,12 +140,17 @@ impl Engine {
             engine: engine.with_threads(threads),
             region,
             spare_cells,
+            clusters: OnceLock::new(),
         };
         match spec {
             SchemeSpec::HexDtmb { .. } => {
                 let chip = spec.biochip().expect("hex specs build a chip");
                 let engine = chip.engine().with_threads(threads);
-                Engine::Hex { chip, engine }
+                Engine::Hex {
+                    chip,
+                    engine,
+                    clusters: OnceLock::new(),
+                }
             }
             SchemeSpec::SquareDtmb {
                 pattern,
@@ -210,17 +221,26 @@ impl Engine {
     #[must_use]
     pub fn estimate(&self, query: &Query) -> TierEstimates {
         match self {
-            Engine::Hex { chip, engine } => reconfigured(engine, chip.array().region(), query),
-            Engine::Square { engine, region, .. } => reconfigured(engine, region, query),
+            Engine::Hex {
+                chip,
+                engine,
+                clusters,
+            } => reconfigured(engine, chip.array().region(), clusters, query),
+            Engine::Square {
+                engine,
+                region,
+                clusters,
+                ..
+            } => reconfigured(engine, region, clusters, query),
             Engine::Assay(engine) => {
                 let Query {
                     p, trials, seed, ..
                 } = *query;
                 match (query.defect_model, query.estimator) {
                     (DefectModel::Clustered(cluster), _) => {
-                        let region = engine.chip().array.region();
-                        let e = engine
-                            .estimate_with(trials, seed, |rng| cluster.inject_in(region, rng));
+                        let walk = ClusterWalk::new(engine.chip().array.region());
+                        let e =
+                            engine.estimate_with(trials, seed, |rng| cluster.inject_on(&walk, rng));
                         three_tiers([e.raw, e.reconfigured, e.operational], Estimate::Naive)
                     }
                     (DefectModel::Bernoulli, Estimator::Stratified(config)) => {
@@ -286,20 +306,32 @@ impl Engine {
     }
 }
 
-/// The reconfigured-tier estimate on a scheme engine over `topo`.
-fn reconfigured<C, T>(engine: &SchemeYield<C>, topo: &T, query: &Query) -> TierEstimates
+/// The reconfigured-tier estimate on a scheme engine over `topo`;
+/// clustered queries sample on `clusters`, the walk over `topo` that
+/// reports the engine's cell ids (built here on first use).
+fn reconfigured<C, T>(
+    engine: &SchemeYield<C>,
+    topo: &T,
+    clusters: &OnceLock<ClusterWalk<C>>,
+    query: &Query,
+) -> TierEstimates
 where
-    C: Copy + Ord + Send + Sync,
-    T: Topology<Coord = C> + Sync,
+    C: Lattice,
+    T: Topology<Coord = C>,
 {
     let Query {
         p, trials, seed, ..
     } = *query;
     let estimate = match (query.defect_model, query.estimator) {
         (DefectModel::Clustered(cluster), _) => {
-            Estimate::Naive(
-                engine.estimate_with_defects(trials, seed, |rng| cluster.inject_in(topo, rng)),
-            )
+            let walk =
+                clusters.get_or_init(|| ClusterWalk::with_ids(topo, engine.evaluator().cells()));
+            Estimate::Naive(engine.estimate_sampled(
+                trials,
+                seed,
+                || walk.scratch(),
+                |rng, scratch, faults| cluster.sample_on(walk, rng, scratch, faults),
+            ))
         }
         (DefectModel::Bernoulli, Estimator::Stratified(config)) => {
             Estimate::Stratified(engine.estimate_survival_stratified(p, trials, seed, &config))

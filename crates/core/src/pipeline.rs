@@ -160,8 +160,16 @@ impl Biochip {
     pub fn exact_fault_yield(&self, m: usize, trials: u32, seed: u64) -> BernoulliEstimate {
         let model = ExactCount::new(m);
         let region = self.array.region();
-        self.engine()
-            .estimate_with_defects(trials, seed, |rng| model.inject(region, rng))
+        let engine = self.engine();
+        let ev = engine.evaluator();
+        engine.estimate_sampled(
+            trials,
+            seed,
+            || (),
+            |rng, _, faults| {
+                faults.extend(ev.fault_ids(&model.inject(region, rng)));
+            },
+        )
     }
 }
 

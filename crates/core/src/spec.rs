@@ -586,9 +586,19 @@ pub fn stratified_config(
     })
 }
 
-/// The clustered defect model, range-checked: a finite, non-negative
-/// mean cluster count, dispersion at least 1, spread radius at most 64
-/// and peak failure probability in `[0, 1]`.
+/// Largest accepted mean cluster count: the sampler clamps every
+/// geometric draw to this many clusters, and a larger mean rounds the
+/// draw's failure probability to 1 (every chip would draw 0 clusters).
+pub const MAX_CLUSTER_MEAN: f64 = 10_000.0;
+
+/// Largest accepted cluster dispersion: the sampler draws one geometric
+/// variate per unit of dispersion in every trial.
+pub const MAX_CLUSTER_DISPERSION: u32 = 1_000;
+
+/// The clustered defect model, range-checked: a finite mean cluster
+/// count in `[0, MAX_CLUSTER_MEAN]`, dispersion in
+/// `[1, MAX_CLUSTER_DISPERSION]`, spread radius at most 64 and peak
+/// failure probability in `[0, 1]`.
 pub fn clustered_defects(
     style: ParamStyle,
     mean: f64,
@@ -603,9 +613,21 @@ pub fn clustered_defects(
     if mean < 0.0 {
         return Err(format!("{} must be non-negative", param("cluster_mean")));
     }
+    if mean > MAX_CLUSTER_MEAN {
+        return Err(format!(
+            "need {} <= {MAX_CLUSTER_MEAN}",
+            param("cluster_mean")
+        ));
+    }
     if dispersion == 0 {
         return Err(format!(
             "{} must be at least 1",
+            param("cluster_dispersion")
+        ));
+    }
+    if dispersion > MAX_CLUSTER_DISPERSION {
+        return Err(format!(
+            "need {} <= {MAX_CLUSTER_DISPERSION}",
             param("cluster_dispersion")
         ));
     }
@@ -702,6 +724,25 @@ mod tests {
             .unwrap_err();
             assert!(err.contains("i.i.d. Bernoulli defect count"), "{err}");
         }
+    }
+
+    #[test]
+    fn clustered_parameters_are_bounded_in_both_dialects() {
+        let check = |mean, dispersion| clustered_defects(ParamStyle::Cli, mean, dispersion, 2, 0.8);
+        assert!(check(MAX_CLUSTER_MEAN, MAX_CLUSTER_DISPERSION).is_ok());
+        assert!(check(0.0, 1).is_ok());
+        assert_eq!(check(1e17, 1).unwrap_err(), "need --cluster-mean <= 10000");
+        assert_eq!(
+            check(1.5, 4_000_000_000).unwrap_err(),
+            "need --cluster-dispersion <= 1000"
+        );
+        let json = |mean, dispersion| {
+            clustered_defects(ParamStyle::Json, mean, dispersion, 2, 0.8).unwrap_err()
+        };
+        assert_eq!(json(10_000.5, 1), "need 'cluster_mean' <= 10000");
+        assert_eq!(json(1.5, 1_001), "need 'cluster_dispersion' <= 1000");
+        assert_eq!(json(f64::INFINITY, 1), "'cluster_mean' must be finite");
+        assert_eq!(json(1.5, 0), "'cluster_dispersion' must be at least 1");
     }
 
     #[test]

@@ -19,6 +19,15 @@
 //!   interstitial lattice, and anything added later — clusters follow
 //!   the actual electrode adjacency instead of a hard-coded geometry.
 //!
+//! The spread runs over a [`ClusterWalk`]: the topology's cells on dense
+//! ids with a CSR neighbour table laid out from a [`SlotIndex`], built
+//! once and reused by every trial. A walk built with
+//! [`ClusterWalk::with_ids`] reports faults as a compiled evaluator's
+//! cell ids, which is how the yield engines decide clustered trials on
+//! the word-parallel block engine; [`ClusteredDefects::inject_on`] and
+//! [`ClusteredDefects::inject_in`] wrap the same sampler for callers that
+//! want a [`DefectMap`].
+//!
 //! Unlike the hex-only [`ClusteredSpot`](crate::injection::ClusteredSpot)
 //! ablation (Poisson counts, hexagonal rings), this model is generic over
 //! [`Topology`] exactly like the PR 3 injectors, so it can drive the
@@ -38,12 +47,10 @@
 //! assert!(map.fault_count() <= 400);
 //! ```
 
-use crate::fault::{CatastrophicDefect, DefectCause};
 use crate::injection::InjectionModel;
 use crate::DefectMap;
-use dmfb_grid::{Region, Topology};
+use dmfb_grid::{Lattice, Region, SlotIndex, Topology};
 use rand::Rng;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Negative-binomial clustered defect model, generic over the lattice
 /// topology.
@@ -139,8 +146,9 @@ impl ClusteredDefects {
 
     /// Samples the negative-binomial cluster count as a sum of
     /// `dispersion` geometric variates (failures before success at
-    /// success probability `r / (r + mean)`), by inversion.
-    fn sample_cluster_count(&self, rng: &mut impl Rng) -> u32 {
+    /// success probability `r / (r + mean)`), by inversion: one uniform
+    /// per unit of dispersion, each geometric draw clamped to 10 000.
+    pub fn sample_cluster_count(&self, rng: &mut impl Rng) -> u32 {
         if self.mean_clusters == 0.0 {
             return 0;
         }
@@ -163,84 +171,232 @@ impl ClusteredDefects {
         u32::try_from(total.min(u64::from(u32::MAX))).unwrap_or(u32::MAX)
     }
 
-    /// Samples one chip instance's defects on any topology: draws the
-    /// cluster count, seeds each cluster uniformly, and BFS-spreads it
-    /// over the lattice adjacency with depth-decayed failure probability.
-    /// All cells are marked with a generic open-connection cause (the
-    /// richer cause taxonomy is hexagonal-specific).
+    /// Samples one chip instance's faults on `walk`, pushing the id of
+    /// every failed cell the walk reports (see [`ClusterWalk::with_ids`])
+    /// onto `faults`: draws the cluster count, seeds each cluster
+    /// uniformly over the walk's cells, and BFS-spreads it over the
+    /// lattice adjacency with depth-decayed failure probability. A cell
+    /// hit by two clusters is pushed twice.
     ///
     /// Randomness consumption per cluster depends only on the seed and
-    /// the topology, never on previously drawn faults, so trials are
-    /// reproducible under common-random-number schemes.
+    /// the topology, never on previously drawn faults or on which cells
+    /// the walk reports, so trials are reproducible under
+    /// common-random-number schemes.
+    pub fn sample_on<C>(
+        &self,
+        walk: &ClusterWalk<C>,
+        rng: &mut impl Rng,
+        scratch: &mut ClusterScratch,
+        faults: &mut Vec<u32>,
+    ) {
+        self.sample_cells(walk, rng, scratch, |cell| {
+            if walk.ids[cell] != NONE {
+                faults.push(walk.ids[cell]);
+            }
+        });
+    }
+
+    /// [`ClusteredDefects::sample_on`] as a defect map: every failed cell
+    /// of the walk (reported or not) marked with a generic
+    /// open-connection cause, the richer cause taxonomy being
+    /// hexagonal-specific.
+    pub fn inject_on<C: Lattice>(&self, walk: &ClusterWalk<C>, rng: &mut impl Rng) -> DefectMap<C> {
+        let mut failed = Vec::new();
+        self.sample_cells(walk, rng, &mut walk.scratch(), |cell| failed.push(cell));
+        DefectMap::from_cells(failed.into_iter().map(|cell| walk.cells[cell]))
+    }
+
+    /// [`ClusteredDefects::inject_on`] over a walk built for this call;
+    /// loops over many trials build one walk instead.
     pub fn inject_in<T: Topology>(&self, topo: &T, rng: &mut impl Rng) -> DefectMap<T::Coord> {
-        let mut map = DefectMap::new();
-        let cells: Vec<T::Coord> = topo.cells_iter().collect();
-        if cells.is_empty() {
-            return map;
+        self.inject_on(&ClusterWalk::new(topo), rng)
+    }
+
+    /// The sampler behind [`ClusteredDefects::sample_on`]: calls `failed`
+    /// with the walk index of each failed cell, in draw order.
+    fn sample_cells<C>(
+        &self,
+        walk: &ClusterWalk<C>,
+        rng: &mut impl Rng,
+        scratch: &mut ClusterScratch,
+        mut failed: impl FnMut(usize),
+    ) {
+        if walk.cells.is_empty() {
+            return;
         }
         let clusters = self.sample_cluster_count(rng);
-        // Generation-stamped visited set, reused across clusters.
-        let mut visited: BTreeMap<T::Coord, u32> = BTreeMap::new();
-        let mut queue: VecDeque<(T::Coord, u32)> = VecDeque::new();
-        for cluster in 1..=clusters {
-            let seed = cells[rng.gen_range(0..cells.len())];
-            queue.clear();
-            queue.push_back((seed, 0));
-            visited.insert(seed, cluster);
-            while let Some((cell, depth)) = queue.pop_front() {
+        for _ in 0..clusters {
+            let seed = rng.gen_range(0..walk.cells.len()) as u32;
+            walk.spread(seed, self.spread_radius, scratch, |cell, depth| {
                 let prob = self.probability_at(depth);
                 if prob > 0.0 && rng.gen_bool(prob) {
-                    map.mark(
-                        cell,
-                        DefectCause::Catastrophic(CatastrophicDefect::OpenConnection),
-                    );
+                    failed(cell);
                 }
-                if depth == self.spread_radius {
-                    continue;
-                }
-                for next in topo.neighbors_of(cell) {
-                    if visited.get(&next) != Some(&cluster) {
-                        visited.insert(next, cluster);
-                        queue.push_back((next, depth + 1));
-                    }
-                }
-            }
+            });
         }
-        map
     }
 
     /// Expected failed-cell count on `topo`, computed exactly by summing
-    /// the per-cell failure probability over every possible seed
-    /// (`O(cells × ball)`; intended for tests and calibration, not hot
-    /// loops).
+    /// the per-cell failure probability over every possible seed, in
+    /// cell order (`O(cells × ball)`; intended for reports and
+    /// calibration, not hot loops).
     #[must_use]
     pub fn expected_failures_in<T: Topology>(&self, topo: &T) -> f64 {
-        let cells: Vec<T::Coord> = topo.cells_iter().collect();
-        if cells.is_empty() {
+        let walk = ClusterWalk::new(topo);
+        if walk.cells.is_empty() {
             return 0.0;
         }
         // Per seed: expected failures of one cluster from that seed.
         let mut per_seed_total = 0.0;
-        let mut visited: BTreeSet<T::Coord> = BTreeSet::new();
-        let mut queue: VecDeque<(T::Coord, u32)> = VecDeque::new();
-        for &seed in &cells {
-            visited.clear();
-            queue.clear();
-            queue.push_back((seed, 0));
-            visited.insert(seed);
-            while let Some((cell, depth)) = queue.pop_front() {
+        let mut scratch = walk.scratch();
+        for seed in 0..walk.cells.len() as u32 {
+            walk.spread(seed, self.spread_radius, &mut scratch, |_, depth| {
                 per_seed_total += self.probability_at(depth);
-                if depth == self.spread_radius {
-                    continue;
-                }
-                for next in topo.neighbors_of(cell) {
-                    if visited.insert(next) {
-                        queue.push_back((next, depth + 1));
-                    }
+            });
+        }
+        self.mean_clusters * per_seed_total / walk.cells.len() as f64
+    }
+}
+
+/// Marks "no id" in a walk's id table.
+const NONE: u32 = u32::MAX;
+
+/// A topology laid out for cluster spread: its cells over dense ids in
+/// sorted ([`Topology::cells_iter`]) order, each cell's in-topology
+/// neighbours in lattice neighbour order ([`Topology::neighbors_of`]
+/// order), and the id each cell's fault is reported as. Built once per
+/// topology from a [`SlotIndex`] and reused across trials and threads;
+/// per-worker BFS state lives in a [`ClusterScratch`].
+#[derive(Clone, Debug)]
+pub struct ClusterWalk<C> {
+    cells: Vec<C>,
+    /// CSR offsets into `neighbors`, one per cell plus one.
+    offsets: Vec<u32>,
+    neighbors: Vec<u32>,
+    /// Reported id per cell, or [`NONE`] for a cell whose faults are
+    /// drawn but dropped.
+    ids: Vec<u32>,
+}
+
+impl<C: Lattice> ClusterWalk<C> {
+    /// The walk over `topo`, reporting each cell by its position in
+    /// sorted cell order.
+    #[must_use]
+    pub fn new<T: Topology<Coord = C>>(topo: &T) -> Self {
+        let index = SlotIndex::covering(topo);
+        let cells: Vec<C> = topo.cells_iter().collect();
+        let mut dense = vec![NONE; index.slot_count()];
+        let slots: Vec<usize> = cells
+            .iter()
+            .enumerate()
+            .map(|(id, &cell)| {
+                let slot = index.slot(cell).expect("the covering box holds every cell");
+                dense[slot] = id as u32;
+                slot
+            })
+            .collect();
+        let mut offsets = Vec::with_capacity(cells.len() + 1);
+        offsets.push(0);
+        let mut neighbors = Vec::with_capacity(cells.len() * C::STEPS.len());
+        for &slot in &slots {
+            neighbors.extend(
+                index
+                    .neighbors(slot)
+                    .map(|n| dense[n])
+                    .filter(|&n| n != NONE),
+            );
+            offsets.push(neighbors.len() as u32);
+        }
+        ClusterWalk {
+            ids: (0..cells.len() as u32).collect(),
+            cells,
+            offsets,
+            neighbors,
+        }
+    }
+
+    /// The walk over `topo`, reporting each cell by its position in
+    /// `sampled` (strictly increasing, like a compiled evaluator's cell
+    /// list); faults on cells outside `sampled` are dropped.
+    #[must_use]
+    pub fn with_ids<T: Topology<Coord = C>>(topo: &T, sampled: &[C]) -> Self {
+        let mut walk = ClusterWalk::new(topo);
+        // Both lists are sorted: one merge pass pairs them up.
+        let mut next = sampled.iter().enumerate().peekable();
+        for (id, &cell) in walk.ids.iter_mut().zip(&walk.cells) {
+            while next.next_if(|&(_, &s)| s < cell).is_some() {}
+            *id = next
+                .next_if(|&(_, &s)| s == cell)
+                .map_or(NONE, |(j, _)| j as u32);
+        }
+        walk
+    }
+}
+
+impl<C> ClusterWalk<C> {
+    /// A BFS scratch sized for this walk, one per worker.
+    #[must_use]
+    pub fn scratch(&self) -> ClusterScratch {
+        ClusterScratch {
+            visited: vec![0; self.cells.len()],
+            stamp: 0,
+            queue: Vec::new(),
+        }
+    }
+
+    /// Visits the cells within `radius` hops of `seed` in BFS order,
+    /// calling `visit(cell, depth)` on each.
+    fn spread(
+        &self,
+        seed: u32,
+        radius: u32,
+        scratch: &mut ClusterScratch,
+        mut visit: impl FnMut(usize, u32),
+    ) {
+        let stamp = scratch.next_stamp();
+        let ClusterScratch { visited, queue, .. } = scratch;
+        queue.clear();
+        queue.push((seed, 0));
+        visited[seed as usize] = stamp;
+        let mut head = 0;
+        while let Some(&(cell, depth)) = queue.get(head) {
+            head += 1;
+            let cell = cell as usize;
+            visit(cell, depth);
+            if depth == radius {
+                continue;
+            }
+            let range = self.offsets[cell] as usize..self.offsets[cell + 1] as usize;
+            for &next in &self.neighbors[range] {
+                if visited[next as usize] != stamp {
+                    visited[next as usize] = stamp;
+                    queue.push((next, depth + 1));
                 }
             }
         }
-        self.mean_clusters * per_seed_total / cells.len() as f64
+    }
+}
+
+/// Reusable BFS state for [`ClusteredDefects::sample_on`]: a
+/// generation-stamped visited array (one fresh stamp per cluster, so
+/// nothing is cleared between clusters) and the BFS queue.
+#[derive(Clone, Debug)]
+pub struct ClusterScratch {
+    visited: Vec<u32>,
+    stamp: u32,
+    queue: Vec<(u32, u32)>,
+}
+
+impl ClusterScratch {
+    /// Advances the stamp; on `u32` wrap-around clears the visited array
+    /// so marks from 2^32 clusters ago cannot alias the new stamp.
+    fn next_stamp(&mut self) -> u32 {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.visited.iter_mut().for_each(|v| *v = 0);
+            self.stamp = 1;
+        }
+        self.stamp
     }
 }
 
@@ -359,6 +515,57 @@ mod tests {
         use crate::injection::InjectionModel as _;
         let via_trait = m.inject(&Region::parallelogram(12, 12), &mut rng(3));
         assert_eq!(via_trait, hex);
+    }
+
+    #[test]
+    fn walk_ids_follow_the_sampled_cells() {
+        let region = SquareRegion::rect(3, 2);
+        let cells: Vec<_> = region.cells_iter().collect();
+        // Every other cell, plus one outside the region at each end.
+        let mut sampled = vec![dmfb_grid::SquareCoord::new(-1, 0)];
+        sampled.extend(cells.iter().step_by(2));
+        sampled.push(dmfb_grid::SquareCoord::new(9, 9));
+        let walk = ClusterWalk::with_ids(&region, &sampled);
+        assert_eq!(walk.cells, cells);
+        assert_eq!(walk.ids, [1, NONE, 2, NONE, 3, NONE]);
+        assert_eq!(ClusterWalk::new(&region).ids, [0, 1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn walk_neighbours_are_topology_neighbours_in_order() {
+        use dmfb_grid::Region;
+        fn check<T: Topology>(topo: &T) {
+            let walk = ClusterWalk::new(topo);
+            for (id, &cell) in walk.cells.iter().enumerate() {
+                let range = walk.offsets[id] as usize..walk.offsets[id + 1] as usize;
+                let dense: Vec<_> = walk.neighbors[range]
+                    .iter()
+                    .map(|&n| walk.cells[n as usize])
+                    .collect();
+                let expected: Vec<_> = topo.neighbors_of(cell).collect();
+                assert_eq!(dense, expected, "{cell:?}");
+            }
+        }
+        check(&Region::parallelogram(5, 4));
+        check(&SquareRegion::rect(4, 3));
+        check(&SquareRegion::rect(0, 0));
+    }
+
+    #[test]
+    fn stamp_wrap_clears_stale_marks() {
+        let walk = ClusterWalk::new(&SquareRegion::rect(2, 1));
+        let mut scratch = walk.scratch();
+        scratch.stamp = u32::MAX;
+        scratch.visited = vec![u32::MAX, 1];
+        assert_eq!(scratch.next_stamp(), 1);
+        assert_eq!(scratch.visited, [0, 0]);
+        assert_eq!(scratch.next_stamp(), 2);
+        // A wrapped scratch still spreads over both cells.
+        scratch.stamp = u32::MAX;
+        scratch.visited = vec![1, 1];
+        let mut seen = Vec::new();
+        walk.spread(0, 1, &mut scratch, |cell, depth| seen.push((cell, depth)));
+        assert_eq!(seen, [(0, 0), (1, 1)]);
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //!
 //! 1. **Sample** — a transposed [`BlockSampler`] draws one fault *word*
 //!    per cell (bit `L` = lane `L`'s fault flag), bit-identical to the
-//!    scalar per-trial streams for the same seeds.
+//!    scalar per-trial streams for the same seeds. Samplers whose draw
+//!    stream cannot be transposed (clustered defects, explicit defect
+//!    maps) run per lane instead and OR their fault ids into the same
+//!    words ([`TrialEvaluator::sampled_block`]).
 //! 2. **Classify** — cell-fault words are OR-folded to per-unit and
 //!    per-resource fault words through the evaluator's CSR structure,
 //!    then four word-parallel tiers retire whole lanes in order:
@@ -41,7 +44,7 @@
 
 use crate::incremental::TrialEvaluator;
 use dmfb_defects::block::{fault_threshold, BlockSampler};
-use dmfb_graph::words::{pack_ge, LaneCounter, LANES};
+use dmfb_graph::words::{lane_mask, pack_ge, LaneCounter, LANES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -50,7 +53,7 @@ use rand::{Rng, SeedableRng};
 /// keeps per lane costs `O(k²)` per block versus the scalar loop's
 /// `O(n)` identity reset per lane; stratified strata deep enough to
 /// cross this bound are rare enough (probability-weighted) that the
-/// scalar fallback is never the hot path.
+/// per-lane fallback is never the hot path.
 const TRANSPOSED_FAULT_LIMIT: usize = 64;
 
 /// Cumulative tier counters of a [`TrialBlock`] — how much work each
@@ -119,7 +122,9 @@ pub struct TrialBlock {
     hall_bound: Option<u64>,
     /// Augmenting-path state of the residue matcher.
     matcher: LaneMatcher,
-    /// Cell-index permutation for the scalar exact-fault fallback.
+    /// One lane's faulty cell ids, written by a per-lane sampler.
+    faults: Vec<u32>,
+    /// Cell-index permutation for the per-lane exact-fault fallback.
     perm: Vec<u32>,
     stats: BlockStats,
 }
@@ -199,6 +204,7 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
                 visit_gen: 0,
                 stack: Vec::with_capacity(self.unit_count()),
             },
+            faults: Vec::new(),
             perm: (0..self.cell_count() as u32).collect(),
             stats: BlockStats::default(),
         }
@@ -298,8 +304,9 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
     /// stratified estimator's sampled strata. Above 64 faults
     /// (`TRANSPOSED_FAULT_LIMIT`) the sparse override list the
     /// transposed sampler tracks stops paying for itself, so deep strata
-    /// fall back to the scalar per-lane loop; both branches stage
-    /// identical fault words.
+    /// fall back to the scalar Fisher–Yates draw per lane through
+    /// [`TrialEvaluator::sampled_block`]; both branches stage identical
+    /// fault words.
     ///
     /// # Panics
     ///
@@ -310,28 +317,64 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
             faults <= n,
             "cannot inject {faults} faults into a {n}-cell structure"
         );
+        if faults > TRANSPOSED_FAULT_LIMIT {
+            let mut perm = std::mem::take(&mut block.perm);
+            let successes = self.sampled_block(seeds, block, |rng, ids| {
+                for (i, slot) in perm.iter_mut().enumerate() {
+                    *slot = i as u32;
+                }
+                for i in 0..faults {
+                    let j = rng.gen_range(i..n);
+                    perm.swap(i, j);
+                    ids.push(perm[i]);
+                }
+            });
+            block.perm = perm;
+            return successes;
+        }
         let mut successes = 0u32;
         for group in seeds.chunks(LANES) {
-            block.sampler.reseed(group); // keeps live_mask in step
-            if faults <= TRANSPOSED_FAULT_LIMIT {
-                block
-                    .sampler
-                    .exact_fault_words(n, faults, &mut block.cell_words);
-            } else {
-                block.cell_words.iter_mut().for_each(|w| *w = 0);
-                for (lane, &seed) in group.iter().enumerate() {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    for (i, slot) in block.perm.iter_mut().enumerate() {
-                        *slot = i as u32;
-                    }
-                    for i in 0..faults {
-                        let j = rng.gen_range(i..n);
-                        block.perm.swap(i, j);
-                        block.cell_words[block.perm[i] as usize] |= 1u64 << lane;
-                    }
+            block.sampler.reseed(group);
+            block
+                .sampler
+                .exact_fault_words(n, faults, &mut block.cell_words);
+            successes += self.decide_group(block).count_ones();
+        }
+        successes
+    }
+
+    /// Per-lane-sampler block trial: for each seed, `sample` gets that
+    /// trial's `StdRng::seed_from_u64(seed)` and pushes its faulty cell
+    /// ids (indices into the evaluator's cells, duplicates allowed) onto
+    /// the list; the ids are OR-ed into the lane's bit of the fault words
+    /// and every lane is decided by the classifier tiers and the residue
+    /// matcher. Returns how many trials were tolerable — the same verdict
+    /// per seed as marking that trial's ids faulty and running
+    /// [`TrialEvaluator::evaluate_defects`], at any seed-slice length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sample` pushes an id at or past the evaluator's cell
+    /// count.
+    pub fn sampled_block(
+        &self,
+        seeds: &[u64],
+        block: &mut TrialBlock,
+        mut sample: impl FnMut(&mut StdRng, &mut Vec<u32>),
+    ) -> u32 {
+        let mut successes = 0u32;
+        for group in seeds.chunks(LANES) {
+            block.cell_words.iter_mut().for_each(|w| *w = 0);
+            for (lane, &seed) in group.iter().enumerate() {
+                block.faults.clear();
+                sample(&mut StdRng::seed_from_u64(seed), &mut block.faults);
+                for &id in &block.faults {
+                    block.cell_words[id as usize] |= 1u64 << lane;
                 }
             }
-            successes += self.decide_group(block).count_ones();
+            successes += self
+                .decide_group_masked(block, lane_mask(group.len()))
+                .count_ones();
         }
         successes
     }

@@ -277,6 +277,23 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
         self.structure.cells.len()
     }
 
+    /// The sampled cells, strictly increasing; a cell's position here is
+    /// its id in [`TrialEvaluator::sampled_block`] fault lists.
+    #[must_use]
+    pub fn cells(&self) -> &[C] {
+        &self.structure.cells
+    }
+
+    /// The ids of `defects`' faulty cells that the evaluator samples —
+    /// the fault list a [`TrialEvaluator::sampled_block`] sampler pushes
+    /// for a defect map (faults on other cells cannot change a verdict).
+    pub fn fault_ids<'a>(&'a self, defects: &'a DefectMap<C>) -> impl Iterator<Item = u32> + 'a {
+        let cells = &self.structure.cells;
+        defects
+            .faulty_cells()
+            .filter_map(|c| cells.binary_search(&c).ok().map(|id| id as u32))
+    }
+
     /// Number of unit→resource adjacencies in the precomputed structure.
     #[must_use]
     pub fn edge_count(&self) -> usize {

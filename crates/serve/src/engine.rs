@@ -18,14 +18,21 @@
 use crate::request::{Tier, YieldRequest};
 use dmfb_bench::json::json_number;
 use dmfb_core::prelude::{
-    Bernoulli, BernoulliEstimate, Biochip, InjectionModel, MonteCarlo, StratifiedEstimate,
+    Bernoulli, BernoulliEstimate, Biochip, HexDir, MonteCarlo, StratifiedEstimate,
 };
 use dmfb_core::sim::SeedSequence;
 use dmfb_core::{DefectModel, Engine, Estimate, Query};
+use rand::Rng;
+use std::sync::OnceLock;
 
 /// One precomputed engine, ready to serve any request that maps to its
 /// [`YieldRequest::engine_key`].
-pub struct CachedEngine(Engine);
+pub struct CachedEngine {
+    engine: Engine,
+    /// A hex chip's cells as the raw tier reads them, built on the first
+    /// raw request.
+    raw: OnceLock<Vec<RawCell>>,
+}
 
 impl CachedEngine {
     /// Builds the engine a request's key describes. This is the expensive
@@ -34,7 +41,10 @@ impl CachedEngine {
     /// stack.
     #[must_use]
     pub fn build(request: &YieldRequest, threads: usize) -> Self {
-        CachedEngine(Engine::build(&request.engine_spec(), threads))
+        CachedEngine {
+            engine: Engine::build(&request.engine_spec(), threads),
+            raw: OnceLock::new(),
+        }
     }
 
     /// Runs `request` on this engine and renders the reply body. The
@@ -45,9 +55,10 @@ impl CachedEngine {
     #[must_use]
     pub fn run(&self, request: &YieldRequest, threads: usize) -> String {
         let q = request.query;
-        let results = match (&self.0, request.tier) {
+        let results = match (&self.engine, request.tier) {
             (Engine::Hex { chip, .. }, Tier::Raw) => {
-                let raw = raw_yield(chip, &q, threads);
+                let cells = self.raw.get_or_init(|| raw_cells(chip));
+                let raw = raw_yield(cells, &q, threads);
                 format!("\"raw\": {}", bernoulli_json(&raw))
             }
             // The request validator admits the raw tier on hex schemes only.
@@ -90,20 +101,59 @@ impl CachedEngine {
     }
 }
 
+/// One cell of a hex chip, in region order, as the raw tier reads it.
+#[derive(Clone, Copy, Debug)]
+struct RawCell {
+    /// An in-scope primary: its fault fails the raw chip.
+    required: bool,
+    /// In-region neighbours: the partners a short on this cell can pick.
+    neighbours: u8,
+}
+
+/// The raw tier's per-cell table of `chip`, in region order.
+fn raw_cells(chip: &Biochip) -> Vec<RawCell> {
+    let (array, policy) = (chip.array(), chip.policy());
+    let region = array.region();
+    region
+        .iter()
+        .map(|cell| RawCell {
+            required: array.is_primary(cell) && policy.requires(cell),
+            neighbours: HexDir::ALL
+                .into_iter()
+                .filter(|&d| region.contains(cell.step(d)))
+                .count() as u8,
+        })
+        .collect()
+}
+
 /// Raw yield (no reconfiguration) for `query`: the chip is good only
 /// when no in-scope primary fails, sampled per trial and seeded
 /// independently of the reconfigured estimate.
-fn raw_yield(chip: &Biochip, query: &Query, threads: usize) -> BernoulliEstimate {
-    let model = Bernoulli::from_survival(query.p);
+///
+/// Each trial makes the draws of [`Bernoulli`]'s hex `inject` over the
+/// region, in cell order: the fault draw, and for a faulty cell the cause
+/// roll, which for a short (roll ≥ 0.8) picks one of the cell's
+/// in-region neighbours (an isolated cell picks nothing). The first
+/// faulty in-scope primary decides the trial, so the rest of its stream
+/// is never drawn.
+fn raw_yield(cells: &[RawCell], query: &Query, threads: usize) -> BernoulliEstimate {
+    let q = Bernoulli::from_survival(query.p).defect_probability();
     let (trials, seed) = (query.trials, SeedSequence::nth_seed(query.seed, 1));
-    let array = chip.array();
-    let policy = chip.policy();
     MonteCarlo::new(trials, seed).run_parallel(threads, |rng| {
-        let defects = model.inject(array.region(), rng);
-        let any_relevant = defects
-            .faulty_cells()
-            .any(|c| array.is_primary(c) && policy.requires(c));
-        !any_relevant
+        q == 0.0
+            || cells.iter().all(|cell| {
+                if !rng.gen_bool(q) {
+                    return true;
+                }
+                if cell.required {
+                    return false;
+                }
+                let roll: f64 = rng.gen();
+                if roll >= 0.8 && cell.neighbours > 0 {
+                    rng.gen_range(0..usize::from(cell.neighbours));
+                }
+                true
+            })
     })
 }
 
@@ -200,6 +250,52 @@ mod tests {
                 dmfb_bench::json::JsonValue::parse(&reply).is_ok(),
                 "unparseable reply for {body}: {reply}"
             );
+        }
+    }
+
+    /// The raw tier as it ran over B-tree defect maps: a full
+    /// `Bernoulli` injection per trial, then a scan for a faulty
+    /// in-scope primary.
+    fn raw_yield_by_defect_maps(chip: &Biochip, query: &Query) -> BernoulliEstimate {
+        use dmfb_core::prelude::InjectionModel;
+        let model = Bernoulli::from_survival(query.p);
+        let (trials, seed) = (query.trials, SeedSequence::nth_seed(query.seed, 1));
+        let (array, policy) = (chip.array(), chip.policy());
+        MonteCarlo::new(trials, seed).run_parallel(1, |rng| {
+            let defects = model.inject(array.region(), rng);
+            let any_relevant = defects
+                .faulty_cells()
+                .any(|c| array.is_primary(c) && policy.requires(c));
+            !any_relevant
+        })
+    }
+
+    #[test]
+    fn raw_tier_matches_the_defect_map_reference() {
+        use dmfb_core::prelude::{DtmbKind, ReconfigPolicy};
+        use std::collections::BTreeSet;
+        let array = DtmbKind::Dtmb16.with_primary_count(40);
+        let used: BTreeSet<_> = array.region().iter().step_by(3).collect();
+        for policy in [
+            ReconfigPolicy::AllPrimaries,
+            ReconfigPolicy::UsedCells(used),
+        ] {
+            let chip = Biochip::from_array(array.clone()).with_policy(policy);
+            let cells = raw_cells(&chip);
+            for p in [0.0, 0.6, 0.97, 0.999, 1.0] {
+                let query = Query {
+                    estimator: dmfb_core::Estimator::Naive,
+                    defect_model: DefectModel::Bernoulli,
+                    p,
+                    trials: 300,
+                    seed: 5,
+                };
+                assert_eq!(
+                    raw_yield(&cells, &query, 1),
+                    raw_yield_by_defect_maps(&chip, &query),
+                    "p={p}"
+                );
+            }
         }
     }
 

@@ -85,6 +85,28 @@ fn replies_are_identical_across_worker_counts_and_requests() {
 }
 
 #[test]
+fn unbounded_cluster_parameters_get_4xx() {
+    let (addr, handle) = start(1);
+    let mut client = HttpClient::connect(&addr).expect("connect");
+    for (body, param) in [
+        (
+            &br#"{"defect_model": "clustered", "cluster_mean": 1e17, "trials": 64}"#[..],
+            "'cluster_mean' <= 10000",
+        ),
+        (
+            br#"{"defect_model": "clustered", "cluster_dispersion": 4000000000, "trials": 64}"#,
+            "'cluster_dispersion' <= 1000",
+        ),
+    ] {
+        let reply = client.request("POST", "/v1/yield", body).expect("request");
+        assert_eq!(reply.status, 400, "body: {}", text(&reply));
+        assert!(text(&reply).contains(param), "body: {}", text(&reply));
+    }
+    drop(client);
+    shut_down(&addr, handle);
+}
+
+#[test]
 fn malformed_requests_get_4xx_and_the_server_keeps_serving() {
     let (addr, handle) = start(2);
 

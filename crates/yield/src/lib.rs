@@ -25,7 +25,7 @@
 //! [`OperationalYield`]), which conditions on the
 //! binomial defect count so the high-survival regime no longer wastes
 //! trials on defect-free chips, and **arbitrary defect samplers**
-//! (`estimate_with_defects` / `estimate_with`), which let the clustered
+//! (`estimate_sampled` / `estimate_with`), which let the clustered
 //! wafer-defect model from `dmfb-defects` drive any scheme.
 //!
 //! # Example

@@ -16,9 +16,17 @@ fn estimator(kind: DtmbKind, n: usize) -> SchemeYield {
 fn exact_faults(kind: DtmbKind, n: usize, m: usize, trials: u32, seed: u64) -> f64 {
     let array = kind.with_primary_count(n);
     let model = ExactCount::new(m);
-    SchemeYield::new(array.clone(), ReconfigPolicy::AllPrimaries)
-        .estimate_with_defects(trials, seed, |rng| model.inject(array.region(), rng))
-        .point()
+    let est = SchemeYield::new(array.clone(), ReconfigPolicy::AllPrimaries);
+    let ev = est.evaluator();
+    est.estimate_sampled(
+        trials,
+        seed,
+        || (),
+        |rng, _, faults| {
+            faults.extend(ev.fault_ids(&model.inject(array.region(), rng)));
+        },
+    )
+    .point()
 }
 
 #[test]

@@ -147,10 +147,18 @@ mod tests {
         let policy = ReconfigPolicy::AllPrimaries;
         let profile = tolerance_profile(&array, &policy, 2_000, 11);
         let mc = SchemeYield::new(array.clone(), policy);
+        let ev = mc.evaluator();
         for m in [2usize, 5, 10] {
             let model = ExactCount::new(m);
             let direct = mc
-                .estimate_with_defects(2_000, 13, |rng| model.inject(array.region(), rng))
+                .estimate_sampled(
+                    2_000,
+                    13,
+                    || (),
+                    |rng, _, faults| {
+                        faults.extend(ev.fault_ids(&model.inject(array.region(), rng)));
+                    },
+                )
                 .point();
             let via_profile = profile.survival(m);
             assert!(

@@ -13,7 +13,6 @@
 //! [`SchemeYield::new`]; every other scheme compiles through
 //! [`SchemeYield::from_scheme`].
 
-use dmfb_defects::DefectMap;
 use dmfb_grid::{HexCoord, Topology};
 use dmfb_reconfig::{DefectTolerantArray, ReconfigPolicy, RedundancyScheme, TrialEvaluator};
 use dmfb_sim::{
@@ -272,27 +271,30 @@ impl<C: Copy + Ord + Send + Sync> SchemeYield<C> {
         })
     }
 
-    /// Estimates yield under an arbitrary defect sampler — the hook the
-    /// clustered-defect model rides through every scheme: `sample` draws
-    /// one chip instance's defect map per trial (all randomness from the
-    /// provided RNG), and the evaluator decides tolerability. Results are
-    /// deterministic in `(trials, seed)` and independent of thread count.
-    ///
-    /// Runs one trial at a time: an arbitrary sampler's draw stream cannot
-    /// be transposed into fault words without changing it.
+    /// Estimates yield under an arbitrary per-trial fault sampler — the
+    /// hook the clustered-defect model rides through every scheme. Each
+    /// trial's `sample` call gets that trial's RNG and the worker's state
+    /// from `init`, and pushes the trial's faulty cell ids (indices into
+    /// [`TrialEvaluator::cells`]; see [`TrialEvaluator::fault_ids`]). The
+    /// trials run in blocks through [`TrialEvaluator::sampled_block`], so
+    /// the classifier tiers decide most of them without a matcher call.
+    /// Results are deterministic in `(trials, seed)` and independent of
+    /// thread count and block width.
     #[must_use]
-    pub fn estimate_with_defects(
+    pub fn estimate_sampled<S>(
         &self,
         trials: u32,
         seed: u64,
-        sample: impl Fn(&mut StdRng) -> DefectMap<C> + Sync,
+        init: impl Fn() -> S + Sync,
+        sample: impl Fn(&mut StdRng, &mut S, &mut Vec<u32>) + Sync,
     ) -> BernoulliEstimate {
-        MonteCarlo::new(trials, seed).run_parallel_with(
+        MonteCarlo::new(trials, seed).run_blocks_with(
             self.threads,
-            || self.evaluator.scratch(),
-            |rng, scratch| {
-                let defects = sample(rng);
-                self.evaluator.evaluate_defects(&defects, scratch)
+            self.width,
+            || (self.evaluator.block_scratch(), init()),
+            |seeds, (block, state)| {
+                self.evaluator
+                    .sampled_block(seeds, block, |rng, faults| sample(rng, state, faults))
             },
         )
     }
@@ -347,15 +349,19 @@ mod tests {
         SchemeYield::from_scheme(&SquareRegion::rect(10, 10), &pattern)
     }
 
-    fn spare_rows() -> SchemeYield<dmfb_grid::SquareCoord> {
-        let array = SpareRowArray::new(
+    fn spare_row_array() -> SpareRowArray {
+        SpareRowArray::new(
             8,
             vec![ModuleBand {
                 name: "M".into(),
                 rows: 6,
             }],
             2,
-        );
+        )
+    }
+
+    fn spare_rows() -> SchemeYield<dmfb_grid::SquareCoord> {
+        let array = spare_row_array();
         SchemeYield::from_scheme(&array.region(), &array)
     }
 
@@ -596,7 +602,11 @@ mod tests {
         let region = SquareRegion::rect(10, 10);
         let est = SchemeYield::from_scheme(&region, &SquarePattern::Checkerboard);
         let model = Bernoulli::from_survival(0.93);
-        let via_sampler = est.estimate_with_defects(4_000, 9, |rng| model.inject_in(&region, rng));
+        let ev = est.evaluator();
+        let sample = |rng: &mut StdRng, _: &mut (), faults: &mut Vec<u32>| {
+            faults.extend(ev.fault_ids(&model.inject_in(&region, rng)));
+        };
+        let via_sampler = est.estimate_sampled(4_000, 9, || (), sample);
         let direct = est.estimate_survival(0.93, 4_000, 9);
         assert!(
             (via_sampler.point() - direct.point()).abs() < 0.04,
@@ -608,8 +618,39 @@ mod tests {
         let par = est
             .clone()
             .with_threads(4)
-            .estimate_with_defects(4_000, 9, |rng| model.inject_in(&region, rng));
+            .estimate_sampled(4_000, 9, || (), sample);
         assert_eq!(par, via_sampler);
+    }
+
+    #[test]
+    fn sampled_engine_matches_the_per_trial_defect_map_verdicts() {
+        use dmfb_defects::ClusteredDefects;
+        use dmfb_grid::SquareRegion;
+        let region = SquareRegion::rect(10, 10);
+        let model = ClusteredDefects::new(1.5, 2, 1, 0.7);
+        for (est, topo) in [
+            (square(SquarePattern::PerfectCode), region.clone()),
+            (square(SquarePattern::Stripes), region),
+            (spare_rows(), spare_row_array().region()),
+        ] {
+            let ev = est.evaluator();
+            // The scalar oracle: a defect map per trial, decided by the
+            // per-trial matcher.
+            let oracle = MonteCarlo::new(700, 21).run_parallel_with(
+                1,
+                || ev.scratch(),
+                |rng, scratch| ev.evaluate_defects(&model.inject_in(&topo, rng), scratch),
+            );
+            for width in [DEFAULT_BLOCK_TRIALS, 1, 17, 64, 333] {
+                let got = est.clone().with_width(width).estimate_sampled(
+                    700,
+                    21,
+                    || (),
+                    |rng, _, faults| faults.extend(ev.fault_ids(&model.inject_in(&topo, rng))),
+                );
+                assert_eq!(got, oracle, "{} width={width}", est.label());
+            }
+        }
     }
 
     #[test]

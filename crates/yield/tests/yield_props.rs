@@ -80,8 +80,12 @@ proptest! {
             prop_assert!(profile.survival(m) + 1e-12 >= profile.survival(m + 1));
         }
         let model = ExactCount::new(1);
-        let direct = SchemeYield::new(array.clone(), policy)
-            .estimate_with_defects(400, seed ^ 0xF00D, |rng| model.inject(array.region(), rng))
+        let est = SchemeYield::new(array.clone(), policy);
+        let ev = est.evaluator();
+        let direct = est
+            .estimate_sampled(400, seed ^ 0xF00D, || (), |rng, _, faults| {
+                faults.extend(ev.fault_ids(&model.inject(array.region(), rng)));
+            })
             .point();
         prop_assert!((profile.survival(1) - direct).abs() < 0.12);
     }

@@ -48,10 +48,16 @@ fn clustered_defects_are_worse_than_iid() {
     let expected_failures = clustered.expected_failures();
     let q = expected_failures / total_cells;
     let iid = est.estimate_survival(1.0 - q, 4_000, TEST_SEEDS[0]).point();
+    let ev = est.evaluator();
     let spot = est
-        .estimate_with_defects(4_000, TEST_SEEDS[0], |rng| {
-            clustered.inject(array.region(), rng)
-        })
+        .estimate_sampled(
+            4_000,
+            TEST_SEEDS[0],
+            || (),
+            |rng, _, faults| {
+                faults.extend(ev.fault_ids(&clustered.inject(array.region(), rng)));
+            },
+        )
         .point();
     assert!(
         spot < iid + 0.02,
