@@ -686,6 +686,7 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
     }
     let engine = Engine::build(&spec, opts.get("threads", 0)?);
     let rows = engine.sweep(&estimator, &ps, trials, seed, batched);
+    let prec = p_decimals(&ps);
 
     let ey = |y: f64| match &engine {
         Engine::Hex { chip, .. } if effective => {
@@ -706,12 +707,16 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
         match tiers.as_slice() {
             [(_, Estimate::Naive(y))] => {
                 let (lo, hi) = y.wilson95();
-                outln!("{p:.4},{:.4},{lo:.4},{hi:.4}{}", y.point(), ey(y.point()));
+                outln!(
+                    "{p:.prec$},{:.4},{lo:.4},{hi:.4}{}",
+                    y.point(),
+                    ey(y.point())
+                );
             }
             [(_, Estimate::Stratified(y))] => {
                 let (lo, hi) = y.ci95();
                 outln!(
-                    "{p:.4},{:.6},{lo:.6},{hi:.6},{:.3e},{}{}",
+                    "{p:.prec$},{:.6},{lo:.6},{hi:.6},{:.3e},{}{}",
                     y.point,
                     y.std_error(),
                     eff_samples(y),
@@ -721,7 +726,7 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
             [(_, Estimate::Naive(raw)), (_, Estimate::Naive(rec)), (_, Estimate::Naive(op))] => {
                 let (lo, hi) = op.wilson95();
                 outln!(
-                    "{p:.4},{:.4},{:.4},{:.4},{lo:.4},{hi:.4}",
+                    "{p:.prec$},{:.4},{:.4},{:.4},{lo:.4},{hi:.4}",
                     raw.point(),
                     rec.point(),
                     op.point()
@@ -730,7 +735,7 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
             [(_, Estimate::Stratified(raw)), (_, Estimate::Stratified(rec)), (_, Estimate::Stratified(op))] =>
             {
                 outln!(
-                    "{p:.4},{:.6},{:.6},{:.6},{:.3e},{}",
+                    "{p:.prec$},{:.6},{:.6},{:.6},{:.3e},{}",
                     raw.point,
                     rec.point,
                     op.point,
@@ -742,6 +747,18 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// Decimals for a sweep's `p` column: the fewest, at least 4, that print
+/// consecutive grid points distinctly, so a fine grid never repeats a row
+/// label. Capped at 17, past any grid step worth sweeping.
+fn p_decimals(ps: &[f64]) -> usize {
+    (4..17)
+        .find(|&prec| {
+            ps.windows(2)
+                .all(|w| format!("{:.prec$}", w[0]) != format!("{:.prec$}", w[1]))
+        })
+        .unwrap_or(17)
 }
 
 /// Rejects every parameter that `dmfb search` does not take: the search
@@ -1440,6 +1457,17 @@ mod tests {
 
     fn opts(args: &[&str]) -> Options {
         Options::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
+    }
+
+    #[test]
+    fn p_column_widens_only_for_fine_grids() {
+        let default: Vec<f64> = (0..11).map(|i| 0.9 + 0.01 * f64::from(i)).collect();
+        assert_eq!(p_decimals(&default), 4);
+        assert_eq!(p_decimals(&[0.5]), 4);
+        assert_eq!(p_decimals(&[0.9999, 0.99991, 1.0]), 5);
+        assert_eq!(p_decimals(&[0.5, 0.5 + 1e-9]), 9);
+        // Points no decimal count separates stop at the cap.
+        assert_eq!(p_decimals(&[0.5, 0.5]), 17);
     }
 
     #[test]

@@ -270,6 +270,46 @@ fn batched_sweep_emits_monotone_csv() {
 }
 
 #[test]
+fn fine_sweep_grids_print_distinct_ascending_p() {
+    for (steps, decimals) in [("11", 5), ("10000", 8)] {
+        let out = dmfb(&[
+            "sweep",
+            "--design",
+            "dtmb26",
+            "--primaries",
+            "60",
+            "--batched",
+            "--from",
+            "0.9999",
+            "--to",
+            "1.0",
+            "--steps",
+            steps,
+            "--trials",
+            "64",
+        ]);
+        assert!(
+            out.status.success(),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8(out.stdout).unwrap();
+        let labels: Vec<&str> = text
+            .lines()
+            .skip(1)
+            .map(|l| l.split(',').next().unwrap())
+            .collect();
+        assert_eq!(labels.len(), steps.parse::<usize>().unwrap());
+        assert_eq!(labels[0], format!("{:.decimals$}", 0.9999));
+        assert!(labels.iter().all(|l| l.len() == decimals + 2), "{labels:?}");
+        let ps: Vec<f64> = labels.iter().map(|l| l.parse().unwrap()).collect();
+        for w in ps.windows(2) {
+            assert!(w[0] < w[1], "steps={steps}: p labels must ascend: {w:?}");
+        }
+    }
+}
+
+#[test]
 fn unknown_scheme_lists_choices_and_fails() {
     for cmd in ["yield", "sweep", "bench"] {
         let out = dmfb(&[cmd, "--scheme", "triangular"]);

@@ -50,9 +50,9 @@ pub fn fault_threshold(p: f64) -> u64 {
 ///
 /// Construction order is the contract: the caller draws cells in the
 /// same order as the scalar engine (the evaluator's sorted cell order),
-/// one [`BlockSampler::fill_fault_words`] slot or
-/// [`BlockSampler::mantissas`] call per cell, so each lane consumes its
-/// stream exactly like `survival_trial`'s per-cell loop.
+/// one [`BlockSampler::fill_fault_words`] (or
+/// [`BlockSampler::fill_fault_words_store`]) slot per cell, so each lane
+/// consumes its stream exactly like `survival_trial`'s per-cell loop.
 #[derive(Clone, Debug)]
 pub struct BlockSampler {
     rngs: LaneRngs,
@@ -116,13 +116,23 @@ impl BlockSampler {
         }
     }
 
-    /// Draws one cell for all lanes and stores the raw 53-bit mantissas
-    /// (`out[L]` = lane `L`'s draw) — the transposed common-random-number
-    /// form used when one draw must be thresholded at many survival
-    /// probabilities (grid sweeps). `mantissa >= fault_threshold(p)` is
-    /// the fault test.
-    pub fn mantissas(&mut self, out: &mut [u64; LANES]) {
-        self.rngs.next_mantissas(out);
+    /// [`BlockSampler::fill_fault_words`] that also keeps every draw:
+    /// lane `L`'s 53-bit mantissa for cell `i` lands in
+    /// `store[i * LANES + L]` (idle lanes included), written in the same
+    /// pass as the fault words. This is the common-random-number form a
+    /// grid sweep thresholds at its later survival probabilities:
+    /// `mantissa >= fault_threshold(p)` is the fault test
+    /// ([`dmfb_graph::words::pack_ge`] packs a column of them).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `store` is shorter than `out.len() * LANES` words.
+    pub fn fill_fault_words_store(&mut self, threshold: u64, out: &mut [u64], store: &mut [u64]) {
+        self.rngs.fill_ge_store(threshold, out, store);
+        let live = self.live_mask();
+        for word in out.iter_mut() {
+            *word &= live;
+        }
     }
 
     /// Transposed exact-fault-count sampling: stages, for every live
@@ -238,10 +248,42 @@ mod tests {
             for &word in &words {
                 assert_eq!(word & !batched.live_mask(), 0);
             }
-            let (mut a, mut b) = ([0u64; LANES], [0u64; LANES]);
-            batched.mantissas(&mut a);
-            reference.mantissas(&mut b);
-            assert_eq!(a[..seeds.len()], b[..seeds.len()], "p={p}");
+            let (mut a, mut b) = ([0u64; 1], [0u64; 1]);
+            let (mut sa, mut sb) = ([0u64; LANES], [0u64; LANES]);
+            batched.fill_fault_words_store(t, &mut a, &mut sa);
+            reference.fill_fault_words_store(t, &mut b, &mut sb);
+            assert_eq!(sa[..seeds.len()], sb[..seeds.len()], "p={p}");
+            assert_eq!(a, b, "p={p}");
+        }
+    }
+
+    #[test]
+    fn stored_mantissas_rethreshold_to_the_same_fault_words() {
+        // The store variant emits the plain sampler's words, and packing
+        // its stored columns at any threshold equals sampling afresh at
+        // that threshold with the same seeds.
+        let seeds: Vec<u64> = (0..41).map(|i| 0x57_0E + i * 29).collect();
+        let cells = 30;
+        let mut stored = BlockSampler::new(&seeds);
+        let mut words = vec![u64::MAX; cells];
+        let mut store = vec![0u64; cells * LANES];
+        stored.fill_fault_words_store(fault_threshold(0.9), &mut words, &mut store);
+        for &p in &[0.0, 0.5, 0.9, 0.99, 1.0] {
+            let t = fault_threshold(p);
+            let mut fresh = BlockSampler::new(&seeds);
+            let mut expected = vec![0u64; cells];
+            fresh.fill_fault_words(t, &mut expected);
+            let packed: Vec<u64> = store
+                .chunks(LANES)
+                .map(|column| {
+                    let column: &[u64; LANES] = column.try_into().expect("LANES wide");
+                    dmfb_graph::words::pack_ge(column, t) & fresh.live_mask()
+                })
+                .collect();
+            assert_eq!(packed, expected, "p={p}");
+            if p == 0.9 {
+                assert_eq!(words, expected);
+            }
         }
     }
 

@@ -9,12 +9,13 @@
 //!   layout, each lane seeded exactly like
 //!   `StdRng::seed_from_u64(seed)`, so a lane's draw stream is
 //!   *bit-identical* to the scalar engine's per-trial RNG. On x86-64
-//!   hosts with AVX2 the step/compare/pack kernels run as
-//!   runtime-dispatched four-lane SIMD (the fault-word sampler,
-//!   [`LaneRngs::fill_ge`], sweeps lane-major so RNG state stays in
-//!   registers across a whole cell pass); every other host takes the
-//!   portable SWAR loops, and both paths are held to the same
-//!   scalar-stream tests.
+//!   hosts with AVX2 the fault-word sampler and [`pack_ge`] run as
+//!   runtime-dispatched four-lane SIMD. The sampler is one lane-major
+//!   kernel, so RNG state stays in registers across a whole cell pass:
+//!   [`LaneRngs::fill_ge`] emits the fault words, and
+//!   [`LaneRngs::fill_ge_store`] also keeps every mantissa for later
+//!   re-thresholding. Every other host takes the portable SWAR loops,
+//!   and both paths are held to the same scalar-stream tests.
 //! * [`mantissa_threshold`] — converts a survival probability into an
 //!   integer mantissa threshold such that the scalar comparison
 //!   `rng.gen::<f64>() >= p` and the word comparison
@@ -67,71 +68,6 @@ mod x86 {
         std::arch::is_x86_feature_detected!("avx2")
     }
 
-    /// One lock-step xoshiro256++ update of four lanes starting at
-    /// `lane`; returns the four `next_u64` results.
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees AVX2 and `lane + 4 <= LANES`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn step4(
-        s0: &mut [u64; LANES],
-        s1: &mut [u64; LANES],
-        s2: &mut [u64; LANES],
-        s3: &mut [u64; LANES],
-        lane: usize,
-    ) -> __m256i {
-        let p0 = s0.as_mut_ptr().add(lane).cast::<__m256i>();
-        let p1 = s1.as_mut_ptr().add(lane).cast::<__m256i>();
-        let p2 = s2.as_mut_ptr().add(lane).cast::<__m256i>();
-        let p3 = s3.as_mut_ptr().add(lane).cast::<__m256i>();
-        let v0 = _mm256_loadu_si256(p0);
-        let v1 = _mm256_loadu_si256(p1);
-        let v2 = _mm256_loadu_si256(p2);
-        let v3 = _mm256_loadu_si256(p3);
-        // result = rotl(s0 + s3, 23) + s0 (rotates spelled shl|shr — AVX2
-        // shift immediates are const generics, so no shared rotl helper).
-        let sum = _mm256_add_epi64(v0, v3);
-        let rot = _mm256_or_si256(_mm256_slli_epi64::<23>(sum), _mm256_srli_epi64::<41>(sum));
-        let result = _mm256_add_epi64(rot, v0);
-        let t = _mm256_slli_epi64::<17>(v1);
-        let v2 = _mm256_xor_si256(v2, v0);
-        let v3 = _mm256_xor_si256(v3, v1);
-        let v1 = _mm256_xor_si256(v1, v2);
-        let v0 = _mm256_xor_si256(v0, v3);
-        let v2 = _mm256_xor_si256(v2, t);
-        let v3 = _mm256_or_si256(_mm256_slli_epi64::<45>(v3), _mm256_srli_epi64::<19>(v3));
-        _mm256_storeu_si256(p0, v0);
-        _mm256_storeu_si256(p1, v1);
-        _mm256_storeu_si256(p2, v2);
-        _mm256_storeu_si256(p3, v3);
-        result
-    }
-
-    /// Vectorised step + mantissa shift: advances all 64 lanes one draw
-    /// and writes the 53-bit mantissas to `out`.
-    ///
-    /// # Safety
-    ///
-    /// Caller guarantees AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn step_mantissas(
-        s0: &mut [u64; LANES],
-        s1: &mut [u64; LANES],
-        s2: &mut [u64; LANES],
-        s3: &mut [u64; LANES],
-        out: &mut [u64; LANES],
-    ) {
-        let mut lane = 0;
-        while lane < LANES {
-            let result = step4(s0, s1, s2, s3, lane);
-            let m = _mm256_srli_epi64::<11>(result);
-            _mm256_storeu_si256(out.as_mut_ptr().add(lane).cast::<__m256i>(), m);
-            lane += 4;
-        }
-    }
-
     /// Batched fused sampler: one `(next_u64() >> 11) >= threshold` fault
     /// word per `out` slot, loop-inverted — lanes outer, cells inner — so
     /// each lane group's RNG state stays in registers across the whole
@@ -139,23 +75,29 @@ mod x86 {
     /// because 53-bit mantissas and thresholds (`<= 2^53`) never reach the
     /// sign bit — and the pack is a sign-bit `movemask` per four lanes.
     /// Two 4-lane groups advance per pass to keep both dependency chains
-    /// in flight.
+    /// in flight. With `STORE`, each draw's mantissa is also written to
+    /// `store[cell * LANES + lane]` while it is still in a register.
     ///
     /// # Safety
     ///
-    /// Caller guarantees AVX2 is available.
+    /// Caller guarantees AVX2 is available and, with `STORE`, that
+    /// `store` holds at least `out.len() * LANES` words.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn fill_ge(
+    pub unsafe fn fill_ge<const STORE: bool>(
         s0: &mut [u64; LANES],
         s1: &mut [u64; LANES],
         s2: &mut [u64; LANES],
         s3: &mut [u64; LANES],
         threshold: u64,
         out: &mut [u64],
+        store: &mut [u64],
     ) {
         #[inline]
         #[target_feature(enable = "avx2")]
         unsafe fn step_reg(v: &mut [__m256i; 4]) -> __m256i {
+            // result = rotl(s0 + s3, 23) + s0 (rotates spelled shl|shr —
+            // AVX2 shift immediates are const generics, so no shared rotl
+            // helper).
             let sum = _mm256_add_epi64(v[0], v[3]);
             let rot = _mm256_or_si256(_mm256_slli_epi64::<23>(sum), _mm256_srli_epi64::<41>(sum));
             let result = _mm256_add_epi64(rot, v[0]);
@@ -207,9 +149,14 @@ mod x86 {
         while lane < LANES {
             let mut a = load4(s0, s1, s2, s3, lane);
             let mut b = load4(s0, s1, s2, s3, lane + 4);
-            for w in out.iter_mut() {
+            for (cell, w) in out.iter_mut().enumerate() {
                 let ra = _mm256_srli_epi64::<11>(step_reg(&mut a));
                 let rb = _mm256_srli_epi64::<11>(step_reg(&mut b));
+                if STORE {
+                    let column = store.as_mut_ptr().add(cell * LANES + lane);
+                    _mm256_storeu_si256(column.cast::<__m256i>(), ra);
+                    _mm256_storeu_si256(column.add(4).cast::<__m256i>(), rb);
+                }
                 let lt_a = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(t, ra)));
                 let lt_b = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(t, rb)));
                 let bits = u64::from(!lt_a as u32 & 0xF) | (u64::from(!lt_b as u32 & 0xF) << 4);
@@ -402,52 +349,81 @@ impl LaneRngs {
         self.step(out);
     }
 
-    /// Advances every lane one step and writes the 53-bit mantissas
-    /// (`next_u64() >> 11`) to `out` — the transposed uniform draw behind
-    /// common-random-number grids.
-    #[allow(unsafe_code)] // AVX2 dispatch; guarded by `x86::available()`.
-    pub fn next_mantissas(&mut self, out: &mut [u64; LANES]) {
-        #[cfg(target_arch = "x86_64")]
-        if x86::available() {
-            // SAFETY: AVX2 presence just checked.
-            unsafe {
-                x86::step_mantissas(&mut self.s0, &mut self.s1, &mut self.s2, &mut self.s3, out);
-            }
-            return;
-        }
-        self.step(out);
-        for m in out.iter_mut() {
-            *m >>= 11;
-        }
-    }
-
     /// Draws one fault word per `out` slot, one cell per slot in slice
     /// order: every lane advances one step per slot and bit `L` of the
     /// word is lane `L`'s `(next_u64() >> 11) >= threshold` — one
     /// transposed Bernoulli draw across 64 trials. On AVX2 hosts the loop
     /// runs lane-major so each lane group's RNG state lives in registers
     /// across the entire cell sweep.
-    #[allow(unsafe_code)] // AVX2 dispatch; guarded by `x86::available()`.
     pub fn fill_ge(&mut self, threshold: u64, out: &mut [u64]) {
+        self.fill::<false>(threshold, out, &mut []);
+    }
+
+    /// [`LaneRngs::fill_ge`] that also keeps every draw: the 53-bit
+    /// mantissa of lane `L` at cell `i` lands in `store[i * LANES + L]`,
+    /// so a common-random-number grid can re-threshold the same draws
+    /// with [`pack_ge`] later. Words, store and the lane state after the
+    /// pass are those of `out.len()` one-cell draws.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `store` is shorter than `out.len() * LANES` words.
+    pub fn fill_ge_store(&mut self, threshold: u64, out: &mut [u64], store: &mut [u64]) {
+        self.fill::<true>(threshold, out, store);
+    }
+
+    /// The one sampling dispatch: the AVX2 lane-major kernel when the host
+    /// has it, the portable per-cell loop otherwise. `store` is touched
+    /// only with `STORE`.
+    #[allow(unsafe_code)] // AVX2 dispatch; guarded by `x86::available()`.
+    fn fill<const STORE: bool>(&mut self, threshold: u64, out: &mut [u64], store: &mut [u64]) {
+        if STORE {
+            assert!(
+                store.len() >= out.len() * LANES,
+                "mantissa store holds {} words, need {} cells x {LANES} lanes",
+                store.len(),
+                out.len()
+            );
+        }
         #[cfg(target_arch = "x86_64")]
         if x86::available() {
-            // SAFETY: AVX2 presence just checked.
+            // SAFETY: AVX2 presence just checked, and with `STORE` the
+            // store length was asserted above.
             unsafe {
-                x86::fill_ge(
+                x86::fill_ge::<STORE>(
                     &mut self.s0,
                     &mut self.s1,
                     &mut self.s2,
                     &mut self.s3,
                     threshold,
                     out,
+                    store,
                 );
             }
             return;
         }
+        self.fill_portable::<STORE>(threshold, out, store);
+    }
+
+    /// Portable body of [`LaneRngs::fill`]: one lock-step draw per cell,
+    /// shifted to mantissas, optionally stored, then packed — also the
+    /// reference the tests hold the AVX2 kernel to.
+    fn fill_portable<const STORE: bool>(
+        &mut self,
+        threshold: u64,
+        out: &mut [u64],
+        store: &mut [u64],
+    ) {
         let mut mantissas = [0u64; LANES];
-        for word in out.iter_mut() {
-            self.next_mantissas(&mut mantissas);
-            *word = pack_ge(&mantissas, threshold);
+        for (cell, word) in out.iter_mut().enumerate() {
+            self.step(&mut mantissas);
+            for m in mantissas.iter_mut() {
+                *m >>= 11;
+            }
+            if STORE {
+                store[cell * LANES..(cell + 1) * LANES].copy_from_slice(&mantissas);
+            }
+            *word = pack_ge_portable(&mantissas, threshold);
         }
     }
 
@@ -621,12 +597,13 @@ mod tests {
         let seeds = [7u64, 8, 9];
         let mut lanes = LaneRngs::new(&seeds);
         let mut scalars: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-        let mut m = [0u64; LANES];
-        for _ in 0..20 {
-            lanes.next_mantissas(&mut m);
+        let mut words = [0u64; 20];
+        let mut store = vec![0u64; words.len() * LANES];
+        lanes.fill_ge_store(mantissa_threshold(0.5), &mut words, &mut store);
+        for column in store.chunks(LANES) {
             for (lane, rng) in scalars.iter_mut().enumerate() {
                 let u: f64 = rng.gen();
-                assert_eq!(m[lane] as f64 / MANTISSA_SCALE, u, "lane={lane}");
+                assert_eq!(column[lane] as f64 / MANTISSA_SCALE, u, "lane={lane}");
             }
         }
     }
@@ -763,7 +740,7 @@ mod tests {
 
     #[test]
     fn dispatched_paths_match_portable_reference() {
-        // Whatever path `fill_ge`/`next_mantissas`/`pack_ge` dispatch to
+        // Whatever path `fill_ge`/`fill_ge_store`/`pack_ge` dispatch to
         // (AVX2 or portable), the results must equal the portable scalar
         // pipeline run on an identical clone.
         let seeds: Vec<u64> = (0..64).map(|i| 0x7A57 + i * 101).collect();
@@ -781,17 +758,65 @@ mod tests {
             }
             assert_eq!(word[0], pack_ge_portable(&m, t), "round={round}");
             assert_eq!(pack_ge(&m, t), pack_ge_portable(&m, t), "round={round}");
-            fused.next_mantissas(&mut raw);
+            fused.fill_ge_store(t, &mut word, &mut raw);
             reference.next_raw(&mut m);
             for v in m.iter_mut() {
                 *v >>= 11;
             }
             assert_eq!(raw, m, "round={round}");
+            assert_eq!(word[0], pack_ge_portable(&m, t), "round={round}");
         }
         // The lanes must stay in lock-step too.
         fused.next_raw(&mut raw);
         reference.next_raw(&mut m);
         assert_eq!(raw, m);
+    }
+
+    fn state(lanes: &LaneRngs) -> [[u64; LANES]; 4] {
+        [lanes.s0, lanes.s1, lanes.s2, lanes.s3]
+    }
+
+    #[test]
+    fn store_kernel_matches_portable_kernel() {
+        // The dispatched kernel (AVX2 on hosts that have it) against the
+        // portable loop called directly: same words, same store, same
+        // lane state after the pass, and nothing written past the store's
+        // `cells * LANES` prefix. The no-store variant must agree too.
+        const SENTINEL: u64 = u64::MAX; // no 53-bit mantissa reaches it
+        for &live in &[1usize, 63, 64] {
+            let seeds: Vec<u64> = (0..live as u64).map(|i| 0x5_7023 + i * 193).collect();
+            for &cells in &[0usize, 1, 7, 824] {
+                for &t in &[0u64, mantissa_threshold(0.5), 1 << 53] {
+                    let case = format!("live={live} cells={cells} t={t}");
+                    let mut dispatched = LaneRngs::new(&seeds);
+                    let mut portable = LaneRngs::new(&seeds);
+                    // Start from a non-fresh phase.
+                    dispatched.fill_ge(t, &mut [0; 3]);
+                    portable.fill_portable::<false>(t, &mut [0; 3], &mut []);
+                    let mut plain = dispatched.clone();
+                    let (mut words, mut expected) = (vec![7u64; cells], vec![9u64; cells]);
+                    let mut store = vec![SENTINEL; cells * LANES + 8];
+                    let mut expected_store = store.clone();
+                    dispatched.fill_ge_store(t, &mut words, &mut store);
+                    portable.fill_portable::<true>(t, &mut expected, &mut expected_store);
+                    assert_eq!(words, expected, "{case}");
+                    assert_eq!(store, expected_store, "{case}");
+                    assert!(store[cells * LANES..].iter().all(|&m| m == SENTINEL));
+                    assert_eq!(state(&dispatched), state(&portable), "{case}");
+                    let mut plain_words = vec![5u64; cells];
+                    plain.fill_ge(t, &mut plain_words);
+                    assert_eq!(plain_words, expected, "{case}");
+                    assert_eq!(state(&plain), state(&portable), "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "mantissa store holds")]
+    fn short_store_is_rejected() {
+        let mut lanes = LaneRngs::new(&[1]);
+        lanes.fill_ge_store(0, &mut [0; 2], &mut [0; LANES + 3]);
     }
 
     #[test]

@@ -111,8 +111,9 @@ pub struct TrialBlock {
     /// Faulty units without a private spare in some open lane, with
     /// those lanes, in ascending unit order.
     contested: Vec<(u32, u64)>,
-    /// Stored transposed mantissas, `[cell × LANES]`, grid mode only
-    /// (sized lazily on first grid call).
+    /// Stored transposed mantissas, `[cell × LANES]`, kept by grid mode
+    /// for points after the first (sized lazily on the first grid call
+    /// with two or more points).
     mantissa: Vec<u64>,
     /// Bit-sliced per-lane fault counter for the Hall tier.
     counter: LaneCounter,
@@ -241,7 +242,12 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
     /// One transposed draw per cell is shared across the grid (common
     /// random numbers), so per-lane tolerability is monotone along the
     /// grid; a lane found tolerable at point `j` is retired and counted
-    /// tolerable for every point after `j` without re-evaluation.
+    /// tolerable for every point after `j` without re-evaluation. Point
+    /// 0's fault words come straight from the sampling pass, which also
+    /// stores each draw's mantissa when the grid has later points; those
+    /// points re-threshold the stored columns only while some lane of
+    /// the group is unresolved. A one-point grid is exactly
+    /// [`TrialEvaluator::survival_block`].
     ///
     /// # Panics
     ///
@@ -259,30 +265,45 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
             ps.windows(2).all(|w| w[0] <= w[1]),
             "survival grid must be ascending"
         );
-        let cells = self.cell_count();
-        block.ensure_mantissa(cells);
+        let Some(&first) = ps.first() else {
+            return;
+        };
+        let first = fault_threshold(first);
+        // Later points re-threshold point 0's draws, so only a grid with
+        // later points keeps them.
+        let keep = ps.len() > 1;
+        if keep {
+            block.ensure_mantissa(self.cell_count());
+        }
         for group in seeds.chunks(LANES) {
             block.sampler.reseed(group);
             let live = block.sampler.live_mask();
-            for cell in 0..cells {
-                let column: &mut [u64; LANES] = (&mut block.mantissa
-                    [cell * LANES..(cell + 1) * LANES])
-                    .try_into()
-                    .expect("mantissa store is sized for LANES per cell");
-                block.sampler.mantissas(column);
+            if keep {
+                block.sampler.fill_fault_words_store(
+                    first,
+                    &mut block.cell_words,
+                    &mut block.mantissa,
+                );
+            } else {
+                block.sampler.fill_fault_words(first, &mut block.cell_words);
             }
             // Ascending scan: tolerability is monotone in p under common
             // random numbers, so resolved lanes stay tolerable.
             let mut resolved = 0u64;
-            for (&p, count) in ps.iter().zip(counts.iter_mut()) {
+            for (j, (&p, count)) in ps.iter().zip(counts.iter_mut()).enumerate() {
                 if resolved != live {
-                    let threshold = fault_threshold(p);
-                    for (cell, word) in block.cell_words.iter_mut().enumerate() {
-                        let column: &[u64; LANES] = block.mantissa
-                            [cell * LANES..(cell + 1) * LANES]
-                            .try_into()
-                            .expect("mantissa store is sized for LANES per cell");
-                        *word = pack_ge(column, threshold) & live;
+                    if j > 0 {
+                        let threshold = fault_threshold(p);
+                        for (word, column) in block
+                            .cell_words
+                            .iter_mut()
+                            .zip(block.mantissa.chunks_exact(LANES))
+                        {
+                            let column: &[u64; LANES] = column
+                                .try_into()
+                                .expect("mantissa store is sized for LANES per cell");
+                            *word = pack_ge(column, threshold) & live;
+                        }
                     }
                     resolved |= self.decide_group_masked(block, live & !resolved);
                 }

@@ -276,3 +276,53 @@ proptest! {
         prop_assert_eq!(eval.survival_block(p, &s, &mut block), first);
     }
 }
+
+/// Grid-mode edge cases against the scalar grid, at widths on both sides
+/// of one 64-lane word: one-point grids at both ends of `[0, 1]`, a
+/// repeated point, the two extremes together and the fine rare-event
+/// grid. A one-point grid must be exactly `survival_block`, tier
+/// counters included.
+fn check_edge_grids<C: Copy + Ord>(name: &str, eval: &TrialEvaluator<C>) {
+    let rare: Vec<f64> = (0..11).map(|i| 0.99 + 0.001 * f64::from(i)).collect();
+    let grids: [&[f64]; 5] = [&[0.0], &[1.0], &[0.9, 0.9], &[0.0, 1.0], &rare];
+    for &width in &[1usize, 63, 64, 65, 200] {
+        let s = seeds(0x6E1D + width as u64, width);
+        for ps in grids {
+            let case = format!("{name} width={width} grid={ps:?}");
+            let mut block = eval.block_scratch();
+            let mut counts = vec![0u64; ps.len()];
+            eval.survival_grid_block(ps, &s, &mut block, &mut counts);
+            let mut scratch = eval.scratch();
+            let mut expected = vec![0u64; ps.len()];
+            let mut out = vec![false; ps.len()];
+            for &seed in &s {
+                let mut rng = StdRng::seed_from_u64(seed);
+                eval.survival_trial_grid(ps, &mut rng, &mut scratch, &mut out);
+                for (e, &o) in expected.iter_mut().zip(&out) {
+                    *e += u64::from(o);
+                }
+            }
+            assert_eq!(counts, expected, "{case}");
+            if let [p] = ps {
+                let mut single = eval.block_scratch();
+                let tolerable = eval.survival_block(*p, &s, &mut single);
+                assert_eq!(counts, [u64::from(tolerable)], "{case}");
+                assert_eq!(block.stats(), single.stats(), "{case}");
+            }
+        }
+    }
+}
+
+#[test]
+fn grid_block_edge_grids_match_scalar_and_survival_block() {
+    let hex = DtmbKind::Dtmb26A.with_primary_count(60);
+    check_edge_grids(
+        "hex",
+        &TrialEvaluator::new(&hex, &ReconfigPolicy::AllPrimaries),
+    );
+    let square = SquareRegion::rect(9, 7);
+    check_edge_grids(
+        "square",
+        &TrialEvaluator::for_scheme(&square, &SquarePattern::ALL[1]),
+    );
+}

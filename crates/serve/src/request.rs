@@ -29,6 +29,15 @@ pub use dmfb_core::spec::SchemeSpec as SchemeChoice;
 pub use dmfb_core::spec::Tier;
 pub use dmfb_core::spec::{EngineSpec, MAX_DIM, MAX_PRIMARIES, MAX_TRIALS};
 
+/// Ceiling on a clustered request's estimated spread work, in cell
+/// visits: `trials × cluster_mean × ball(cluster_radius)` with the hex
+/// ball `ball(r) = 1 + 3r(r + 1)`, which also bounds square spread. Each
+/// parameter is capped on its own, but their product is not, so without
+/// this one request could hold a worker for days. `1e9` visits is about
+/// 10 s of one worker (DTMB(2,6)/2400, mean 10 000, radius 64 runs about
+/// 1.1 s per trial on a 2-core x86-64 host).
+pub const MAX_CLUSTER_VISITS: f64 = 1e9;
+
 /// A validation failure, carrying the HTTP status it maps to (always
 /// `400` today, but the type keeps routing and phrasing in one place).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -237,6 +246,18 @@ pub fn parse_yield_request(body: &[u8]) -> Result<YieldRequest, RequestError> {
         }
         n => n as u32,
     };
+    if let DefectModel::Clustered(cluster) = &defect_model {
+        let radius = f64::from(cluster.spread_radius());
+        let ball = 1.0 + 3.0 * radius * (radius + 1.0);
+        let visits = f64::from(trials) * cluster.mean_clusters() * ball;
+        if visits > MAX_CLUSTER_VISITS {
+            return Err(RequestError::bad(format!(
+                "clustered request too large: trials * cluster_mean * ball(cluster_radius) \
+                 = {visits:.3e} estimated cell visits, over the ceiling of \
+                 {MAX_CLUSTER_VISITS:.0e}; lower 'trials', 'cluster_mean' or 'cluster_radius'"
+            )));
+        }
+    }
     let seed = fields.uint_field("seed")?.unwrap_or(1);
 
     let cache = match fields.str_field("cache")? {
@@ -466,6 +487,30 @@ mod tests {
         );
         let err = parse(r#"{"estimator": "stratified", "defect_model": "clustered"}"#).unwrap_err();
         assert!(err.message.contains("Bernoulli defect count"));
+    }
+
+    #[test]
+    fn clustered_spread_work_is_capped() {
+        // ball(64) = 12 481 cells: 8 trials at mean 10 000 are 9.98e8
+        // visits, 9 trials 1.12e9.
+        let body = |trials: u32| {
+            format!(
+                r#"{{"defect_model": "clustered", "cluster_mean": 10000, "cluster_radius": 64, "trials": {trials}}}"#
+            )
+        };
+        assert!(parse(&body(8)).is_ok());
+        let err = parse(&body(9)).unwrap_err();
+        assert_eq!(err.status, 400);
+        assert!(
+            err.message.contains("1.123e9 estimated cell visits"),
+            "{err}"
+        );
+        assert!(err.message.contains("ceiling of 1e9"), "{err}");
+        // The serve-mix clustered request (64 trials, mean 1, radius 2)
+        // is about 1.2k visits.
+        assert!(parse(r#"{"defect_model": "clustered", "trials": 64}"#).is_ok());
+        // The trial cap alone still admits the defaults.
+        assert!(parse(r#"{"defect_model": "clustered", "trials": 10000000}"#).is_ok());
     }
 
     #[test]

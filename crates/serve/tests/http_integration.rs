@@ -97,6 +97,10 @@ fn unbounded_cluster_parameters_get_4xx() {
             br#"{"defect_model": "clustered", "cluster_dispersion": 4000000000, "trials": 64}"#,
             "'cluster_dispersion' <= 1000",
         ),
+        (
+            br#"{"defect_model": "clustered", "cluster_mean": 10000, "cluster_radius": 64, "trials": 9}"#,
+            "over the ceiling of 1e9",
+        ),
     ] {
         let reply = client.request("POST", "/v1/yield", body).expect("request");
         assert_eq!(reply.status, 400, "body: {}", text(&reply));

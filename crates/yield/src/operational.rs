@@ -337,9 +337,11 @@ impl OperationalYield {
     }
 
     /// One batch of up-to-64-lane trial groups against the ascending
-    /// grid. Per 64-lane group the sampler draws every cell's mantissa
-    /// column once (common random numbers across the grid), and each grid
-    /// point is then decided in three word-parallel tiers:
+    /// grid. Per 64-lane group the sampler draws every cell once (common
+    /// random numbers across the grid): the pass emits point 0's fault
+    /// words and, when the grid has later points, stores the mantissa
+    /// columns they re-threshold. Each grid point is then decided in
+    /// three word-parallel tiers:
     ///
     /// 1. **fault-free lanes** — no fault anywhere: raw, reconfigured
     ///    and (iff the clean chip meets budget) operational, no matcher
@@ -360,26 +362,39 @@ impl OperationalYield {
         out: &mut [u64],
     ) {
         let n = self.cells.len();
+        let Some(&first) = ps.first() else {
+            return;
+        };
+        let first = fault_threshold(first);
         for chunk in seeds.chunks(LANES) {
             state.sampler.reseed(chunk);
             let live = state.sampler.live_mask();
-            for i in 0..n {
-                let col: &mut [u64; LANES] = (&mut state.mantissa[i * LANES..(i + 1) * LANES])
-                    .try_into()
-                    .expect("column is LANES wide");
-                state.sampler.mantissas(col);
+            // Point 0's words come from the sampling pass itself, which
+            // keeps the mantissas only when later points re-threshold them.
+            if ps.len() > 1 {
+                state.sampler.fill_fault_words_store(
+                    first,
+                    &mut state.fault_words,
+                    &mut state.mantissa,
+                );
+            } else {
+                state
+                    .sampler
+                    .fill_fault_words(first, &mut state.fault_words);
             }
             for (j, &p) in ps.iter().enumerate() {
-                let threshold = fault_threshold(p);
-                let mut fault_any = 0u64;
-                for i in 0..n {
-                    let col: &[u64; LANES] = (&state.mantissa[i * LANES..(i + 1) * LANES])
-                        .try_into()
-                        .expect("column is LANES wide");
-                    let w = pack_ge(col, threshold) & live;
-                    state.fault_words[i] = w;
-                    fault_any |= w;
+                if j > 0 {
+                    let threshold = fault_threshold(p);
+                    for (word, col) in state
+                        .fault_words
+                        .iter_mut()
+                        .zip(state.mantissa.chunks_exact(LANES))
+                    {
+                        let col: &[u64; LANES] = col.try_into().expect("column is LANES wide");
+                        *word = pack_ge(col, threshold) & live;
+                    }
                 }
+                let fault_any = state.fault_words.iter().fold(0u64, |acc, &w| acc | w);
                 let mut scope_fault = 0u64;
                 let mut survivor_fail = 0u64;
                 for (k, &sc) in plan.scope_idx.iter().enumerate() {
@@ -552,13 +567,19 @@ impl OperationalYield {
             "survival grid must be ascending"
         );
         let plan = self.block_plan();
+        // Only later grid points read the stored draws.
+        let store_len = if ps.len() > 1 {
+            self.cells.len() * LANES
+        } else {
+            0
+        };
         let estimates = MonteCarlo::new(trials, seed).tally_blocks_with(
             self.threads,
             self.width,
             3 * ps.len(),
             || BlockState {
                 sampler: BlockSampler::new(&[]),
-                mantissa: vec![0; self.cells.len() * LANES],
+                mantissa: vec![0; store_len],
                 fault_words: vec![0; self.cells.len()],
                 scratch: self.evaluator.scratch(),
             },
@@ -593,8 +614,9 @@ struct BlockPlan {
 }
 
 /// Per-worker buffers for the block engine: the lock-step sampler, the
-/// per-cell mantissa columns shared across the grid, the per-cell fault
-/// words of the current grid point and the matcher scratch.
+/// per-cell mantissa columns shared across the grid (empty for a
+/// one-point grid), the per-cell fault words of the current grid point
+/// and the matcher scratch.
 struct BlockState {
     sampler: BlockSampler,
     mantissa: Vec<u64>,
@@ -834,5 +856,22 @@ mod tests {
         // Thread invariance holds inside the block engine too.
         let threaded = eng.clone().with_width(64).with_threads(3);
         assert_eq!(threaded.sweep(&ps, 200, 5), scalar);
+    }
+
+    #[test]
+    fn grid_points_equal_one_point_estimates() {
+        // A multi-point sweep re-thresholds point 0's stored draws; each
+        // of its rows must equal the one-point estimate, which draws
+        // without a store, at any block width.
+        let eng = engine();
+        let ps = [0.0, 0.9, 0.9, 0.97, 1.0];
+        for width in [1, 64, 65, 200] {
+            let block = eng.clone().with_width(width);
+            let rows = block.sweep(&ps, 130, 9);
+            for (row, &p) in rows.iter().zip(&ps) {
+                assert_eq!(*row, block.estimate(p, 130, 9), "width={width} p={p}");
+                assert_eq!(block.sweep(&[p], 130, 9), [*row], "width={width} p={p}");
+            }
+        }
     }
 }
