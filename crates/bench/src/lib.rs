@@ -1,11 +1,11 @@
-//! Shared harness for the figure/table generators and `dmfb bench`.
+//! Shared harness for `dmfb bench` and the serve soak.
 //!
-//! Every experiment in the paper's evaluation section has a binary in
-//! `src/bin/` that regenerates the corresponding table or figure as text,
-//! printing paper-expected values next to measured ones. This library holds
-//! the pieces they share: experiment parameter sets, plain-text table
-//! rendering, and the machine-readable [`BenchReport`] JSON format
-//! (`BENCH_*.json`) that `dmfb bench --json` emits and CI archives.
+//! This library holds the pieces they share: the survival grid the bench
+//! suites sweep, plain-text table rendering, the bounded JSON reader and
+//! writer helpers, and the machine-readable [`BenchReport`] JSON format
+//! (`BENCH_*.json`) that `dmfb bench --json` emits and CI archives. The
+//! paper's figures and tables are printed by `dmfb` commands and asserted
+//! by the paper checkpoints in `tests/tests/paper_checkpoints.rs`.
 
 mod compare;
 pub mod json;
@@ -18,31 +18,13 @@ pub use report::{BenchEntry, BenchReport, BENCH_SCHEMA};
 
 use std::fmt::Write as _;
 
-/// The survival probabilities swept by Figures 7 and 9 (the paper plots
-/// roughly the 0.90–1.00 range where yields are meaningfully distinct).
+/// The survival probabilities the bench suites sweep: the 0.90–1.00 range
+/// of the paper's Figures 7 and 9, where yields are meaningfully distinct.
 pub const FIG7_9_SURVIVAL_GRID: [f64; 11] = [
     0.90, 0.91, 0.92, 0.93, 0.94, 0.95, 0.96, 0.97, 0.98, 0.99, 1.00,
 ];
 
-/// The wider survival grid used by the Figure 10 effective-yield curves,
-/// where the low-`p` regime is what separates the designs: DTMB(4,4) only
-/// pulls ahead once cell survival drops well below 0.8.
-pub const FIG10_SURVIVAL_GRID: [f64; 16] = [
-    0.70, 0.72, 0.74, 0.76, 0.78, 0.80, 0.82, 0.84, 0.86, 0.88, 0.90, 0.92, 0.94, 0.96, 0.98, 1.00,
-];
-
-/// Primary-cell counts plotted in Figures 7 and 9.
-pub const FIG7_9_ARRAY_SIZES: [usize; 3] = [60, 120, 240];
-
-/// Monte-Carlo trials per data point, per the paper ("After 10000
-/// simulation runs ...").
-pub const PAPER_TRIALS: u32 = 10_000;
-
-/// Master seed used by all figure generators, so the printed numbers are
-/// reproducible and match `EXPERIMENTS.md`.
-pub const FIGURE_SEED: u64 = 0xDA7E_2005_u64;
-
-/// A minimal plain-text table renderer for figure output.
+/// A minimal plain-text table renderer for the bench and soak tables.
 ///
 /// # Example
 ///
@@ -133,7 +115,5 @@ mod tests {
     #[test]
     fn constants_sane() {
         assert!(FIG7_9_SURVIVAL_GRID.windows(2).all(|w| w[0] < w[1]));
-        assert!(FIG10_SURVIVAL_GRID.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(PAPER_TRIALS, 10_000);
     }
 }

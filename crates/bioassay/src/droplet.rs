@@ -57,11 +57,6 @@ impl Mixture {
     pub fn concentration(&self, species: &str) -> f64 {
         self.species.get(species).copied().unwrap_or(0.0)
     }
-
-    /// Iterates `(species, concentration)` sorted by species name.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.species.iter().map(|(s, c)| (s.as_str(), *c))
-    }
 }
 
 /// The electrowetting actuation model: control voltage determines droplet

@@ -31,10 +31,9 @@ use std::fmt;
 /// ```
 /// use dmfb_bioassay::feasibility::TimingBudget;
 ///
-/// let budget = TimingBudget::absolute(250.0);
+/// let budget = TimingBudget { max_makespan_s: 250.0 };
 /// assert!(budget.allows(249.9));
 /// assert!(!budget.allows(250.1));
-/// assert!(TimingBudget::unlimited().allows(1e12));
 /// ```
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct TimingBudget {
@@ -43,21 +42,6 @@ pub struct TimingBudget {
 }
 
 impl TimingBudget {
-    /// A budget that only fails structurally impossible protocols (no
-    /// deadline).
-    #[must_use]
-    pub fn unlimited() -> Self {
-        TimingBudget {
-            max_makespan_s: f64::INFINITY,
-        }
-    }
-
-    /// An absolute deadline in seconds.
-    #[must_use]
-    pub fn absolute(max_makespan_s: f64) -> Self {
-        TimingBudget { max_makespan_s }
-    }
-
     /// The paper-style relative budget: the fault-free chip's makespan for
     /// `batch`, stretched by `slack` (e.g. `1.5` = "reconfiguration may
     /// cost up to 50% extra protocol time").
@@ -156,7 +140,7 @@ impl From<ExecError> for Infeasibility {
 /// let checker = FeasibilityChecker::new(
 ///     ivd_dtmb26_chip(),
 ///     MultiplexedIvd::standard_panel(),
-///     TimingBudget::unlimited(),
+///     TimingBudget { max_makespan_s: f64::INFINITY },
 /// );
 /// // A fault-free chip is always operational.
 /// let schedule = checker.check(&DefectMap::new(), None).unwrap();
@@ -184,12 +168,6 @@ impl FeasibilityChecker {
     #[must_use]
     pub fn chip(&self) -> &ChipDescription {
         &self.chip
-    }
-
-    /// The assay batch being checked.
-    #[must_use]
-    pub fn batch(&self) -> &MultiplexedIvd {
-        &self.batch
     }
 
     /// The timing budget.
@@ -256,13 +234,14 @@ mod tests {
             TimingBudget::with_slack(&chip, &MultiplexedIvd::standard_panel(), 1.5).unwrap();
         let c = checker(budget);
         assert!(c.is_feasible(&DefectMap::new(), None));
-        assert_eq!(c.batch().requests.len(), 4);
         assert!(c.chip().validate().is_ok());
     }
 
     #[test]
     fn unplanned_fault_on_mixer_is_infeasible() {
-        let c = checker(TimingBudget::unlimited());
+        let c = checker(TimingBudget {
+            max_makespan_s: f64::INFINITY,
+        });
         let defects = DefectMap::from_cells([c.chip().mixers[0].rendezvous()]);
         let err = c.check(&defects, None).unwrap_err();
         assert!(matches!(err, Infeasibility::Exec(_)), "{err}");
@@ -289,7 +268,9 @@ mod tests {
 
     #[test]
     fn impossible_budget_rejects_even_clean_chips() {
-        let c = checker(TimingBudget::absolute(0.001));
+        let c = checker(TimingBudget {
+            max_makespan_s: 0.001,
+        });
         let err = c.check(&DefectMap::new(), None).unwrap_err();
         assert!(matches!(err, Infeasibility::OverBudget { .. }));
         assert!(err.to_string().contains("exceeds budget"));

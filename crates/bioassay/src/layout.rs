@@ -159,50 +159,6 @@ pub fn used_cells_policy(chip: &ChipDescription) -> ReconfigPolicy {
     ReconfigPolicy::UsedCells(chip.assay_cells.iter().collect())
 }
 
-/// An alternative mapping of the 108 assay cells onto the same DTMB(2,6)
-/// array that *minimises spare contention*: cells are picked greedily so
-/// that each spare protects as few used cells as possible.
-///
-/// The paper does not publish its exact used-cell placement; the
-/// contiguous block of [`ivd_dtmb26_chip`] maximises spare sharing (up to
-/// six used cells per spare) while this spread placement minimises it.
-/// Together they bracket the achievable Figure 13 curve and quantify how
-/// much of the paper's "yield ≥ 0.90 up to 35 faults" is a placement
-/// effect.
-#[must_use]
-pub fn ivd_dtmb26_spread_assay_cells() -> (dmfb_reconfig::DefectTolerantArray, Region) {
-    let array = DtmbKind::Dtmb26A.with_exact_counts(DTMB26_PRIMARIES, DTMB26_SPARES);
-    let mut usage: std::collections::BTreeMap<HexCoord, u32> = std::collections::BTreeMap::new();
-    let mut selected = Region::new();
-    // Threshold sweep: first admit cells whose spares are unused, then
-    // singly-used, and so on, until 108 cells are placed.
-    for threshold in 0u32..=6 {
-        if selected.len() >= ASSAY_CELLS {
-            break;
-        }
-        for cell in array.primaries() {
-            if selected.len() >= ASSAY_CELLS {
-                break;
-            }
-            if selected.contains(cell) {
-                continue;
-            }
-            let spares: Vec<HexCoord> = array.adjacent_spares(cell).collect();
-            if spares
-                .iter()
-                .all(|s| usage.get(s).copied().unwrap_or(0) <= threshold)
-            {
-                for s in &spares {
-                    *usage.entry(*s).or_insert(0) += 1;
-                }
-                selected.insert(cell);
-            }
-        }
-    }
-    debug_assert_eq!(selected.len(), ASSAY_CELLS);
-    (array, selected)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,36 +217,6 @@ mod tests {
             .find(|c| !chip.assay_cells.contains(*c))
             .expect("some primaries are unused");
         assert!(!policy.requires(unused));
-    }
-
-    #[test]
-    fn spread_selection_reduces_contention() {
-        let block = ivd_dtmb26_chip();
-        let (array, spread) = ivd_dtmb26_spread_assay_cells();
-        assert_eq!(spread.len(), ASSAY_CELLS);
-        for c in spread.iter() {
-            assert!(array.is_primary(c));
-        }
-        // Maximum used-cells-per-spare must be strictly lower for the
-        // spread placement than for the contiguous block.
-        let max_sharing = |array: &dmfb_reconfig::DefectTolerantArray, used: &Region| {
-            array
-                .spares()
-                .map(|s| {
-                    array
-                        .adjacent_primaries(s)
-                        .filter(|c| used.contains(*c))
-                        .count()
-                })
-                .max()
-                .unwrap_or(0)
-        };
-        let block_sharing = max_sharing(&block.array, &block.assay_cells);
-        let spread_sharing = max_sharing(&array, &spread);
-        assert!(
-            spread_sharing < block_sharing,
-            "spread {spread_sharing} vs block {block_sharing}"
-        );
     }
 
     #[test]

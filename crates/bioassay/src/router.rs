@@ -77,12 +77,6 @@ impl Router {
         self.index.slot(cell).filter(|&s| self.open[s])
     }
 
-    /// Whether `cell` is routable (inside the region and not blocked).
-    #[must_use]
-    pub fn is_routable(&self, cell: HexCoord) -> bool {
-        self.open_slot(cell).is_some()
-    }
-
     /// Shortest path from `from` to `to` avoiding blocked cells and keeping
     /// fluidic spacing from `other_droplets` (no cell of the path may be
     /// adjacent to or on top of another droplet, except the endpoints when
@@ -141,17 +135,10 @@ impl Router {
         None
     }
 
-    /// Number of droplet moves along the route between two cells, if
-    /// routable. Convenience for timing models.
-    #[must_use]
-    pub fn route_length(&self, from: HexCoord, to: HexCoord) -> Option<usize> {
-        self.route(from, to, &[]).map(|p| p.len() - 1)
-    }
-
     /// Breadth-first move counts from `source` to every routable cell.
-    /// Routes are reversible on the hex lattice, so the field answers
-    /// [`Router::route_length`] in either direction for every cell at the
-    /// cost of one search.
+    /// Routes are reversible on the hex lattice, so the field gives the
+    /// move count of [`Router::route`] in either direction for every cell
+    /// at the cost of one search.
     pub(crate) fn distances(&self, source: HexCoord) -> DistanceField<'_> {
         let mut dist = vec![UNSEEN; self.open.len()];
         if let Some(start) = self.open_slot(source) {
@@ -189,21 +176,6 @@ impl DistanceField<'_> {
     }
 }
 
-/// Checks the static fluidic constraint over a set of parked droplets: no
-/// two may be on the same or adjacent cells. Returns the first offending
-/// pair.
-#[must_use]
-pub fn spacing_violation(droplets: &[HexCoord]) -> Option<(HexCoord, HexCoord)> {
-    for (i, &a) in droplets.iter().enumerate() {
-        for &b in &droplets[i + 1..] {
-            if a == b || a.is_adjacent(b) {
-                return Some((a, b));
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,7 +196,6 @@ mod tests {
         for w in path.windows(2) {
             assert!(w[0].is_adjacent(w[1]));
         }
-        assert_eq!(router.route_length(from, to), Some(5));
     }
 
     #[test]
@@ -270,8 +241,9 @@ mod tests {
         assert!(router
             .route(HexCoord::new(2, 2), HexCoord::new(0, 0), &[])
             .is_none());
-        assert!(!router.is_routable(HexCoord::new(0, 0)));
-        assert!(!router.is_routable(HexCoord::new(9, 9)));
+        assert!(router
+            .route(HexCoord::new(9, 9), HexCoord::new(2, 2), &[])
+            .is_none());
     }
 
     #[test]
@@ -333,26 +305,13 @@ mod tests {
         );
         let router = Router::new(&region, &defects);
         let field = router.distances(HexCoord::ORIGIN);
+        let moves = |from, to| router.route(from, to, &[]).map(|p| p.len() - 1);
         for cell in region.iter().chain([HexCoord::new(9, 9)]) {
-            assert_eq!(
-                field.moves(cell),
-                router.route_length(HexCoord::ORIGIN, cell)
-            );
-            assert_eq!(
-                field.moves(cell),
-                router.route_length(cell, HexCoord::ORIGIN)
-            );
+            assert_eq!(field.moves(cell), moves(HexCoord::ORIGIN, cell));
+            assert_eq!(field.moves(cell), moves(cell, HexCoord::ORIGIN));
         }
         let blocked = router.distances(HexCoord::new(1, 0));
         assert!(region.iter().all(|c| blocked.moves(c).is_none()));
-    }
-
-    #[test]
-    fn spacing_violation_detection() {
-        assert!(spacing_violation(&[HexCoord::new(0, 0), HexCoord::new(1, 0)]).is_some());
-        assert!(spacing_violation(&[HexCoord::new(0, 0), HexCoord::new(0, 0)]).is_some());
-        assert!(spacing_violation(&[HexCoord::new(0, 0), HexCoord::new(3, 0)]).is_none());
-        assert!(spacing_violation(&[]).is_none());
     }
 
     #[test]

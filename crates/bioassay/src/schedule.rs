@@ -115,12 +115,6 @@ impl ProtocolSchedule {
     pub fn makespan_s(&self) -> f64 {
         self.ops.iter().map(|o| o.completion_s).fold(0.0, f64::max)
     }
-
-    /// Total droplet moves across all operations.
-    #[must_use]
-    pub fn total_moves(&self) -> usize {
-        self.ops.iter().map(|o| o.transport_moves).sum()
-    }
 }
 
 /// Plans a batch on a chip instance without running any chemistry: checks
@@ -492,8 +486,10 @@ mod tests {
         // mixer1 (not a resource cell) and re-run.
         let s = chip.dispenser("SAMPLE1").unwrap().cell;
         let m = chip.mixers[0].rendezvous();
-        let line = s.line_to(m);
-        let obstacle = line[line.len() / 2];
+        let route = Router::new(chip.array.region(), &DefectMap::new())
+            .route(s, m, &[])
+            .unwrap();
+        let obstacle = route[route.len() / 2];
         let mut defects = DefectMap::new();
         defects.mark(
             obstacle,

@@ -3,7 +3,7 @@
 use dmfb_bioassay::feasibility::{FeasibilityChecker, Infeasibility, TimingBudget};
 use dmfb_bioassay::kinetics::{absorbance_545nm, TrinderKinetics};
 use dmfb_bioassay::layout::ivd_dtmb26_chip;
-use dmfb_bioassay::router::{spacing_violation, Router};
+use dmfb_bioassay::router::Router;
 use dmfb_bioassay::schedule::ExecError;
 use dmfb_bioassay::{Analyte, ChipDescription, MultiplexedIvd};
 use dmfb_defects::{CatastrophicDefect, DefectCause, DefectMap, ParametricDefect};
@@ -179,12 +179,8 @@ proptest! {
 
         let router = Router::new(&region, &defects);
         let reference = ReferenceRouter::new(&region, &defects);
-        prop_assert_eq!(router.is_routable(from), reference.is_routable(from));
         prop_assert_eq!(router.route(from, to, &parked), reference.route(from, to, &parked));
-        prop_assert_eq!(
-            router.route_length(from, to),
-            reference.route(from, to, &[]).map(|p| p.len() - 1)
-        );
+        prop_assert_eq!(router.route(from, to, &[]), reference.route(from, to, &[]));
     }
 }
 
@@ -259,7 +255,7 @@ proptest! {
             _ => None,
         };
 
-        let checker = FeasibilityChecker::new(chip.clone(), batch.clone(), TimingBudget::unlimited());
+        let checker = FeasibilityChecker::new(chip.clone(), batch.clone(), TimingBudget { max_makespan_s: f64::INFINITY });
         let reference = ReferenceRouter::new(chip.array.region(), &defects);
         let moves = |from, to| reference.route(from, to, &[]).map(|p| p.len() - 1);
         match checker.check(&defects, plan.as_ref()) {
@@ -325,7 +321,7 @@ proptest! {
         prop_assume!(from != parked && to != parked);
         if let Some(path) = router.route(from, to, &[parked]) {
             for c in &path {
-                prop_assert!(spacing_violation(&[*c, parked]).is_none(), "cell {c} violates spacing");
+                prop_assert!(*c != parked && !c.is_adjacent(parked), "cell {c} violates spacing");
             }
         }
     }

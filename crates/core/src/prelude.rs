@@ -12,10 +12,10 @@ pub use crate::{Biochip, YieldReport};
 
 pub use dmfb_grid::{CellMap, HexCoord, HexDir, Region, SquareCoord, SquareRegion, Topology};
 
-pub use dmfb_defects::injection::{Bernoulli, ClusteredSpot, ExactCount, InjectionModel};
+pub use dmfb_defects::injection::{Bernoulli, ExactCount, InjectionModel};
 pub use dmfb_defects::scenario::{Scenario, ScenarioError, StepAction, Trajectory};
 pub use dmfb_defects::ClusteredDefects;
-pub use dmfb_defects::{CatastrophicDefect, DefectCause, DefectMap, FaultClass};
+pub use dmfb_defects::{CatastrophicDefect, DefectCause, DefectMap};
 
 pub use dmfb_reconfig::dtmb::DtmbKind;
 pub use dmfb_reconfig::shifted::{ModuleBand, SpareRowArray};
@@ -33,8 +33,8 @@ pub use dmfb_yield::analytical::{dtmb16_yield, independent_repair_yield, no_redu
 pub use dmfb_yield::{
     effective_yield, named_campaign, tolerance_profile, AssayPanel, CampaignReport, CampaignRunner,
     MonteCarloYield, NamedCampaign, OperationalEstimate, OperationalYield, SchemeYield,
-    StratifiedOperationalEstimate, StratifiedPoint, ToleranceProfile, TrialVerdict, YieldCurve,
-    YieldPoint, NAMED_CAMPAIGNS,
+    StratifiedOperationalEstimate, StratifiedPoint, ToleranceProfile, TrialVerdict, YieldPoint,
+    NAMED_CAMPAIGNS,
 };
 
 pub use dmfb_bioassay::layout::{fabricated_ivd_chip, ivd_dtmb26_chip, used_cells_policy};

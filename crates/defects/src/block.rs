@@ -90,12 +90,6 @@ impl BlockSampler {
         self.lanes = seeds.len();
     }
 
-    /// Number of live lanes (trials) in the current block.
-    #[must_use]
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
     /// All-ones mask over the live lanes; idle lanes read as zero in
     /// every fault word, so they never contribute faults.
     #[must_use]
@@ -290,7 +284,6 @@ mod tests {
     #[test]
     fn idle_lanes_stay_silent() {
         let mut sampler = BlockSampler::new(&[1, 2, 3]);
-        assert_eq!(sampler.lanes(), 3);
         assert_eq!(sampler.live_mask(), 0b111);
         // p = 0 faults every live lane; idle lanes must still read zero.
         let mut word = [0u64; 1];

@@ -28,9 +28,7 @@
 //! [`ClusteredDefects::inject_in`] wrap the same sampler for callers that
 //! want a [`DefectMap`].
 //!
-//! Unlike the hex-only [`ClusteredSpot`](crate::injection::ClusteredSpot)
-//! ablation (Poisson counts, hexagonal rings), this model is generic over
-//! [`Topology`] exactly like the PR 3 injectors, so it can drive the
+//! The model is generic over [`Topology`], so it drives the
 //! scheme-generic yield engines directly.
 //!
 //! # Example

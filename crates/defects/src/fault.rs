@@ -4,26 +4,6 @@ use dmfb_grid::HexDir;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Fault classification along the lines used for analog circuits:
-/// catastrophic faults cause complete malfunction, parametric faults cause
-/// a performance deviation that only matters when it exceeds tolerance.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
-pub enum FaultClass {
-    /// Complete malfunction of the cell (hard fault).
-    Catastrophic,
-    /// Performance deviation beyond tolerance (soft fault).
-    Parametric,
-}
-
-impl fmt::Display for FaultClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FaultClass::Catastrophic => write!(f, "catastrophic"),
-            FaultClass::Parametric => write!(f, "parametric"),
-        }
-    }
-}
-
 /// The catastrophic manufacturing defects listed in the paper.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 pub enum CatastrophicDefect {
@@ -85,17 +65,6 @@ pub enum DefectCause {
     Parametric(ParametricDefect, f64),
 }
 
-impl DefectCause {
-    /// The fault class of this cause.
-    #[must_use]
-    pub fn class(&self) -> FaultClass {
-        match self {
-            DefectCause::Catastrophic(_) => FaultClass::Catastrophic,
-            DefectCause::Parametric(..) => FaultClass::Parametric,
-        }
-    }
-}
-
 impl fmt::Display for DefectCause {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -110,20 +79,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn classes() {
-        assert_eq!(
-            DefectCause::Catastrophic(CatastrophicDefect::OpenConnection).class(),
-            FaultClass::Catastrophic
-        );
-        assert_eq!(
-            DefectCause::Parametric(ParametricDefect::PlateGap, 0.2).class(),
-            FaultClass::Parametric
-        );
-    }
-
-    #[test]
     fn display_messages() {
-        assert_eq!(FaultClass::Catastrophic.to_string(), "catastrophic");
         assert_eq!(
             CatastrophicDefect::DielectricBreakdown.to_string(),
             "dielectric breakdown"

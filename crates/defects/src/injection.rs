@@ -5,8 +5,8 @@
 //! cell, has the same defect probability q. Moreover, the failures of the
 //! cells are independent." [`Bernoulli`] implements exactly that.
 //! [`ExactCount`] implements the Figure 13 protocol ("we randomly introduce
-//! m cell failures"). [`ClusteredSpot`] is *not* in the paper; it is the
-//! ablation used to probe how far the independence assumption carries.
+//! m cell failures"). Clustered defects, which the paper does not model,
+//! live in [`crate::clustered`].
 
 use crate::fault::{CatastrophicDefect, DefectCause};
 use crate::DefectMap;
@@ -155,31 +155,6 @@ impl ExactCount {
     pub fn new(faults: usize) -> Self {
         ExactCount { faults }
     }
-
-    /// The number of failures injected per chip instance.
-    #[must_use]
-    pub fn faults(&self) -> usize {
-        self.faults
-    }
-
-    /// Topology-generic injection: exactly `m` distinct cells of `topo`
-    /// fail, chosen uniformly without replacement, marked with a generic
-    /// open-connection cause.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` exceeds the number of cells in the topology.
-    pub fn inject_in<T: Topology>(&self, topo: &T, rng: &mut impl Rng) -> DefectMap<T::Coord> {
-        let mut cells: Vec<T::Coord> = topo.cells_iter().collect();
-        assert!(
-            self.faults <= cells.len(),
-            "cannot inject {} faults into a {}-cell topology",
-            self.faults,
-            cells.len()
-        );
-        cells.shuffle(rng);
-        DefectMap::from_cells(cells.into_iter().take(self.faults))
-    }
 }
 
 impl InjectionModel for ExactCount {
@@ -199,103 +174,6 @@ impl InjectionModel for ExactCount {
         for cell in cells.into_iter().take(self.faults) {
             let cause = random_catastrophic(cell, region, rng);
             map.mark(cell, cause);
-        }
-        map
-    }
-}
-
-/// Clustered spot defects: a Poisson number of defect clusters, each
-/// centred on a uniform cell and failing nearby cells with a probability
-/// decaying with hex distance.
-///
-/// This violates the paper's independence assumption on purpose; the
-/// ablation bench quantifies the yield impact for the same *expected*
-/// number of failures.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ClusteredSpot {
-    /// Expected number of clusters per chip.
-    pub mean_clusters: f64,
-    /// Cluster radius in cells.
-    pub radius: u32,
-    /// Failure probability at the cluster centre, decaying linearly to zero
-    /// at `radius + 1`.
-    pub peak_probability: f64,
-}
-
-impl ClusteredSpot {
-    /// Creates a clustered-spot model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean_clusters < 0` or `peak_probability` is outside
-    /// `[0, 1]`.
-    #[must_use]
-    pub fn new(mean_clusters: f64, radius: u32, peak_probability: f64) -> Self {
-        assert!(mean_clusters >= 0.0, "mean_clusters must be non-negative");
-        assert!(
-            (0.0..=1.0).contains(&peak_probability),
-            "peak probability must be in [0, 1]"
-        );
-        ClusteredSpot {
-            mean_clusters,
-            radius,
-            peak_probability,
-        }
-    }
-
-    /// Expected number of failed cells per chip on an infinite array
-    /// (boundary effects reduce it slightly).
-    #[must_use]
-    pub fn expected_failures(&self) -> f64 {
-        // Sum of decayed probabilities over the cluster footprint.
-        let mut per_cluster = 0.0;
-        for k in 0..=self.radius {
-            let ring = if k == 0 { 1.0 } else { 6.0 * f64::from(k) };
-            let decay = 1.0 - f64::from(k) / (f64::from(self.radius) + 1.0);
-            per_cluster += ring * self.peak_probability * decay;
-        }
-        self.mean_clusters * per_cluster
-    }
-}
-
-/// Samples a Poisson variate by inversion (adequate for small means).
-fn poisson(mean: f64, rng: &mut impl Rng) -> u32 {
-    if mean <= 0.0 {
-        return 0;
-    }
-    let limit = (-mean).exp();
-    let mut product: f64 = rng.gen();
-    let mut count = 0u32;
-    while product > limit {
-        product *= rng.gen::<f64>();
-        count += 1;
-        if count > 10_000 {
-            break; // Guard against pathological means.
-        }
-    }
-    count
-}
-
-impl InjectionModel for ClusteredSpot {
-    fn inject(&self, region: &Region, rng: &mut impl Rng) -> DefectMap {
-        let mut map = DefectMap::new();
-        let cells: Vec<HexCoord> = region.iter().collect();
-        if cells.is_empty() {
-            return map;
-        }
-        let clusters = poisson(self.mean_clusters, rng);
-        for _ in 0..clusters {
-            let center = *cells.choose(rng).expect("non-empty");
-            for k in 0..=self.radius {
-                let decay = 1.0 - f64::from(k) / (f64::from(self.radius) + 1.0);
-                let prob = self.peak_probability * decay;
-                for cell in center.ring(k) {
-                    if region.contains(cell) && !map.is_faulty(cell) && rng.gen_bool(prob) {
-                        let cause = random_catastrophic(cell, region, rng);
-                        map.mark(cell, cause);
-                    }
-                }
-            }
         }
         map
     }
@@ -359,7 +237,6 @@ mod tests {
                 assert!(region.contains(c));
             }
         }
-        assert_eq!(ExactCount::new(3).faults(), 3);
     }
 
     #[test]
@@ -370,34 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn clustered_spot_clusters_are_local() {
-        let region = Region::parallelogram(30, 30);
-        let model = ClusteredSpot::new(1.0, 2, 0.9);
-        // Over many samples, faults exist and stay inside the region.
-        let mut any = false;
-        for seed in 0..20 {
-            let m = model.inject(&region, &mut rng(seed));
-            for c in m.faulty_cells() {
-                assert!(region.contains(c));
-            }
-            any |= !m.is_fault_free();
-        }
-        assert!(any, "clusters should appear at mean 1.0");
-    }
-
-    #[test]
-    fn clustered_expected_failures_positive() {
-        let model = ClusteredSpot::new(2.0, 1, 0.5);
-        // centre 0.5 + ring1: 6 * 0.5 * 0.5 = 1.5 → per cluster 2.0 → 4.0
-        assert!((model.expected_failures() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn poisson_zero_mean() {
-        assert_eq!(poisson(0.0, &mut rng(1)), 0);
-    }
-
-    #[test]
     fn topology_generic_injection_on_square_lattice() {
         use dmfb_grid::SquareRegion;
         let region = SquareRegion::rect(20, 20);
@@ -405,13 +254,6 @@ mod tests {
         assert!(none.is_fault_free());
         let all = Bernoulli::new(1.0).inject_in(&region, &mut rng(1));
         assert_eq!(all.fault_count(), 400);
-        for m in [0usize, 3, 50] {
-            let map = ExactCount::new(m).inject_in(&region, &mut rng(5));
-            assert_eq!(map.fault_count(), m);
-            for c in map.faulty_cells() {
-                assert!(region.contains(c));
-            }
-        }
     }
 
     #[test]

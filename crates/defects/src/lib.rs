@@ -53,6 +53,6 @@ pub mod parametric;
 pub mod scenario;
 
 pub use clustered::ClusteredDefects;
-pub use fault::{CatastrophicDefect, DefectCause, FaultClass, ParametricDefect};
+pub use fault::{CatastrophicDefect, DefectCause, ParametricDefect};
 pub use map::DefectMap;
 pub use scenario::{Scenario, ScenarioError, StepAction, StepRecord, Trajectory};

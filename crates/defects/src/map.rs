@@ -1,6 +1,6 @@
 //! Per-chip defect maps.
 
-use crate::fault::{CatastrophicDefect, DefectCause, FaultClass};
+use crate::fault::{CatastrophicDefect, DefectCause};
 use dmfb_grid::{CellMap, HexCoord};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -77,11 +77,6 @@ impl<C: Ord + Copy> DefectMap<C> {
         self.faults.insert(cell, cause)
     }
 
-    /// Clears the fault at `cell`, returning its cause if present.
-    pub fn clear(&mut self, cell: C) -> Option<DefectCause> {
-        self.faults.remove(cell)
-    }
-
     /// Whether `cell` is faulty.
     #[must_use]
     pub fn is_faulty(&self, cell: C) -> bool {
@@ -114,11 +109,6 @@ impl<C: Ord + Copy> DefectMap<C> {
     /// Iterates the faulty cells in sorted order.
     pub fn faulty_cells(&self) -> impl Iterator<Item = C> + '_ {
         self.faults.cells()
-    }
-
-    /// Faulty cells restricted to one fault class.
-    pub fn cells_of_class(&self, class: FaultClass) -> impl Iterator<Item = C> + '_ {
-        self.faults.cells_where(move |c| c.class() == class)
     }
 
     /// The union of two defect maps (first cause wins on conflicts).
@@ -206,8 +196,6 @@ mod tests {
                 CatastrophicDefect::DielectricBreakdown
             ))
         ));
-        assert!(m.clear(cell).is_some());
-        assert!(m.is_fault_free());
     }
 
     #[test]
@@ -242,21 +230,6 @@ mod tests {
         ));
         // Idempotent.
         assert_eq!(m.close_shorts(), 0);
-    }
-
-    #[test]
-    fn class_filter() {
-        let mut m = DefectMap::new();
-        m.mark(
-            HexCoord::new(0, 0),
-            DefectCause::Catastrophic(CatastrophicDefect::OpenConnection),
-        );
-        m.mark(
-            HexCoord::new(1, 0),
-            DefectCause::Parametric(crate::fault::ParametricDefect::PlateGap, 0.3),
-        );
-        assert_eq!(m.cells_of_class(FaultClass::Catastrophic).count(), 1);
-        assert_eq!(m.cells_of_class(FaultClass::Parametric).count(), 1);
     }
 
     #[test]

@@ -201,7 +201,6 @@ mod tests {
 
     #[test]
     fn service_faults_carry_the_operational_class() {
-        use crate::fault::FaultClass;
         let model = MtbfModel::new(50.0, 1.0);
         let region = Region::parallelogram(8, 8);
         let mut rng = StdRng::seed_from_u64(3);
@@ -209,7 +208,6 @@ mod tests {
         assert!(!map.is_fault_free());
         for (cell, cause) in map.iter() {
             assert!(region.contains(cell));
-            assert_eq!(cause.class(), FaultClass::Catastrophic);
             assert_eq!(
                 *cause,
                 DefectCause::Catastrophic(CatastrophicDefect::DielectricBreakdown)

@@ -123,7 +123,7 @@ impl ParametricModel {
     /// Probability that a single parameter stays within tolerance
     /// (`erf`-based closed form approximated by Abramowitz–Stegun 7.1.26).
     #[must_use]
-    pub fn per_parameter_pass_probability(&self) -> f64 {
+    fn per_parameter_pass_probability(&self) -> f64 {
         if self.sigma == 0.0 {
             return 1.0;
         }

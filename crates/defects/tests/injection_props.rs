@@ -1,7 +1,7 @@
 //! Property-based tests for defect injection.
 
-use dmfb_defects::injection::{Bernoulli, ClusteredSpot, ExactCount, InjectionModel};
-use dmfb_defects::{DefectCause, DefectMap};
+use dmfb_defects::injection::{Bernoulli, ExactCount, InjectionModel};
+use dmfb_defects::{ClusteredDefects, DefectCause, DefectMap};
 use dmfb_grid::{HexCoord, Region};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -19,7 +19,7 @@ proptest! {
         let maps = [
             Bernoulli::new(q).inject(&region, &mut rng),
             ExactCount::new(region.len() / 3).inject(&region, &mut rng),
-            ClusteredSpot::new(1.5, 2, 0.7).inject(&region, &mut rng),
+            ClusteredDefects::new(1.5, 1, 2, 0.7).inject(&region, &mut rng),
         ];
         for map in maps {
             for c in map.faulty_cells() {

@@ -534,24 +534,6 @@ impl LaneCounter {
         }
         !greater
     }
-
-    /// The exact count of `lane`, or `None` if it saturated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane >= 64`.
-    #[must_use]
-    pub fn count(&self, lane: usize) -> Option<u64> {
-        assert!(lane < LANES, "lane {lane} out of range");
-        if (self.overflow >> lane) & 1 == 1 {
-            return None;
-        }
-        let mut count = 0u64;
-        for i in 0..self.bits {
-            count |= ((self.planes[i] >> lane) & 1) << i;
-        }
-        Some(count)
-    }
 }
 
 #[cfg(test)]
@@ -637,15 +619,15 @@ mod tests {
         }
         // Lane 63 faulted once (round 0 only); lane 55 faulted 9 times
         // (saturates past capacity 5 -> bits 3 -> exact to 7).
-        assert_eq!(counter.count(63), Some(1));
-        assert_eq!(counter.count(62), Some(2));
-        assert_eq!(counter.count(55), None);
+        let bit = |bound: u64, lane: u32| (counter.le_mask(bound) >> lane) & 1;
+        assert_eq!((bit(0, 63), bit(1, 63)), (0, 1));
+        assert_eq!((bit(1, 62), bit(2, 62)), (0, 1));
+        assert_eq!(bit(7, 55), 0);
         assert_eq!(counter.le_mask(1) >> 63, 1);
         assert_eq!((counter.le_mask(1) >> 62) & 1, 0);
         assert_eq!((counter.le_mask(5) >> 59) & 1, 1); // 5 faults
         assert_eq!((counter.le_mask(4) >> 59) & 1, 0);
         counter.reset();
-        assert_eq!(counter.count(0), Some(0));
         assert_eq!(counter.le_mask(0), u64::MAX);
     }
 

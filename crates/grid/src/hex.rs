@@ -89,25 +89,6 @@ impl HexDir {
             HexDir::SouthWest => (-1, 1),
         }
     }
-
-    /// The opposite transport direction.
-    ///
-    /// ```
-    /// use dmfb_grid::HexDir;
-    /// assert_eq!(HexDir::East.opposite(), HexDir::West);
-    /// assert_eq!(HexDir::NorthEast.opposite(), HexDir::SouthWest);
-    /// ```
-    #[must_use]
-    pub const fn opposite(self) -> HexDir {
-        match self {
-            HexDir::East => HexDir::West,
-            HexDir::West => HexDir::East,
-            HexDir::NorthEast => HexDir::SouthWest,
-            HexDir::NorthWest => HexDir::SouthEast,
-            HexDir::SouthEast => HexDir::NorthWest,
-            HexDir::SouthWest => HexDir::NorthEast,
-        }
-    }
 }
 
 impl HexCoord {
@@ -126,35 +107,11 @@ impl HexCoord {
         -self.q - self.r
     }
 
-    /// Cube-coordinate triple `(x, y, z)` with `x + y + z = 0`.
-    #[must_use]
-    pub const fn to_cube(self) -> (i32, i32, i32) {
-        (self.q, self.s(), self.r)
-    }
-
-    /// Builds an axial coordinate from a cube triple.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x + y + z != 0`, which is not a valid cube coordinate.
-    #[must_use]
-    pub fn from_cube(x: i32, y: i32, z: i32) -> Self {
-        assert_eq!(x + y + z, 0, "cube coordinates must satisfy x + y + z = 0");
-        HexCoord { q: x, r: z }
-    }
-
     /// The cell one step away in direction `dir`.
     #[must_use]
     pub fn step(self, dir: HexDir) -> HexCoord {
         let (dq, dr) = dir.offset();
         HexCoord::new(self.q + dq, self.r + dr)
-    }
-
-    /// The cell `n` steps away in direction `dir`.
-    #[must_use]
-    pub fn step_by(self, dir: HexDir, n: i32) -> HexCoord {
-        let (dq, dr) = dir.offset();
-        HexCoord::new(self.q + dq * n, self.r + dr * n)
     }
 
     /// The six physically adjacent cells, in [`HexDir::ALL`] order.
@@ -202,49 +159,6 @@ impl HexCoord {
     pub fn spiral(self, radius: u32) -> impl Iterator<Item = HexCoord> {
         (0..=radius).flat_map(move |k| self.ring(k))
     }
-
-    /// Cells on the straight line from `self` to `other`, inclusive of both
-    /// endpoints, computed by cube-coordinate interpolation and rounding.
-    ///
-    /// The line has `distance + 1` cells and consecutive cells are adjacent,
-    /// so it is a legal droplet transport route on a fault-free array.
-    #[must_use]
-    pub fn line_to(self, other: HexCoord) -> Vec<HexCoord> {
-        let n = self.distance(other);
-        if n == 0 {
-            return vec![self];
-        }
-        let (ax, ay, az) = self.to_cube();
-        let (bx, by, bz) = other.to_cube();
-        let mut out = Vec::with_capacity(n as usize + 1);
-        for i in 0..=n {
-            let t = f64::from(i) / f64::from(n);
-            // Nudge towards b by an epsilon to break ties deterministically.
-            let x = f64::from(ax) + (f64::from(bx) - f64::from(ax)) * t + 1e-6;
-            let y = f64::from(ay) + (f64::from(by) - f64::from(ay)) * t + 2e-6;
-            let z = f64::from(az) + (f64::from(bz) - f64::from(az)) * t - 3e-6;
-            out.push(cube_round(x, y, z));
-        }
-        out
-    }
-}
-
-/// Rounds fractional cube coordinates to the nearest lattice cell.
-fn cube_round(x: f64, y: f64, z: f64) -> HexCoord {
-    let mut rx = x.round();
-    let mut ry = y.round();
-    let mut rz = z.round();
-    let dx = (rx - x).abs();
-    let dy = (ry - y).abs();
-    let dz = (rz - z).abs();
-    if dx > dy && dx > dz {
-        rx = -ry - rz;
-    } else if dy > dz {
-        ry = -rx - rz;
-    } else {
-        rz = -rx - ry;
-    }
-    HexCoord::from_cube(rx as i32, ry as i32, rz as i32)
 }
 
 impl Add for HexCoord {
@@ -305,7 +219,9 @@ impl Ring {
         let start = if radius == 0 {
             center
         } else {
-            center.step_by(HexDir::West, radius as i32)
+            let (dq, dr) = HexDir::West.offset();
+            let n = radius as i32;
+            HexCoord::new(center.q + dq * n, center.r + dr * n)
         };
         Ring {
             next: Some(start),
@@ -369,32 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn opposite_directions_cancel() {
-        let c = HexCoord::new(-5, 9);
-        for d in HexDir::ALL {
-            assert_eq!(c.step(d).step(d.opposite()), c);
-        }
-    }
-
-    #[test]
-    fn cube_invariant_holds() {
-        for q in -4..=4 {
-            for r in -4..=4 {
-                let c = HexCoord::new(q, r);
-                let (x, y, z) = c.to_cube();
-                assert_eq!(x + y + z, 0);
-                assert_eq!(HexCoord::from_cube(x, y, z), c);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "cube coordinates")]
-    fn from_cube_rejects_invalid() {
-        let _ = HexCoord::from_cube(1, 1, 1);
-    }
-
-    #[test]
     fn distance_is_a_metric_on_samples() {
         let pts = [
             HexCoord::new(0, 0),
@@ -443,25 +333,6 @@ mod tests {
         for x in &cells {
             assert!(c.distance(*x) <= 3);
         }
-    }
-
-    #[test]
-    fn line_endpoints_adjacency_and_length() {
-        let a = HexCoord::new(-2, 0);
-        let b = HexCoord::new(4, -3);
-        let line = a.line_to(b);
-        assert_eq!(line.first(), Some(&a));
-        assert_eq!(line.last(), Some(&b));
-        assert_eq!(line.len() as u32, a.distance(b) + 1);
-        for w in line.windows(2) {
-            assert!(w[0].is_adjacent(w[1]), "line cells must be adjacent");
-        }
-    }
-
-    #[test]
-    fn line_degenerate() {
-        let a = HexCoord::new(7, -7);
-        assert_eq!(a.line_to(a), vec![a]);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! * [`SlotIndex`] — dense slot arithmetic over a padded bounding box on
 //!   either lattice ([`Lattice`]), for flat per-cell arrays with fixed
 //!   neighbour offsets.
-//! * [`render`] — ASCII rendering used by the figure generators.
+//! * [`render`] — ASCII rendering used by `dmfb render`.
 //!
 //! # Example
 //!

@@ -73,11 +73,6 @@ impl<T, C: Ord + Copy> CellMap<T, C> {
         self.inner.get(&cell)
     }
 
-    /// Mutable access to the value at `cell`, if mapped.
-    pub fn get_mut(&mut self, cell: C) -> Option<&mut T> {
-        self.inner.get_mut(&cell)
-    }
-
     /// Whether `cell` is mapped.
     #[must_use]
     pub fn contains(&self, cell: C) -> bool {
@@ -89,29 +84,14 @@ impl<T, C: Ord + Copy> CellMap<T, C> {
         self.inner.insert(cell, value)
     }
 
-    /// Removes the mapping for `cell`, returning its value if present.
-    pub fn remove(&mut self, cell: C) -> Option<T> {
-        self.inner.remove(&cell)
-    }
-
     /// Iterates `(cell, &value)` in sorted cell order.
     pub fn iter(&self) -> impl Iterator<Item = (C, &T)> {
         self.inner.iter().map(|(c, v)| (*c, v))
     }
 
-    /// Iterates `(cell, &mut value)` in sorted cell order.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (C, &mut T)> {
-        self.inner.iter_mut().map(|(c, v)| (*c, v))
-    }
-
     /// Iterates the mapped cells in sorted order.
     pub fn cells(&self) -> impl Iterator<Item = C> + '_ {
         self.inner.keys().copied()
-    }
-
-    /// Iterates the values in sorted cell order.
-    pub fn values(&self) -> impl Iterator<Item = &T> {
-        self.inner.values()
     }
 
     /// The cells whose value satisfies `pred`, in sorted order.
@@ -178,9 +158,7 @@ mod tests {
         assert_eq!(m.insert(HexCoord::new(0, 0), 2), Some(1));
         assert_eq!(m.len(), 1);
         assert_eq!(m.get(HexCoord::new(0, 0)), Some(&2));
-        *m.get_mut(HexCoord::new(0, 0)).unwrap() += 1;
-        assert_eq!(m.remove(HexCoord::new(0, 0)), Some(3));
-        assert!(m.get(HexCoord::new(0, 0)).is_none());
+        assert!(m.get(HexCoord::new(1, 0)).is_none());
     }
 
     #[test]
@@ -208,7 +186,7 @@ mod tests {
         m.insert(HexCoord::new(0, 0), "a");
         let cells: Vec<_> = m.cells().collect();
         assert_eq!(cells, vec![HexCoord::new(0, 0), HexCoord::new(5, 0)]);
-        let vals: Vec<_> = m.values().copied().collect();
+        let vals: Vec<_> = m.iter().map(|(_, v)| *v).collect();
         assert_eq!(vals, vec!["a", "b"]);
     }
 

@@ -20,7 +20,8 @@ use std::fmt;
 ///
 /// let region = Region::hexagon(HexCoord::ORIGIN, 2);
 /// assert_eq!(region.len(), 19);
-/// assert_eq!(region.interior().count(), 7);
+/// let interior = region.iter().filter(|&c| !region.is_boundary(c).unwrap());
+/// assert_eq!(interior.count(), 7);
 /// ```
 #[derive(Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct Region {
@@ -34,12 +35,6 @@ impl fmt::Debug for Region {
 }
 
 impl Region {
-    /// Creates an empty region.
-    #[must_use]
-    pub fn new() -> Self {
-        Region::default()
-    }
-
     /// A parallelogram-shaped region: `q in [0, width)`, `r in [0, height)`.
     ///
     /// This is the natural "rectangle" in axial coordinates and the default
@@ -149,16 +144,6 @@ impl Region {
         Ok(self.degree(cell)? < 6)
     }
 
-    /// Iterates over the boundary cells in sorted order.
-    pub fn boundary(&self) -> impl Iterator<Item = HexCoord> + '_ {
-        self.iter().filter(|c| self.neighbors_in(*c).count() < 6)
-    }
-
-    /// Iterates over interior (non-boundary) cells in sorted order.
-    pub fn interior(&self) -> impl Iterator<Item = HexCoord> + '_ {
-        self.iter().filter(|c| self.neighbors_in(*c).count() == 6)
-    }
-
     /// Whether every pair of cells is connected through in-region adjacency.
     /// Droplets cannot jump over missing electrodes, so a usable biochip
     /// region must be connected. An empty region counts as connected.
@@ -231,8 +216,12 @@ mod tests {
         let region = Region::hexagon(HexCoord::ORIGIN, 3);
         assert_eq!(region.len(), 1 + 3 * 3 * 4);
         // Interior of a radius-3 hexagon is the radius-2 hexagon.
-        assert_eq!(region.interior().count(), 1 + 3 * 2 * 3);
-        assert_eq!(region.boundary().count(), 18);
+        let boundary = region
+            .iter()
+            .filter(|&c| region.is_boundary(c).unwrap())
+            .count();
+        assert_eq!(region.len() - boundary, 1 + 3 * 2 * 3);
+        assert_eq!(boundary, 18);
     }
 
     #[test]
@@ -258,11 +247,11 @@ mod tests {
 
     #[test]
     fn connectivity_detects_split() {
-        let mut region = Region::new();
+        let mut region = Region::default();
         region.insert(HexCoord::new(0, 0));
         region.insert(HexCoord::new(5, 5));
         assert!(!region.is_connected());
-        assert!(Region::new().is_connected());
+        assert!(Region::default().is_connected());
     }
 
     #[test]
@@ -271,7 +260,8 @@ mod tests {
         let b = a.translated(HexCoord::new(10, -4));
         assert_eq!(a.len(), b.len());
         assert!(b.contains(HexCoord::new(10, -4)));
-        assert_eq!(b.interior().count(), a.interior().count());
+        let boundary = |r: &Region| r.iter().filter(|&c| r.is_boundary(c).unwrap()).count();
+        assert_eq!(boundary(&b), boundary(&a));
     }
 
     #[test]
@@ -280,7 +270,7 @@ mod tests {
         let (lo, hi) = region.bounds().unwrap();
         assert_eq!(lo, HexCoord::new(0, 0));
         assert_eq!(hi, HexCoord::new(3, 1));
-        assert!(Region::new().bounds().is_none());
+        assert!(Region::default().bounds().is_none());
     }
 
     #[test]

@@ -63,17 +63,6 @@ impl SquareDir {
             SquareDir::West => (-1, 0),
         }
     }
-
-    /// The opposite direction.
-    #[must_use]
-    pub const fn opposite(self) -> SquareDir {
-        match self {
-            SquareDir::North => SquareDir::South,
-            SquareDir::South => SquareDir::North,
-            SquareDir::East => SquareDir::West,
-            SquareDir::West => SquareDir::East,
-        }
-    }
 }
 
 impl SquareCoord {
@@ -93,18 +82,6 @@ impl SquareCoord {
     /// The four edge-adjacent cells (droplet transport neighbours).
     pub fn neighbors4(self) -> impl Iterator<Item = SquareCoord> {
         SquareDir::ALL.into_iter().map(move |d| self.step(d))
-    }
-
-    /// Manhattan distance: minimum droplet moves on an unobstructed array.
-    #[must_use]
-    pub fn manhattan(self, other: SquareCoord) -> u32 {
-        self.x.abs_diff(other.x) + self.y.abs_diff(other.y)
-    }
-
-    /// Whether `other` is edge-adjacent (4-neighbourhood).
-    #[must_use]
-    pub fn is_adjacent4(self, other: SquareCoord) -> bool {
-        self.manhattan(other) == 1
     }
 }
 
@@ -141,12 +118,6 @@ impl fmt::Debug for SquareRegion {
 }
 
 impl SquareRegion {
-    /// Creates an empty region.
-    #[must_use]
-    pub fn new() -> Self {
-        SquareRegion::default()
-    }
-
     /// An axis-aligned rectangle `x in [0, width)`, `y in [0, height)`.
     ///
     /// # Panics
@@ -221,16 +192,7 @@ mod tests {
         let n: HashSet<_> = c.neighbors4().collect();
         assert_eq!(n.len(), 4);
         for x in n {
-            assert!(c.is_adjacent4(x));
-            assert_eq!(c.manhattan(x), 1);
-        }
-    }
-
-    #[test]
-    fn opposite_cancels() {
-        let c = SquareCoord::new(-4, 7);
-        for d in SquareDir::ALL {
-            assert_eq!(c.step(d).step(d.opposite()), c);
+            assert_eq!(c.x.abs_diff(x.x) + c.y.abs_diff(x.y), 1);
         }
     }
 

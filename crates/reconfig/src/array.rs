@@ -1,7 +1,7 @@
 //! Defect-tolerant arrays: regions with a primary/spare role per cell.
 
 use crate::dtmb::DtmbKind;
-use dmfb_grid::{CellMap, GridError, HexCoord, Region, SlotIndex, Topology};
+use dmfb_grid::{GridError, HexCoord, Region, SlotIndex, Topology};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -72,26 +72,6 @@ impl fmt::Debug for DefectTolerantArray {
 }
 
 impl DefectTolerantArray {
-    /// Builds an array from an explicit role map. Prefer
-    /// [`DtmbKind::instantiate`] for the published patterns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `roles` does not cover exactly the cells of `region`.
-    #[must_use]
-    pub fn from_roles(region: Region, roles: CellMap<CellRole>, kind: Option<DtmbKind>) -> Self {
-        assert_eq!(
-            roles.len(),
-            region.len(),
-            "role map must cover the region exactly"
-        );
-        DefectTolerantArray::with_roles(region, kind, |c| {
-            *roles
-                .get(c)
-                .unwrap_or_else(|| panic!("cell {c} missing from role map"))
-        })
-    }
-
     /// An array with no redundancy at all: every cell is primary. This is
     /// the paper's baseline (`Y = pⁿ`) and the model of the first fabricated
     /// multiplexed-diagnostics chip.
@@ -319,27 +299,6 @@ mod tests {
         assert!(array.is_primary(HexCoord::new(2, 2)));
         assert!(!array.is_spare(HexCoord::new(2, 2)));
         assert!(!array.is_primary(HexCoord::new(50, 50)));
-    }
-
-    #[test]
-    fn from_roles_validates_coverage() {
-        let region = Region::parallelogram(2, 1);
-        let mut roles = CellMap::new();
-        roles.insert(HexCoord::new(0, 0), CellRole::Primary);
-        roles.insert(HexCoord::new(1, 0), CellRole::Spare);
-        let array = DefectTolerantArray::from_roles(region, roles, None);
-        assert_eq!(array.primary_count(), 1);
-        assert_eq!(array.spare_count(), 1);
-        assert_eq!(array.redundancy_ratio(), 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "cover the region")]
-    fn from_roles_rejects_partial_maps() {
-        let region = Region::parallelogram(2, 1);
-        let mut roles = CellMap::new();
-        roles.insert(HexCoord::new(0, 0), CellRole::Primary);
-        let _ = DefectTolerantArray::from_roles(region, roles, None);
     }
 
     #[test]

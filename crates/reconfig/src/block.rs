@@ -78,19 +78,6 @@ pub struct BlockStats {
     pub private_spare: u64,
 }
 
-impl BlockStats {
-    /// Fraction of verdicts the classifier retired before the matcher
-    /// (`0.0` when nothing ran yet).
-    #[must_use]
-    pub fn skip_rate(&self) -> f64 {
-        if self.lanes == 0 {
-            0.0
-        } else {
-            self.classified as f64 / self.lanes as f64
-        }
-    }
-}
-
 /// Reusable per-worker scratch for the tiered block engine. Create one
 /// per worker thread via [`TrialEvaluator::block_scratch`]; any number of
 /// block calls reuse its buffers allocation-free.
@@ -159,16 +146,10 @@ fn next_generation(generation: &mut u32, stamps: &mut [u32]) -> u32 {
 }
 
 impl TrialBlock {
-    /// Cumulative tier counters since construction (or the last
-    /// [`TrialBlock::reset_stats`]).
+    /// Cumulative tier counters since construction.
     #[must_use]
     pub fn stats(&self) -> BlockStats {
         self.stats
-    }
-
-    /// Zeroes the tier counters.
-    pub fn reset_stats(&mut self) {
-        self.stats = BlockStats::default();
     }
 
     /// Ensures the mantissa store holds `cells × LANES` words.
@@ -700,19 +681,20 @@ mod tests {
         let s = seeds(0x99, 2048);
         let _ = eval.survival_block(0.99, &s, &mut block);
         let stats = block.stats();
+        let skip_rate = |s: BlockStats| s.classified as f64 / s.lanes as f64;
         assert_eq!(stats.lanes, 2048);
         assert_eq!(stats.classified + stats.matched, stats.lanes);
         assert!(
-            stats.skip_rate() > 0.95,
+            skip_rate(stats) > 0.95,
             "classifier should retire >95% of lanes at p=0.99, got {}",
-            stats.skip_rate()
+            skip_rate(stats)
         );
-        block.reset_stats();
+        let mut block = eval.block_scratch();
         let _ = eval.survival_block(0.995, &s, &mut block);
         assert!(
-            block.stats().skip_rate() > 0.99,
+            skip_rate(block.stats()) > 0.99,
             "classifier should retire >99% of lanes at p=0.995, got {}",
-            block.stats().skip_rate()
+            skip_rate(block.stats())
         );
         // The paper's case study, DTMB(2,6) @ 600 primaries: the Hall
         // bound alone retires almost nothing (~8 faults per lane against

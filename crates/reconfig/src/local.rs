@@ -92,15 +92,6 @@ impl ReconfigPlan {
             .map_or(cell, |(_, spare)| *spare)
     }
 
-    /// The spare cell assigned to `cell`, if any.
-    #[must_use]
-    pub fn replacement_for(&self, cell: HexCoord) -> Option<HexCoord> {
-        self.assignments
-            .iter()
-            .find(|(faulty, _)| *faulty == cell)
-            .map(|(_, spare)| *spare)
-    }
-
     /// The spares consumed by this plan, in assignment order.
     pub fn spares_used(&self) -> impl Iterator<Item = HexCoord> + '_ {
         self.assignments.iter().map(|(_, s)| *s)
@@ -211,7 +202,6 @@ mod tests {
         assert!(cell.is_adjacent(spare), "replacement must be local");
         assert!(array.is_spare(spare));
         assert_eq!(plan.remap(cell), spare);
-        assert_eq!(plan.replacement_for(cell), Some(spare));
         assert_eq!(plan.remap(HexCoord::new(1, 0)), HexCoord::new(1, 0));
     }
 
@@ -247,8 +237,8 @@ mod tests {
         let plan =
             attempt_reconfiguration(&array, &defects, &ReconfigPolicy::AllPrimaries).unwrap();
         assert_eq!(plan.len(), 2);
-        let s1 = plan.replacement_for(a).unwrap();
-        let s2 = plan.replacement_for(b).unwrap();
+        let s1 = plan.remap(a);
+        let s2 = plan.remap(b);
         assert_ne!(s1, s2, "distinct spares");
         assert!(a.is_adjacent(s1) && b.is_adjacent(s2));
     }

@@ -421,7 +421,7 @@ proptest! {
 #[test]
 fn square_and_spare_row_edge_shapes_match_the_btree_compiler() {
     for pattern in SquarePattern::ALL {
-        assert_same_compile(&SquareRegion::new(), &pattern);
+        assert_same_compile(&SquareRegion::default(), &pattern);
         assert_same_compile(&SquareRegion::rect(1, 1), &pattern);
         assert_same_compile(&SquareRegion::rect(37, 23), &pattern);
         assert_same_compile(&SquareRegion::rect(120, 90), &pattern);

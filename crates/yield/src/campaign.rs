@@ -2,7 +2,8 @@
 //! three-tier yield pipeline.
 //!
 //! A [`Scenario`] compiles into a
-//! deterministic trajectory of cumulative [`DefectMap`]s (see
+//! deterministic trajectory of cumulative
+//! [`DefectMap`](dmfb_defects::DefectMap)s (see
 //! `dmfb_defects::scenario`). This module feeds each trajectory step to
 //! [`OperationalYield`] twice:
 //!
@@ -23,7 +24,6 @@
 use crate::operational::{AssayPanel, OperationalEstimate, OperationalYield, TrialVerdict};
 use dmfb_defects::injection::{Bernoulli, InjectionModel};
 use dmfb_defects::scenario::{Scenario, Trajectory};
-use dmfb_defects::DefectMap;
 use dmfb_grid::Region;
 
 /// A built-in campaign: name, one-line summary, and its DSL script.
@@ -128,12 +128,6 @@ impl CampaignReport {
         self.trajectory.markers()
     }
 
-    /// Cumulative targeted damage after the final step.
-    #[must_use]
-    pub fn final_map(&self) -> DefectMap {
-        self.trajectory.final_map()
-    }
-
     /// The per-step verdict table as CSV (header + one line per step).
     /// This is the byte string the golden-file and replay gates compare,
     /// so its format is stable.
@@ -188,18 +182,6 @@ impl CampaignRunner {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.engine = self.engine.with_threads(threads);
         self
-    }
-
-    /// The chip region scenarios execute against (primaries + spares).
-    #[must_use]
-    pub fn region(&self) -> &Region {
-        &self.region
-    }
-
-    /// The underlying three-tier engine.
-    #[must_use]
-    pub fn engine(&self) -> &OperationalYield {
-        &self.engine
     }
 
     /// Dry-runs `scenario` (no damage, `ok` markers only) — the happy

@@ -7,7 +7,7 @@
 //!   Figure 7), and binomial helpers.
 //! * [`effective`] — the paper's *effective yield* metric
 //!   `EY = Y·n/N = Y/(1+RR)` that trades yield against array area
-//!   (Figure 10), with crossover detection between designs.
+//!   (Figure 10).
 //! * [`scheme_yield`] — [`SchemeYield`]: the matching-based Monte-Carlo
 //!   estimator behind Figures 9 and 13, generic over the redundancy scheme
 //!   (hex DTMB, square DTMB, spare-row), so the paper's cross-scheme
@@ -17,7 +17,6 @@
 //!   assignment are pushed through the bioassay router/scheduler to ask
 //!   whether the *reconfigured* chip still runs the multiplexed IVD panel
 //!   in budget — raw, reconfigured and operational yield side by side.
-//! * [`sweep`] — parameter sweeps producing the curves behind each figure.
 //!
 //! Two orthogonal extensions ride on every engine above: the
 //! **defect-count-stratified rare-event estimator**
@@ -48,7 +47,6 @@ pub mod effective;
 pub mod operational;
 pub mod profile;
 pub mod scheme_yield;
-pub mod sweep;
 
 pub use campaign::{
     named_campaign, CampaignReport, CampaignRunner, NamedCampaign, StepVerdict, NAMED_CAMPAIGNS,
@@ -61,7 +59,6 @@ pub use profile::{tolerance_profile, ToleranceProfile};
 pub use scheme_yield::{
     MonteCarloYield, SchemeYield, StratifiedPoint, YieldPoint, DEFAULT_BLOCK_TRIALS,
 };
-pub use sweep::YieldCurve;
 
 /// Tests of the hexagonal engine ([`MonteCarloYield`]), kept under the
 /// module path they have always had.

@@ -781,7 +781,8 @@ mod tests {
             ("reconfigured", &naive.reconfigured, &strat.reconfigured),
             ("operational", &naive.operational, &strat.operational),
         ] {
-            let slack = 4.0 * (s.std_error() + n.margin95() / 1.96) + s.truncated_mass + 0.01;
+            let (lo, hi) = n.wilson95();
+            let slack = 4.0 * (s.std_error() + (hi - lo) / 2.0 / 1.96) + s.truncated_mass + 0.01;
             assert!(
                 (n.point() - s.point).abs() < slack,
                 "{name}: naive {} vs stratified {}",

@@ -7,6 +7,7 @@
 //! the replay test asserts byte-identical marker streams and verdict
 //! tables across reruns and across `--threads 1` vs `0`.
 
+use dmfb_bioassay::layout::ivd_dtmb26_chip;
 use dmfb_yield::campaign::{named_campaign, CampaignRunner, NAMED_CAMPAIGNS};
 use dmfb_yield::operational::AssayPanel;
 
@@ -40,8 +41,8 @@ fn happy_path(name: &str) {
 
 fn hostile_markers(name: &str) {
     let scenario = named_campaign(name).expect("built-in");
-    let runner = runner(1);
-    let live = scenario.execute(runner.region(), SEED);
+    let chip = ivd_dtmb26_chip();
+    let live = scenario.execute(chip.array.region(), SEED);
     assert!(
         live.hostile_count() > 0,
         "{name}: live run must damage the chip"
@@ -57,7 +58,7 @@ fn hostile_markers(name: &str) {
     }
     // The happy path and the live run agree on keys and labels, differing
     // only in damage — that is what makes the marker streams comparable.
-    let dry = scenario.rehearse(runner.region(), SEED);
+    let dry = scenario.rehearse(chip.array.region(), SEED);
     for (a, b) in dry.steps.iter().zip(live.steps.iter()) {
         assert_eq!(a.k, b.k);
         assert_eq!(a.action.label(), b.action.label());
@@ -88,7 +89,7 @@ fn determinism_replay(name: &str) {
     // A different seed must not replay the same damage.
     let other = named_campaign(name)
         .unwrap()
-        .execute(runner(1).region(), SEED + 1);
+        .execute(ivd_dtmb26_chip().array.region(), SEED + 1);
     assert_ne!(first.markers(), other.markers(), "{name}: seed matters");
 }
 

@@ -63,7 +63,8 @@ proptest! {
         let naive = est.estimate_survival(p, 4_000, seed);
         let strat =
             est.estimate_survival_stratified(p, 4_000, seed ^ 0xA5A5, &StratifiedConfig::default());
-        let slack = 4.0 * (strat.std_error() + naive.margin95() / 1.96)
+        let (lo, hi) = naive.wilson95();
+        let slack = 4.0 * (strat.std_error() + (hi - lo) / 2.0 / 1.96)
             + strat.truncated_mass
             + 5e-3;
         prop_assert!(

@@ -37,15 +37,14 @@ fn reconfigured_chip_completes_clinical_panel() {
 }
 
 /// Clustered defects (violating the paper's independence assumption) hurt
-/// yield more than i.i.d. defects with the same expected count — the
-/// ablation DESIGN.md promises.
+/// yield more than i.i.d. defects with the same expected count.
 #[test]
 fn clustered_defects_are_worse_than_iid() {
     let array = DtmbKind::Dtmb26A.with_primary_count(120);
     let total_cells = array.total_cells() as f64;
     let est = SchemeYield::new(array.clone(), ReconfigPolicy::AllPrimaries);
-    let clustered = ClusteredSpot::new(2.0, 1, 0.6);
-    let expected_failures = clustered.expected_failures();
+    let clustered = ClusteredDefects::new(2.0, 1, 1, 0.6);
+    let expected_failures = clustered.expected_failures_in(array.region());
     let q = expected_failures / total_cells;
     let iid = est.estimate_survival(1.0 - q, 4_000, TEST_SEEDS[0]).point();
     let ev = est.evaluator();
@@ -55,7 +54,7 @@ fn clustered_defects_are_worse_than_iid() {
             TEST_SEEDS[0],
             || (),
             |rng, _, faults| {
-                faults.extend(ev.fault_ids(&clustered.inject(array.region(), rng)));
+                faults.extend(ev.fault_ids(&clustered.inject_in(array.region(), rng)));
             },
         )
         .point();

@@ -1,24 +1,53 @@
 //! Integration tests asserting the paper's concrete numbers and shapes.
+//!
+//! Every figure and table of the paper's evaluation has a checkpoint here,
+//! and a `dmfb` command prints the same figure: `sweep` (Figures 7 and 9),
+//! `sweep --effective` (Figure 10), `faults --casestudy` (Figure 13),
+//! `render` (Figures 3–6) and `assay --faults 10 --seed 2005` (Figure 12).
 
 use dmfb_core::prelude::*;
+use dmfb_core::yield_model::analytical::spare_row_yield;
 use dmfb_integration_tests::{TEST_SEEDS, TEST_TRIALS};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
-/// Table 1: the redundancy-ratio limits.
+/// Table 1: the redundancy-ratio limits are exactly s/p = 1/6, 1/3, 1/2
+/// and 1, and a 600-primary array closes its spare pattern around the
+/// boundary with 115, 224, 340 and 669 spares, so finite arrays run
+/// slightly above the limit.
 #[test]
 fn table1_redundancy_ratios() {
     let expected = [
-        (DtmbKind::Dtmb16, 0.1667),
-        (DtmbKind::Dtmb26A, 0.3333),
-        (DtmbKind::Dtmb36, 0.5000),
-        (DtmbKind::Dtmb44, 1.0000),
+        (DtmbKind::Dtmb16, (1, 6), 115),
+        (DtmbKind::Dtmb26A, (1, 3), 224),
+        (DtmbKind::Dtmb36, (1, 2), 340),
+        (DtmbKind::Dtmb44, (1, 1), 669),
     ];
-    for (kind, rr) in expected {
-        assert!(
-            (kind.redundancy_ratio_limit() - rr).abs() < 5e-4,
-            "{kind}: {}",
-            kind.redundancy_ratio_limit()
-        );
+    assert_eq!(DtmbKind::TABLE1, expected.map(|(kind, _, _)| kind));
+    for (kind, (num, den), spares) in expected {
+        let (s, p) = kind.spec();
+        assert_eq!(s * den, p * num, "{kind}: s/p = {s}/{p}");
+        assert_eq!(kind.redundancy_ratio_limit(), num as f64 / den as f64);
+        let array = kind.with_primary_count(600);
+        assert_eq!(array.primary_count(), 600, "{kind}");
+        assert_eq!(array.spare_count(), spares, "{kind}");
+        assert!(array.redundancy_ratio() > kind.redundancy_ratio_limit());
     }
+}
+
+/// Figures 3–6: every DTMB pattern, the alternative DTMB(2,6) included,
+/// gives each interior primary exactly s adjacent spares and each
+/// interior spare exactly p adjacent primaries (Definition 1).
+#[test]
+fn figures3_6_pattern_degrees() {
+    let region = Region::parallelogram(12, 8);
+    for kind in DtmbKind::ALL {
+        let (s, p) = kind.spec();
+        let audit = kind.instantiate(&region).audit().expect("audit");
+        assert!(audit.interior_primaries > 0 && audit.interior_spares > 0);
+        assert!(audit.matches(s, p), "{kind}: {audit:?} vs ({s}, {p})");
+    }
+    assert!(DtmbKind::ALL.contains(&DtmbKind::Dtmb26B));
 }
 
 /// Section 7: the non-redundant 108-cell chip yields 0.3378 at p = 0.99 —
@@ -118,6 +147,89 @@ fn figure13_case_study_shape() {
         .exact_fault_yield(25, TEST_TRIALS, TEST_SEEDS[1])
         .point();
     assert!(y25 > y25_strict + 0.1);
+}
+
+/// Figure 13 gap: the paper reports a yield of at least 0.90 for up to 35
+/// faults. The block assay placement of [`ivd_dtmb26_chip`] does not reach
+/// it: its yield at m = 35 is about 0.84 (0.841 at 10 000 trials), so the
+/// claim holds here only to about m = 30. The paper's assay-cell mapping
+/// is unpublished.
+#[test]
+fn figure13_paper_claim_gap_at_35_faults() {
+    let chip = ivd_dtmb26_chip();
+    let biochip = Biochip::from_array(chip.array.clone()).with_policy(used_cells_policy(&chip));
+    let y35 = biochip.exact_fault_yield(35, TEST_TRIALS, TEST_SEEDS[2]);
+    let (_, hi) = y35.wilson95();
+    assert!(
+        hi < 0.90,
+        "yield at m=35 is {} with Wilson upper bound {hi}",
+        y35.point()
+    );
+}
+
+/// Figure 12: on the case-study chip, the 10-fault map of `dmfb assay
+/// --faults 10 --seed 2005` (shorts closed) reconfigures under the
+/// used-cells policy, and so does every map of its neighbouring seeds that
+/// the chip survives: each faulty assay cell gets a distinct, adjacent,
+/// live spare.
+#[test]
+fn figure12_local_reconfiguration() {
+    let chip = ivd_dtmb26_chip();
+    let policy = used_cells_policy(&chip);
+    let mut replaced = 0;
+    for seed in 2005..2021 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut defects = ExactCount::new(10).inject(chip.array.region(), &mut rng);
+        defects.close_shorts();
+        let plan = match attempt_reconfiguration(&chip.array, &defects, &policy) {
+            Ok(plan) => plan,
+            Err(e) => {
+                assert_ne!(seed, 2005, "the Figure 12 map must reconfigure: {e}");
+                continue;
+            }
+        };
+        let faulty_assay: Vec<HexCoord> = chip
+            .assay_cells
+            .iter()
+            .filter(|&c| defects.is_faulty(c))
+            .collect();
+        assert_eq!(plan.len(), faulty_assay.len(), "seed {seed}");
+        let mut spares: Vec<HexCoord> = plan.spares_used().collect();
+        spares.sort_unstable();
+        spares.dedup();
+        assert_eq!(
+            spares.len(),
+            plan.len(),
+            "seed {seed}: spares must be distinct"
+        );
+        for (cell, spare) in plan.iter() {
+            assert!(faulty_assay.contains(&cell), "seed {seed}: {cell}");
+            assert!(chip.array.is_spare(spare), "seed {seed}: {spare}");
+            assert!(!defects.is_faulty(spare), "seed {seed}: {spare} is faulty");
+            assert!(cell.is_adjacent(spare), "seed {seed}: {cell} -> {spare}");
+        }
+        replaced += plan.len();
+    }
+    assert!(replaced > 0, "no seed exercised a replacement");
+}
+
+/// Figure 2: at equal redundancy (RR = 1/6), 48 primaries with one
+/// 8-cell boundary spare row against DTMB(1,6), both exact: local
+/// reconfiguration yields more at every p.
+#[test]
+fn figure2_yield_at_equal_redundancy() {
+    let expected = [
+        (0.90, 0.0281, 0.2733),
+        (0.95, 0.2574, 0.6955),
+        (0.99, 0.9034, 0.9839),
+    ];
+    for (p, spare_row, dtmb16) in expected {
+        let baseline = spare_row_yield(p, 8, 6, 1);
+        let local = dtmb16_yield(p, 48);
+        assert!((baseline - spare_row).abs() < 5e-5, "p={p}: {baseline}");
+        assert!((local - dtmb16).abs() < 5e-5, "p={p}: {local}");
+        assert!(local > baseline);
+    }
 }
 
 /// Figure 2: the spare-row baseline reconfigures fault-free modules and
