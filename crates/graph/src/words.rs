@@ -9,13 +9,15 @@
 //!   layout, each lane seeded exactly like
 //!   `StdRng::seed_from_u64(seed)`, so a lane's draw stream is
 //!   *bit-identical* to the scalar engine's per-trial RNG. On x86-64
-//!   hosts with AVX2 the fault-word sampler and [`pack_ge`] run as
-//!   runtime-dispatched four-lane SIMD. The sampler is one lane-major
-//!   kernel, so RNG state stays in registers across a whole cell pass:
-//!   [`LaneRngs::fill_ge`] emits the fault words, and
+//!   hosts with AVX2 the fault-word sampler and both re-threshold
+//!   kernels run as runtime-dispatched four-lane SIMD. The sampler is
+//!   one lane-major kernel, so RNG state stays in registers across a
+//!   whole cell pass: [`LaneRngs::fill_ge`] emits the fault words, and
 //!   [`LaneRngs::fill_ge_store`] also keeps every mantissa for later
-//!   re-thresholding. Every other host takes the portable SWAR loops,
-//!   and both paths are held to the same scalar-stream tests.
+//!   re-thresholding, against one threshold per column ([`pack_ge`]) or
+//!   one threshold per lane across the whole store
+//!   ([`pack_ge_per_lane`]). Every other host takes the portable SWAR
+//!   loops, and both paths are held to the same scalar-stream tests.
 //! * [`mantissa_threshold`] — converts a survival probability into an
 //!   integer mantissa threshold such that the scalar comparison
 //!   `rng.gen::<f64>() >= p` and the word comparison
@@ -187,6 +189,35 @@ mod x86 {
         }
         word
     }
+
+    /// Vectorised per-lane re-threshold of a whole mantissa store (the
+    /// kernel behind [`super::pack_ge_per_lane`]).
+    ///
+    /// # Safety
+    ///
+    /// Caller guarantees AVX2 is available and that `store` holds at least
+    /// `out.len() * LANES` words.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn pack_ge_per_lane(
+        store: &[u64],
+        thresholds: &[u64; LANES],
+        active: u64,
+        out: &mut [u64],
+    ) {
+        for (cell, w) in out.iter_mut().enumerate() {
+            let column = store.as_ptr().add(cell * LANES);
+            let mut word = 0u64;
+            let mut lane = 0;
+            while lane < LANES {
+                let m = _mm256_loadu_si256(column.add(lane).cast::<__m256i>());
+                let t = _mm256_loadu_si256(thresholds.as_ptr().add(lane).cast::<__m256i>());
+                let lt = _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(t, m)));
+                word |= u64::from(!lt as u32 & 0xF) << lane;
+                lane += 4;
+            }
+            *w = word & active;
+        }
+    }
 }
 
 /// `2^53` as an `f64`: the scale factor of the vendored `rand`'s
@@ -266,6 +297,63 @@ fn pack_ge_portable(mantissas: &[u64; LANES], threshold: u64) -> u64 {
         lane += 4;
     }
     (w0 | w1) | (w2 | w3)
+}
+
+/// Re-thresholds a whole mantissa store with one threshold per lane: bit
+/// `L` of `out[i]` is set iff lane `L` is in `active` and
+/// `store[i * LANES + L] >= thresholds[L]`. This is the per-lane form of
+/// [`pack_ge`] that lets every lane of a common-random-number grid probe
+/// its own survival probability in the same pass.
+///
+/// `store` holds 53-bit mantissas as [`LaneRngs::fill_ge_store`] writes
+/// them; thresholds come from [`mantissa_threshold`].
+///
+/// # Panics
+///
+/// Panics if `store` is shorter than `out.len() * LANES` words or a
+/// threshold exceeds `2^53`.
+#[allow(unsafe_code)] // AVX2 dispatch; guarded by `x86::available()`.
+pub fn pack_ge_per_lane(store: &[u64], thresholds: &[u64; LANES], active: u64, out: &mut [u64]) {
+    assert_store_len(store, out.len());
+    // The AVX2 compare is signed; thresholds up to 2^53 keep it exact.
+    assert!(
+        thresholds.iter().all(|&t| t <= 1 << 53),
+        "mantissa thresholds must not exceed 2^53"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if x86::available() {
+        // SAFETY: AVX2 presence just checked, and the store length was
+        // asserted above.
+        unsafe { x86::pack_ge_per_lane(store, thresholds, active, out) };
+        return;
+    }
+    pack_ge_per_lane_portable(store, thresholds, active, out);
+}
+
+/// Portable body of [`pack_ge_per_lane`] — also the reference the tests
+/// hold the dispatched path to.
+fn pack_ge_per_lane_portable(
+    store: &[u64],
+    thresholds: &[u64; LANES],
+    active: u64,
+    out: &mut [u64],
+) {
+    for (word, column) in out.iter_mut().zip(store.chunks_exact(LANES)) {
+        let mut bits = 0u64;
+        for (lane, (&m, &t)) in column.iter().zip(thresholds).enumerate() {
+            bits |= u64::from(m >= t) << lane;
+        }
+        *word = bits & active;
+    }
+}
+
+/// Asserts that a mantissa store holds `cells × LANES` words.
+fn assert_store_len(store: &[u64], cells: usize) {
+    assert!(
+        store.len() >= cells * LANES,
+        "mantissa store holds {} words, need {cells} cells x {LANES} lanes",
+        store.len()
+    );
 }
 
 /// SplitMix64 stream used by `StdRng::seed_from_u64` to expand one `u64`
@@ -378,12 +466,7 @@ impl LaneRngs {
     #[allow(unsafe_code)] // AVX2 dispatch; guarded by `x86::available()`.
     fn fill<const STORE: bool>(&mut self, threshold: u64, out: &mut [u64], store: &mut [u64]) {
         if STORE {
-            assert!(
-                store.len() >= out.len() * LANES,
-                "mantissa store holds {} words, need {} cells x {LANES} lanes",
-                store.len(),
-                out.len()
-            );
+            assert_store_len(store, out.len());
         }
         #[cfg(target_arch = "x86_64")]
         if x86::available() {
@@ -799,6 +882,47 @@ mod tests {
     fn short_store_is_rejected() {
         let mut lanes = LaneRngs::new(&[1]);
         lanes.fill_ge_store(0, &mut [0; 2], &mut [0; LANES + 3]);
+    }
+
+    #[test]
+    fn per_lane_kernel_matches_portable() {
+        // The dispatched per-lane kernel (AVX2 on hosts that have it)
+        // against the portable body called directly, on the same store:
+        // uniform, alternating and random per-lane thresholds, under empty,
+        // single, full and random active masks, and nothing written past
+        // `out`.
+        let mut rng = StdRng::seed_from_u64(0x9E7_1A4E);
+        let full = 1u64 << 53;
+        let alternating: [u64; LANES] = std::array::from_fn(|l| if l % 2 == 0 { 0 } else { full });
+        let random: [u64; LANES] = std::array::from_fn(|_| rng.gen_range(0..=full));
+        let threshold_sets = [[0u64; LANES], [full; LANES], alternating, random];
+        let masks = [0u64, 1, u64::MAX, rng.gen()];
+        for &cells in &[0usize, 1, 7, 824] {
+            let store: Vec<u64> = (0..cells * LANES).map(|_| rng.next_u64() >> 11).collect();
+            for (t_idx, thresholds) in threshold_sets.iter().enumerate() {
+                for &active in &masks {
+                    let case = format!("cells={cells} thresholds={t_idx} active={active:#x}");
+                    let mut got = vec![7u64; cells + 1];
+                    let mut expected = vec![7u64; cells + 1];
+                    pack_ge_per_lane(&store, thresholds, active, &mut got[..cells]);
+                    pack_ge_per_lane_portable(&store, thresholds, active, &mut expected[..cells]);
+                    assert_eq!(got, expected, "{case}");
+                    assert_eq!(got[cells], 7, "{case}");
+                    for (cell, &word) in got[..cells].iter().enumerate() {
+                        for (lane, &t) in thresholds.iter().enumerate() {
+                            let bit = (active >> lane) & 1 == 1 && store[cell * LANES + lane] >= t;
+                            assert_eq!((word >> lane) & 1 == 1, bit, "{case} cell={cell}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "mantissa store holds")]
+    fn per_lane_short_store_is_rejected() {
+        pack_ge_per_lane(&[0; LANES + 3], &[0; LANES], u64::MAX, &mut [0; 2]);
     }
 
     #[test]

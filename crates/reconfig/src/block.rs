@@ -32,8 +32,16 @@
 //!      faulty unit has one is tolerable.
 //! 3. **Match** — only lanes with a *contested* faulty unit (no private
 //!    spare) reach a sparse augmenting-path matcher over just those
-//!    units. It reads spare liveness straight from the resource words
-//!    and returns `false` at the first unit with no augmenting path.
+//!    units, bucketed by lane so each lane walks only its own. It reads
+//!    spare liveness straight from the resource words and returns
+//!    `false` at the first unit with no augmenting path.
+//!
+//! Grid mode ([`TrialEvaluator::survival_grid_block`]) answers a whole
+//! ascending survival grid from one draw per cell: point 0 comes from
+//! the sampling pass, which also stores every draw's mantissa, and each
+//! lane still open there bisects the later points for its first
+//! tolerable one, all open lanes probing their own midpoints in the same
+//! re-threshold and decide pass.
 //!
 //! Every tier is lane-local, so a one-lane call decides exactly as that
 //! lane does inside a 64-lane group. Because tier 1 replays the scalar
@@ -44,7 +52,7 @@
 
 use crate::incremental::TrialEvaluator;
 use dmfb_defects::block::{fault_threshold, BlockSampler};
-use dmfb_graph::words::{lane_mask, pack_ge, LaneCounter, LANES};
+use dmfb_graph::words::{lane_mask, pack_ge_per_lane, LaneCounter, LANES};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -60,8 +68,8 @@ const TRANSPOSED_FAULT_LIMIT: usize = 64;
 /// tier retired, for skip-rate reporting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BlockStats {
-    /// Live lane-verdicts produced (one per trial, or per trial × grid
-    /// point in grid mode).
+    /// Live lane-verdicts produced: one per trial, or in grid mode one
+    /// per lane per probe (point 0 plus each bisection round it joins).
     pub lanes: u64,
     /// Verdicts decided by the classifier tiers alone (no matcher call):
     /// always `no_fault + hall + dead_spare + private_spare`.
@@ -98,10 +106,21 @@ pub struct TrialBlock {
     /// Faulty units without a private spare in some open lane, with
     /// those lanes, in ascending unit order.
     contested: Vec<(u32, u64)>,
+    /// The residue lanes' contested units, bucketed by lane.
+    lane_units: Vec<u32>,
     /// Stored transposed mantissas, `[cell × LANES]`, kept by grid mode
-    /// for points after the first (sized lazily on the first grid call
-    /// with two or more points).
+    /// for its bisection probes (sized lazily on the first grid call with
+    /// two or more points).
     mantissa: Vec<u64>,
+    /// Grid mode's per-lane bisection bracket: the lane's first
+    /// tolerable grid index lies in `lo..=hi` (`hi` = grid length means
+    /// no point is tolerable).
+    bracket: [(usize, usize); LANES],
+    /// Grid mode's per-lane mantissa threshold for the current probe.
+    probe: [u64; LANES],
+    /// Grid mode's outcome histogram over one call: per grid index, the
+    /// lanes first tolerable there (the last slot: at no point).
+    first_tolerable: Vec<u64>,
     /// Bit-sliced per-lane fault counter for the Hall tier.
     counter: LaneCounter,
     /// Hall bound usable by the counter tier (`None` when the structure
@@ -160,6 +179,14 @@ impl TrialBlock {
     }
 }
 
+/// Calls `f` with the index of every set bit of `lanes`, lowest first.
+fn for_each_lane(mut lanes: u64, mut f: impl FnMut(usize)) {
+    while lanes != 0 {
+        f(lanes.trailing_zeros() as usize);
+        lanes &= lanes - 1;
+    }
+}
+
 impl<C: Copy + Ord> TrialEvaluator<C> {
     /// Allocates a block scratch sized for this evaluator — one per
     /// worker thread, reused across all of that worker's blocks.
@@ -175,7 +202,11 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
             res_words: vec![0; resources],
             private_words: vec![0; resources],
             contested: Vec::with_capacity(self.unit_count()),
+            lane_units: Vec::new(),
             mantissa: Vec::new(),
+            bracket: [(0, 0); LANES],
+            probe: [0; LANES],
+            first_tolerable: Vec::new(),
             counter: LaneCounter::new(if usable { bound } else { 1 }),
             hall_bound: usable.then_some(bound as u64),
             matcher: LaneMatcher {
@@ -222,12 +253,14 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
     ///
     /// One transposed draw per cell is shared across the grid (common
     /// random numbers), so per-lane tolerability is monotone along the
-    /// grid; a lane found tolerable at point `j` is retired and counted
-    /// tolerable for every point after `j` without re-evaluation. Point
-    /// 0's fault words come straight from the sampling pass, which also
-    /// stores each draw's mantissa when the grid has later points; those
-    /// points re-threshold the stored columns only while some lane of
-    /// the group is unresolved. A one-point grid is exactly
+    /// grid and each lane has a first tolerable point. Point 0's fault
+    /// words come straight from the sampling pass, which also stores each
+    /// draw's mantissa. Every lane still open after point 0 then bisects
+    /// its own bracket of later points: each round re-thresholds the
+    /// stored columns at every open lane's own midpoint in one
+    /// [`pack_ge_per_lane`] pass and decides just those lanes, so a
+    /// 64-lane group costs at most `1 + ⌈log₂ n⌉` decide passes on an
+    /// `n`-point grid. A one-point grid is exactly
     /// [`TrialEvaluator::survival_block`].
     ///
     /// # Panics
@@ -246,50 +279,58 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
             ps.windows(2).all(|w| w[0] <= w[1]),
             "survival grid must be ascending"
         );
-        let Some(&first) = ps.first() else {
-            return;
-        };
-        let first = fault_threshold(first);
-        // Later points re-threshold point 0's draws, so only a grid with
-        // later points keeps them.
-        let keep = ps.len() > 1;
-        if keep {
-            block.ensure_mantissa(self.cell_count());
+        match *ps {
+            [] => return,
+            [p] => {
+                counts[0] += u64::from(self.survival_block(p, seeds, block));
+                return;
+            }
+            _ => {}
         }
+        let thresholds: Vec<u64> = ps.iter().map(|&p| fault_threshold(p)).collect();
+        let never = ps.len();
+        block.ensure_mantissa(self.cell_count());
+        block.first_tolerable.clear();
+        block.first_tolerable.resize(never + 1, 0);
         for group in seeds.chunks(LANES) {
             block.sampler.reseed(group);
             let live = block.sampler.live_mask();
-            if keep {
-                block.sampler.fill_fault_words_store(
-                    first,
-                    &mut block.cell_words,
-                    &mut block.mantissa,
-                );
-            } else {
-                block.sampler.fill_fault_words(first, &mut block.cell_words);
-            }
-            // Ascending scan: tolerability is monotone in p under common
-            // random numbers, so resolved lanes stay tolerable.
-            let mut resolved = 0u64;
-            for (j, (&p, count)) in ps.iter().zip(counts.iter_mut()).enumerate() {
-                if resolved != live {
-                    if j > 0 {
-                        let threshold = fault_threshold(p);
-                        for (word, column) in block
-                            .cell_words
-                            .iter_mut()
-                            .zip(block.mantissa.chunks_exact(LANES))
-                        {
-                            let column: &[u64; LANES] = column
-                                .try_into()
-                                .expect("mantissa store is sized for LANES per cell");
-                            *word = pack_ge(column, threshold) & live;
-                        }
+            block.sampler.fill_fault_words_store(
+                thresholds[0],
+                &mut block.cell_words,
+                &mut block.mantissa,
+            );
+            let tolerable = self.decide_group_masked(block, live);
+            block.first_tolerable[0] += u64::from(tolerable.count_ones());
+            // Bisect every open lane's bracket until it closes.
+            let mut active = live & !tolerable;
+            for_each_lane(active, |lane| block.bracket[lane] = (1, never));
+            while active != 0 {
+                for_each_lane(active, |lane| {
+                    let (lo, hi) = block.bracket[lane];
+                    block.probe[lane] = thresholds[(lo + hi) / 2];
+                });
+                pack_ge_per_lane(&block.mantissa, &block.probe, active, &mut block.cell_words);
+                let tolerable = self.decide_group_masked(block, active);
+                for_each_lane(active, |lane| {
+                    let (lo, hi) = &mut block.bracket[lane];
+                    let mid = (*lo + *hi) / 2;
+                    if (tolerable >> lane) & 1 == 1 {
+                        *hi = mid;
+                    } else {
+                        *lo = mid + 1;
                     }
-                    resolved |= self.decide_group_masked(block, live & !resolved);
-                }
-                *count += u64::from(resolved.count_ones());
+                    if *lo == *hi {
+                        block.first_tolerable[*lo] += 1;
+                        active &= !(1u64 << lane);
+                    }
+                });
             }
+        }
+        let mut tolerable = 0u64;
+        for (count, &lanes) in counts.iter_mut().zip(&block.first_tolerable) {
+            tolerable += lanes;
+            *count += tolerable;
         }
     }
 
@@ -389,9 +430,9 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
         self.decide_group_masked(block, live)
     }
 
-    /// [`Self::decide_group`] restricted to the lanes in `mask` (grid
-    /// mode re-decides only unresolved lanes). Each tier narrows the set
-    /// of open lanes; the matcher sees only what is left.
+    /// [`Self::decide_group`] restricted to the lanes in `mask` (a grid
+    /// bisection probe decides only its open lanes). Each tier narrows
+    /// the set of open lanes; the matcher sees only what is left.
     fn decide_group_masked(&self, block: &mut TrialBlock, mask: u64) -> u64 {
         self.fold_words(block);
         let faulty = block.unit_words.iter().fold(0u64, |w, &u| w | u);
@@ -493,23 +534,39 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
 
     /// Match tier: for each lane in `residue`, augments its contested
     /// units one by one and returns the mask of lanes where all of them
-    /// were matched.
-    fn match_residue(&self, block: &mut TrialBlock, mut residue: u64) -> u64 {
+    /// were matched. The contested list is first bucketed by lane
+    /// (a counting sort that keeps each lane's units ascending), so each
+    /// lane walks only its own units.
+    fn match_residue(&self, block: &mut TrialBlock, residue: u64) -> u64 {
+        if residue == 0 {
+            return 0;
+        }
+        let mut start = [0usize; LANES + 1];
+        for &(_, lanes) in &block.contested {
+            for_each_lane(lanes & residue, |lane| start[lane + 1] += 1);
+        }
+        for lane in 0..LANES {
+            start[lane + 1] += start[lane];
+        }
+        block.lane_units.resize(start[LANES], 0);
+        let mut next = start;
+        for &(unit, lanes) in &block.contested {
+            for_each_lane(lanes & residue, |lane| {
+                block.lane_units[next[lane]] = unit;
+                next[lane] += 1;
+            });
+        }
         let mut verdicts = 0u64;
-        while residue != 0 {
-            let lane = residue.trailing_zeros();
-            residue &= residue - 1;
+        for_each_lane(residue, |lane| {
             let m = &mut block.matcher;
             next_generation(&mut m.lane_gen, &mut m.owner_gen);
-            let matched = block
-                .contested
+            let matched = block.lane_units[start[lane]..start[lane + 1]]
                 .iter()
-                .filter(|&&(_, lanes)| (lanes >> lane) & 1 == 1)
-                .all(|&(unit, _)| self.augment(unit, lane, &block.res_words, m));
+                .all(|&unit| self.augment(unit, lane as u32, &block.res_words, m));
             if matched {
                 verdicts |= 1u64 << lane;
             }
-        }
+        });
         verdicts
     }
 
@@ -612,6 +669,33 @@ mod tests {
             }
         }
         assert_eq!(counts, expected);
+    }
+
+    #[test]
+    fn grid_block_decides_in_logarithmic_passes() {
+        // Each lane costs one probe at point 0 plus at most ⌈log₂ n⌉
+        // bisection rounds, however many grid points it crosses before
+        // turning tolerable.
+        let eval = hex_eval(120);
+        let trials = 4096u64;
+        let s = seeds(0x10_6E, trials as usize);
+        for n in [11u32, 1001] {
+            let ps: Vec<f64> = (0..n)
+                .map(|i| 0.90 + 0.10 * f64::from(i) / f64::from(n - 1))
+                .collect();
+            let mut block = eval.block_scratch();
+            let mut counts = vec![0u64; ps.len()];
+            eval.survival_grid_block(&ps, &s, &mut block, &mut counts);
+            let stats = block.stats();
+            let rounds = u64::from(n.next_power_of_two().trailing_zeros());
+            assert!(
+                stats.lanes <= trials * (1 + rounds),
+                "n={n}: {} lane probes for {trials} trials",
+                stats.lanes
+            );
+            assert!(stats.lanes > trials, "n={n}: no lane was bisected");
+            assert_eq!(stats.classified + stats.matched, stats.lanes, "n={n}");
+        }
     }
 
     #[test]

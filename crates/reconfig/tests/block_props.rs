@@ -129,6 +129,54 @@ fn check_grid_and_exact<C: Copy + Ord>(eval: &TrialEvaluator<C>, ps: &[f64], s: 
     }
 }
 
+/// A random ascending survival grid of 1–40 points: draws biased toward
+/// the high-survival end where lanes turn tolerable, with the `0.0` and
+/// `1.0` endpoints and repeated points mixed in.
+fn random_grid(seed: u64) -> Vec<f64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let len = rng.gen_range(1..=40usize);
+    let mut ps: Vec<f64> = Vec::with_capacity(len);
+    while ps.len() < len {
+        let p = match rng.gen_range(0..8u32) {
+            0 => 0.0,
+            1 => 1.0,
+            2 if !ps.is_empty() => ps[rng.gen_range(0..ps.len())],
+            3 => rng.gen_range(0.0..=1.0),
+            _ => rng.gen_range(0.85..=1.0),
+        };
+        ps.push(p);
+    }
+    ps.sort_by(f64::total_cmp);
+    ps
+}
+
+/// Grid-mode block trials against the scalar grid at widths on both
+/// sides of one 64-lane word: each seed's one-lane call equals its scalar
+/// verdicts, and a call over the first 1, 63, 64, 65 or 200 seeds equals
+/// their per-point sum.
+fn check_grid_widths<C: Copy + Ord>(eval: &TrialEvaluator<C>, ps: &[f64], base: u64) {
+    let mut block = eval.block_scratch();
+    let mut scratch = eval.scratch();
+    let mut out = vec![false; ps.len()];
+    let s = seeds(base, 200);
+    let mut prefix = vec![vec![0u64; ps.len()]];
+    for &seed in &s {
+        let mut rng = StdRng::seed_from_u64(seed);
+        eval.survival_trial_grid(ps, &mut rng, &mut scratch, &mut out);
+        let verdicts: Vec<u64> = out.iter().map(|&o| u64::from(o)).collect();
+        let mut lane = vec![0u64; ps.len()];
+        eval.survival_grid_block(ps, &[seed], &mut block, &mut lane);
+        prop_assert_eq!(&lane, &verdicts, "grid {:?} seed {}", ps, seed);
+        let sum = prefix[prefix.len() - 1].iter().zip(&verdicts);
+        prefix.push(sum.map(|(a, b)| a + b).collect());
+    }
+    for &width in &[1usize, 63, 64, 65, 200] {
+        let mut counts = vec![0u64; ps.len()];
+        eval.survival_grid_block(ps, &s[..width], &mut block, &mut counts);
+        prop_assert_eq!(&counts, &prefix[width], "grid {:?} width {}", ps, width);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -176,7 +224,7 @@ proptest! {
 
     /// Grid-mode block trials reproduce the scalar grid per point, and
     /// stay monotone along the ascending grid (the common-random-numbers
-    /// invariant the retire-early scan exploits).
+    /// invariant the per-lane bisection relies on).
     #[test]
     fn grid_block_is_byte_identical(
         primaries in 8usize..70,
@@ -277,14 +325,68 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Grid-mode block trials on random ascending grids (repeated points
+    /// and both endpoints included) reproduce the scalar grid seed by
+    /// seed, on hex, square, spare-row and adversarial structures chosen
+    /// by `kind`, at every width around one word.
+    #[test]
+    fn random_grids_match_scalar_seed_by_seed(
+        kind in 0usize..4,
+        grid_seed in 0u64..u64::MAX,
+        dim_a in 3u32..10,
+        dim_b in 1u32..6,
+        base in 0u64..u64::MAX,
+    ) {
+        let ps = random_grid(grid_seed);
+        match kind {
+            0 => {
+                let hex = [
+                    DtmbKind::Dtmb16,
+                    DtmbKind::Dtmb26A,
+                    DtmbKind::Dtmb26B,
+                    DtmbKind::Dtmb36,
+                    DtmbKind::Dtmb44,
+                ][(grid_seed % 5) as usize];
+                let array = hex.with_primary_count(8 + (dim_a * dim_b) as usize);
+                let eval = TrialEvaluator::new(&array, &ReconfigPolicy::AllPrimaries);
+                check_grid_widths(&eval, &ps, base);
+            }
+            1 => {
+                let pattern = SquarePattern::ALL[(dim_a as usize) % SquarePattern::ALL.len()];
+                let region = SquareRegion::rect(dim_a, 3 + dim_b);
+                let eval = TrialEvaluator::for_scheme(&region, &pattern);
+                check_grid_widths(&eval, &ps, base);
+            }
+            2 => {
+                let array = SpareRowArray::new(
+                    dim_a,
+                    vec![ModuleBand { name: "M".into(), rows: dim_b }],
+                    dim_b % 4,
+                );
+                let eval = TrialEvaluator::for_scheme(&array.region(), &array);
+                check_grid_widths(&eval, &ps, base);
+            }
+            _ => {
+                let eval = TrialEvaluator::from_structure(random_structure(base));
+                check_grid_widths(&eval, &ps, base);
+            }
+        }
+    }
+}
+
 /// Grid-mode edge cases against the scalar grid, at widths on both sides
 /// of one 64-lane word: one-point grids at both ends of `[0, 1]`, a
-/// repeated point, the two extremes together and the fine rare-event
-/// grid. A one-point grid must be exactly `survival_block`, tier
-/// counters included.
+/// repeated point, the two extremes together, the fine rare-event grid
+/// and a 1 001-point grid over all of `[0, 1]` (ten bisection rounds). A
+/// one-point grid must be exactly `survival_block`, tier counters
+/// included.
 fn check_edge_grids<C: Copy + Ord>(name: &str, eval: &TrialEvaluator<C>) {
     let rare: Vec<f64> = (0..11).map(|i| 0.99 + 0.001 * f64::from(i)).collect();
-    let grids: [&[f64]; 5] = [&[0.0], &[1.0], &[0.9, 0.9], &[0.0, 1.0], &rare];
+    let fine: Vec<f64> = (0..=1000).map(|i| f64::from(i) / 1000.0).collect();
+    let grids: [&[f64]; 6] = [&[0.0], &[1.0], &[0.9, 0.9], &[0.0, 1.0], &rare, &fine];
     for &width in &[1usize, 63, 64, 65, 200] {
         let s = seeds(0x6E1D + width as u64, width);
         for ps in grids {
