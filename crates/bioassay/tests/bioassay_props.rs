@@ -99,7 +99,7 @@ fn cause(kind: u8) -> DefectCause {
 
 /// A parallelogram (`shape` even) or hexagon region.
 fn shaped_region(shape: u8, (w, h): (u32, u32), (q, r, radius): (i32, i32, u32)) -> Region {
-    if shape % 2 == 0 {
+    if shape.is_multiple_of(2) {
         Region::parallelogram(w, h)
     } else {
         Region::hexagon(HexCoord::new(q, r), radius)

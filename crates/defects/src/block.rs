@@ -53,15 +53,26 @@ pub fn fault_threshold(p: f64) -> u64 {
 /// one [`BlockSampler::fill_fault_words`] (or
 /// [`BlockSampler::fill_fault_words_store`]) slot per cell, so each lane
 /// consumes its stream exactly like `survival_trial`'s per-cell loop.
+///
+/// Every fill also keeps each lane's fault count — the number of words
+/// it staged with that lane's bit set — for
+/// [`BlockSampler::fault_counts`].
 #[derive(Clone, Debug)]
 pub struct BlockSampler {
     rngs: LaneRngs,
     lanes: usize,
-    /// Per-lane sparse Fisher–Yates overrides for
-    /// [`BlockSampler::exact_fault_words`] — `(position, value)` pairs of
-    /// permutation slots displaced from the identity. Sized lazily on the
-    /// first exact-count call, cleared (not freed) per block.
-    fy_overrides: Vec<Vec<(u32, u32)>>,
+    /// Per-lane fault counts of the last fill (idle lanes zero).
+    counts: [u64; LANES],
+    /// [`BlockSampler::exact_fault_words`]' lock-step draws, one
+    /// `LANES`-wide row per fault.
+    draws: Vec<u64>,
+    /// Sparse Fisher–Yates slot table of [`BlockSampler::exact_fault_words`]:
+    /// `fy_slot[x]` is permutation slot `x` of the current lane when
+    /// `fy_stamp[x] == fy_generation`, and `x` itself otherwise, so a new
+    /// lane clears nothing. Sized lazily on the first exact-count call.
+    fy_slot: Vec<u32>,
+    fy_stamp: Vec<u32>,
+    fy_generation: u32,
 }
 
 impl BlockSampler {
@@ -75,7 +86,11 @@ impl BlockSampler {
         BlockSampler {
             rngs: LaneRngs::new(seeds),
             lanes: seeds.len(),
-            fy_overrides: Vec::new(),
+            counts: [0; LANES],
+            draws: Vec::new(),
+            fy_slot: Vec::new(),
+            fy_stamp: Vec::new(),
+            fy_generation: 0,
         }
     }
 
@@ -97,17 +112,21 @@ impl BlockSampler {
         lane_mask(self.lanes)
     }
 
+    /// Per-lane fault counts of the last fill: `fault_counts()[L]` is how
+    /// many of the words it staged have bit `L` set (zero for idle lanes).
+    #[must_use]
+    pub fn fault_counts(&self) -> &[u64; LANES] {
+        &self.counts
+    }
+
     /// Draws one cell per `out` slot for all lanes: bit `L` of `out[i]` is
     /// lane `L`'s fault flag for cell `i` under mantissa `threshold` (see
     /// [`fault_threshold`]); idle lanes are masked to zero. Batched so lane
     /// RNG state stays in registers across the sweep (the survival
     /// engine's whole-structure sampling pass).
     pub fn fill_fault_words(&mut self, threshold: u64, out: &mut [u64]) {
-        self.rngs.fill_ge(threshold, out);
-        let live = self.live_mask();
-        for word in out.iter_mut() {
-            *word &= live;
-        }
+        self.rngs.fill_ge(threshold, out, &mut self.counts);
+        self.silence_idle_lanes(out);
     }
 
     /// [`BlockSampler::fill_fault_words`] that also keeps every draw:
@@ -116,16 +135,25 @@ impl BlockSampler {
     /// pass as the fault words. This is the common-random-number form a
     /// grid sweep thresholds at its later survival probabilities:
     /// `mantissa >= fault_threshold(p)` is the fault test
-    /// ([`dmfb_graph::words::pack_ge`] packs a column of them).
+    /// ([`dmfb_graph::words::pack_ge_per_lane`] packs a store of them).
     ///
     /// # Panics
     ///
     /// Panics if `store` is shorter than `out.len() * LANES` words.
     pub fn fill_fault_words_store(&mut self, threshold: u64, out: &mut [u64], store: &mut [u64]) {
-        self.rngs.fill_ge_store(threshold, out, store);
-        let live = self.live_mask();
-        for word in out.iter_mut() {
-            *word &= live;
+        self.rngs
+            .fill_ge_store(threshold, out, store, &mut self.counts);
+        self.silence_idle_lanes(out);
+    }
+
+    /// Clears the idle lanes' bits and counts after a fill.
+    fn silence_idle_lanes(&mut self, out: &mut [u64]) {
+        if self.lanes < LANES {
+            let live = self.live_mask();
+            for word in out.iter_mut() {
+                *word &= live;
+            }
+            self.counts[self.lanes..].fill(0);
         }
     }
 
@@ -134,17 +162,17 @@ impl BlockSampler {
     /// `out` (bit `L` of `out[cell]` = cell faulty in lane `L`),
     /// byte-identical to the scalar partial Fisher–Yates
     /// `for i in 0..faults { j = rng.gen_range(i..n); perm.swap(i, j) }`
-    /// run per lane on `StdRng::seed_from_u64(seeds[L])`.
+    /// run per lane on `StdRng::seed_from_u64(seeds[L])`. Every live
+    /// lane's fault count is `faults`.
     ///
     /// The scalar path pays an `O(n)` identity-permutation reset per lane
-    /// before drawing; this variant draws the swap indices for all lanes
-    /// lock-step from the lane generators (one [`LaneRngs`] step per
+    /// before drawing. This variant first draws every swap index for all
+    /// lanes lock-step from the lane generators (one [`LaneRngs`] step per
     /// fault — the vendored `gen_range` consumes exactly one `next_u64`
-    /// via a widening multiply, replayed here verbatim) and tracks only
-    /// the displaced permutation slots per lane, so a `k`-fault block
-    /// costs `O(k² · lanes)` instead of `O(n · lanes)`. For the small
-    /// stratum counts the stratified estimator samples, that removes the
-    /// dominant term.
+    /// via a widening multiply, replayed here verbatim). It then runs each
+    /// lane's swaps on one generation-stamped slot table, where an
+    /// unstamped slot reads as the identity, so a `k`-fault block costs
+    /// `O(k · lanes)`.
     ///
     /// # Panics
     ///
@@ -152,45 +180,48 @@ impl BlockSampler {
     pub fn exact_fault_words(&mut self, n: usize, faults: usize, out: &mut [u64]) {
         assert!(faults <= n, "cannot pick {faults} faults out of {n} cells");
         assert!(out.len() >= n, "fault-word buffer shorter than {n} cells");
-        for word in out[..n].iter_mut() {
-            *word = 0;
-        }
+        out[..n].fill(0);
+        self.counts = [0; LANES];
         if faults == 0 || self.lanes == 0 {
             return;
         }
-        if self.fy_overrides.len() < self.lanes {
-            self.fy_overrides.resize_with(LANES, Vec::new);
+        self.draws.resize(faults * LANES, 0);
+        for row in self.draws.chunks_exact_mut(LANES) {
+            self.rngs
+                .next_raw(row.try_into().expect("draw rows are LANES wide"));
         }
-        for overrides in self.fy_overrides[..self.lanes].iter_mut() {
-            overrides.clear();
+        if self.fy_slot.len() < n {
+            self.fy_slot.resize(n, 0);
+            self.fy_stamp.resize(n, 0);
         }
-        // perm(x) = identity except where a swap displaced a slot; only
-        // slots >= the current draw index are ever read again, so the
-        // override list stays O(faults) per lane.
-        fn slot(overrides: &[(u32, u32)], x: usize) -> u32 {
-            overrides
-                .iter()
-                .find(|&&(p, _)| p as usize == x)
-                .map_or(x as u32, |&(_, v)| v)
-        }
-        let mut raw = [0u64; LANES];
-        for i in 0..faults {
-            self.rngs.next_raw(&mut raw);
-            let span = (n - i) as u128;
-            for (lane, &raw_word) in raw.iter().enumerate().take(self.lanes) {
-                // Exactly the vendored `gen_range(i..n)` scaling.
-                let j = i + ((u128::from(raw_word) * span) >> 64) as usize;
-                let overrides = &mut self.fy_overrides[lane];
-                let selected = slot(overrides, j);
-                if j != i {
-                    let displaced = slot(overrides, i);
-                    match overrides.iter_mut().find(|(p, _)| *p as usize == j) {
-                        Some(entry) => entry.1 = displaced,
-                        None => overrides.push((j as u32, displaced)),
-                    }
+        for lane in 0..self.lanes {
+            self.fy_generation = self.fy_generation.wrapping_add(1);
+            if self.fy_generation == 0 {
+                // Wrapped: stamps from 2^32 lanes ago must not alias.
+                self.fy_stamp.fill(0);
+                self.fy_generation = 1;
+            }
+            let (slot, stamp, generation) =
+                (&mut self.fy_slot, &mut self.fy_stamp, self.fy_generation);
+            let perm = |slot: &[u32], stamp: &[u32], x: usize| {
+                if stamp[x] == generation {
+                    slot[x]
+                } else {
+                    x as u32
                 }
+            };
+            for (i, row) in self.draws.chunks_exact(LANES).enumerate() {
+                // Exactly the vendored `gen_range(i..n)` scaling.
+                let span = (n - i) as u128;
+                let j = i + ((u128::from(row[lane]) * span) >> 64) as usize;
+                let selected = perm(slot, stamp, j);
+                // `perm.swap(i, j)`: slot `i` is never read again, so only
+                // slot `j` needs the displaced value.
+                slot[j] = perm(slot, stamp, i);
+                stamp[j] = generation;
                 out[selected as usize] |= 1u64 << lane;
             }
+            self.counts[lane] = faults as u64;
         }
     }
 }
@@ -198,6 +229,7 @@ impl BlockSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dmfb_graph::words::pack_ge_per_lane;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -253,9 +285,9 @@ mod tests {
 
     #[test]
     fn stored_mantissas_rethreshold_to_the_same_fault_words() {
-        // The store variant emits the plain sampler's words, and packing
-        // its stored columns at any threshold equals sampling afresh at
-        // that threshold with the same seeds.
+        // The store variant emits the plain sampler's words, and
+        // re-thresholding its store at any threshold equals sampling
+        // afresh at that threshold with the same seeds, counts included.
         let seeds: Vec<u64> = (0..41).map(|i| 0x57_0E + i * 29).collect();
         let cells = 30;
         let mut stored = BlockSampler::new(&seeds);
@@ -267,16 +299,59 @@ mod tests {
             let mut fresh = BlockSampler::new(&seeds);
             let mut expected = vec![0u64; cells];
             fresh.fill_fault_words(t, &mut expected);
-            let packed: Vec<u64> = store
-                .chunks(LANES)
-                .map(|column| {
-                    let column: &[u64; LANES] = column.try_into().expect("LANES wide");
-                    dmfb_graph::words::pack_ge(column, t) & fresh.live_mask()
-                })
-                .collect();
+            let mut packed = vec![0u64; cells];
+            let mut counts = [0u64; LANES];
+            pack_ge_per_lane(
+                &store,
+                &[t; LANES],
+                fresh.live_mask(),
+                &mut packed,
+                &mut counts,
+            );
             assert_eq!(packed, expected, "p={p}");
+            assert_eq!(&counts, fresh.fault_counts(), "p={p}");
             if p == 0.9 {
                 assert_eq!(words, expected);
+                assert_eq!(stored.fault_counts(), fresh.fault_counts());
+            }
+        }
+    }
+
+    /// Each lane's popcount over `words`.
+    fn popcounts(words: &[u64]) -> [u64; LANES] {
+        std::array::from_fn(|lane| words.iter().map(|&w| (w >> lane) & 1).sum())
+    }
+
+    #[test]
+    fn fault_counts_are_lane_popcounts() {
+        // Every staging path leaves each lane's popcount over the words it
+        // staged as that lane's count, idle lanes zero.
+        for live in [1usize, 23, 64] {
+            let seeds: Vec<u64> = (0..live as u64).map(|i| 0xC0_17 + i * 37).collect();
+            let mut sampler = BlockSampler::new(&seeds);
+            let mut words = vec![0u64; 90];
+            let mut store = vec![0u64; words.len() * LANES];
+            for &p in &[0.0, 0.5, 0.97, 1.0] {
+                sampler.fill_fault_words(fault_threshold(p), &mut words);
+                assert_eq!(
+                    sampler.fault_counts(),
+                    &popcounts(&words),
+                    "live={live} p={p}"
+                );
+                sampler.fill_fault_words_store(fault_threshold(p), &mut words, &mut store);
+                assert_eq!(
+                    sampler.fault_counts(),
+                    &popcounts(&words),
+                    "live={live} p={p}"
+                );
+            }
+            for faults in [0usize, 1, 9, 90] {
+                sampler.exact_fault_words(words.len(), faults, &mut words);
+                assert_eq!(
+                    sampler.fault_counts(),
+                    &popcounts(&words),
+                    "live={live} k={faults}"
+                );
             }
         }
     }
@@ -319,6 +394,7 @@ mod tests {
     #[test]
     fn exact_fault_words_replay_scalar_fisher_yates() {
         let seeds: Vec<u64> = (0..64).map(|i| 0xE0_57 + i * 977).collect();
+        let mut sampler = BlockSampler::new(&[]);
         for &(n, faults) in &[
             (1usize, 0usize),
             (1, 1),
@@ -326,8 +402,11 @@ mod tests {
             (40, 1),
             (40, 40),
             (313, 11),
+            (40, 39),
         ] {
-            let mut sampler = BlockSampler::new(&seeds);
+            // One sampler across every case, so stale slot stamps from
+            // earlier lanes and calls are exercised too.
+            sampler.reseed(&seeds);
             let mut words = vec![u64::MAX; n];
             sampler.exact_fault_words(n, faults, &mut words);
             for (lane, &seed) in seeds.iter().enumerate() {

@@ -20,8 +20,9 @@
 //!   pattern is untolerable,
 //! * [`words`] — word-level SWAR kernels for the transposed
 //!   64-trials-per-word Monte-Carlo engine: lane-parallel xoshiro256++
-//!   sampling ([`words::LaneRngs`]) and bit-sliced popcount
-//!   classification ([`words::LaneCounter`]).
+//!   sampling ([`words::LaneRngs`]) and the per-lane re-threshold
+//!   ([`words::pack_ge_per_lane`]), both counting each lane's faults as
+//!   they pack, with AVX-512F and AVX2 bodies chosen at runtime.
 //!
 //! The adjacency-list matchers the test suites check this kernel against
 //! live in the dev-only `dmfb_oracle` crate.
@@ -44,8 +45,9 @@
 //! ```
 
 // Unsafe is denied crate-wide and allowed back in exactly one place: the
-// runtime-dispatched AVX2 kernels in `words::x86`, where `std::arch`
-// intrinsics are unavoidably `unsafe fn`. Everything else stays safe.
+// runtime-dispatched AVX-512F and AVX2 kernels in `words::x86` and their
+// dispatch, where `std::arch` intrinsics are unavoidably `unsafe fn`.
+// Everything else stays safe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -19,10 +19,13 @@
 //!    per-resource fault words through the evaluator's CSR structure,
 //!    then four word-parallel tiers retire whole lanes in order:
 //!    * *no fault* — the lane has no faulty unit;
-//!    * *Hall* — the lane's total fault popcount is within the
+//!    * *Hall* — the lane's total fault count is within the
 //!      placement-independent Hall bound
-//!      ([`TrialEvaluator::guaranteed_tolerable_faults`], counted by a
-//!      bit-sliced [`LaneCounter`]);
+//!      ([`TrialEvaluator::guaranteed_tolerable_faults`]). Every staging
+//!      path leaves each lane's count beside the words — the sampling
+//!      kernels sum it in registers, an exact-count draw sets it to `k`,
+//!      a per-lane sampler counts its distinct ids — so the tier is one
+//!      64-lane compare;
 //!    * *dead spare* — some faulty unit has every candidate resource
 //!      dead, so the lane is provably intolerable;
 //!    * *private spare* — a two-word saturating counter over the
@@ -52,17 +55,13 @@
 
 use crate::incremental::TrialEvaluator;
 use dmfb_defects::block::{fault_threshold, BlockSampler};
-use dmfb_graph::words::{lane_mask, pack_ge_per_lane, LaneCounter, LANES};
+use dmfb_graph::words::{lane_mask, pack_ge_per_lane, LANES};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
-/// Largest exact fault count routed through the transposed
-/// [`BlockSampler::exact_fault_words`] path. The sparse override list it
-/// keeps per lane costs `O(k²)` per block versus the scalar loop's
-/// `O(n)` identity reset per lane; stratified strata deep enough to
-/// cross this bound are rare enough (probability-weighted) that the
-/// per-lane fallback is never the hot path.
-const TRANSPOSED_FAULT_LIMIT: usize = 64;
+/// Units per open-lane fault below which the spare tiers skip fault-free
+/// units with a branch instead of running every unit branch-free.
+const SPARSE_UNITS_PER_FAULT: u64 = 8;
 
 /// Cumulative tier counters of a [`TrialBlock`] — how much work each
 /// tier retired, for skip-rate reporting.
@@ -95,6 +94,9 @@ pub struct TrialBlock {
     sampler: BlockSampler,
     /// Fault word per relevant cell for the current group.
     cell_words: Vec<u64>,
+    /// Per lane: how many of `cell_words` have its bit set. Every path
+    /// that stages the words sets it (for the Hall tier).
+    counts: [u64; LANES],
     /// OR-fold of member-cell fault words per unit.
     unit_words: Vec<u64>,
     /// OR-fold of member-cell fault words per resource (indestructible
@@ -121,18 +123,14 @@ pub struct TrialBlock {
     /// Grid mode's outcome histogram over one call: per grid index, the
     /// lanes first tolerable there (the last slot: at no point).
     first_tolerable: Vec<u64>,
-    /// Bit-sliced per-lane fault counter for the Hall tier.
-    counter: LaneCounter,
-    /// Hall bound usable by the counter tier (`None` when the structure
-    /// has no units, a zero bound, or a bound beyond counter capacity —
-    /// the other tiers already cover those cases).
+    /// Hall bound of the Hall tier (`None` when the structure has no
+    /// units, a zero bound, or a bound above 255 — the other tiers
+    /// already cover those cases).
     hall_bound: Option<u64>,
     /// Augmenting-path state of the residue matcher.
     matcher: LaneMatcher,
     /// One lane's faulty cell ids, written by a per-lane sampler.
     faults: Vec<u32>,
-    /// Cell-index permutation for the per-lane exact-fault fallback.
-    perm: Vec<u32>,
     stats: BlockStats,
 }
 
@@ -179,6 +177,22 @@ impl TrialBlock {
     }
 }
 
+/// Hall tier: lanes whose staged fault count is within the
+/// placement-independent bound (`0` when the bound is unusable) — one
+/// 64-lane compare of the counts the staging path left in `block.counts`.
+fn hall_tolerable(block: &TrialBlock) -> u64 {
+    let Some(bound) = block.hall_bound else {
+        return 0;
+    };
+    block
+        .counts
+        .iter()
+        .enumerate()
+        .fold(0, |mask, (lane, &count)| {
+            mask | (u64::from(count <= bound) << lane)
+        })
+}
+
 /// Calls `f` with the index of every set bit of `lanes`, lowest first.
 fn for_each_lane(mut lanes: u64, mut f: impl FnMut(usize)) {
     while lanes != 0 {
@@ -198,6 +212,7 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
         TrialBlock {
             sampler: BlockSampler::new(&[]),
             cell_words: vec![0; self.cell_count()],
+            counts: [0; LANES],
             unit_words: vec![0; self.unit_count()],
             res_words: vec![0; resources],
             private_words: vec![0; resources],
@@ -207,7 +222,6 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
             bracket: [(0, 0); LANES],
             probe: [0; LANES],
             first_tolerable: Vec::new(),
-            counter: LaneCounter::new(if usable { bound } else { 1 }),
             hall_bound: usable.then_some(bound as u64),
             matcher: LaneMatcher {
                 owner: vec![0; resources],
@@ -218,7 +232,6 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
                 stack: Vec::with_capacity(self.unit_count()),
             },
             faults: Vec::new(),
-            perm: (0..self.cell_count() as u32).collect(),
             stats: BlockStats::default(),
         }
     }
@@ -241,6 +254,7 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
             block
                 .sampler
                 .fill_fault_words(threshold, &mut block.cell_words);
+            block.counts = *block.sampler.fault_counts();
             successes += self.decide_group(block).count_ones();
         }
         successes
@@ -300,6 +314,7 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
                 &mut block.cell_words,
                 &mut block.mantissa,
             );
+            block.counts = *block.sampler.fault_counts();
             let tolerable = self.decide_group_masked(block, live);
             block.first_tolerable[0] += u64::from(tolerable.count_ones());
             // Bisect every open lane's bracket until it closes.
@@ -310,7 +325,13 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
                     let (lo, hi) = block.bracket[lane];
                     block.probe[lane] = thresholds[(lo + hi) / 2];
                 });
-                pack_ge_per_lane(&block.mantissa, &block.probe, active, &mut block.cell_words);
+                pack_ge_per_lane(
+                    &block.mantissa,
+                    &block.probe,
+                    active,
+                    &mut block.cell_words,
+                    &mut block.counts,
+                );
                 let tolerable = self.decide_group_masked(block, active);
                 for_each_lane(active, |lane| {
                     let (lo, hi) = &mut block.bracket[lane];
@@ -342,14 +363,10 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
     /// Sampling rides the transposed path
     /// ([`BlockSampler::exact_fault_words`]): the Fisher–Yates swap
     /// indices for all lanes are drawn lock-step from the lane
-    /// generators, skipping the scalar path's `O(n)` per-lane
-    /// identity-permutation reset — the cost that used to dominate the
-    /// stratified estimator's sampled strata. Above 64 faults
-    /// (`TRANSPOSED_FAULT_LIMIT`) the sparse override list the
-    /// transposed sampler tracks stops paying for itself, so deep strata
-    /// fall back to the scalar Fisher–Yates draw per lane through
-    /// [`TrialEvaluator::sampled_block`]; both branches stage identical
-    /// fault words.
+    /// generators and replayed per lane on a generation-stamped slot
+    /// table, so a lane costs `O(faults)`, skipping the scalar path's
+    /// `O(n)` identity-permutation reset — the cost that used to
+    /// dominate the stratified estimator's sampled strata.
     ///
     /// # Panics
     ///
@@ -360,27 +377,13 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
             faults <= n,
             "cannot inject {faults} faults into a {n}-cell structure"
         );
-        if faults > TRANSPOSED_FAULT_LIMIT {
-            let mut perm = std::mem::take(&mut block.perm);
-            let successes = self.sampled_block(seeds, block, |rng, ids| {
-                for (i, slot) in perm.iter_mut().enumerate() {
-                    *slot = i as u32;
-                }
-                for i in 0..faults {
-                    let j = rng.gen_range(i..n);
-                    perm.swap(i, j);
-                    ids.push(perm[i]);
-                }
-            });
-            block.perm = perm;
-            return successes;
-        }
         let mut successes = 0u32;
         for group in seeds.chunks(LANES) {
             block.sampler.reseed(group);
             block
                 .sampler
                 .exact_fault_words(n, faults, &mut block.cell_words);
+            block.counts = *block.sampler.fault_counts();
             successes += self.decide_group(block).count_ones();
         }
         successes
@@ -407,12 +410,16 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
     ) -> u32 {
         let mut successes = 0u32;
         for group in seeds.chunks(LANES) {
-            block.cell_words.iter_mut().for_each(|w| *w = 0);
+            block.cell_words.fill(0);
+            block.counts = [0; LANES];
             for (lane, &seed) in group.iter().enumerate() {
                 block.faults.clear();
                 sample(&mut StdRng::seed_from_u64(seed), &mut block.faults);
                 for &id in &block.faults {
-                    block.cell_words[id as usize] |= 1u64 << lane;
+                    // Count each distinct id once.
+                    let word = &mut block.cell_words[id as usize];
+                    block.counts[lane] += (!*word >> lane) & 1;
+                    *word |= 1u64 << lane;
                 }
             }
             successes += self
@@ -434,11 +441,13 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
     /// bisection probe decides only its open lanes). Each tier narrows
     /// the set of open lanes; the matcher sees only what is left.
     fn decide_group_masked(&self, block: &mut TrialBlock, mask: u64) -> u64 {
+        #[cfg(test)]
+        tests::assert_counts_match_words(block);
         self.fold_words(block);
         let faulty = block.unit_words.iter().fold(0u64, |w, &u| w | u);
         let no_fault = mask & !faulty;
         let mut open = mask & faulty;
-        let hall = open & self.hall_tolerable(block);
+        let hall = open & hall_tolerable(block);
         open &= !hall;
         let (dead, private) = if open == 0 {
             (0, 0)
@@ -476,19 +485,6 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
         }
     }
 
-    /// Hall tier: lanes whose total cell-fault popcount is within the
-    /// placement-independent bound (`0` when the bound is unusable).
-    fn hall_tolerable(&self, block: &mut TrialBlock) -> u64 {
-        let Some(bound) = block.hall_bound else {
-            return 0;
-        };
-        block.counter.reset();
-        for &word in &block.cell_words {
-            block.counter.add(word);
-        }
-        block.counter.le_mask(bound)
-    }
-
     /// Dead-spare and private-spare tiers over the `open` lanes; returns
     /// `(provably intolerable, provably tolerable)` masks within `open`
     /// and leaves the contested units of the remaining lanes in
@@ -511,10 +507,18 @@ impl<C: Copy + Ord> TrialEvaluator<C> {
             *private = once & !twice & !block.res_words[j];
         }
         block.contested.clear();
+        // The open lanes' total fault count bounds how many unit words
+        // are non-zero. Skipping the zero ones pays only when they are a
+        // predictable majority; otherwise the branch mispredicts and the
+        // loop runs every unit straight through.
+        let open_faults: u64 = (0..LANES)
+            .map(|lane| block.counts[lane] * ((open >> lane) & 1))
+            .sum();
+        let sparse = open_faults * SPARSE_UNITS_PER_FAULT < block.unit_words.len() as u64;
         let (mut dead, mut any_contested) = (0u64, 0u64);
         for (i, &unit_word) in block.unit_words.iter().enumerate() {
             let w = unit_word & open;
-            if w == 0 {
+            if sparse && w == 0 {
                 continue;
             }
             let (mut all_dead, mut has_private) = (u64::MAX, 0u64);
@@ -619,6 +623,17 @@ mod tests {
     use crate::shifted::SpareRowArray;
     use crate::square_dtmb::SquarePattern;
     use dmfb_grid::SquareRegion;
+    use rand::Rng;
+
+    /// Each lane's popcount over the staged cell words must be its
+    /// count: every decide pass of every unit test checks this, so each
+    /// staging path is held to it wherever a test reaches it.
+    pub(super) fn assert_counts_match_words(block: &TrialBlock) {
+        for (lane, &count) in block.counts.iter().enumerate() {
+            let popcount: u64 = block.cell_words.iter().map(|&w| (w >> lane) & 1).sum();
+            assert_eq!(count, popcount, "lane {lane}");
+        }
+    }
 
     fn hex_eval(n: usize) -> TrialEvaluator {
         let array = DtmbKind::Dtmb26A.with_primary_count(n);
@@ -713,6 +728,42 @@ mod tests {
             }
             assert_eq!(got, expected, "k={k}");
         }
+    }
+
+    #[test]
+    fn every_staging_path_counts_lane_faults() {
+        // `assert_counts_match_words` runs on every decide pass; this
+        // drives each staging path through at least one: survival, grid
+        // point 0 and its bisection probes, shallow and deep exact counts,
+        // and a per-lane sampler with duplicate ids.
+        let eval = hex_eval(60);
+        let n = eval.cell_count();
+        let s = seeds(0xC0_C0, 100);
+        let mut block = eval.block_scratch();
+        let passes = |block: &TrialBlock, before: &mut u64, path: &str| {
+            assert!(block.stats().lanes > *before, "{path} decided nothing");
+            *before = block.stats().lanes;
+        };
+        let mut lanes = 0;
+        let _ = eval.survival_block(0.95, &s, &mut block);
+        passes(&block, &mut lanes, "survival");
+        let mut counts = [0u64; 3];
+        eval.survival_grid_block(&[0.5, 0.9, 0.99], &s, &mut block, &mut counts);
+        assert!(
+            block.stats().lanes > lanes + s.len() as u64,
+            "no grid probe ran"
+        );
+        passes(&block, &mut lanes, "grid");
+        for k in [3, n / 2] {
+            let _ = eval.exact_fault_block(k, &s, &mut block);
+            passes(&block, &mut lanes, "exact");
+        }
+        let _ = eval.sampled_block(&s, &mut block, |rng, ids| {
+            for _ in 0..6 {
+                ids.push(rng.gen_range(0..4));
+            }
+        });
+        passes(&block, &mut lanes, "sampled");
     }
 
     #[test]
@@ -863,6 +914,8 @@ mod tests {
         for (word, cell) in block.cell_words.iter_mut().zip(&eval.structure.cells) {
             *word = u64::from(faulty.contains(cell));
         }
+        block.counts = [0; LANES];
+        block.counts[0] = block.cell_words.iter().sum();
         let verdict = eval.decide_group_masked(block, 1) == 1;
         let mut scratch = eval.scratch();
         assert_eq!(

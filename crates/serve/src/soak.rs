@@ -160,7 +160,7 @@ fn run_phase(
                                     response.status,
                                     String::from_utf8_lossy(&response.body).trim()
                                 ));
-                            } else if i % bodies.len() == 0 {
+                            } else if i.is_multiple_of(bodies.len()) {
                                 replies.push(String::from_utf8_lossy(&response.body).into_owned());
                             }
                         }

@@ -44,7 +44,7 @@ use dmfb_bioassay::layout::{ivd_dtmb26_chip, used_cells_policy};
 use dmfb_bioassay::{ChipDescription, MultiplexedIvd};
 use dmfb_defects::block::{fault_threshold, BlockSampler};
 use dmfb_defects::DefectMap;
-use dmfb_graph::words::{pack_ge, LANES};
+use dmfb_graph::words::LANES;
 use dmfb_grid::HexCoord;
 use dmfb_reconfig::{ReconfigPolicy, TrialEvaluator, TrialScratch};
 use dmfb_sim::{
@@ -337,11 +337,11 @@ impl OperationalYield {
     }
 
     /// One batch of up-to-64-lane trial groups against the ascending
-    /// grid. Per 64-lane group the sampler draws every cell once (common
-    /// random numbers across the grid): the pass emits point 0's fault
-    /// words and, when the grid has later points, stores the mantissa
-    /// columns they re-threshold. Each grid point is then decided in
-    /// three word-parallel tiers:
+    /// grid. Per 64-lane group, each grid point re-seeds the sampler and
+    /// draws every cell at its own threshold: the same seeds give the same
+    /// draws (common random numbers across the grid) with no stored copy
+    /// of them. Each grid point is then decided in three word-parallel
+    /// tiers:
     ///
     /// 1. **fault-free lanes** — no fault anywhere: raw, reconfigured
     ///    and (iff the clean chip meets budget) operational, no matcher
@@ -362,38 +362,13 @@ impl OperationalYield {
         out: &mut [u64],
     ) {
         let n = self.cells.len();
-        let Some(&first) = ps.first() else {
-            return;
-        };
-        let first = fault_threshold(first);
         for chunk in seeds.chunks(LANES) {
-            state.sampler.reseed(chunk);
-            let live = state.sampler.live_mask();
-            // Point 0's words come from the sampling pass itself, which
-            // keeps the mantissas only when later points re-threshold them.
-            if ps.len() > 1 {
-                state.sampler.fill_fault_words_store(
-                    first,
-                    &mut state.fault_words,
-                    &mut state.mantissa,
-                );
-            } else {
+            for (j, &p) in ps.iter().enumerate() {
+                state.sampler.reseed(chunk);
                 state
                     .sampler
-                    .fill_fault_words(first, &mut state.fault_words);
-            }
-            for (j, &p) in ps.iter().enumerate() {
-                if j > 0 {
-                    let threshold = fault_threshold(p);
-                    for (word, col) in state
-                        .fault_words
-                        .iter_mut()
-                        .zip(state.mantissa.chunks_exact(LANES))
-                    {
-                        let col: &[u64; LANES] = col.try_into().expect("column is LANES wide");
-                        *word = pack_ge(col, threshold) & live;
-                    }
-                }
+                    .fill_fault_words(fault_threshold(p), &mut state.fault_words);
+                let live = state.sampler.live_mask();
                 let fault_any = state.fault_words.iter().fold(0u64, |acc, &w| acc | w);
                 let mut scope_fault = 0u64;
                 let mut survivor_fail = 0u64;
@@ -567,19 +542,12 @@ impl OperationalYield {
             "survival grid must be ascending"
         );
         let plan = self.block_plan();
-        // Only later grid points read the stored draws.
-        let store_len = if ps.len() > 1 {
-            self.cells.len() * LANES
-        } else {
-            0
-        };
         let estimates = MonteCarlo::new(trials, seed).tally_blocks_with(
             self.threads,
             self.width,
             3 * ps.len(),
             || BlockState {
                 sampler: BlockSampler::new(&[]),
-                mantissa: vec![0; store_len],
                 fault_words: vec![0; self.cells.len()],
                 scratch: self.evaluator.scratch(),
             },
@@ -614,12 +582,10 @@ struct BlockPlan {
 }
 
 /// Per-worker buffers for the block engine: the lock-step sampler, the
-/// per-cell mantissa columns shared across the grid (empty for a
-/// one-point grid), the per-cell fault words of the current grid point
-/// and the matcher scratch.
+/// per-cell fault words of the current grid point and the matcher
+/// scratch.
 struct BlockState {
     sampler: BlockSampler,
-    mantissa: Vec<u64>,
     fault_words: Vec<u64>,
     scratch: TrialScratch,
 }
@@ -861,9 +827,9 @@ mod tests {
 
     #[test]
     fn grid_points_equal_one_point_estimates() {
-        // A multi-point sweep re-thresholds point 0's stored draws; each
-        // of its rows must equal the one-point estimate, which draws
-        // without a store, at any block width.
+        // A multi-point sweep re-draws each point from the same seeds;
+        // each of its rows must equal the one-point estimate at any block
+        // width.
         let eng = engine();
         let ps = [0.0, 0.9, 0.9, 0.97, 1.0];
         for width in [1, 64, 65, 200] {
