@@ -47,6 +47,14 @@ pub const MAX_CLUSTER_VISITS: f64 = 1e9;
 /// runs 5 000 trials in about 0.54 s on a 2-core x86-64 host).
 pub const MAX_CELL_TRIALS: f64 = 5e9;
 
+/// Ceiling on an operational (assay-tier) request's trials. Each trial
+/// runs the matcher and the assay router and scheduler for most faulty
+/// chips, so every estimator and defect model is capped alike. `400 000`
+/// trials is about 10 s of one worker: the slowest case measured, the
+/// metabolic panel near p = 0.9 under either estimator, costs about
+/// 22–28 µs per trial at `--threads 1` on a 2-core x86-64 host.
+pub const MAX_OPERATIONAL_TRIALS: u32 = 400_000;
+
 /// A validation failure, carrying the HTTP status it maps to (always
 /// `400` today, but the type keeps routing and phrasing in one place).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -266,6 +274,12 @@ pub fn parse_yield_request(body: &[u8]) -> Result<YieldRequest, RequestError> {
                  {MAX_CLUSTER_VISITS:.0e}; lower 'trials', 'cluster_mean' or 'cluster_radius'"
             )));
         }
+    }
+    if tier == Tier::Operational && trials > MAX_OPERATIONAL_TRIALS {
+        return Err(RequestError::bad(format!(
+            "operational request too large: {trials} trials, over the ceiling of \
+             {MAX_OPERATIONAL_TRIALS} for the assay tier; lower 'trials'"
+        )));
     }
     if tier != Tier::Operational && matches!(defect_model, DefectModel::Bernoulli) {
         let cells = match scheme {
@@ -576,9 +590,27 @@ mod tests {
         let rows = r#"{"scheme": "spare-rows", "width": 1000, "module_rows": 900, "spare_rows": 100, "trials": 5000}"#;
         assert!(parse(rows).is_ok());
         // The operational tier and clustered requests keep their own bounds.
+        let assay = |trials: u32| {
+            parse(&format!(
+                r#"{{"tier": "operational", "assay": "ivd-panel", "trials": {trials}}}"#
+            ))
+        };
+        assert!(assay(MAX_OPERATIONAL_TRIALS).is_ok());
+        let err = assay(10_000_000).unwrap_err();
+        assert_eq!(err.status, 400);
         assert!(
-            parse(r#"{"tier": "operational", "assay": "ivd-panel", "trials": 10000000}"#).is_ok()
+            err.message
+                .contains("10000000 trials, over the ceiling of 400000"),
+            "{err}"
         );
+        assert!(assay(MAX_OPERATIONAL_TRIALS + 1).is_err());
+        let clustered = r#"{"tier": "operational", "assay": "metabolic-panel", "defect_model": "clustered", "trials": 400001}"#;
+        assert!(parse(clustered)
+            .unwrap_err()
+            .message
+            .contains("ceiling of 400000"));
+        let stratified = r#"{"tier": "operational", "assay": "ivd-panel", "estimator": "stratified", "p": 0.999, "trials": 400000}"#;
+        assert!(parse(stratified).is_ok());
         assert!(parse(r#"{"design": "dtmb26", "primaries": 65536, "defect_model": "clustered", "cluster_mean": 0.01, "trials": 100000}"#).is_ok());
         // Every request body of the serve-mix benchmark workload.
         for body in [

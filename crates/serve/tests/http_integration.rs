@@ -105,6 +105,10 @@ fn unbounded_cluster_parameters_get_4xx() {
             br#"{"design": "dtmb26", "primaries": 65536, "trials": 76294}"#,
             "over the ceiling of 5e9",
         ),
+        (
+            br#"{"tier": "operational", "assay": "ivd-panel", "trials": 10000000}"#,
+            "over the ceiling of 400000",
+        ),
     ] {
         let reply = client.request("POST", "/v1/yield", body).expect("request");
         assert_eq!(reply.status, 400, "body: {}", text(&reply));

@@ -117,50 +117,16 @@ impl MonteCarlo {
         BernoulliEstimate::new(counts[0], u64::from(self.trials))
     }
 
-    /// Runs a *vector-valued* experiment: every trial fills a `k`-slot
-    /// success vector (one slot per swept parameter value), and the engine
-    /// tallies per-slot success counts into `k` estimates across `threads`
-    /// workers (`0` = one per available core). Per-worker count vectors are
-    /// summed element-wise, which is order-independent, so the estimates
-    /// never depend on scheduling.
+    /// Runs a *vector-valued* experiment: `block` receives a group of up
+    /// to `width` trial seeds and *adds* each slot's success count for
+    /// those trials into the `k`-slot count vector, one estimate per slot.
+    /// Per-worker count vectors are summed element-wise, so the estimates
+    /// are identical for any `width` and `threads`.
     ///
     /// This is how one Monte-Carlo pass serves an entire yield curve: a
     /// trial draws one random chip and reports, for each survival
     /// probability on the grid, whether that chip would have been
     /// tolerable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panics.
-    pub fn tally_parallel<S>(
-        &self,
-        threads: usize,
-        k: usize,
-        init: impl Fn() -> S + Sync,
-        trial: impl Fn(&mut StdRng, &mut S, &mut [bool]) + Sync,
-    ) -> Vec<BernoulliEstimate> {
-        self.tally_blocks_with(
-            threads,
-            1,
-            k,
-            || (init(), vec![false; k]),
-            |seeds, (state, outcomes), counts| {
-                for &seed in seeds {
-                    outcomes.iter_mut().for_each(|o| *o = false);
-                    trial(&mut StdRng::seed_from_u64(seed), state, outcomes);
-                    for (c, &o) in counts.iter_mut().zip(outcomes.iter()) {
-                        *c += u64::from(o);
-                    }
-                }
-            },
-        )
-    }
-
-    /// Block-parallel counterpart of [`MonteCarlo::tally_parallel`]:
-    /// `block` receives a group of up to `width` trial seeds and *adds*
-    /// each slot's success count for those trials into the `k`-slot
-    /// count vector. The estimates are identical for any `width` and
-    /// `threads`.
     ///
     /// # Panics
     ///
@@ -300,26 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn tally_parallel_is_byte_identical() {
-        let mc = MonteCarlo::new(1_500, 41);
-        let grid = [0.2, 0.5, 0.9];
-        let fill = |rng: &mut StdRng, (): &mut (), out: &mut [bool]| {
-            let u: f64 = rng.gen();
-            for (o, &p) in out.iter_mut().zip(&grid) {
-                *o = u < p;
-            }
-        };
-        let seq = reference_tally(&mc, &grid);
-        // Slots are monotone in p by construction (common random numbers).
-        assert!(seq[0].successes() <= seq[1].successes());
-        assert!(seq[1].successes() <= seq[2].successes());
-        for threads in [0, 1, 2, 7] {
-            let par = mc.tally_parallel(threads, grid.len(), || (), fill);
-            assert_eq!(par, seq, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn estimates_converge() {
         let mc = MonteCarlo::new(20_000, 3);
         let est = mc.run_parallel(1, |rng| rng.gen_bool(0.8));
@@ -374,19 +320,11 @@ mod tests {
         let mc = MonteCarlo::new(997, 31);
         let grid = [0.1, 0.3, 0.5, 0.7, 0.9];
         let reference = reference_tally(&mc, &grid);
-        for threads in [1usize, 3] {
-            let per_trial = mc.tally_parallel(
-                threads,
-                grid.len(),
-                || (),
-                |rng, (), out| {
-                    let u: f64 = rng.gen();
-                    for (o, &p) in out.iter_mut().zip(&grid) {
-                        *o = u < p;
-                    }
-                },
-            );
-            assert_eq!(per_trial, reference, "threads={threads}");
+        // Slots are monotone in p by construction (common random numbers).
+        assert!(reference
+            .windows(2)
+            .all(|w| w[0].successes() <= w[1].successes()));
+        for threads in [0usize, 1, 3, 7] {
             for width in [1usize, 17, 64, 256] {
                 let blocked = mc.tally_blocks_with(
                     threads,
@@ -402,7 +340,7 @@ mod tests {
                         }
                     },
                 );
-                assert_eq!(blocked, per_trial, "width={width} threads={threads}");
+                assert_eq!(blocked, reference, "width={width} threads={threads}");
             }
         }
     }

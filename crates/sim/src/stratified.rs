@@ -62,6 +62,7 @@
 
 use crate::{BernoulliEstimate, MonteCarlo, SeedSequence};
 use rand::rngs::StdRng;
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Tuning knobs for [`StratifiedMonteCarlo`].
@@ -364,7 +365,9 @@ impl StratifiedMonteCarlo {
         self
     }
 
-    /// Runs the stratified experiment for defect probability `q`.
+    /// Runs the stratified experiment for defect probability `q`, one
+    /// trial at a time: the width-1 form of
+    /// [`StratifiedMonteCarlo::estimate_block`] with one outcome slot.
     ///
     /// `init` builds per-worker scratch state; `trial` receives the
     /// stratum's exact defect count, an RNG, and the scratch, and returns
@@ -376,86 +379,57 @@ impl StratifiedMonteCarlo {
         init: impl Fn() -> S + Sync,
         trial: impl Fn(usize, &mut StdRng, &mut S) -> bool + Sync,
     ) -> StratifiedEstimate {
-        self.estimate_multi(q, 1, init, |k, rng, state, out| {
-            out[0] = trial(k, rng, state);
+        self.estimate_block(q, 1, 1, init, |k, seeds, state, counts| {
+            for &seed in seeds {
+                counts[0] += u64::from(trial(k, &mut StdRng::seed_from_u64(seed), state));
+            }
         })
         .pop()
         .expect("one outcome in, one estimate out")
     }
 
-    /// Vector-valued variant of [`StratifiedMonteCarlo::estimate`]: each
-    /// trial fills `outcomes` verdict slots for the *same* random defect
-    /// placement (e.g. the raw/reconfigured/operational tiers), and one
-    /// shared trial allocation serves every outcome. Returns one
-    /// [`StratifiedEstimate`] per slot.
+    /// The stratified estimator: plans strata, resolves exact ones,
+    /// pilots and Neyman-allocates the stochastic ones, and combines.
+    /// Each stratum's exact-`k` trials run through
+    /// [`MonteCarlo::tally_blocks_with`] in groups of up to `width` seeds,
+    /// and `block_trial(k, seeds, state, counts)` adds, per outcome slot,
+    /// how many of the group's placements succeeded. Every slot shares
+    /// one trial allocation (e.g. the raw/reconfigured/operational tiers
+    /// of one random placement); the Neyman allocation uses each
+    /// stratum's *largest* per-outcome spread, so no outcome is starved.
+    /// Returns one [`StratifiedEstimate`] per slot.
     ///
-    /// The Neyman allocation uses each stratum's *largest* per-outcome
-    /// spread, so no outcome is starved.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `outcomes == 0`.
-    pub fn estimate_multi<S>(
-        &self,
-        q: f64,
-        outcomes: usize,
-        init: impl Fn() -> S + Sync,
-        trial: impl Fn(usize, &mut StdRng, &mut S, &mut [bool]) + Sync,
-    ) -> Vec<StratifiedEstimate> {
-        assert!(outcomes > 0, "need at least one outcome slot");
-        self.estimate_multi_with(q, outcomes, |faults, trials, stream| {
-            self.run_stratum(faults, trials, stream, outcomes, &init, &trial)
-        })
-    }
-
-    /// Block-engine variant of [`StratifiedMonteCarlo::estimate`]: each
-    /// stratum's exact-`k` trials run through
-    /// [`MonteCarlo::run_blocks_with`] in groups of up to `width` seeds,
-    /// with `block_trial` returning how many of the group's placements
-    /// survived. Every stratum keeps the same trial counts and
-    /// per-stratum seed streams as the scalar path, so the result is
-    /// **byte-identical** to [`StratifiedMonteCarlo::estimate`] whenever
-    /// `block_trial` gives each seed the verdict the scalar `trial`
-    /// closure would (the `dmfb-reconfig` word-parallel contract) — at
-    /// any `width` and any thread count.
+    /// Stratum `i`'s pilot and main runs draw their trial seeds from
+    /// streams `2i` and `2i + 1` of the master seed, and the allocation
+    /// depends only on the counts, so the result is **byte-identical** at
+    /// any `width` and thread count — and to
+    /// [`StratifiedMonteCarlo::estimate`] whenever `block_trial` gives
+    /// each seed the verdict the per-trial closure would (the
+    /// `dmfb-reconfig` word-parallel contract).
     ///
     /// # Panics
     ///
-    /// Panics if `width == 0`, or (like the scalar path) if a
-    /// proven-tolerable stratum's confirming evaluation fails.
+    /// Panics if `width == 0`, `outcomes == 0`, or a proven-tolerable
+    /// stratum's confirming evaluation fails.
     pub fn estimate_block<S>(
         &self,
         q: f64,
         width: usize,
+        outcomes: usize,
         init: impl Fn() -> S + Sync,
-        block_trial: impl Fn(usize, &[u64], &mut S) -> u32 + Sync,
-    ) -> StratifiedEstimate {
-        assert!(width > 0, "block width must be positive");
-        self.estimate_multi_with(q, 1, |faults, trials, stream| {
+        block_trial: impl Fn(usize, &[u64], &mut S, &mut [u64]) + Sync,
+    ) -> Vec<StratifiedEstimate> {
+        assert!(outcomes > 0, "need at least one outcome slot");
+        let runner = |faults: usize, trials: u32, stream: u64| {
             let seed = SeedSequence::nth_seed(self.master_seed, stream);
-            vec![MonteCarlo::new(trials, seed).run_blocks_with(
+            MonteCarlo::new(trials, seed).tally_blocks_with(
                 self.threads,
                 width,
+                outcomes,
                 &init,
-                |s, st| block_trial(faults, s, st),
-            )]
-        })
-        .pop()
-        .expect("one outcome in, one estimate out")
-    }
-
-    /// The shared stratified-estimation body: plans strata, resolves
-    /// exact ones, pilots and Neyman-allocates the stochastic ones, and
-    /// combines — with `runner(faults, trials, stream)` supplying the
-    /// per-outcome estimates of one stratum run. Both the scalar and the
-    /// block engines are thin wrappers over this, which is what keeps
-    /// their allocation decisions (and hence results) identical.
-    fn estimate_multi_with(
-        &self,
-        q: f64,
-        outcomes: usize,
-        runner: impl Fn(usize, u32, u64) -> Vec<BernoulliEstimate>,
-    ) -> Vec<StratifiedEstimate> {
+                |s, st, counts| block_trial(faults, s, st, counts),
+            )
+        };
         let (plans, truncated_mass) = plan_strata(self.cells, q, &self.config);
         // Per-stratum outcome counts: `counts[s][o]` successes out of
         // `trials_run[s]` trials.
@@ -559,23 +533,6 @@ impl StratifiedMonteCarlo {
                 }
             })
             .collect()
-    }
-
-    /// Runs `trials` exact-`k` trials with a stratum-and-phase-specific
-    /// master seed, returning one estimate per outcome slot.
-    fn run_stratum<S>(
-        &self,
-        faults: usize,
-        trials: u32,
-        stream: u64,
-        outcomes: usize,
-        init: &(impl Fn() -> S + Sync),
-        trial: &(impl Fn(usize, &mut StdRng, &mut S, &mut [bool]) + Sync),
-    ) -> Vec<BernoulliEstimate> {
-        let seed = SeedSequence::nth_seed(self.master_seed, stream);
-        MonteCarlo::new(trials, seed).tally_parallel(self.threads, outcomes, init, |rng, s, out| {
-            trial(faults, rng, s, out);
-        })
     }
 }
 
@@ -812,7 +769,6 @@ mod tests {
 
     #[test]
     fn block_engine_is_byte_identical_to_scalar() {
-        use rand::SeedableRng;
         let trial =
             |k: usize, rng: &mut StdRng, (): &mut ()| k <= 1 || (0..k).all(|_| rng.gen_bool(0.8));
         let scalar = StratifiedMonteCarlo::new(50, 3_000, 17)
@@ -826,37 +782,74 @@ mod tests {
                     .estimate_block(
                         0.03,
                         width,
+                        1,
                         || (),
-                        |k, seeds, ()| {
-                            seeds
+                        |k, seeds, (), counts| {
+                            counts[0] += seeds
                                 .iter()
                                 .filter(|&&s| trial(k, &mut StdRng::seed_from_u64(s), &mut ()))
-                                .count() as u32
+                                .count() as u64;
                         },
                     );
-                assert_eq!(block, scalar, "width={width} threads={threads}");
+                assert_eq!(
+                    block,
+                    std::slice::from_ref(&scalar),
+                    "width={width} threads={threads}"
+                );
             }
         }
     }
 
     #[test]
     fn multi_outcome_shares_placements() {
-        // Outcome 0: no defects at all; outcome 1: at most 3 defects.
-        // Nested events ⇒ nested estimates, stratum by stratum.
-        let ests = StratifiedMonteCarlo::new(40, 2_000, 9).estimate_multi(
+        // Outcome 0 is a random verdict and outcome 1 its complement.
+        // Their Agresti–Coull spreads agree in every stratum, so the
+        // shared allocation is each one's own: every slot of the
+        // multi-outcome block core equals a scalar run of that outcome.
+        let survive = |k: usize, rng: &mut StdRng| (0..k).all(|_| rng.gen_bool(0.7));
+        let scalar = |complement: bool| {
+            StratifiedMonteCarlo::new(40, 2_000, 9).estimate(
+                0.05,
+                || (),
+                |k, rng, ()| survive(k, rng) != complement,
+            )
+        };
+        let expected = [scalar(false), scalar(true)];
+        assert!(expected[0].strata.iter().any(|s| s.estimate.trials() > 64));
+        for width in [1usize, 63, 64, 65, 200] {
+            for threads in [1usize, 3] {
+                let ests = StratifiedMonteCarlo::new(40, 2_000, 9)
+                    .with_threads(threads)
+                    .estimate_block(
+                        0.05,
+                        width,
+                        2,
+                        || (),
+                        |k, seeds, (), counts| {
+                            for &s in seeds {
+                                let v = survive(k, &mut StdRng::seed_from_u64(s));
+                                counts[0] += u64::from(v);
+                                counts[1] += u64::from(!v);
+                            }
+                        },
+                    );
+                assert_eq!(ests, expected, "width={width} threads={threads}");
+            }
+        }
+        // Nested events give nested estimates from one shared allocation.
+        let nested = StratifiedMonteCarlo::new(40, 2_000, 9).estimate_block(
             0.05,
+            64,
             2,
             || (),
-            |k, _, (), out| {
-                out[0] = k == 0;
-                out[1] = k <= 3;
+            |k, seeds, (), counts| {
+                counts[0] += u64::from(k == 0) * seeds.len() as u64;
+                counts[1] += u64::from(k <= 3) * seeds.len() as u64;
             },
         );
-        assert_eq!(ests.len(), 2);
-        assert!(ests[0].point <= ests[1].point);
-        assert_eq!(ests[0].trials, ests[1].trials);
-        let exact0 = 0.95f64.powi(40);
-        assert!((ests[0].point - exact0).abs() < 1e-6);
+        assert!(nested[0].point <= nested[1].point);
+        assert_eq!(nested[0].trials, nested[1].trials);
+        assert!((nested[0].point - 0.95f64.powi(40)).abs() < 1e-6);
     }
 
     #[test]

@@ -17,9 +17,13 @@
 //!   common random numbers across steps and the three survival curves
 //!   degrade monotonically as the scripted damage accumulates.
 //!
-//! Both paths are byte-identical across thread counts (the scalar
-//! `estimate_with` sampler is thread-invariant by construction), which is
-//! what lets the CLI's `campaign-replay` gate compare whole reports.
+//! The statistical path runs on the operational block runner: each of 64
+//! lanes draws its background on its own trial RNG, and a lane the word
+//! tiers cannot decide takes the scalar verdict on its own merged map,
+//! causes included (parametric drift does not block droplet routes).
+//! Both paths are byte-identical across thread counts and block widths,
+//! which is what lets the CLI's `campaign-replay` gate compare whole
+//! reports.
 
 use crate::operational::{AssayPanel, OperationalEstimate, OperationalYield, TrialVerdict};
 use dmfb_defects::injection::{Bernoulli, InjectionModel};

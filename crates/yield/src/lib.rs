@@ -25,7 +25,10 @@
 //! binomial defect count so the high-survival regime no longer wastes
 //! trials on defect-free chips, and **arbitrary defect samplers**
 //! (`estimate_sampled` / `estimate_with`), which let the clustered
-//! wafer-defect model from `dmfb-defects` drive any scheme.
+//! wafer-defect model from `dmfb-defects` drive any scheme. Every one of
+//! these estimates runs 64 trials per word through a block engine:
+//! `SchemeYield` through `dmfb_reconfig::block`, [`OperationalYield`]
+//! through its own three-tier block runner.
 //!
 //! # Example
 //!

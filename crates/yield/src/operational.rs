@@ -22,10 +22,11 @@
 //!
 //! Per trial, operational ⟹ reconfigured ⟸ raw, so the estimates always
 //! satisfy `operational ≤ reconfigured` and `raw ≤ reconfigured` — the
-//! ordering the property tests pin down. Estimates ride the deterministic
-//! parallel tally engine of `dmfb-sim`: results depend only on
-//! `(trials, seed)`, never on thread count, and sweeps share each trial's
-//! random chip across the whole survival grid (common random numbers).
+//! ordering the property tests pin down. Every estimate runs through one
+//! 64-lane block runner over the deterministic tally engine of
+//! `dmfb-sim`: results depend only on `(trials, seed)`, never on thread
+//! count or block width, and sweeps share each trial's random chip across
+//! the whole survival grid (common random numbers).
 //!
 //! # Example
 //!
@@ -44,16 +45,14 @@ use dmfb_bioassay::layout::{ivd_dtmb26_chip, used_cells_policy};
 use dmfb_bioassay::{ChipDescription, MultiplexedIvd};
 use dmfb_defects::block::{fault_threshold, BlockSampler};
 use dmfb_defects::DefectMap;
-use dmfb_graph::words::LANES;
-use dmfb_grid::HexCoord;
+use dmfb_graph::words::{lane_mask, LANES};
+use dmfb_grid::{HexCoord, SlotIndex};
 use dmfb_reconfig::{ReconfigPolicy, TrialEvaluator, TrialScratch};
 use dmfb_sim::{
     BernoulliEstimate, MonteCarlo, StratifiedConfig, StratifiedEstimate, StratifiedMonteCarlo,
 };
 use rand::rngs::StdRng;
-use rand::Rng;
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
+use rand::SeedableRng;
 
 /// Which assay workload the operational check runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -181,8 +180,6 @@ pub struct StratifiedOperationalEstimate {
 pub struct OperationalYield {
     checker: FeasibilityChecker,
     evaluator: TrialEvaluator<HexCoord>,
-    /// The in-scope cells whose faults matter (the assay cells).
-    scope: BTreeSet<HexCoord>,
     /// All array cells in deterministic order — the fault-draw index space
     /// (faults *outside* the scope still block droplet routes).
     cells: Vec<HexCoord>,
@@ -215,14 +212,12 @@ impl OperationalYield {
     pub fn new(chip: ChipDescription, batch: MultiplexedIvd, budget: TimingBudget) -> Self {
         let policy: ReconfigPolicy = used_cells_policy(&chip);
         let evaluator = TrialEvaluator::new(&chip.array, &policy);
-        let scope: BTreeSet<HexCoord> = chip.assay_cells.iter().collect();
         let cells: Vec<HexCoord> = chip.array.region().iter().collect();
         let checker = FeasibilityChecker::new(chip, batch, budget);
         let clean_feasible = checker.is_feasible(&DefectMap::new(), None);
         OperationalYield {
             checker,
             evaluator,
-            scope,
             cells,
             clean_feasible,
             threads: 1,
@@ -270,30 +265,12 @@ impl OperationalYield {
 
     /// The three-tier verdict for `defects`, using caller-owned scratch.
     fn verdict(&self, defects: &DefectMap, scratch: &mut TrialScratch) -> TrialVerdict {
-        let array = &self.checker.chip().array;
-        let mut raw = true;
-        let mut survivor_bound = true;
-        for cell in defects.faulty_cells() {
-            if !self.scope.contains(&cell) {
-                continue;
-            }
-            raw = false;
-            if !array.adjacent_spares(cell).any(|s| !defects.is_faulty(s)) {
-                survivor_bound = false;
-                break;
-            }
-        }
-        let plan = if survivor_bound {
-            self.evaluator.reconfigure(defects, scratch).ok()
+        let (raw, survivor_bound) = self.bound(defects);
+        // A faulty cell with no live spare can never be matched.
+        let (reconfigured, operational) = if survivor_bound {
+            self.reconfigure(defects, scratch)
         } else {
-            // A faulty cell with no live spare can never be matched.
-            None
-        };
-        let reconfigured = plan.is_some();
-        let operational = match &plan {
-            None => false,
-            Some(_) if defects.is_fault_free() => self.clean_feasible,
-            Some(plan) => self.checker.is_feasible(defects, Some(plan)),
+            (false, false)
         };
         TrialVerdict {
             raw,
@@ -303,45 +280,48 @@ impl OperationalYield {
         }
     }
 
-    /// Precomputes the word-parallel sweep geometry: where the in-scope
-    /// assay cells sit in the fault-draw index space, and (per scope
-    /// cell, CSR-packed) where their adjacent spares sit — so the block
-    /// engine can evaluate the raw tier and the survivor bound on whole
-    /// fault words without touching a [`DefectMap`].
-    fn block_plan(&self) -> BlockPlan {
-        let index_of: BTreeMap<HexCoord, u32> = self
-            .cells
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (c, i as u32))
-            .collect();
-        let array = &self.checker.chip().array;
-        let mut scope_idx = Vec::new();
-        let mut adj_offsets = vec![0u32];
-        let mut adj_idx = Vec::new();
-        for (i, cell) in self.cells.iter().enumerate() {
-            if !self.scope.contains(cell) {
-                continue;
+    /// The raw tier and the survivor bound of `defects`: whether no assay
+    /// cell is faulty, and whether every faulty one has a live adjacent
+    /// spare.
+    fn bound(&self, defects: &DefectMap) -> (bool, bool) {
+        let (scope, array) = (&self.chip().assay_cells, &self.chip().array);
+        let mut raw = true;
+        for cell in defects.faulty_cells().filter(|&c| scope.contains(c)) {
+            raw = false;
+            if !array.adjacent_spares(cell).any(|s| !defects.is_faulty(s)) {
+                return (false, false);
             }
-            scope_idx.push(i as u32);
-            for s in array.adjacent_spares(*cell) {
-                adj_idx.push(index_of[&s]);
-            }
-            adj_offsets.push(u32::try_from(adj_idx.len()).expect("adjacency fits u32"));
         }
-        BlockPlan {
-            scope_idx,
-            adj_offsets,
-            adj_idx,
+        (raw, true)
+    }
+
+    /// The reconfigured and operational tiers of `defects`, whose survivor
+    /// bound holds.
+    fn reconfigure(&self, defects: &DefectMap, scratch: &mut TrialScratch) -> (bool, bool) {
+        match self.evaluator.reconfigure(defects, scratch) {
+            Err(_) => (false, false),
+            Ok(_) if defects.is_fault_free() => (true, self.clean_feasible),
+            Ok(plan) => (true, self.checker.is_feasible(defects, Some(&plan))),
         }
     }
 
-    /// One batch of up-to-64-lane trial groups against the ascending
-    /// grid. Per 64-lane group, each grid point re-seeds the sampler and
-    /// draws every cell at its own threshold: the same seeds give the same
-    /// draws (common random numbers across the grid) with no stored copy
-    /// of them. Each grid point is then decided in three word-parallel
-    /// tiers:
+    /// Per-worker buffers for [`OperationalYield::run_block`].
+    fn block_state(&self) -> BlockState {
+        BlockState {
+            sampler: BlockSampler::new(&[]),
+            fault_words: vec![0; self.cells.len()],
+            maps: Vec::with_capacity(LANES),
+            scratch: self.evaluator.scratch(),
+        }
+    }
+
+    /// The one block runner behind every estimate. For each 64-lane group
+    /// of `seeds` and each of `points` slots, `stage(group, j, state)`
+    /// stages the group's fault words for slot `j` into
+    /// `state.fault_words` and returns whether it also left each lane's
+    /// own [`DefectMap`] in `state.maps`. The slot is then decided in
+    /// three word-parallel tiers, adding `(raw, reconfigured,
+    /// operational)` counts into `out[3j..3j+3]`:
     ///
     /// 1. **fault-free lanes** — no fault anywhere: raw, reconfigured
     ///    and (iff the clean chip meets budget) operational, no matcher
@@ -349,31 +329,30 @@ impl OperationalYield {
     /// 2. **survivor-bound failures** — some in-scope faulty cell has
     ///    every adjacent spare faulty: all three tiers false, decided by
     ///    an AND-fold over the spare columns;
-    /// 3. **residue lanes** — faults present, survivor bound holds: the
-    ///    defect map is rebuilt from the lane's bit column and runs the
-    ///    scalar verdict (matcher + assay feasibility). The raw tier is
-    ///    always counted word-parallel (`!scope_fault`).
-    fn sweep_block(
+    /// 3. **gray lanes** — faults present, survivor bound holds: the
+    ///    lane's map (the staged one, or else rebuilt from its bits with
+    ///    every fault an open connection) takes the scalar matcher and
+    ///    assay feasibility check. The raw tier is always counted
+    ///    word-parallel (`!scope_fault`).
+    fn run_block(
         &self,
         plan: &BlockPlan,
-        ps: &[f64],
         seeds: &[u64],
+        points: usize,
         state: &mut BlockState,
         out: &mut [u64],
+        stage: impl Fn(&[u64], usize, &mut BlockState) -> bool,
     ) {
-        let n = self.cells.len();
-        for chunk in seeds.chunks(LANES) {
-            for (j, &p) in ps.iter().enumerate() {
-                state.sampler.reseed(chunk);
-                state
-                    .sampler
-                    .fill_fault_words(fault_threshold(p), &mut state.fault_words);
-                let live = state.sampler.live_mask();
-                let fault_any = state.fault_words.iter().fold(0u64, |acc, &w| acc | w);
+        for group in seeds.chunks(LANES) {
+            let live = lane_mask(group.len());
+            for j in 0..points {
+                let staged_maps = stage(group, j, state);
+                let words = &state.fault_words;
+                let fault_any = words.iter().fold(0u64, |acc, &w| acc | w);
                 let mut scope_fault = 0u64;
                 let mut survivor_fail = 0u64;
                 for (k, &sc) in plan.scope_idx.iter().enumerate() {
-                    let w = state.fault_words[sc as usize];
+                    let w = words[sc as usize];
                     scope_fault |= w;
                     let spares = &plan.adj_idx
                         [plan.adj_offsets[k] as usize..plan.adj_offsets[k + 1] as usize];
@@ -382,35 +361,43 @@ impl OperationalYield {
                     // matching the scalar `any()` over an empty iterator.
                     let all_dead = spares
                         .iter()
-                        .fold(u64::MAX, |acc, &s| acc & state.fault_words[s as usize]);
+                        .fold(u64::MAX, |acc, &s| acc & words[s as usize]);
                     survivor_fail |= w & all_dead;
                 }
                 let fault_free = live & !fault_any;
                 let raw = live & !scope_fault;
-                out[3 * j] += u64::from(raw.count_ones());
-                out[3 * j + 1] += u64::from(fault_free.count_ones());
+                let out = &mut out[3 * j..3 * j + 3];
+                out[0] += u64::from(raw.count_ones());
+                out[1] += u64::from(fault_free.count_ones());
                 if self.clean_feasible {
-                    out[3 * j + 2] += u64::from(fault_free.count_ones());
+                    out[2] += u64::from(fault_free.count_ones());
                 }
                 let mut gray = live & fault_any & !survivor_fail;
                 while gray != 0 {
                     let lane = gray.trailing_zeros() as usize;
                     gray &= gray - 1;
                     let bit = 1u64 << lane;
-                    let defects = DefectMap::from_cells(
-                        (0..n)
-                            .filter(|&i| state.fault_words[i] & bit != 0)
-                            .map(|i| self.cells[i]),
-                    );
-                    let v = self.verdict(&defects, &mut state.scratch);
+                    let rebuilt;
+                    let defects = if staged_maps {
+                        &state.maps[lane]
+                    } else {
+                        rebuilt = DefectMap::from_cells(
+                            self.cells
+                                .iter()
+                                .zip(words)
+                                .filter(|(_, &w)| w & bit != 0)
+                                .map(|(&c, _)| c),
+                        );
+                        &rebuilt
+                    };
                     debug_assert_eq!(
-                        v.raw,
-                        raw & bit != 0,
-                        "word-parallel raw tier disagrees with the scalar verdict"
+                        self.bound(defects),
+                        (raw & bit != 0, true),
+                        "word tiers disagree with the scalar raw tier and survivor bound"
                     );
-                    debug_assert!(v.survivor_bound, "survivor prefilter missed a failing lane");
-                    out[3 * j + 1] += u64::from(v.reconfigured);
-                    out[3 * j + 2] += u64::from(v.operational);
+                    let (reconfigured, operational) = self.reconfigure(defects, &mut state.scratch);
+                    out[1] += u64::from(reconfigured);
+                    out[2] += u64::from(operational);
                 }
             }
         }
@@ -426,13 +413,21 @@ impl OperationalYield {
     }
 
     /// Estimates all three tiers under an **arbitrary defect sampler** —
-    /// the hook the clustered wafer-defect model rides: `sample` draws one
-    /// chip instance's defect map per trial (all randomness from the
-    /// provided RNG). The reported `p` is [`f64::NAN`] because no single
-    /// survival probability parameterises the model. Thread-count
-    /// invariant; depends only on
-    /// `(trials, seed)`. Runs one trial at a time: an arbitrary sampler's
-    /// draw stream cannot be transposed into lanes.
+    /// the hook the clustered wafer-defect model and campaigns ride:
+    /// `sample` draws one chip instance's defect map per trial (all
+    /// randomness from the provided RNG). The reported `p` is
+    /// [`f64::NAN`] because no single survival probability parameterises
+    /// the model. Thread-count invariant; depends only on
+    /// `(trials, seed)`.
+    ///
+    /// Each lane calls `sample` on its own trial RNG and ORs the map's
+    /// cells into the fault words, so the block tiers decide it like any
+    /// other; a gray lane's verdict reads the sampled map itself, whose
+    /// causes matter (the router blocks only catastrophic faults).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sample` marks a cell outside the chip's array.
     #[must_use]
     pub fn estimate_with(
         &self,
@@ -440,36 +435,37 @@ impl OperationalYield {
         seed: u64,
         sample: impl Fn(&mut StdRng) -> DefectMap + Sync,
     ) -> OperationalEstimate {
-        let estimates = MonteCarlo::new(trials, seed).tally_parallel(
-            self.threads,
-            3,
-            || self.evaluator.scratch(),
-            |rng, scratch, out| {
-                let v = self.verdict(&sample(rng), scratch);
-                out[0] = v.raw;
-                out[1] = v.reconfigured;
-                out[2] = v.operational;
-            },
-        );
-        OperationalEstimate {
-            p: f64::NAN,
-            raw: estimates[0],
-            reconfigured: estimates[1],
-            operational: estimates[2],
-        }
+        let plan = BlockPlan::new(self.chip(), &self.cells);
+        let estimates = self.tally(&plan, trials, seed, 1, |group, _, state| {
+            state.fault_words.fill(0);
+            state.maps.clear();
+            for (lane, &s) in group.iter().enumerate() {
+                let map = sample(&mut StdRng::seed_from_u64(s));
+                for cell in map.faulty_cells() {
+                    let i = plan.position(cell).unwrap_or_else(|| {
+                        panic!("sampled fault {cell:?} is not a cell of the chip's array")
+                    });
+                    state.fault_words[i] |= 1 << lane;
+                }
+                state.maps.push(map);
+            }
+            true
+        });
+        Self::rows(&[f64::NAN], &estimates)
+            .pop()
+            .expect("one row in, one estimate out")
     }
 
     /// Estimates all three tiers with the **defect-count-stratified**
     /// rare-event estimator: the chip's fault count `K` is binomial over
     /// all array cells, so each tier's yield decomposes as
     /// `Σₖ P(K=k)·P(tier | K=k)`; every stratum places exactly `k` faults
-    /// uniformly and pushes the same random chip through all three tiers.
-    /// The assay pipeline makes each trial expensive, which is precisely
+    /// uniformly (`BlockSampler::exact_fault_words`, 64 lanes at a time)
+    /// and pushes the same random chip through all three tiers. The
+    /// assay pipeline makes each trial expensive, which is precisely
     /// where skipping the defect-free bulk pays the most.
     ///
-    /// Thread-count invariant; depends only on `(budget, seed)`. Runs one
-    /// trial at a time: the strata already skip the defect-free bulk,
-    /// which is where the block tiers earn their keep.
+    /// Thread-count invariant; depends only on `(budget, seed)`.
     ///
     /// # Panics
     ///
@@ -486,39 +482,28 @@ impl OperationalYield {
             (0.0..=1.0).contains(&p),
             "survival probability must be in [0, 1], got {p}"
         );
-        let cells = &self.cells;
-        let mut tiers = StratifiedMonteCarlo::new(cells.len(), budget, seed)
+        let n = self.cells.len();
+        let plan = BlockPlan::new(self.chip(), &self.cells);
+        let tiers = StratifiedMonteCarlo::new(n, budget, seed)
             .with_threads(self.threads)
             .with_config(*config)
-            .estimate_multi(
+            .estimate_block(
                 1.0 - p,
+                self.width,
                 3,
-                || StratifiedState {
-                    perm: (0..cells.len() as u32).collect(),
-                    scratch: self.evaluator.scratch(),
-                },
-                |k, rng, state, out| {
-                    // Exactly-k placement over all array cells: partial
-                    // Fisher–Yates on an identity-reset index buffer, so
-                    // the draw never depends on scratch history.
-                    for (i, slot) in state.perm.iter_mut().enumerate() {
-                        *slot = i as u32;
-                    }
-                    for i in 0..k {
-                        let j = rng.gen_range(i..cells.len());
-                        state.perm.swap(i, j);
-                    }
-                    let defects =
-                        DefectMap::from_cells(state.perm[..k].iter().map(|&i| cells[i as usize]));
-                    let v = self.verdict(&defects, &mut state.scratch);
-                    out[0] = v.raw;
-                    out[1] = v.reconfigured;
-                    out[2] = v.operational;
+                || self.block_state(),
+                |k, seeds, state, out| {
+                    self.run_block(&plan, seeds, 1, state, out, |group, _, state| {
+                        state.sampler.reseed(group);
+                        state
+                            .sampler
+                            .exact_fault_words(n, k, &mut state.fault_words);
+                        false
+                    });
                 },
             );
-        let operational = tiers.pop().expect("three outcomes");
-        let reconfigured = tiers.pop().expect("three outcomes");
-        let raw = tiers.pop().expect("three outcomes");
+        let [raw, reconfigured, operational]: [StratifiedEstimate; 3] =
+            tiers.try_into().expect("three outcomes");
         StratifiedOperationalEstimate {
             p,
             raw,
@@ -529,8 +514,11 @@ impl OperationalYield {
 
     /// Sweeps an **ascending** survival grid in one batched Monte-Carlo
     /// pass: each trial draws one random chip and reports all three tiers
-    /// at every `p` (common random numbers across the grid). Results are
-    /// byte-identical for any thread count.
+    /// at every `p` (common random numbers across the grid). Per 64-lane
+    /// group, each grid point re-seeds the sampler and draws every cell at
+    /// its own threshold: the same seeds give the same draws with no
+    /// stored copy of them. Results are byte-identical for any thread
+    /// count.
     ///
     /// # Panics
     ///
@@ -541,19 +529,35 @@ impl OperationalYield {
             ps.windows(2).all(|w| w[0] <= w[1]),
             "survival grid must be ascending"
         );
-        let plan = self.block_plan();
-        let estimates = MonteCarlo::new(trials, seed).tally_blocks_with(
+        let plan = BlockPlan::new(self.chip(), &self.cells);
+        let estimates = self.tally(&plan, trials, seed, ps.len(), |group, j, state| {
+            state.sampler.reseed(group);
+            let threshold = fault_threshold(ps[j]);
+            state
+                .sampler
+                .fill_fault_words(threshold, &mut state.fault_words);
+            false
+        });
+        Self::rows(ps, &estimates)
+    }
+
+    /// Runs `trials` trials through [`OperationalYield::run_block`] with
+    /// `points` slots each: a `3 * points` tally.
+    fn tally(
+        &self,
+        plan: &BlockPlan,
+        trials: u32,
+        seed: u64,
+        points: usize,
+        stage: impl Fn(&[u64], usize, &mut BlockState) -> bool + Sync,
+    ) -> Vec<BernoulliEstimate> {
+        MonteCarlo::new(trials, seed).tally_blocks_with(
             self.threads,
             self.width,
-            3 * ps.len(),
-            || BlockState {
-                sampler: BlockSampler::new(&[]),
-                fault_words: vec![0; self.cells.len()],
-                scratch: self.evaluator.scratch(),
-            },
-            |seeds, state, out| self.sweep_block(&plan, ps, seeds, state, out),
-        );
-        Self::rows(ps, &estimates)
+            3 * points,
+            || self.block_state(),
+            |seeds, state, out| self.run_block(plan, seeds, points, state, out, &stage),
+        )
     }
 
     /// Regroups a `3 * ps.len()` tally into one three-tier row per `p`.
@@ -570,9 +574,13 @@ impl OperationalYield {
     }
 }
 
-/// Word-parallel sweep geometry, precomputed once per sweep. All indices
-/// are positions in the fault-draw cell order (`OperationalYield::cells`).
+/// Word-parallel tier geometry, built once per estimate. All indices are
+/// positions in the fault-draw cell order (`OperationalYield::cells`).
 struct BlockPlan {
+    /// Dense slots over the array's bounding box.
+    slots: SlotIndex,
+    /// Each slot's position, `u32::MAX` for a slot off the array.
+    positions: Vec<u32>,
     /// Positions of the in-scope assay cells.
     scope_idx: Vec<u32>,
     /// CSR offsets into `adj_idx`, aligned with `scope_idx`.
@@ -581,28 +589,69 @@ struct BlockPlan {
     adj_idx: Vec<u32>,
 }
 
-/// Per-worker buffers for the block engine: the lock-step sampler, the
-/// per-cell fault words of the current grid point and the matcher
-/// scratch.
+impl BlockPlan {
+    /// Locates `chip`'s assay cells and their adjacent spares in the
+    /// fault-draw order `cells`.
+    fn new(chip: &ChipDescription, cells: &[HexCoord]) -> Self {
+        let slots = SlotIndex::covering(chip.array.region());
+        let mut positions = vec![u32::MAX; slots.slot_count()];
+        for (i, &cell) in cells.iter().enumerate() {
+            positions[slots.slot(cell).expect("array cells lie in its box")] = i as u32;
+        }
+        let mut plan = BlockPlan {
+            slots,
+            positions,
+            scope_idx: Vec::new(),
+            adj_offsets: vec![0],
+            adj_idx: Vec::new(),
+        };
+        for cell in chip.assay_cells.iter() {
+            let Some(i) = plan.position(cell) else {
+                continue;
+            };
+            plan.scope_idx.push(i as u32);
+            for spare in chip.array.adjacent_spares(cell) {
+                let j = plan.position(spare).expect("spares lie in the array");
+                plan.adj_idx.push(j as u32);
+            }
+            let end = u32::try_from(plan.adj_idx.len()).expect("adjacency fits u32");
+            plan.adj_offsets.push(end);
+        }
+        plan
+    }
+
+    /// `cell`'s position in the fault-draw order, if it is an array cell.
+    fn position(&self, cell: HexCoord) -> Option<usize> {
+        let i = self.positions[self.slots.slot(cell)?];
+        (i != u32::MAX).then_some(i as usize)
+    }
+}
+
+/// Per-worker buffers for the block runner: the lock-step sampler, the
+/// per-cell fault words of the current group and slot, the lanes' defect
+/// maps, and the matcher scratch.
 struct BlockState {
     sampler: BlockSampler,
     fault_words: Vec<u64>,
-    scratch: TrialScratch,
-}
-
-/// Per-worker buffers for the stratified path: the exact-`k` placement
-/// permutation plus the matcher scratch.
-struct StratifiedState {
-    perm: Vec<u32>,
+    maps: Vec<DefectMap>,
     scratch: TrialScratch,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
 
     fn engine() -> OperationalYield {
         OperationalYield::ivd(AssayPanel::StandardIvd)
+    }
+
+    /// Adds one trial's three tiers into a `(raw, reconfigured,
+    /// operational)` count triple.
+    fn add(out: &mut [u64], v: TrialVerdict) {
+        out[0] += u64::from(v.raw);
+        out[1] += u64::from(v.reconfigured);
+        out[2] += u64::from(v.operational);
     }
 
     /// The scalar oracle of [`OperationalYield::sweep`]: one trial at a
@@ -616,30 +665,84 @@ mod tests {
         trials: u32,
         seed: u64,
     ) -> Vec<OperationalEstimate> {
-        let estimates = MonteCarlo::new(trials, seed).tally_parallel(
+        let estimates = MonteCarlo::new(trials, seed).tally_blocks_with(
+            1,
             1,
             3 * ps.len(),
-            || (vec![0.0f64; eng.cells.len()], eng.evaluator.scratch()),
-            |rng, (uniforms, scratch), out| {
-                for u in uniforms.iter_mut() {
-                    *u = rng.gen();
-                }
+            || eng.evaluator.scratch(),
+            |seeds, scratch, out| {
+                let mut rng = StdRng::seed_from_u64(seeds[0]);
+                let uniforms: Vec<f64> = eng.cells.iter().map(|_| rng.gen()).collect();
                 for (j, &p) in ps.iter().enumerate() {
                     let defects = DefectMap::from_cells(
                         eng.cells
                             .iter()
-                            .zip(uniforms.iter())
+                            .zip(&uniforms)
                             .filter(|(_, &u)| u >= p)
                             .map(|(&c, _)| c),
                     );
-                    let v = eng.verdict(&defects, scratch);
-                    out[3 * j] = v.raw;
-                    out[3 * j + 1] = v.reconfigured;
-                    out[3 * j + 2] = v.operational;
+                    add(&mut out[3 * j..], eng.verdict(&defects, scratch));
                 }
             },
         );
         OperationalYield::rows(ps, &estimates)
+    }
+
+    /// The per-trial oracle of [`OperationalYield::estimate_with`]: one
+    /// sampled map per trial, straight into the scalar verdict.
+    fn scalar_with(
+        eng: &OperationalYield,
+        trials: u32,
+        seed: u64,
+        sample: impl Fn(&mut StdRng) -> DefectMap + Sync,
+    ) -> OperationalEstimate {
+        let estimates = MonteCarlo::new(trials, seed).tally_blocks_with(
+            1,
+            1,
+            3,
+            || eng.evaluator.scratch(),
+            |seeds, scratch, out| {
+                let defects = sample(&mut StdRng::seed_from_u64(seeds[0]));
+                add(out, eng.verdict(&defects, scratch));
+            },
+        );
+        OperationalYield::rows(&[f64::NAN], &estimates)
+            .pop()
+            .unwrap()
+    }
+
+    /// The per-trial oracle of [`OperationalYield::estimate_stratified`]:
+    /// each trial places exactly `k` faults by a scalar partial
+    /// Fisher–Yates on an identity-reset index buffer, then takes the
+    /// scalar verdict.
+    fn scalar_stratified(
+        eng: &OperationalYield,
+        p: f64,
+        budget: u32,
+        seed: u64,
+    ) -> [StratifiedEstimate; 3] {
+        let cells = &eng.cells;
+        StratifiedMonteCarlo::new(cells.len(), budget, seed)
+            .estimate_block(
+                1.0 - p,
+                1,
+                3,
+                || eng.evaluator.scratch(),
+                |k, seeds, scratch, out| {
+                    for &seed in seeds {
+                        let mut rng = StdRng::seed_from_u64(seed);
+                        let mut perm: Vec<u32> = (0..cells.len() as u32).collect();
+                        for i in 0..k {
+                            perm.swap(i, rng.gen_range(i..cells.len()));
+                        }
+                        let defects =
+                            DefectMap::from_cells(perm[..k].iter().map(|&i| cells[i as usize]));
+                        add(out, eng.verdict(&defects, scratch));
+                    }
+                },
+            )
+            .try_into()
+            .unwrap()
     }
 
     #[test]
@@ -838,6 +941,67 @@ mod tests {
             for (row, &p) in rows.iter().zip(&ps) {
                 assert_eq!(*row, block.estimate(p, 130, 9), "width={width} p={p}");
                 assert_eq!(block.sweep(&[p], 130, 9), [*row], "width={width} p={p}");
+            }
+        }
+    }
+
+    #[test]
+    fn sampled_lanes_keep_their_causes() {
+        // Catastrophic background faults plus parametric drift: the router
+        // blocks only the former, so a gray lane must take its sampled
+        // map, not one rebuilt from its fault bits.
+        use dmfb_defects::injection::{Bernoulli, InjectionModel};
+        use dmfb_defects::parametric::ParametricModel;
+        let eng = engine();
+        let region = eng.chip().array.region().clone();
+        let background = Bernoulli::from_survival(0.985);
+        let drift = ParametricModel::new(0.04, 0.1);
+        let sample = |rng: &mut StdRng| {
+            background
+                .inject(&region, rng)
+                .merged(&drift.inject(&region, rng))
+        };
+        let oracle = scalar_with(&eng, 200, 3, sample);
+        let rebuilt = scalar_with(&eng, 200, 3, |rng| {
+            DefectMap::from_cells(sample(rng).faulty_cells())
+        });
+        assert!(
+            oracle.operational.successes() > rebuilt.operational.successes(),
+            "the sampler must tell causes apart: {oracle:?} vs {rebuilt:?}"
+        );
+        assert_eq!(oracle.reconfigured, rebuilt.reconfigured);
+        // NaN rows never compare equal; compare the tiers.
+        let tiers = |e: &OperationalEstimate| [e.raw, e.reconfigured, e.operational];
+        for width in [1, 63, 64, 65, 200] {
+            for threads in [1, 3] {
+                let block = eng.clone().with_width(width).with_threads(threads);
+                let e = block.estimate_with(200, 3, sample);
+                assert!(e.p.is_nan());
+                assert_eq!(tiers(&e), tiers(&oracle), "width={width} threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn stratified_block_runner_replays_scalar_fisher_yates() {
+        let eng = engine();
+        let config = StratifiedConfig::default();
+        // Many small strata at p = 0.99; at p = 0.999 the Neyman phase
+        // runs more than 64 trials in one stratum, so groups split.
+        for (p, budget) in [(0.99, 300), (0.999, 1_200)] {
+            let oracle = scalar_stratified(&eng, p, budget, 13);
+            let most = oracle[0].strata.iter().map(|s| s.estimate.trials()).max();
+            assert!(p < 0.999 || most > Some(2 * 64), "{most:?}");
+            for width in [1, 63, 64, 65, 200] {
+                for threads in [1, 3] {
+                    let block = eng.clone().with_width(width).with_threads(threads);
+                    let e = block.estimate_stratified(p, budget, 13, &config);
+                    assert_eq!(
+                        [e.raw, e.reconfigured, e.operational],
+                        oracle,
+                        "p={p} width={width} threads={threads}"
+                    );
+                }
             }
         }
     }

@@ -240,9 +240,14 @@ impl<C: Copy + Ord + Send + Sync> SchemeYield<C> {
             .estimate_block(
                 1.0 - p,
                 self.width,
+                1,
                 || self.evaluator.block_scratch(),
-                |k, seeds, block| self.evaluator.exact_fault_block(k, seeds, block),
+                |k, seeds, block, counts| {
+                    counts[0] += u64::from(self.evaluator.exact_fault_block(k, seeds, block));
+                },
             )
+            .pop()
+            .expect("one outcome in, one estimate out")
     }
 
     /// Sweeps survival probabilities through the stratified estimator,
@@ -344,6 +349,7 @@ mod tests {
     use dmfb_grid::SquareRegion;
     use dmfb_reconfig::shifted::{ModuleBand, SpareRowArray};
     use dmfb_reconfig::SquarePattern;
+    use rand::SeedableRng;
 
     fn square(pattern: SquarePattern) -> SchemeYield<dmfb_grid::SquareCoord> {
         SchemeYield::from_scheme(&SquareRegion::rect(10, 10), &pattern)
@@ -443,11 +449,18 @@ mod tests {
                 || ev.scratch(),
                 |rng, scratch| ev.survival_trial(0.95, rng, scratch),
             );
-            let sweep = MonteCarlo::new(800, 3).tally_parallel(
+            let sweep = MonteCarlo::new(800, 3).tally_blocks_with(
+                1,
                 1,
                 ps.len(),
-                || ev.scratch(),
-                |rng, scratch, out| ev.survival_trial_grid(&ps, rng, scratch, out),
+                || (ev.scratch(), vec![false; ps.len()]),
+                |seeds, (scratch, out), counts| {
+                    let rng = &mut StdRng::seed_from_u64(seeds[0]);
+                    ev.survival_trial_grid(&ps, rng, scratch, out);
+                    for (c, &o) in counts.iter_mut().zip(out.iter()) {
+                        *c += u64::from(o);
+                    }
+                },
             );
             let strat = StratifiedMonteCarlo::new(ev.cell_count(), 1_200, 7)
                 .with_config(config)
